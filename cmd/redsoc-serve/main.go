@@ -45,6 +45,11 @@ import (
 	"redsoc/internal/serve"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a stalled or slow-drip connection cannot hold a server
+// goroutine open indefinitely.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("redsoc-serve: ")
@@ -62,7 +67,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	log.Printf("listening on %s (journal %s, %d concurrent campaigns)", *addr, *journal, *maxJobs)

@@ -3,10 +3,13 @@ package harness
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 
+	"redsoc/internal/alu"
 	"redsoc/internal/baseline"
 	"redsoc/internal/cellstore"
 	"redsoc/internal/isa"
+	"redsoc/internal/memo"
 	"redsoc/internal/ooo"
 )
 
@@ -25,14 +28,28 @@ import (
 // cellPayloadVersion versions the harness's journaled encodings on top of
 // cellstore.SchemaVersion; it participates in the fingerprint, so bumping
 // it orphans (rather than misreads) old entries. Version 2 added the
-// dynamic-delay policies (loaddelay, speclsq) to every cell.
-const cellPayloadVersion = 2
+// dynamic-delay policies (loaddelay, speclsq) to every cell; version 3
+// stores the five results' shared architectural state once (archState).
+const cellPayloadVersion = 3
 
-// journaledCell is the serialized outcome of one grid cell.
+// journaledCell is the serialized outcome of one grid cell. The five
+// ooo.Results in Cmp are written with their architectural fields empty;
+// Arch holds that state once for all of them.
 type journaledCell struct {
 	Version   int                  `json:"version"`
 	Threshold int                  `json:"threshold_ticks"`
 	Cmp       *baseline.Comparison `json:"comparison"`
+	Arch      *archState           `json:"arch,omitempty"`
+}
+
+// archState is the final architectural state every scheduler of a cell
+// committed. baselineCompareWithThreshold fails a cell whose schedulers
+// disagree (ArchEqual), so one copy describes all five results exactly;
+// encodeCell re-checks that before dropping the other four.
+type archState struct {
+	Regs  map[isa.Reg]alu.Value `json:"regs"`
+	Mem   map[uint64]uint64     `json:"mem"`
+	Flags alu.Flags             `json:"flags"`
 }
 
 // journaledTotal is the serialized outcome of one sweep task.
@@ -42,21 +59,40 @@ type journaledTotal struct {
 }
 
 // benchmarkDigest canonically fingerprints a workload: the program identity
-// (name, every dynamic instruction, the initial memory image) plus the
-// verification data, which participates in the cell outcome (a cell that
-// fails verification journals nothing).
+// (every dynamic instruction, the initial memory image, via programDigest)
+// plus the benchmark's class, name and verification data, which participate
+// in the cell outcome (a cell that fails verification journals nothing).
+// Only the program part is memoised, so a benchmark that reuses a program
+// under another name or reference result still gets its own digest.
 func benchmarkDigest(b Benchmark) []byte {
 	return cellstore.DigestJSON(struct {
 		Class   Class
 		Name    string
-		Prog    *isa.Program
+		Prog    []byte
 		WantMem map[uint64]uint64
-	}{b.Class, b.Name, b.Prog, b.WantMem})
+	}{b.Class, b.Name, programDigest(b.Prog), b.WantMem})
 }
 
-// benchmarkDigests precomputes workload digests keyed by program pointer —
-// each program appears in one cell per core, and hashing a 20k-instruction
-// trace once instead of three times keeps journaling cheap.
+// maxDigestedPrograms bounds programDigests, like trace.DecodeCached's
+// cache: a long-running serve process digests a fixed suite per scale, but
+// fuzzers and tests mint programs without limit.
+const maxDigestedPrograms = 128
+
+// programDigests memoises the canonical digest of each program. Programs
+// are immutable once built (the assumption trace.DecodeCached shares), so a
+// program pointer always names the same content; the digest itself is
+// content-derived, so two builds of one suite still produce equal keys.
+var programDigests = memo.New[*isa.Program, []byte](maxDigestedPrograms)
+
+// programDigest returns the shared, read-only digest of p's contents,
+// hashing each program once per process rather than once per grid run.
+func programDigest(p *isa.Program) []byte {
+	return programDigests.Get(p, func(p *isa.Program) []byte { return cellstore.DigestJSON(p) })
+}
+
+// benchmarkDigests precomputes a run's workload digests keyed by program
+// pointer — each program appears in one cell per core and in every sweep
+// task of its class, and each lookup then costs a map read.
 func benchmarkDigests(benchmarks []Benchmark) map[*isa.Program][]byte {
 	out := make(map[*isa.Program][]byte, len(benchmarks))
 	for _, b := range benchmarks {
@@ -99,12 +135,28 @@ func sweepKey(cfg ooo.Config, class Class, digests [][]byte, candidate int) cell
 // encodeCell serializes a completed cell for the journal. encoding/json is
 // canonical here (struct fields in declaration order, map keys sorted,
 // shortest-round-trip floats), so identical cells produce identical bytes.
+// The architectural state is written once (see archState); a cell whose
+// five results do not hold exactly the same state is refused, so it is
+// simulated again rather than journaled lossily.
 func encodeCell(c Cell) ([]byte, error) {
-	return json.Marshal(journaledCell{Version: cellPayloadVersion, Threshold: c.Threshold, Cmp: c.Cmp})
+	cmp := *c.Cmp
+	base := cmp.Baseline
+	arch := &archState{Regs: base.FinalRegs, Mem: base.FinalMem, Flags: base.FinalFlags}
+	for _, res := range []**ooo.Result{&cmp.Baseline, &cmp.Redsoc, &cmp.MOS, &cmp.LoadDelay, &cmp.SpecLSQ} {
+		r := **res
+		if !maps.Equal(r.FinalRegs, arch.Regs) || !maps.Equal(r.FinalMem, arch.Mem) || r.FinalFlags != arch.Flags {
+			return nil, fmt.Errorf("harness: cell %s/%s: %s architectural state differs from baseline", cmp.Benchmark, cmp.Core, r.Config.Policy)
+		}
+		r.FinalRegs, r.FinalMem, r.FinalFlags = nil, nil, alu.Flags{}
+		*res = &r
+	}
+	return json.Marshal(journaledCell{Version: cellPayloadVersion, Threshold: c.Threshold, Cmp: &cmp, Arch: arch})
 }
 
-// decodeCell rebuilds a Cell from its journaled payload. Any shape problem
-// is an error, which the caller treats as a cache miss.
+// decodeCell rebuilds a Cell from its journaled payload, handing the one
+// stored architectural state to all five results (they share its maps;
+// everything downstream only reads them). Any shape problem is an error,
+// which the caller treats as a cache miss.
 func decodeCell(data []byte, b Benchmark, core string) (Cell, error) {
 	var v journaledCell
 	if err := json.Unmarshal(data, &v); err != nil {
@@ -114,8 +166,11 @@ func decodeCell(data []byte, b Benchmark, core string) (Cell, error) {
 		return Cell{}, fmt.Errorf("harness: journaled cell version %d, want %d", v.Version, cellPayloadVersion)
 	}
 	if v.Cmp == nil || v.Cmp.Baseline == nil || v.Cmp.Redsoc == nil || v.Cmp.MOS == nil ||
-		v.Cmp.LoadDelay == nil || v.Cmp.SpecLSQ == nil {
+		v.Cmp.LoadDelay == nil || v.Cmp.SpecLSQ == nil || v.Arch == nil {
 		return Cell{}, fmt.Errorf("harness: journaled cell is incomplete")
+	}
+	for _, r := range []*ooo.Result{v.Cmp.Baseline, v.Cmp.Redsoc, v.Cmp.MOS, v.Cmp.LoadDelay, v.Cmp.SpecLSQ} {
+		r.FinalRegs, r.FinalMem, r.FinalFlags = v.Arch.Regs, v.Arch.Mem, v.Arch.Flags
 	}
 	return Cell{Benchmark: b, Core: core, Threshold: v.Threshold, Cmp: v.Cmp}, nil
 }

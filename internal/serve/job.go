@@ -69,8 +69,8 @@ type resolved struct {
 	cells      int // planned journal-keyed units of work
 }
 
-// resolve validates and resolves a spec.
-func resolve(spec JobSpec) (*resolved, error) {
+// resolve validates and resolves a spec against the server's shared suites.
+func (s *Server) resolve(spec JobSpec) (*resolved, error) {
 	r := &resolved{spec: spec}
 	switch spec.Type {
 	case "", "grid":
@@ -96,7 +96,7 @@ func resolve(spec JobSpec) (*resolved, error) {
 		return nil, fmt.Errorf("serve: shards = %d, want 0..64", spec.Shards)
 	}
 
-	all := harness.Benchmarks(r.scale)
+	all := s.suite(r.scale)
 	if r.spec.Type == "chaos" && len(spec.Benchmarks) == 0 {
 		r.benchmarks = chaosPick(all)
 	} else if len(spec.Benchmarks) == 0 {

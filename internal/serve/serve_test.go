@@ -548,3 +548,81 @@ func TestServeStatsAndList(t *testing.T) {
 		t.Fatalf("cache stats = %+v, want nonzero writes and hits", stats.Cache)
 	}
 }
+
+// TestServeSubmitRejectsOversizedBody: a job spec beyond maxSpecBytes is a
+// 413 at the door, read no further than the cap.
+func TestServeSubmitRejectsOversizedBody(t *testing.T) {
+	_, ts := newTestService(t)
+	body := strings.Repeat(" ", maxSpecBytes) + `{"scale":"quick"}`
+	resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit: status %d, want 413", resp.StatusCode)
+	}
+}
+
+// TestServeJobsShareTheSuite: jobs of one scale resolve against the
+// server's single suite, so their programs are the same pointers (the
+// per-program decode and digest caches hit across jobs), and concurrent
+// cache-hit jobs reading that shared suite and the journal stay race-free
+// and byte-identical.
+func TestServeJobsShareTheSuite(t *testing.T) {
+	srv, ts := newTestService(t)
+	spec := testSpec()
+	first := wait(t, ts, submit(t, ts, "alice", spec).ID)
+	if first.State != StateDone {
+		t.Fatalf("first job %s: %s", first.State, first.Error)
+	}
+	want := normalizeReport(t, report(t, ts, first.ID))
+
+	ids := make(chan string, 2)
+	for _, tenant := range []string{"bob", "carol"} {
+		go func(tenant string) { ids <- submitRaw(ts, tenant, spec) }(tenant)
+	}
+	for i := 0; i < 2; i++ {
+		id := <-ids
+		if id == "" {
+			t.Fatal("concurrent submit failed")
+		}
+		st := wait(t, ts, id)
+		if st.State != StateDone || st.CacheHits != st.CellsTotal || st.CacheMisses != 0 {
+			t.Fatalf("hit job %s: state %s, hits %d/%d, misses %d", id, st.State, st.CacheHits, st.CellsTotal, st.CacheMisses)
+		}
+		if got := normalizeReport(t, report(t, ts, id)); !bytes.Equal(got, want) {
+			t.Fatalf("hit job %s report differs from the first job's", id)
+		}
+		a, b := srv.jobByID(first.ID).res.benchmarks, srv.jobByID(id).res.benchmarks
+		for k := range a {
+			if a[k].Prog != b[k].Prog {
+				t.Fatalf("job %s rebuilt %s instead of sharing the server's suite", id, a[k].Name)
+			}
+		}
+	}
+}
+
+// submitRaw POSTs a spec from any goroutine and returns the job ID, or ""
+// on any failure (t.Fatal must stay on the test goroutine).
+func submitRaw(ts *httptest.Server, tenant string, spec JobSpec) string {
+	body, err := json.Marshal(spec)
+	if err != nil {
+		return ""
+	}
+	req, err := http.NewRequest("POST", ts.URL+"/v1/jobs", bytes.NewReader(body))
+	if err != nil {
+		return ""
+	}
+	req.Header.Set("X-Tenant", tenant)
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		return ""
+	}
+	defer resp.Body.Close()
+	var st Status
+	if resp.StatusCode != http.StatusAccepted || json.NewDecoder(resp.Body).Decode(&st) != nil {
+		return ""
+	}
+	return st.ID
+}

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -11,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"redsoc/internal/cellstore"
+	"redsoc/internal/harness"
 )
 
 // Config configures a Server.
@@ -38,6 +40,13 @@ type Server struct {
 	wg     sync.WaitGroup
 
 	running atomic.Int64
+
+	// suites holds one benchmark suite per scale, built on first use and
+	// shared by every job after it: jobs only read their benchmarks, and a
+	// shared suite keeps each program's pointer stable across jobs, so the
+	// per-program decode and digest caches hit instead of rebuilding.
+	suiteMu sync.Mutex
+	suites  map[harness.Scale][]harness.Benchmark
 
 	mu    sync.Mutex
 	jobs  map[string]*job
@@ -83,6 +92,7 @@ func New(cfg Config) (*Server, error) {
 		ctx:    ctx,
 		cancel: cancel,
 		jobs:   map[string]*job{},
+		suites: map[harness.Scale][]harness.Benchmark{},
 	}
 	s.wg.Add(cfg.MaxConcurrent)
 	for i := 0; i < cfg.MaxConcurrent; i++ {
@@ -123,7 +133,7 @@ func (s *Server) Submit(tenant string, spec JobSpec) (Status, error) {
 	if tenant == "" {
 		tenant = "anonymous"
 	}
-	res, err := resolve(spec)
+	res, err := s.resolve(spec)
 	if err != nil {
 		return Status{}, err
 	}
@@ -142,6 +152,19 @@ func (s *Server) Submit(tenant string, spec JobSpec) (Status, error) {
 	j.log.append(Event{Type: "state", Text: StateQueued})
 	s.q.push(j)
 	return j.status(), nil
+}
+
+// suite returns the server's shared benchmark suite for scale, building it
+// on first use.
+func (s *Server) suite(scale harness.Scale) []harness.Benchmark {
+	s.suiteMu.Lock()
+	defer s.suiteMu.Unlock()
+	bs, ok := s.suites[scale]
+	if !ok {
+		bs = harness.Benchmarks(scale)
+		s.suites[scale] = bs
+	}
+	return bs
 }
 
 // jobByID returns a registered job or nil.
@@ -233,11 +256,20 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, map[string]string{"error": msg})
 }
 
+// maxSpecBytes caps a submitted job spec. Real specs are a few hundred
+// bytes; the cap keeps a runaway or hostile body from being buffered.
+const maxSpecBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("job spec exceeds %d bytes", tooBig.Limit))
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad job spec: "+err.Error())
 		return
 	}

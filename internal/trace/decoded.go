@@ -21,10 +21,9 @@ package trace
 // that reaches them is a bug the analyzers report.
 
 import (
-	"sync"
-
 	"redsoc/internal/isa"
 	"redsoc/internal/mem"
+	"redsoc/internal/memo"
 )
 
 // Pool routes an instruction to its functional-unit pool, partitioned per
@@ -221,25 +220,14 @@ func Decode(p *isa.Program) *Decoded {
 // decodeCache maps *isa.Program to its lazily built Decoded. Keying on the
 // program pointer is what makes cross-cell sharing work: harness and campaign
 // drivers construct each benchmark's Program once and hand the same pointer
-// to every grid/sweep/chaos cell.
-var decodeCache sync.Map // *isa.Program -> *decodeEntry
-
-// decodeCacheMu guards the FIFO insertion order behind the eviction bound: a
-// campaign evaluates a fixed benchmark set, but fuzzers, property tests and a
-// long-running serve process mint unbounded distinct programs — the oldest
-// cached program is evicted rather than refusing to cache new ones, so the
-// Nth workload of a long campaign still shares its decode like the first.
-var (
-	decodeCacheMu    sync.Mutex
-	decodeCacheOrder []*isa.Program
-)
+// to every grid/sweep/chaos cell. A campaign evaluates a fixed benchmark set,
+// but fuzzers, property tests and a long-running serve process mint
+// unbounded distinct programs, so the cache is bounded: the oldest cached
+// program is evicted rather than refusing to cache new ones, and the Nth
+// workload of a long campaign still shares its decode like the first.
+var decodeCache = memo.New[*isa.Program, *Decoded](maxCachedPrograms)
 
 const maxCachedPrograms = 128
-
-type decodeEntry struct {
-	once sync.Once
-	dec  *Decoded
-}
 
 // DecodeCached returns the shared flat decode of p, building it at most once
 // per program no matter how many simulators (on any number of goroutines)
@@ -247,23 +235,5 @@ type decodeEntry struct {
 // maxCachedPrograms most recently inserted programs; inserting beyond that
 // evicts the oldest entry (which simply decodes afresh if it ever returns).
 func DecodeCached(p *isa.Program) *Decoded {
-	if v, ok := decodeCache.Load(p); ok {
-		e := v.(*decodeEntry)
-		e.once.Do(func() { e.dec = Decode(p) })
-		return e.dec
-	}
-	v, loaded := decodeCache.LoadOrStore(p, &decodeEntry{})
-	if !loaded {
-		decodeCacheMu.Lock()
-		decodeCacheOrder = append(decodeCacheOrder, p)
-		if len(decodeCacheOrder) > maxCachedPrograms {
-			decodeCache.Delete(decodeCacheOrder[0])
-			copy(decodeCacheOrder, decodeCacheOrder[1:])
-			decodeCacheOrder = decodeCacheOrder[:maxCachedPrograms]
-		}
-		decodeCacheMu.Unlock()
-	}
-	e := v.(*decodeEntry)
-	e.once.Do(func() { e.dec = Decode(p) })
-	return e.dec
+	return decodeCache.Get(p, Decode)
 }

@@ -10,8 +10,8 @@ import (
 // cache-full bug: the cache used to refuse all insertions once
 // maxCachedPrograms distinct programs had been seen, so a long-running serve
 // process re-decoded every later workload forever. With bounded eviction the
-// (max+1)th program must be served from cache on its second use, the oldest
-// program gives up its slot, and the cache never exceeds its bound.
+// (max+1)th program must be served from cache on its second use and the
+// oldest program gives up its slot.
 func TestDecodeCachedEvictsOldestBeyondBound(t *testing.T) {
 	progs := make([]*isa.Program, maxCachedPrograms+1)
 	for i := range progs {
@@ -29,18 +29,10 @@ func TestDecodeCachedEvictsOldestBeyondBound(t *testing.T) {
 	if got := DecodeCached(progs[maxCachedPrograms/2]); got != first[maxCachedPrograms/2] {
 		t.Fatal("a mid-age cached program lost its slot without the cache being full")
 	}
-	decodeCacheMu.Lock()
-	n := len(decodeCacheOrder)
-	decodeCacheMu.Unlock()
-	if n > maxCachedPrograms {
-		t.Fatalf("cache order tracks %d programs, bound is %d", n, maxCachedPrograms)
-	}
 	// maxCachedPrograms+1 fresh insertions fill the FIFO with exactly our
 	// last maxCachedPrograms programs, whatever earlier tests cached — so
-	// the oldest of ours is deterministically the evictee.
-	if _, ok := decodeCache.Load(progs[0]); ok {
-		t.Fatal("the oldest program must have been evicted to admit the newest")
-	}
+	// the oldest of ours is deterministically the evictee. (The bound
+	// itself is pinned by the memo package's tests.)
 	if got := DecodeCached(progs[0]); got == first[0] {
 		t.Fatal("re-decoding the evictee must build a fresh view")
 	}
