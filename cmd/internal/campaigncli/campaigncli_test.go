@@ -1,0 +1,73 @@
+package campaigncli
+
+import (
+	"flag"
+	"io"
+	"os"
+	"testing"
+	"time"
+
+	"redsoc/internal/campaign"
+)
+
+// stdout captures what fn prints to os.Stdout.
+func stdout(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	fn()
+	os.Stdout = saved
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestFlags pins the shared campaign flag block: the flag names and
+// defaults both CLIs document, their projection onto the campaign options,
+// and the journal and resilience lines CI parses.
+func TestFlags(t *testing.T) {
+	saved := flag.CommandLine
+	defer func() { flag.CommandLine = saved }()
+	flag.CommandLine = flag.NewFlagSet("test", flag.ContinueOnError)
+	f := Register("grid")
+	for name, def := range map[string]string{
+		"journal": "", "resume": "false", "shard": "",
+		"cell-timeout": "0s", "retries": "0", "stall-after": "1m0s",
+	} {
+		fl := flag.CommandLine.Lookup(name)
+		if fl == nil || fl.DefValue != def {
+			t.Fatalf("-%s: flag %+v, want default %q", name, fl, def)
+		}
+	}
+	dir := t.TempDir()
+	if err := flag.CommandLine.Parse([]string{"-journal", dir, "-resume", "-shard", "1/3",
+		"-cell-timeout", "90s", "-retries", "2", "-stall-after", "5s"}); err != nil {
+		t.Fatal(err)
+	}
+	f.Open()
+	defer f.Close()
+
+	o := f.Options()
+	if o.Journal == nil || o.Journal != f.Journal || !o.Resume || o.Shard != (campaign.Shard{Index: 1, Count: 3}) ||
+		o.CellTimeout != 90*time.Second || o.Retries != 2 || o.StallAfter != 5*time.Second ||
+		o.Stats != &f.Stats || o.OnStall == nil {
+		t.Fatalf("options do not carry the flags: %+v", o)
+	}
+
+	want := "journal: 0 hits, 0 misses, 0 writes, 0 corrupt (" + dir + ")\n"
+	if got := stdout(t, f.Done); got != want {
+		t.Fatalf("Done printed %q, want %q", got, want)
+	}
+	f.Stats.Stalls.Add(1)
+	want += "resilience: 0 retries (0 panics, 0 timeouts), 1 stall reports\n"
+	if got := stdout(t, f.Done); got != want {
+		t.Fatalf("Done printed %q, want %q", got, want)
+	}
+}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -50,20 +51,13 @@ func main() {
 	fmt.Printf("assembled %d static instructions, traced %d dynamic instructions\n",
 		prog.Len(), tr.Steps)
 
-	var cfg ooo.Config
-	switch strings.ToLower(*coreName) {
-	case "big":
-		cfg = ooo.BigConfig()
-	case "medium":
-		cfg = ooo.MediumConfig()
-	case "small":
-		cfg = ooo.SmallConfig()
-	default:
-		log.Fatalf("unknown core %q", *coreName)
+	cfg, err := ooo.ParseCore(*coreName)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	if *compare {
-		cmp, err := baseline.Compare(cfg, tr.Prog)
+		cmp, err := baseline.Compare(context.Background(), cfg, tr.Prog, baseline.DefaultThreshold(cfg))
 		if err != nil {
 			log.Fatal(err)
 		}

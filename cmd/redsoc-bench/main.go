@@ -36,19 +36,16 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
-	"os/signal"
 	"runtime"
 	"time"
 
-	"redsoc/internal/campaign"
-	"redsoc/internal/cellstore"
+	"redsoc/cmd/internal/campaigncli"
 	"redsoc/internal/harness"
 	"redsoc/internal/obs"
 	"redsoc/internal/ooo"
@@ -72,12 +69,7 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write aggregated per-run metrics snapshots (JSON) to this file")
 	baselineFile := flag.String("baseline", "", "check per-cell cycle counts against this committed baseline; any drift fails")
 	updateBaseline := flag.Bool("update-baseline", false, "rewrite .github/bench-baseline.json from this run and exit 0")
-	journalDir := flag.String("journal", "", "crash-safe cell journal directory (content-addressed; arms -resume)")
-	resume := flag.Bool("resume", false, "serve journaled cells instead of re-simulating (requires -journal)")
-	shardFlag := flag.String("shard", "", "compute only shard i/n of the grid into the shared -journal (merge with -resume)")
-	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell attempt deadline, e.g. 90s (0 = none)")
-	retries := flag.Int("retries", 0, "extra attempts for cells that panic or exceed -cell-timeout")
-	stallAfter := flag.Duration("stall-after", time.Minute, "report a cell as hung after this much heartbeat silence")
+	cf := campaigncli.Register("grid")
 	flag.Parse()
 
 	scale := harness.Full
@@ -91,16 +83,8 @@ func main() {
 	default:
 		log.Fatalf("unknown -scale %q (want quick or full)", *scaleFlag)
 	}
-	shard, err := campaign.ParseShard(*shardFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if *resume && *journalDir == "" {
-		log.Fatal("-resume requires -journal DIR")
-	}
-	if shard.Enabled() && *journalDir == "" {
-		log.Fatal("-shard requires -journal DIR — the shared journal is the shard's product")
-	}
+	cf.Open()
+	defer cf.Close()
 
 	fmt.Println("ReDSOC evaluation — Recycling Data Slack in Out-of-Order Cores (HPCA'19)")
 	harness.Fig1Table().Render(os.Stdout)
@@ -114,83 +98,31 @@ func main() {
 	}
 	start := time.Now() //lint:allow detflow wall time is operator diagnostics; BaselineOf strips WallSeconds before the gate compares
 	benchmarks := harness.Benchmarks(scale)
-	var stats campaign.Stats
-	opts := harness.Options{
-		SweepThreshold: *sweep, Workers: *workers,
-		Resume: *resume, CellTimeout: *cellTimeout, Retries: *retries,
-		StallAfter: *stallAfter, Stats: &stats,
-		OnStall: func(s campaign.Stall) {
-			log.Printf("watchdog: cell %q silent for %s (last event: %s)", s.Label, s.Idle.Round(time.Second), s.LastEvent)
-		},
-	}
+	opts := cf.Options()
+	opts.SweepThreshold, opts.Workers = *sweep, *workers
 	if *verbose {
 		opts.Progress = func(line string) { fmt.Println("  " + line) }
 	}
-	opts.Shard = shard
-	if *journalDir != "" {
-		journal, err := cellstore.Open(*journalDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer journal.Close()
-		opts.Journal = journal
-	}
-	// The journal line always prints when a journal is armed — on success,
-	// error and interrupt alike, hits or no hits — so CI extraction of
-	// "journal: N hits" can never silently match nothing.
-	printJournal := func() {
-		if opts.Journal != nil {
-			js := opts.Journal.Stats()
-			fmt.Printf("journal: %d hits, %d misses, %d writes, %d corrupt (%s)\n",
-				js.Hits, js.Misses, js.Writes, js.Corrupt, *journalDir)
-		}
-	}
-
-	// SIGINT cancels in-flight cells; everything already journaled stays. The
-	// deferred journal.Close above flushes the manifest on the way out.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stopSignals := campaigncli.Context()
 	defer stopSignals()
 
 	grid, err := harness.Run(ctx, benchmarks, harness.Cores(), opts)
 	if err != nil {
-		printJournal()
-		var cancelled *campaign.CancelledError
-		if errors.As(err, &cancelled) && opts.Journal != nil {
-			opts.Journal.Close()
-			if n, derr := cellstore.DoneCount(*journalDir); derr == nil {
-				log.Printf("interrupted; journal %s holds %d completed cells — rerun with -journal %s -resume",
-					*journalDir, n, *journalDir)
-			}
-		}
-		log.Fatal(err)
+		cf.Fail(err)
 	}
 	wall := time.Since(start)
-	printJournal()
-	if n := stats.Retries.Load() + stats.Panics.Load() + stats.Timeouts.Load() + stats.Stalls.Load(); n > 0 {
-		fmt.Printf("resilience: %d retries (%d panics, %d timeouts), %d stall reports\n",
-			stats.Retries.Load(), stats.Panics.Load(), stats.Timeouts.Load(), stats.Stalls.Load())
-	}
-	if shard.Enabled() {
+	cf.Done()
+	if cf.Shard.Enabled() {
 		// A shard's product is its journal, not a report: the grid it holds is
 		// partial by design, so every report/figure/baseline artifact is
 		// skipped until the merge run reassembles the full grid.
 		fmt.Printf("shard %s complete in %s — merge with: redsoc-bench -journal %s -resume\n",
-			shard, wall.Round(time.Millisecond), *journalDir)
+			cf.Shard, wall.Round(time.Millisecond), cf.Dir)
 		return
 	}
 
 	if *mdOut != "" {
-		f, err := os.Create(*mdOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := grid.WriteMarkdown(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println("wrote", *mdOut)
+		writeFile(*mdOut, "wrote", grid.WriteMarkdown)
 	}
 	report := grid.Report()
 	report.Scale = *scaleFlag
@@ -201,36 +133,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := os.WriteFile(*reportOut, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println("wrote", *reportOut)
+		writeFile(*reportOut, "wrote", func(w io.Writer) error { _, err := w.Write(append(data, '\n')); return err })
 	}
 	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := obs.WriteJSON(f, grid.MetricsSet(*scaleFlag)); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println("wrote", *metricsOut)
+		writeFile(*metricsOut, "wrote", func(w io.Writer) error { return obs.WriteJSON(w, grid.MetricsSet(*scaleFlag)) })
 	}
 	if *updateBaseline {
-		f, err := os.Create(benchBaselinePath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := harness.WriteBaseline(f, harness.BaselineOf(report)); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println("refreshed", benchBaselinePath)
+		writeFile(benchBaselinePath, "refreshed", func(w io.Writer) error {
+			return harness.WriteBaseline(w, harness.BaselineOf(report))
+		})
 		return
 	}
 	if *baselineFile != "" {
@@ -259,13 +170,7 @@ func main() {
 	grid.PowerTable().Render(os.Stdout)
 
 	// Sec. V precision sweep on a recycling-sensitive benchmark.
-	var probe harness.Benchmark
-	for _, b := range benchmarks {
-		if b.Name == "bitcnt" {
-			probe = b
-		}
-	}
-	if probe.Prog != nil {
+	if probe, err := harness.FindBenchmark(benchmarks, "bitcnt"); err == nil {
 		t, err := harness.PrecisionSweep(probe.Prog, ooo.BigConfig(), []int{1, 2, 3, 4, 5, timing.MaxPrecisionBits})
 		if err != nil {
 			log.Fatal(err)
@@ -275,4 +180,20 @@ func main() {
 
 	fmt.Printf("\ncompleted in %s (grid %s, %d workers)\n",
 		time.Since(start).Round(time.Millisecond), wall.Round(time.Millisecond), opts.Workers)
+}
+
+// writeFile creates path, fills it with write and reports it as verb;
+// any failure is fatal.
+func writeFile(path, verb string, write func(io.Writer) error) {
+	f, err := os.Create(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := write(f); err != nil {
+		log.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(verb, path)
 }

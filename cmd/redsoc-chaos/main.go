@@ -25,19 +25,16 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"time"
 
+	"redsoc/cmd/internal/campaigncli"
 	"redsoc/internal/campaign"
-	"redsoc/internal/cellstore"
 	"redsoc/internal/chaos"
 	"redsoc/internal/harness"
 	"redsoc/internal/ooo"
@@ -53,12 +50,7 @@ func main() {
 	quick := flag.Bool("quick", false, "CI smoke: one benchmark per suite, 3 seeds x 2 rates")
 	workers := flag.Int("j", 0, "campaign workers (0 = all CPUs); results are identical at any -j")
 	flight := flag.Int("flight", 64, "flight-recorder depth: dump the last N pipeline events of any verification-failed cell (0 = off)")
-	journalDir := flag.String("journal", "", "crash-safe cell journal directory (content-addressed; arms -resume)")
-	resume := flag.Bool("resume", false, "serve journaled cells instead of re-simulating (requires -journal)")
-	shardFlag := flag.String("shard", "", "compute only shard i/n of the campaign into the shared -journal (merge with -resume)")
-	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell attempt deadline, e.g. 90s (0 = none)")
-	retries := flag.Int("retries", 0, "extra attempts for cells that panic or exceed -cell-timeout")
-	stallAfter := flag.Duration("stall-after", time.Minute, "report a cell as hung after this much heartbeat silence")
+	cf := campaigncli.Register("campaign")
 	flag.Usage = func() {
 		out := flag.CommandLine.Output()
 		fmt.Fprintln(out, "usage: redsoc-chaos [flags]")
@@ -68,16 +60,9 @@ func main() {
 	}
 	flag.Parse()
 
-	var cfg ooo.Config
-	switch strings.ToLower(*coreName) {
-	case "big":
-		cfg = ooo.BigConfig()
-	case "medium":
-		cfg = ooo.MediumConfig()
-	case "small":
-		cfg = ooo.SmallConfig()
-	default:
-		log.Fatalf("unknown core %q", *coreName)
+	cfg, err := ooo.ParseCore(*coreName)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	rates, err := parseRates(*ratesStr)
@@ -98,7 +83,9 @@ func main() {
 		benchmarks = []harness.Benchmark{b}
 	}
 
-	var stats campaign.Stats
+	cf.Open()
+	defer cf.Close()
+	c := cf.Options()
 	opts := chaos.Options{
 		Core:        cfg,
 		Seeds:       *seeds,
@@ -107,46 +94,16 @@ func main() {
 		Workers:     *workers,
 		Flight:      *flight,
 		FlightLog:   os.Stderr,
-		Resume:      *resume,
-		CellTimeout: *cellTimeout,
-		Retries:     *retries,
-		StallAfter:  *stallAfter,
-		Stats:       &stats,
-		OnStall: func(s campaign.Stall) {
-			log.Printf("watchdog: cell %q silent for %s (last event: %s)", s.Label, s.Idle.Round(time.Second), s.LastEvent)
-		},
+		Journal:     c.Journal,
+		Resume:      c.Resume,
+		Shard:       c.Shard,
+		CellTimeout: c.CellTimeout,
+		Retries:     c.Retries,
+		StallAfter:  c.StallAfter,
+		OnStall:     c.OnStall,
+		Stats:       c.Stats,
 	}
-	shard, err := campaign.ParseShard(*shardFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	opts.Shard = shard
-	if *resume && *journalDir == "" {
-		log.Fatal("-resume requires -journal DIR")
-	}
-	if shard.Enabled() && *journalDir == "" {
-		log.Fatal("-shard requires -journal DIR — the shared journal is the shard's product")
-	}
-	if *journalDir != "" {
-		journal, err := cellstore.Open(*journalDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer journal.Close()
-		opts.Journal = journal
-	}
-	// Print the journal line on every exit path when a journal is armed —
-	// hits or no hits — so CI extraction never silently matches nothing.
-	printJournal := func() {
-		if opts.Journal != nil {
-			js := opts.Journal.Stats()
-			fmt.Printf("journal: %d hits, %d misses, %d writes, %d corrupt (%s)\n",
-				js.Hits, js.Misses, js.Writes, js.Corrupt, *journalDir)
-		}
-	}
-
-	// SIGINT cancels in-flight cells; everything already journaled stays.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stopSignals := campaigncli.Context()
 	defer stopSignals()
 
 	report, err := chaos.RunCampaign(ctx, opts)
@@ -157,30 +114,17 @@ func main() {
 		if errors.As(err, &pe) && *flight > 0 {
 			fmt.Fprintf(os.Stderr, "chaos: cell panicked; task frames:\n%s\n", pe.TaskStack())
 		}
-		printJournal()
-		var cancelled *campaign.CancelledError
-		if errors.As(err, &cancelled) && opts.Journal != nil {
-			opts.Journal.Close()
-			if n, derr := cellstore.DoneCount(*journalDir); derr == nil {
-				log.Printf("interrupted; journal %s holds %d completed cells — rerun with -journal %s -resume",
-					*journalDir, n, *journalDir)
-			}
-		}
-		log.Fatal(err)
+		cf.Fail(err)
 	}
-	printJournal()
-	if n := stats.Retries.Load() + stats.Stalls.Load(); n > 0 {
-		fmt.Printf("resilience: %d retries (%d panics, %d timeouts), %d stall reports\n",
-			stats.Retries.Load(), stats.Panics.Load(), stats.Timeouts.Load(), stats.Stalls.Load())
-	}
-	if shard.Enabled() {
+	cf.Done()
+	if cf.Shard.Enabled() {
 		// A shard's product is its journal: verification and aggregation over
 		// the full campaign happen in the merge run, which serves every cell
 		// from the shared journal.
 		if report.ArchFailures > 0 {
 			log.Fatalf("%d faulted runs diverged architecturally — recovery is broken", report.ArchFailures)
 		}
-		fmt.Printf("shard %s complete — merge with: redsoc-chaos -journal %s -resume\n", shard, *journalDir)
+		fmt.Printf("shard %s complete — merge with: redsoc-chaos -journal %s -resume\n", cf.Shard, cf.Dir)
 		return
 	}
 	report.Table.Render(os.Stdout)

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -24,7 +25,6 @@ import (
 	"strings"
 
 	"redsoc/internal/baseline"
-	"redsoc/internal/fault"
 	"redsoc/internal/harness"
 	"redsoc/internal/obs"
 	"redsoc/internal/ooo"
@@ -77,23 +77,16 @@ func main() {
 		log.Fatalf("%v (try -list)", err)
 	}
 
-	var cfg ooo.Config
-	switch strings.ToLower(*coreName) {
-	case "big":
-		cfg = ooo.BigConfig()
-	case "medium":
-		cfg = ooo.MediumConfig()
-	case "small":
-		cfg = ooo.SmallConfig()
-	default:
-		log.Fatalf("unknown core %q", *coreName)
+	cfg, err := ooo.ParseCore(*coreName)
+	if err != nil {
+		log.Fatal(err)
 	}
 	if *precision > 0 {
 		cfg.PrecisionBits = *precision
 	}
 
 	if *compare {
-		cmp, err := baseline.Compare(cfg, bench.Prog)
+		cmp, err := baseline.Compare(context.Background(), cfg, bench.Prog, baseline.DefaultThreshold(cfg))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -119,12 +112,7 @@ func main() {
 		cfg.Redsoc.ThresholdTicks = *threshold
 	}
 	if *faultRate > 0 {
-		cfg.Fault = fault.Config{
-			Enable: true, Seed: *faultSeed,
-			EstimateRate: *faultRate, DelayRate: *faultRate,
-			LatchRate: *faultRate, PredictorRate: *faultRate,
-		}
-		cfg.Degrade = fault.DegradeConfig{Enable: true}
+		cfg = cfg.WithFaults(*faultRate, *faultSeed)
 	}
 	sim, err := ooo.New(cfg, bench.Prog)
 	if err != nil {

@@ -146,16 +146,9 @@ func runTrace(args []string) {
 		log.Fatal("usage: redsoc-trace run [-core ...] [-policy ...] in.trc")
 	}
 	p := load(fs.Arg(0))
-	var cfg ooo.Config
-	switch strings.ToLower(*coreName) {
-	case "big":
-		cfg = ooo.BigConfig()
-	case "medium":
-		cfg = ooo.MediumConfig()
-	case "small":
-		cfg = ooo.SmallConfig()
-	default:
-		log.Fatalf("unknown core %q", *coreName)
+	cfg, err := ooo.ParseCore(*coreName)
+	if err != nil {
+		log.Fatal(err)
 	}
 	pol, err := ooo.ParsePolicy(strings.ToLower(*policyName))
 	if err != nil {

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"redsoc/internal/asm"
@@ -47,7 +48,7 @@ func main() {
 		tr.Steps, tr.Mem[0x4000], want)
 
 	for _, cfg := range []ooo.Config{ooo.BigConfig(), ooo.SmallConfig()} {
-		cmp, err := baseline.Compare(cfg, tr.Prog)
+		cmp, err := baseline.Compare(context.Background(), cfg, tr.Prog, baseline.DefaultThreshold(cfg))
 		if err != nil {
 			panic(err)
 		}

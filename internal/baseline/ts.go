@@ -6,8 +6,10 @@
 package baseline
 
 import (
+	"context"
 	"fmt"
 
+	"redsoc/internal/campaign"
 	"redsoc/internal/isa"
 	"redsoc/internal/ooo"
 	"redsoc/internal/timing"
@@ -123,43 +125,54 @@ func (c *Comparison) TSSpeedup() float64        { return c.TS.Speedup }
 func (c *Comparison) LoadDelaySpeedup() float64 { return c.LoadDelay.SpeedupOver(c.Baseline) }
 func (c *Comparison) SpecLSQSpeedup() float64   { return c.SpecLSQ.SpeedupOver(c.Baseline) }
 
-// Compare runs all six configurations of one benchmark on one core.
-func Compare(cfg ooo.Config, prog *isa.Program) (*Comparison, error) {
-	base, err := ooo.Run(cfg.WithPolicy(ooo.PolicyBaseline), prog)
-	if err != nil {
-		return nil, err
-	}
-	red, err := ooo.Run(cfg.WithPolicy(ooo.PolicyRedsoc), prog)
-	if err != nil {
-		return nil, err
-	}
-	mos, err := ooo.Run(cfg.WithPolicy(ooo.PolicyMOS), prog)
-	if err != nil {
-		return nil, err
-	}
-	ld, err := ooo.Run(cfg.WithPolicy(ooo.PolicyLoadDelay), prog)
-	if err != nil {
-		return nil, err
-	}
-	sl, err := ooo.Run(cfg.WithPolicy(ooo.PolicySpecLSQ), prog)
-	if err != nil {
-		return nil, err
+// Engines returns the addresses of the five engine-run results, baseline
+// first (TS is a re-timed baseline, not an engine run). It is the one place
+// that lists them: callers read through it, or swap a result in place.
+func (c *Comparison) Engines() []**ooo.Result {
+	return []**ooo.Result{&c.Baseline, &c.Redsoc, &c.MOS, &c.LoadDelay, &c.SpecLSQ}
+}
+
+// DefaultThreshold is the paper's default ReDSOC slack threshold on cfg
+// (3/4 of a cycle at cfg's slack precision).
+func DefaultThreshold(cfg ooo.Config) int {
+	return cfg.WithPolicy(ooo.PolicyRedsoc).Redsoc.ThresholdTicks
+}
+
+// Compare runs all six schedulers of one benchmark on one core, ReDSOC at
+// the given slack threshold, and fails if any engine run's architectural
+// state differs from the baseline's. Between runs it notes progress through
+// campaign.Heartbeat, so a stall report names which simulation a hung
+// campaign cell last finished; outside a campaign the notes go nowhere.
+func Compare(ctx context.Context, cfg ooo.Config, prog *isa.Program, threshold int) (*Comparison, error) {
+	rc := cfg.WithPolicy(ooo.PolicyRedsoc)
+	rc.Redsoc.ThresholdTicks = threshold
+	cmp := &Comparison{Benchmark: prog.Name, Core: cfg.Name}
+	for _, run := range []struct {
+		dst **ooo.Result
+		cfg ooo.Config
+	}{
+		{&cmp.Baseline, cfg.WithPolicy(ooo.PolicyBaseline)},
+		{&cmp.Redsoc, rc},
+		{&cmp.MOS, cfg.WithPolicy(ooo.PolicyMOS)},
+		{&cmp.LoadDelay, cfg.WithPolicy(ooo.PolicyLoadDelay)},
+		{&cmp.SpecLSQ, cfg.WithPolicy(ooo.PolicySpecLSQ)},
+	} {
+		res, err := ooo.Run(run.cfg, prog)
+		if err != nil {
+			return nil, err
+		}
+		*run.dst = res
+		campaign.Heartbeat(ctx, fmt.Sprintf("%s/%s: %s done (%d cycles)", prog.Name, cfg.Name, run.cfg.Policy, res.Cycles))
 	}
 	ts, err := RunTS(cfg, prog)
 	if err != nil {
 		return nil, err
 	}
-	if !red.ArchEqual(base) || !mos.ArchEqual(base) || !ld.ArchEqual(base) || !sl.ArchEqual(base) {
-		return nil, fmt.Errorf("baseline: architectural divergence on %s/%s", prog.Name, cfg.Name)
+	cmp.TS = ts
+	for _, res := range cmp.Engines()[1:] {
+		if !(*res).ArchEqual(cmp.Baseline) {
+			return nil, fmt.Errorf("baseline: architectural divergence on %s/%s", prog.Name, cfg.Name)
+		}
 	}
-	return &Comparison{
-		Benchmark: prog.Name,
-		Core:      cfg.Name,
-		Baseline:  base,
-		Redsoc:    red,
-		MOS:       mos,
-		LoadDelay: ld,
-		SpecLSQ:   sl,
-		TS:        ts,
-	}, nil
+	return cmp, nil
 }

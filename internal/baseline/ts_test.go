@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"testing"
 
 	"redsoc/internal/isa"
@@ -116,7 +117,8 @@ func TestRunTSBoundedByMemoryStages(t *testing.T) {
 }
 
 func TestCompareBundlesAllFour(t *testing.T) {
-	cmp, err := Compare(ooo.SmallConfig(), logicChain(200))
+	cfg := ooo.SmallConfig()
+	cmp, err := Compare(context.Background(), cfg, logicChain(200), DefaultThreshold(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,5 +133,29 @@ func TestCompareBundlesAllFour(t *testing.T) {
 	}
 	if cmp.Benchmark != "chain" || cmp.Core != "Small" {
 		t.Fatalf("labels = %q/%q", cmp.Benchmark, cmp.Core)
+	}
+}
+
+// TestCompareEnginesAndThreshold pins Engines to the five engine runs in
+// ooo.Policy order and checks that Compare runs ReDSOC at the threshold it
+// was given.
+func TestCompareEnginesAndThreshold(t *testing.T) {
+	cfg := ooo.SmallConfig()
+	th := DefaultThreshold(cfg) - 1
+	cmp, err := Compare(context.Background(), cfg, logicChain(200), th)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := cmp.Engines()
+	if len(engines) != len(ooo.PolicyNames()) {
+		t.Fatalf("Engines lists %d results, want one per policy (%d)", len(engines), len(ooo.PolicyNames()))
+	}
+	for i, r := range engines {
+		if got := (*r).Config.Policy; got != ooo.Policy(i) {
+			t.Fatalf("Engines()[%d] ran %s, want %s", i, got, ooo.Policy(i))
+		}
+	}
+	if got := cmp.Redsoc.Config.Redsoc.ThresholdTicks; got != th {
+		t.Fatalf("redsoc ran at threshold %d, want %d", got, th)
 	}
 }

@@ -16,8 +16,8 @@ import (
 
 	"redsoc/internal/campaign"
 	"redsoc/internal/cellstore"
-	"redsoc/internal/fault"
 	"redsoc/internal/harness"
+	"redsoc/internal/isa"
 	"redsoc/internal/obs"
 	"redsoc/internal/ooo"
 	"redsoc/internal/stats"
@@ -77,22 +77,12 @@ type Options struct {
 	Stats       *campaign.Stats
 }
 
-// campaignOptions projects the chaos options onto one campaign phase.
-func campaignOptions[T any](opts Options, label func(int) string) campaign.Options[T] {
-	stallAfter := time.Duration(0)
-	if opts.OnStall != nil {
-		if stallAfter = opts.StallAfter; stallAfter <= 0 {
-			stallAfter = time.Minute
-		}
-	}
-	return campaign.Options[T]{
-		Workers:    opts.Workers,
-		Label:      label,
-		Timeout:    opts.CellTimeout,
-		Retries:    opts.Retries,
-		StallAfter: stallAfter,
-		OnStall:    opts.OnStall,
-		Stats:      opts.Stats,
+// plumbing projects the chaos options onto the harness options that the
+// shared campaign functions in internal/harness read.
+func (o Options) plumbing() harness.Options {
+	return harness.Options{
+		Workers: o.Workers, Journal: o.Journal, Resume: o.Resume, Shard: o.Shard, OnCell: o.OnCell,
+		CellTimeout: o.CellTimeout, Retries: o.Retries, StallAfter: o.StallAfter, OnStall: o.OnStall, Stats: o.Stats,
 	}
 }
 
@@ -170,19 +160,14 @@ func RunCampaign(ctx context.Context, opts Options) (*Report, error) {
 	if len(opts.Benchmarks) == 0 {
 		return nil, fmt.Errorf("chaos: no benchmarks given")
 	}
-	if err := opts.Shard.Validate(); err != nil {
+	d := opts.plumbing()
+	if err := d.CheckShard("chaos"); err != nil {
 		return nil, err
 	}
-	if opts.Shard.Enabled() && opts.Journal == nil {
-		return nil, fmt.Errorf("chaos: shard %s requires a journal — a shard's product is its journaled cells", opts.Shard)
-	}
 	cfg := opts.Core
-	var digests map[string][]byte
+	var digests map[*isa.Program][]byte
 	if opts.Journal != nil {
-		digests = make(map[string][]byte, len(opts.Benchmarks))
-		for _, b := range opts.Benchmarks {
-			digests[b.Name] = harness.WorkloadDigest(b)
-		}
+		digests = harness.WorkloadDigests(opts.Benchmarks)
 	}
 
 	// Phase 1: per benchmark, the fault-free baseline and golden ReDSOC
@@ -193,7 +178,7 @@ func RunCampaign(ctx context.Context, opts Options) (*Report, error) {
 		base, golden *ooo.Result
 	}
 	goldens, err := campaign.Run(ctx, len(opts.Benchmarks),
-		campaignOptions[golden](opts, func(i int) string { return opts.Benchmarks[i].Name + "/golden" }),
+		harness.CampaignOptions[golden](d, func(i int) string { return opts.Benchmarks[i].Name + "/golden" }, nil),
 		func(ctx context.Context, i int) (golden, error) {
 			b := opts.Benchmarks[i]
 			base, err := ooo.Run(cfg.WithPolicy(ooo.PolicyBaseline), b.Prog)
@@ -224,64 +209,38 @@ func RunCampaign(ctx context.Context, opts Options) (*Report, error) {
 	// (benchmark, rate, seed) space; the owned→cell index mapping keeps
 	// cell identity (keys, labels) exactly what the unsharded run uses.
 	owned := opts.Shard.Assign(len(opts.Benchmarks) * perBench)
-	cellLabel := func(i int) string {
-		b, rate, seed := split(opts, i)
+	label := func(j int) string {
+		b, rate, seed := split(opts, owned[j])
 		return fmt.Sprintf("%s rate=%g seed=%d", opts.Benchmarks[b].Name, opts.Rates[rate], seed)
 	}
-	label := func(j int) string { return cellLabel(owned[j]) }
-	if opts.Journal != nil {
-		desc := fmt.Sprintf("chaos cells on %s", cfg.Name)
-		if opts.Shard.Enabled() {
-			desc = fmt.Sprintf("chaos cells on %s (shard %s)", cfg.Name, opts.Shard)
-		}
-		_ = opts.Journal.LogCampaign(len(owned), desc)
-	}
+	d.LogCampaign(len(owned), "chaos cells on "+cfg.Name)
 	faulted, err := campaign.Run(ctx, len(owned),
-		campaignOptions[outcome](opts, label),
+		harness.CampaignOptions[outcome](d, label, nil),
 		func(ctx context.Context, j int) (outcome, error) {
-			i := owned[j]
-			bi, ri, seed := split(opts, i)
+			bi, ri, seed := split(opts, owned[j])
 			b, rate := opts.Benchmarks[bi], opts.Rates[ri]
-			var key cellstore.Key
-			if opts.Journal != nil {
-				key = chaosKey(cfg, digests[b.Name], rate, int64(seed))
-				if opts.Resume {
-					if data, ok := opts.Journal.Get(key); ok {
-						if o, derr := decodeOutcome(data); derr == nil {
-							campaign.Heartbeat(ctx, cellLabel(i)+": served from journal")
-							if opts.OnCell != nil {
-								opts.OnCell(harness.CellEvent{Kind: "chaos-cell", Label: cellLabel(i), Key: key, Hit: true})
-							}
-							return o, nil
-						}
+			return harness.Step(ctx, d, harness.Unit[outcome]{
+				Kind: "chaos-cell", Label: label(j),
+				Key: func() cellstore.Key { return chaosKey(cfg, digests[b.Prog], rate, int64(seed)) },
+				Run: func() (outcome, error) {
+					r, err := ooo.Run(cfg.WithPolicy(ooo.PolicyRedsoc).WithFaults(rate, int64(seed)), b.Prog)
+					if err != nil {
+						return outcome{}, err
 					}
-				}
-			}
-			r, err := runFaulted(cfg, b, rate, int64(seed))
-			if err != nil {
-				return outcome{}, err
-			}
-			o := outcome{
-				Version:      chaosPayloadVersion,
-				Faults:       r.FaultStats.Total(),
-				Violations:   r.TimingViolations,
-				Replays:      r.ViolationReplays,
-				Degradations: r.DegradationEvents,
-				Cycles:       r.Cycles,
-				Instructions: r.Instructions,
-				ArchOK:       r.ArchEqual(goldens[bi].golden) && memOK(b, r),
-			}
-			if opts.Journal != nil {
-				if data, derr := json.Marshal(o); derr == nil {
-					if perr := opts.Journal.Put(key, data); perr == nil {
-						_ = opts.Journal.LogDone(key, cellLabel(i))
-					}
-				}
-			}
-			if opts.OnCell != nil {
-				opts.OnCell(harness.CellEvent{Kind: "chaos-cell", Label: cellLabel(i), Key: key})
-			}
-			return o, nil
+					return outcome{
+						Version:      chaosPayloadVersion,
+						Faults:       r.FaultStats.Total(),
+						Violations:   r.TimingViolations,
+						Replays:      r.ViolationReplays,
+						Degradations: r.DegradationEvents,
+						Cycles:       r.Cycles,
+						Instructions: r.Instructions,
+						ArchOK:       r.ArchEqual(goldens[bi].golden) && memOK(b, r),
+					}, nil
+				},
+				Encode: func(o outcome) ([]byte, error) { return json.Marshal(o) },
+				Decode: decodeOutcome,
+			})
 		})
 	if err != nil {
 		return nil, err
@@ -336,28 +295,10 @@ func split(opts Options, i int) (bench, rate, seed int) {
 	return bench, rem / opts.Seeds, rem%opts.Seeds + 1
 }
 
-// runFaulted runs one faulted ReDSOC simulation with every fault class at the
-// given per-op rate and the degradation controller armed at its defaults.
-func runFaulted(cfg ooo.Config, b harness.Benchmark, rate float64, seed int64) (*ooo.Result, error) {
-	return ooo.Run(faultedConfig(cfg, rate, seed), b.Prog)
-}
-
-// faultedConfig derives the faulted-run configuration for one campaign cell.
-func faultedConfig(cfg ooo.Config, rate float64, seed int64) ooo.Config {
-	c := cfg.WithPolicy(ooo.PolicyRedsoc)
-	c.Fault = fault.Config{
-		Enable: true, Seed: seed,
-		EstimateRate: rate, DelayRate: rate, LatchRate: rate, PredictorRate: rate,
-	}
-	c.Degrade = fault.DegradeConfig{Enable: true}
-	return c
-}
-
 // dumpFlight deterministically re-runs a verification-failed cell with a
 // flight recorder attached and writes the recorder's tail to opts.FlightLog.
 func dumpFlight(opts Options, cfg ooo.Config, b harness.Benchmark, rate float64, seed int64) {
-	c := faultedConfig(cfg, rate, seed)
-	s, err := ooo.New(c, b.Prog)
+	s, err := ooo.New(cfg.WithPolicy(ooo.PolicyRedsoc).WithFaults(rate, seed), b.Prog)
 	if err != nil {
 		fmt.Fprintf(opts.FlightLog, "chaos: flight re-run of %s rate=%g seed=%d failed: %v\n", b.Name, rate, seed, err)
 		return

@@ -125,3 +125,33 @@ func TestChaosJournalResumeEquivalence(t *testing.T) {
 		t.Fatalf("resume stats = %+v, want all %d faulted cells served from journal", st, nCells)
 	}
 }
+
+// TestJournalKeyPinned pins the content-addressed key of one chaos cell
+// (quick bitcnt on Big, rate 0.01, seed 1) to a literal value: every
+// journal and serve cache on disk is indexed by it, so a refactor that
+// silently changes the fingerprint would orphan all of them. A deliberate
+// change bumps the payload version and updates the literal.
+func TestJournalKeyPinned(t *testing.T) {
+	b, err := harness.FindBenchmark(harness.Benchmarks(harness.Quick), "bitcnt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := cellstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	var got []string
+	_, err = chaos.RunCampaign(context.Background(), chaos.Options{
+		Core: ooo.BigConfig(), Seeds: 1, Rates: []float64{0.01},
+		Benchmarks: []harness.Benchmark{b}, Workers: 1, Journal: store,
+		OnCell: func(ev harness.CellEvent) { got = append(got, ev.Kind+" "+ev.Label+" "+string(ev.Key)) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "chaos-cell bitcnt rate=0.01 seed=1 cf761af302d6c0908c10a6f849b7b831c4af80edea902fa5b32cb2282aff9e06"
+	if len(got) != 1 || got[0] != want {
+		t.Fatalf("chaos cell keys = %q, want [%q]", got, want)
+	}
+}

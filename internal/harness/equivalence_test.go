@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"redsoc/internal/baseline"
 	"redsoc/internal/ooo"
 )
 
@@ -34,8 +35,7 @@ func runSerialReference(benchmarks []Benchmark, cores []ooo.Config, opts Options
 			}
 			g.ChosenThreshold[class][cfg.Name] = th
 			for _, b := range bs {
-				c := cfg
-				cmp, err := compareAt(context.Background(), c, b, th)
+				cmp, err := baseline.Compare(context.Background(), cfg, b.Prog, th)
 				if err != nil {
 					return nil, fmt.Errorf("harness: %s on %s: %w", b.Name, cfg.Name, err)
 				}

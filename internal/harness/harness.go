@@ -176,27 +176,6 @@ type Grid struct {
 	Shard campaign.Shard
 }
 
-// CellEvent reports one journal-keyed unit of grid work to Options.OnCell:
-// which unit (Kind + Label), its content-addressed key (empty when no
-// journal is armed), and whether the journal served it (Hit) or it was
-// simulated. The serve layer streams these to clients and counts per-job
-// cache hits with them.
-type CellEvent struct {
-	// Kind is "sweep-total", "grid-cell" or "chaos-cell".
-	Kind  string
-	Label string
-	Key   cellstore.Key
-	// Hit is true when the unit was served from the journal.
-	Hit bool
-}
-
-// emitCell fans a completed unit of work to OnCell, if armed.
-func emitCell(opts Options, ev CellEvent) {
-	if opts.OnCell != nil {
-		opts.OnCell(ev)
-	}
-}
-
 // ThresholdCandidates is the Sec. VI-C design-sweep range.
 var ThresholdCandidates = []int{4, 5, 6, 7}
 
@@ -260,26 +239,6 @@ type Options struct {
 	Stats *campaign.Stats
 }
 
-// campaignOptions projects the grid options onto one campaign phase.
-func campaignOptions[T any](opts Options, label func(int) string, onDone func(int, T)) campaign.Options[T] {
-	stallAfter := time.Duration(0)
-	if opts.OnStall != nil {
-		if stallAfter = opts.StallAfter; stallAfter <= 0 {
-			stallAfter = time.Minute
-		}
-	}
-	return campaign.Options[T]{
-		Workers:    opts.Workers,
-		Label:      label,
-		OnDone:     onDone,
-		Timeout:    opts.CellTimeout,
-		Retries:    opts.Retries,
-		StallAfter: stallAfter,
-		OnStall:    opts.OnStall,
-		Stats:      opts.Stats,
-	}
-}
-
 // Run executes the grid. The Sec. VI-C threshold sweep and the grid cells
 // each run as a concurrent campaign: cells are simulated in parallel but
 // appended to the grid — and reported through Progress — in the same
@@ -288,11 +247,8 @@ func campaignOptions[T any](opts Options, label func(int) string, onDone func(in
 // armed, everything completed before the cancellation is already persisted
 // and a -resume run picks up exactly where this one stopped.
 func Run(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, opts Options) (*Grid, error) {
-	if err := opts.Shard.Validate(); err != nil {
+	if err := opts.CheckShard("harness"); err != nil {
 		return nil, err
-	}
-	if opts.Shard.Enabled() && opts.Journal == nil {
-		return nil, fmt.Errorf("harness: shard %s requires a journal — a shard's product is its journaled cells", opts.Shard)
 	}
 	g := &Grid{ChosenThreshold: map[Class]map[string]int{}, Shard: opts.Shard}
 	byClass := map[Class][]Benchmark{}
@@ -301,7 +257,7 @@ func Run(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, opts O
 	}
 	var digests map[*isa.Program][]byte
 	if opts.Journal != nil {
-		digests = benchmarkDigests(benchmarks)
+		digests = WorkloadDigests(benchmarks)
 	}
 
 	// Phase A: one threshold per (class, core), from the Sec. VI-C sweep.
@@ -340,16 +296,10 @@ func Run(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, opts O
 	// owned→task index mapping keeps cell identity (keys, labels, journal
 	// records) exactly what the unsharded run would use.
 	owned := opts.Shard.Assign(len(tasks))
-	if opts.Journal != nil {
-		desc := "grid cells"
-		if opts.Shard.Enabled() {
-			desc = fmt.Sprintf("grid cells (shard %s)", opts.Shard)
-		}
-		_ = opts.Journal.LogCampaign(len(owned), desc)
-	}
+	opts.LogCampaign(len(owned), "grid cells")
 	label := func(j int) string { t := tasks[owned[j]]; return t.b.Name + "/" + t.cfg.Name }
 	cells, err := campaign.Run(ctx, len(owned),
-		campaignOptions(opts, label, func(j int, c Cell) {
+		CampaignOptions(opts, label, func(j int, c Cell) {
 			if opts.Progress != nil {
 				t := tasks[owned[j]]
 				opts.Progress(fmt.Sprintf("%-8s %-10s %-7s redsoc %+5.1f%%  ts %+5.1f%%  mos %+5.1f%%  loaddelay %+5.1f%%  speclsq %+5.1f%%",
@@ -360,31 +310,22 @@ func Run(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, opts O
 		}),
 		func(ctx context.Context, j int) (Cell, error) {
 			t := tasks[owned[j]]
-			var key cellstore.Key
-			if opts.Journal != nil {
-				key = cellKey(t.cfg, digests[t.b.Prog], t.th)
-				if c, ok := journalGet(opts, key, func(d []byte) (Cell, error) {
-					return decodeCell(d, t.b, t.cfg.Name)
-				}); ok {
-					campaign.Heartbeat(ctx, label(j)+": served from journal")
-					emitCell(opts, CellEvent{Kind: "grid-cell", Label: label(j), Key: key, Hit: true})
-					return c, nil
-				}
-			}
-			cmp, err := compareAt(ctx, t.cfg, t.b, t.th)
-			if err != nil {
-				return Cell{}, fmt.Errorf("harness: %s on %s: %w", t.b.Name, t.cfg.Name, err)
-			}
-			if err := verify(t.b, cmp); err != nil {
-				return Cell{}, err
-			}
-			cell := Cell{Benchmark: t.b, Core: t.cfg.Name, Threshold: t.th, Cmp: cmp}
-			if opts.Journal != nil {
-				data, derr := encodeCell(cell)
-				journalPut(opts, key, label(j), data, derr)
-			}
-			emitCell(opts, CellEvent{Kind: "grid-cell", Label: label(j), Key: key})
-			return cell, nil
+			return Step(ctx, opts, Unit[Cell]{
+				Kind: "grid-cell", Label: label(j),
+				Key: func() cellstore.Key { return cellKey(t.cfg, digests[t.b.Prog], t.th) },
+				Run: func() (Cell, error) {
+					cmp, err := baseline.Compare(ctx, t.cfg, t.b.Prog, t.th)
+					if err != nil {
+						return Cell{}, fmt.Errorf("harness: %s on %s: %w", t.b.Name, t.cfg.Name, err)
+					}
+					if err := verify(t.b, cmp); err != nil {
+						return Cell{}, err
+					}
+					return Cell{Benchmark: t.b, Core: t.cfg.Name, Threshold: t.th, Cmp: cmp}, nil
+				},
+				Encode: encodeCell,
+				Decode: func(d []byte) (Cell, error) { return decodeCell(d, t.b, t.cfg.Name) },
+			})
 		})
 	if err != nil {
 		return nil, err
@@ -402,7 +343,7 @@ func chooseThresholds(ctx context.Context, pairs []classCore, byClass map[Class]
 	out := make([]int, len(pairs))
 	if !opts.SweepThreshold {
 		for i, pr := range pairs {
-			out[i] = pr.cfg.WithPolicy(ooo.PolicyRedsoc).Redsoc.ThresholdTicks
+			out[i] = baseline.DefaultThreshold(pr.cfg)
 		}
 		return out, nil
 	}
@@ -415,44 +356,40 @@ func chooseThresholds(ctx context.Context, pairs []classCore, byClass map[Class]
 		return fmt.Sprintf("sweep %s/%s th=%d", pr.class, pr.cfg.Name, ThresholdCandidates[i%nc])
 	}
 	totals, err := campaign.Run(ctx, len(pairs)*nc,
-		campaignOptions[float64](opts, label, nil),
+		CampaignOptions[float64](opts, label, nil),
 		func(ctx context.Context, i int) (float64, error) {
 			pr, th := pairs[i/nc], ThresholdCandidates[i%nc]
-			var key cellstore.Key
-			if opts.Journal != nil {
-				class := byClass[pr.class]
-				ds := make([][]byte, len(class))
-				for j, b := range class {
-					ds[j] = digests[b.Prog]
-				}
-				key = sweepKey(pr.cfg, pr.class, ds, th)
-				if total, ok := journalGet(opts, key, decodeTotal); ok {
-					campaign.Heartbeat(ctx, label(i)+": served from journal")
-					emitCell(opts, CellEvent{Kind: "sweep-total", Label: label(i), Key: key, Hit: true})
+			class := byClass[pr.class]
+			return Step(ctx, opts, Unit[float64]{
+				Kind: "sweep-total", Label: label(i),
+				Key: func() cellstore.Key {
+					ds := make([][]byte, len(class))
+					for j, b := range class {
+						ds[j] = digests[b.Prog]
+					}
+					return sweepKey(pr.cfg, pr.class, ds, th)
+				},
+				Run: func() (float64, error) {
+					total := 0.0
+					for _, b := range class {
+						campaign.Heartbeat(ctx, fmt.Sprintf("%s: simulating %s", label(i), b.Name))
+						base, err := ooo.Run(pr.cfg.WithPolicy(ooo.PolicyBaseline), b.Prog)
+						if err != nil {
+							return 0, err
+						}
+						rc := pr.cfg.WithPolicy(ooo.PolicyRedsoc)
+						rc.Redsoc.ThresholdTicks = th
+						red, err := ooo.Run(rc, b.Prog)
+						if err != nil {
+							return 0, err
+						}
+						total += red.SpeedupOver(base)
+					}
 					return total, nil
-				}
-			}
-			total := 0.0
-			for _, b := range byClass[pr.class] {
-				campaign.Heartbeat(ctx, fmt.Sprintf("%s: simulating %s", label(i), b.Name))
-				base, err := ooo.Run(pr.cfg.WithPolicy(ooo.PolicyBaseline), b.Prog)
-				if err != nil {
-					return 0, err
-				}
-				rc := pr.cfg.WithPolicy(ooo.PolicyRedsoc)
-				rc.Redsoc.ThresholdTicks = th
-				red, err := ooo.Run(rc, b.Prog)
-				if err != nil {
-					return 0, err
-				}
-				total += red.SpeedupOver(base)
-			}
-			if opts.Journal != nil {
-				data, derr := encodeTotal(total)
-				journalPut(opts, key, label(i), data, derr)
-			}
-			emitCell(opts, CellEvent{Kind: "sweep-total", Label: label(i), Key: key})
-			return total, nil
+				},
+				Encode: encodeTotal,
+				Decode: decodeTotal,
+			})
 		})
 	if err != nil {
 		return nil, err
@@ -469,64 +406,12 @@ func chooseThresholds(ctx context.Context, pairs []classCore, byClass map[Class]
 	return out, nil
 }
 
-// compareAt runs the six schedulers with the given ReDSOC threshold. The
-// heartbeats between runs feed the campaign watchdog: a stall report names
-// which of the six simulations a hung cell last finished.
-func compareAt(ctx context.Context, cfg ooo.Config, b Benchmark, threshold int) (*baseline.Comparison, error) {
-	c := cfg
-	cmp, err := baselineCompareWithThreshold(ctx, c, b.Prog, threshold)
-	return cmp, err
-}
-
-func baselineCompareWithThreshold(ctx context.Context, cfg ooo.Config, prog *isa.Program, threshold int) (*baseline.Comparison, error) {
-	beat := func(stage string, cycles int64) {
-		campaign.Heartbeat(ctx, fmt.Sprintf("%s/%s: %s done (%d cycles)", prog.Name, cfg.Name, stage, cycles))
-	}
-	base, err := ooo.Run(cfg.WithPolicy(ooo.PolicyBaseline), prog)
-	if err != nil {
-		return nil, err
-	}
-	beat("baseline", base.Cycles)
-	rc := cfg.WithPolicy(ooo.PolicyRedsoc)
-	rc.Redsoc.ThresholdTicks = threshold
-	red, err := ooo.Run(rc, prog)
-	if err != nil {
-		return nil, err
-	}
-	beat("redsoc", red.Cycles)
-	mos, err := ooo.Run(cfg.WithPolicy(ooo.PolicyMOS), prog)
-	if err != nil {
-		return nil, err
-	}
-	beat("mos", mos.Cycles)
-	ld, err := ooo.Run(cfg.WithPolicy(ooo.PolicyLoadDelay), prog)
-	if err != nil {
-		return nil, err
-	}
-	beat("loaddelay", ld.Cycles)
-	sl, err := ooo.Run(cfg.WithPolicy(ooo.PolicySpecLSQ), prog)
-	if err != nil {
-		return nil, err
-	}
-	beat("speclsq", sl.Cycles)
-	ts, err := baseline.RunTS(cfg, prog)
-	if err != nil {
-		return nil, err
-	}
-	if !red.ArchEqual(base) || !mos.ArchEqual(base) || !ld.ArchEqual(base) || !sl.ArchEqual(base) {
-		return nil, fmt.Errorf("harness: architectural divergence on %s/%s", prog.Name, cfg.Name)
-	}
-	return &baseline.Comparison{
-		Benchmark: prog.Name, Core: cfg.Name,
-		Baseline: base, Redsoc: red, MOS: mos, LoadDelay: ld, SpecLSQ: sl, TS: ts,
-	}, nil
-}
-
 // verify checks a kernel's reference results on every scheduler's final
 // memory.
 func verify(b Benchmark, cmp *baseline.Comparison) error {
 	for addr, want := range b.WantMem {
-		for _, res := range []*ooo.Result{cmp.Baseline, cmp.Redsoc, cmp.MOS, cmp.LoadDelay, cmp.SpecLSQ} {
+		for _, res := range cmp.Engines() {
+			res := *res
 			if got := res.FinalMem[addr]; got != want {
 				return fmt.Errorf("harness: %s/%s/%s mem[%#x] = %#x, want %#x",
 					b.Name, cmp.Core, res.Config.Policy, addr, got, want)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"redsoc/internal/baseline"
 	"redsoc/internal/ooo"
 )
 
@@ -203,7 +204,7 @@ func TestExtrasVerified(t *testing.T) {
 		if len(b.WantMem) == 0 {
 			t.Fatalf("%s carries no reference values", b.Name)
 		}
-		cmp, err := compareAt(context.Background(), cfg, b, th)
+		cmp, err := baseline.Compare(context.Background(), cfg, b.Prog, th)
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}

@@ -43,7 +43,7 @@ type journaledCell struct {
 }
 
 // archState is the final architectural state every scheduler of a cell
-// committed. baselineCompareWithThreshold fails a cell whose schedulers
+// committed. baseline.Compare fails a cell whose schedulers
 // disagree (ArchEqual), so one copy describes all five results exactly;
 // encodeCell re-checks that before dropping the other four.
 type archState struct {
@@ -90,20 +90,18 @@ func programDigest(p *isa.Program) []byte {
 	return programDigests.Get(p, func(p *isa.Program) []byte { return cellstore.DigestJSON(p) })
 }
 
-// benchmarkDigests precomputes a run's workload digests keyed by program
-// pointer — each program appears in one cell per core and in every sweep
-// task of its class, and each lookup then costs a map read.
-func benchmarkDigests(benchmarks []Benchmark) map[*isa.Program][]byte {
+// WorkloadDigests precomputes a journaled campaign's workload digests
+// keyed by program pointer — a program appears in many units (one grid
+// cell per core and every sweep task of its class, or every chaos cell of
+// its benchmark), and each lookup then costs a map read. The grid and the
+// chaos campaign both key their journaled units with it.
+func WorkloadDigests(benchmarks []Benchmark) map[*isa.Program][]byte {
 	out := make(map[*isa.Program][]byte, len(benchmarks))
 	for _, b := range benchmarks {
 		out[b.Prog] = benchmarkDigest(b)
 	}
 	return out
 }
-
-// WorkloadDigest exposes the canonical workload fingerprint to other
-// campaign drivers — the chaos campaign keys its journaled cells with it.
-func WorkloadDigest(b Benchmark) []byte { return benchmarkDigest(b) }
 
 // cellKey fingerprints one Phase B grid cell: the full core configuration,
 // the workload digest, the policy set the cell compares, and the threshold
@@ -142,7 +140,7 @@ func encodeCell(c Cell) ([]byte, error) {
 	cmp := *c.Cmp
 	base := cmp.Baseline
 	arch := &archState{Regs: base.FinalRegs, Mem: base.FinalMem, Flags: base.FinalFlags}
-	for _, res := range []**ooo.Result{&cmp.Baseline, &cmp.Redsoc, &cmp.MOS, &cmp.LoadDelay, &cmp.SpecLSQ} {
+	for _, res := range cmp.Engines() {
 		r := **res
 		if !maps.Equal(r.FinalRegs, arch.Regs) || !maps.Equal(r.FinalMem, arch.Mem) || r.FinalFlags != arch.Flags {
 			return nil, fmt.Errorf("harness: cell %s/%s: %s architectural state differs from baseline", cmp.Benchmark, cmp.Core, r.Config.Policy)
@@ -165,11 +163,14 @@ func decodeCell(data []byte, b Benchmark, core string) (Cell, error) {
 	if v.Version != cellPayloadVersion {
 		return Cell{}, fmt.Errorf("harness: journaled cell version %d, want %d", v.Version, cellPayloadVersion)
 	}
-	if v.Cmp == nil || v.Cmp.Baseline == nil || v.Cmp.Redsoc == nil || v.Cmp.MOS == nil ||
-		v.Cmp.LoadDelay == nil || v.Cmp.SpecLSQ == nil || v.Arch == nil {
+	if v.Cmp == nil || v.Arch == nil {
 		return Cell{}, fmt.Errorf("harness: journaled cell is incomplete")
 	}
-	for _, r := range []*ooo.Result{v.Cmp.Baseline, v.Cmp.Redsoc, v.Cmp.MOS, v.Cmp.LoadDelay, v.Cmp.SpecLSQ} {
+	for _, res := range v.Cmp.Engines() {
+		r := *res
+		if r == nil {
+			return Cell{}, fmt.Errorf("harness: journaled cell is incomplete")
+		}
 		r.FinalRegs, r.FinalMem, r.FinalFlags = v.Arch.Regs, v.Arch.Mem, v.Arch.Flags
 	}
 	return Cell{Benchmark: b, Core: core, Threshold: v.Threshold, Cmp: v.Cmp}, nil
@@ -189,39 +190,4 @@ func decodeTotal(data []byte) (float64, error) {
 		return 0, fmt.Errorf("harness: journaled total version %d, want %d", v.Version, cellPayloadVersion)
 	}
 	return v.Total, nil
-}
-
-// journalGet serves a journaled payload when resuming. A nil journal, a
-// fresh (non-resume) run, a miss or an undecodable payload all mean "run
-// the simulation"; decode failures count as misses by construction (the
-// journal already verified the checksum, so a decode failure here means a
-// foreign or stale payload shape).
-func journalGet[T any](opts Options, key cellstore.Key, decode func([]byte) (T, error)) (T, bool) {
-	var zero T
-	if opts.Journal == nil || !opts.Resume {
-		return zero, false
-	}
-	data, ok := opts.Journal.Get(key)
-	if !ok {
-		return zero, false
-	}
-	v, err := decode(data)
-	if err != nil {
-		return zero, false
-	}
-	return v, true
-}
-
-// journalPut journals a completed unit of work and logs it in the campaign
-// manifest. Journal failures (full disk, permissions) never fail the
-// campaign — the work is already done and correct; it just won't be
-// resumable — but they are counted in the store's stats.
-func journalPut(opts Options, key cellstore.Key, label string, payload []byte, err error) {
-	if opts.Journal == nil || err != nil {
-		return
-	}
-	if perr := opts.Journal.Put(key, payload); perr != nil {
-		return
-	}
-	_ = opts.Journal.LogDone(key, label)
 }

@@ -22,7 +22,7 @@ func quickCell(t *testing.T, name string) Cell {
 	}
 	cfg := ooo.SmallConfig()
 	th := cfg.WithPolicy(ooo.PolicyRedsoc).Redsoc.ThresholdTicks
-	cmp, err := compareAt(context.Background(), cfg, b, th)
+	cmp, err := baseline.Compare(context.Background(), cfg, b.Prog, th)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,11 @@ func quickCell(t *testing.T, name string) Cell {
 }
 
 func cellResults(c *baseline.Comparison) []*ooo.Result {
-	return []*ooo.Result{c.Baseline, c.Redsoc, c.MOS, c.LoadDelay, c.SpecLSQ}
+	var out []*ooo.Result
+	for _, r := range c.Engines() {
+		out = append(out, *r)
+	}
+	return out
 }
 
 // TestJournalCellPayloadRoundTrip pins payload v3: decoding an encoded cell
@@ -125,7 +129,7 @@ func TestJournalCellPayloadRoundTrip(t *testing.T) {
 // keys — and the benchmark fields around the program still reach the key.
 func TestJournalKeysAreContentAddressed(t *testing.T) {
 	keys := func(bs []Benchmark) []cellstore.Key {
-		digests := benchmarkDigests(bs)
+		digests := WorkloadDigests(bs)
 		var out []cellstore.Key
 		for _, cfg := range Cores() {
 			for _, b := range bs {

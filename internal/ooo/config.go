@@ -233,6 +233,32 @@ func BigConfig() Config {
 	}.withDefaults()
 }
 
+// WithFaults returns a copy that injects every fault class at the given
+// per-op rate from the given seed, with the graceful-degradation controller
+// armed at its defaults — the setting of the fault-injection campaigns.
+func (c Config) WithFaults(rate float64, seed int64) Config {
+	c.Fault = fault.Config{
+		Enable: true, Seed: seed,
+		EstimateRate: rate, DelayRate: rate, LatchRate: rate, PredictorRate: rate,
+	}
+	c.Degrade = fault.DegradeConfig{Enable: true}
+	return c
+}
+
+// ParseCore resolves a core flag name (big, medium or small, in any letter
+// case) to its Table I configuration, for the CLIs and the service.
+func ParseCore(name string) (Config, error) {
+	switch strings.ToLower(name) {
+	case "big":
+		return BigConfig(), nil
+	case "medium":
+		return MediumConfig(), nil
+	case "small":
+		return SmallConfig(), nil
+	}
+	return Config{}, fmt.Errorf("ooo: unknown core %q (available: big, medium, small)", name)
+}
+
 // WithPolicy returns a copy configured for the given scheduling policy; for
 // PolicyRedsoc the paper's default parameters are applied.
 func (c Config) WithPolicy(p Policy) Config {

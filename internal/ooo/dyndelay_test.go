@@ -1,6 +1,7 @@
 package ooo
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -310,6 +311,39 @@ func TestPolicyParseRoundTrip(t *testing.T) {
 	}
 	if _, err := ParsePolicy("ts"); err == nil {
 		t.Fatal("ts is a harness comparator, not an ooo policy; ParsePolicy must reject it")
+	}
+}
+
+// TestParseCore pins the core-name surface the CLIs and the service share:
+// any letter case resolves to the Table I preset, and an unknown name is an
+// error that lists the valid ones.
+func TestParseCore(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Config
+	}{
+		{"big", BigConfig()}, {"Big", BigConfig()}, {"BIG", BigConfig()},
+		{"medium", MediumConfig()}, {"Medium", MediumConfig()},
+		{"small", SmallConfig()}, {"sMaLl", SmallConfig()},
+	} {
+		got, err := ParseCore(tc.name)
+		if err != nil {
+			t.Fatalf("ParseCore(%q): %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("ParseCore(%q) = %s, want %s", tc.name, got.Name, tc.want.Name)
+		}
+	}
+	for _, bad := range []string{"", "huge", "big "} {
+		_, err := ParseCore(bad)
+		if err == nil {
+			t.Fatalf("ParseCore(%q) accepted an unknown core", bad)
+		}
+		for _, valid := range []string{"big", "medium", "small"} {
+			if !strings.Contains(err.Error(), valid) {
+				t.Fatalf("ParseCore(%q) error %q does not list %q", bad, err, valid)
+			}
+		}
 	}
 }
 

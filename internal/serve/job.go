@@ -14,8 +14,8 @@ package serve
 import (
 	"fmt"
 	"sort"
-	"strings"
 
+	"redsoc/internal/chaos"
 	"redsoc/internal/harness"
 	"redsoc/internal/ooo"
 )
@@ -98,7 +98,7 @@ func (s *Server) resolve(spec JobSpec) (*resolved, error) {
 
 	all := s.suite(r.scale)
 	if r.spec.Type == "chaos" && len(spec.Benchmarks) == 0 {
-		r.benchmarks = chaosPick(all)
+		r.benchmarks = chaos.PickOnePerClass(all)
 	} else if len(spec.Benchmarks) == 0 {
 		r.benchmarks = all
 	} else {
@@ -111,22 +111,19 @@ func (s *Server) resolve(spec JobSpec) (*resolved, error) {
 		}
 	}
 
-	coreNames := spec.Cores
-	if len(coreNames) == 0 {
-		if r.spec.Type == "chaos" {
-			coreNames = []string{"medium"}
-		} else {
-			for _, c := range harness.Cores() {
-				coreNames = append(coreNames, strings.ToLower(c.Name))
+	switch {
+	case len(spec.Cores) > 0:
+		for _, name := range spec.Cores {
+			cfg, err := ooo.ParseCore(name)
+			if err != nil {
+				return nil, fmt.Errorf("serve: %w", err)
 			}
+			r.cores = append(r.cores, cfg)
 		}
-	}
-	for _, name := range coreNames {
-		cfg, err := coreByName(name)
-		if err != nil {
-			return nil, err
-		}
-		r.cores = append(r.cores, cfg)
+	case r.spec.Type == "chaos":
+		r.cores = []ooo.Config{ooo.MediumConfig()}
+	default:
+		r.cores = harness.Cores()
 	}
 
 	if r.spec.Type == "chaos" {
@@ -147,46 +144,39 @@ func (s *Server) resolve(spec JobSpec) (*resolved, error) {
 				return nil, fmt.Errorf("serve: fault rate %g out of [0, 1]", rate)
 			}
 		}
-		r.cells = len(r.benchmarks) * len(r.spec.Rates) * r.spec.Seeds
-		return r, nil
-	}
-
-	r.cells = len(r.benchmarks) * len(r.cores)
-	if r.spec.Sweep {
-		classes := map[harness.Class]bool{}
-		for _, b := range r.benchmarks {
-			classes[b.Class] = true
+		r.cells = cellProduct(len(r.benchmarks), len(r.spec.Rates), r.spec.Seeds)
+	} else {
+		r.cells = cellProduct(len(r.benchmarks), len(r.cores))
+		if r.spec.Sweep {
+			classes := map[harness.Class]bool{}
+			for _, b := range r.benchmarks {
+				classes[b.Class] = true
+			}
+			r.cells += cellProduct(len(classes), len(r.cores), len(harness.ThresholdCandidates))
 		}
-		r.cells += len(classes) * len(r.cores) * len(harness.ThresholdCandidates)
+	}
+	if r.cells > maxJobCells {
+		return nil, fmt.Errorf("serve: job plans more than %d cells; split it into smaller jobs", maxJobCells)
 	}
 	return r, nil
 }
 
-// coreByName maps a core name to its Table I configuration.
-func coreByName(name string) (ooo.Config, error) {
-	switch strings.ToLower(name) {
-	case "big":
-		return ooo.BigConfig(), nil
-	case "medium":
-		return ooo.MediumConfig(), nil
-	case "small":
-		return ooo.SmallConfig(), nil
-	}
-	return ooo.Config{}, fmt.Errorf("serve: unknown core %q (want big, medium or small)", name)
-}
+// maxJobCells caps the journal-keyed units of work one job may plan. The
+// full paper grid with the threshold sweep is 81 units, so the cap only
+// stops specs that would otherwise make the campaign engine allocate per
+// cell without bound — the 1 MiB body cap alone still admits one with a
+// billion seeds.
+const maxJobCells = 1 << 16
 
-// chaosPick keeps the first benchmark of each suite — the chaos default,
-// matching redsoc-chaos -quick.
-func chaosPick(bs []harness.Benchmark) []harness.Benchmark {
-	var out []harness.Benchmark
-	seen := map[harness.Class]bool{}
-	for _, b := range bs {
-		if !seen[b.Class] {
-			seen[b.Class] = true
-			out = append(out, b)
-		}
+// cellProduct multiplies non-negative counts, saturating just above
+// maxJobCells so that no spec can overflow the count.
+func cellProduct(counts ...int) int {
+	n := 1
+	for _, c := range counts {
+		n *= min(c, maxJobCells+1)
+		n = min(n, maxJobCells+1)
 	}
-	return out
+	return n
 }
 
 // Status is the externally visible state of one job. Mutable fields are

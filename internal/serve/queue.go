@@ -26,18 +26,20 @@ func newQueue() *queue {
 	return q
 }
 
-// push enqueues a job at the back of its tenant's FIFO.
-func (q *queue) push(j *job) {
+// push enqueues a job at the back of its tenant's FIFO. It reports false,
+// enqueueing nothing, once the queue is closed.
+func (q *queue) push(j *job) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
-		return
+		return false
 	}
 	if _, ok := q.perTenant[j.tenant]; !ok {
 		q.ring = append(q.ring, j.tenant)
 	}
 	q.perTenant[j.tenant] = append(q.perTenant[j.tenant], j)
 	q.cond.Signal()
+	return true
 }
 
 // pop blocks until a job is available (round-robin across tenants, FIFO

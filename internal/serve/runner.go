@@ -40,34 +40,42 @@ func (s *Server) execute(j *job) {
 
 // recordCell folds one campaign cell event into the job's counters and
 // event stream. It fires from campaign worker goroutines; the job lock
-// serializes it.
-func (j *job) recordCell(ev harness.CellEvent, eventType string, countCache bool) {
+// serializes it. merge marks the merge pass of a sharded job: its units
+// are reassembly, not cache traffic, and any it had to simulate is a
+// merge miss. Its events are typed "merge-cell", so a stream consumer can
+// tell shard computation from merge reassembly.
+func (j *job) recordCell(ev harness.CellEvent, merge bool) {
 	j.mu.Lock()
 	j.cellsDone++
-	if countCache {
-		if ev.Hit {
-			j.hits++
-		} else {
-			j.misses++
+	switch {
+	case merge:
+		if !ev.Hit {
+			j.mergeMisses++
 		}
-	} else if !ev.Hit {
-		j.mergeMisses++
+	case ev.Hit:
+		j.hits++
+	default:
+		j.misses++
 	}
 	j.mu.Unlock()
+	eventType := "cell"
+	if merge {
+		eventType = "merge-cell"
+	}
 	j.log.append(Event{Type: eventType, Kind: ev.Kind, Key: string(ev.Key), Hit: ev.Hit})
 }
 
 // gridOptions assembles the harness options every grid phase of a job
 // shares: the server cache in resume mode, the job's worker bound, and the
 // job's event stream.
-func (s *Server) gridOptions(j *job, shard campaign.Shard, eventType string, countCache bool) harness.Options {
+func (s *Server) gridOptions(j *job, shard campaign.Shard, merge bool) harness.Options {
 	return harness.Options{
 		SweepThreshold: j.res.spec.Sweep,
 		Workers:        s.jobWorkers(j),
 		Journal:        s.store,
 		Resume:         true,
 		Shard:          shard,
-		OnCell:         func(ev harness.CellEvent) { j.recordCell(ev, eventType, countCache) },
+		OnCell:         func(ev harness.CellEvent) { j.recordCell(ev, merge) },
 		Progress:       func(line string) { j.log.append(Event{Type: "progress", Text: line}) },
 	}
 }
@@ -98,7 +106,7 @@ func (s *Server) runGrid(j *job, start time.Time) ([]byte, error) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				opts := s.gridOptions(j, campaign.Shard{Index: i, Count: n}, "cell", true)
+				opts := s.gridOptions(j, campaign.Shard{Index: i, Count: n}, false)
 				opts.Progress = nil // shard progress interleaves; the merge pass reports in grid order
 				_, errs[i] = harness.Run(s.ctx, j.res.benchmarks, j.res.cores, opts)
 			}(i)
@@ -115,8 +123,7 @@ func (s *Server) runGrid(j *job, start time.Time) ([]byte, error) {
 	// The merge pass — or, unsharded, the run itself. For a sharded job
 	// every unit is already journaled, so this pass serves the whole grid
 	// from the cache and only reassembles it in index order.
-	countCache := n < 2
-	opts := s.gridOptions(j, campaign.Shard{}, mergeEventType(countCache), countCache)
+	opts := s.gridOptions(j, campaign.Shard{}, n >= 2)
 	grid, err := harness.Run(s.ctx, j.res.benchmarks, j.res.cores, opts)
 	if err != nil {
 		return nil, err
@@ -130,15 +137,6 @@ func (s *Server) runGrid(j *job, start time.Time) ([]byte, error) {
 		return nil, err
 	}
 	return append(data, '\n'), nil
-}
-
-// mergeEventType labels cell events by which pass produced them, so a
-// stream consumer can tell shard computation from merge reassembly.
-func mergeEventType(countCache bool) string {
-	if countCache {
-		return "cell"
-	}
-	return "merge-cell"
 }
 
 // chaosReport is the JSON report of a chaos job.
@@ -159,7 +157,7 @@ func (s *Server) runChaos(j *job) ([]byte, error) {
 		Workers:    s.jobWorkers(j),
 		Journal:    s.store,
 		Resume:     true,
-		OnCell:     func(ev harness.CellEvent) { j.recordCell(ev, "cell", true) },
+		OnCell:     func(ev harness.CellEvent) { j.recordCell(ev, false) },
 	})
 	if err != nil {
 		return nil, err

@@ -5,10 +5,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -425,7 +428,9 @@ func TestServeLiveEventsFollow(t *testing.T) {
 }
 
 // TestServeSubmitRejects pins the submit-time validation surface: bad specs
-// are a 400 at the door, never a failed job discovered later.
+// are a 400 at the door, never a failed job discovered later. That includes
+// a spec planning more than maxJobCells cells — a huge seed count, one that
+// would overflow the product, or a long repeated benchmark list.
 func TestServeSubmitRejects(t *testing.T) {
 	_, ts := newTestService(t)
 	cases := []string{
@@ -437,6 +442,9 @@ func TestServeSubmitRejects(t *testing.T) {
 		`{"workers":-1}`,
 		`{"type":"chaos","shards":2}`,
 		`{"type":"chaos","rates":[1.5]}`,
+		`{"type":"chaos","seeds":1000000000}`,
+		`{"type":"chaos","seeds":9223372036854775807,"rates":[0.1,0.2,0.3]}`,
+		`{"benchmarks":["bitcnt"` + strings.Repeat(`,"bitcnt"`, maxJobCells/3) + `]}`,
 		`{"bogus":1}`,
 		`not json`,
 	}
@@ -447,8 +455,74 @@ func TestServeSubmitRejects(t *testing.T) {
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("submit %s: status %d, want 400", body, resp.StatusCode)
+			t.Errorf("submit %.80s: status %d, want 400", body, resp.StatusCode)
 		}
+	}
+}
+
+// TestServeJobCellCap: the cell cap is exact — three chaos benchmarks ×
+// two rates × seeds — and the planned count saturates rather than
+// overflowing however large the spec's counts are.
+func TestServeJobCellCap(t *testing.T) {
+	srv, _ := newTestService(t)
+	if _, err := srv.resolve(JobSpec{Type: "chaos", Seeds: maxJobCells / 6}); err != nil {
+		t.Fatalf("a job at the cap was refused: %v", err)
+	}
+	if _, err := srv.resolve(JobSpec{Type: "chaos", Seeds: maxJobCells/6 + 1}); err == nil {
+		t.Fatal("a job one seed over the cap was accepted")
+	}
+	if n := cellProduct(math.MaxInt, math.MaxInt, 3); n != maxJobCells+1 {
+		t.Fatalf("cellProduct saturates at %d, want %d", n, maxJobCells+1)
+	}
+}
+
+// TestServeSubmitAfterClose: once Close has begun, Submit refuses with
+// ErrClosed (503 over HTTP) and registers nothing, instead of reporting a
+// job queued that no runner will ever claim. Submits racing Close either
+// fail that way or register a job that Close then fails or runs — none is
+// left queued.
+func TestServeSubmitAfterClose(t *testing.T) {
+	srv, err := New(Config{Journal: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := srv.Submit("racer", testSpec()); err != nil && !errors.Is(err, ErrClosed) {
+				t.Error(err)
+			}
+		}()
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	registered := len(srv.order)
+	for _, id := range srv.order {
+		if st := srv.jobs[id].status(); st.State == StateQueued {
+			t.Errorf("job %s submitted around Close is still queued", id)
+		}
+	}
+
+	if _, err := srv.Submit("alice", testSpec()); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Submit after Close: err = %v, want ErrClosed", err)
+	}
+	body, _ := json.Marshal(testSpec())
+	resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("HTTP submit after Close: status %d, want 503", resp.StatusCode)
+	}
+	if n := len(srv.order); n != registered {
+		t.Fatalf("%d jobs were registered after Close", n-registered)
 	}
 }
 

@@ -137,22 +137,25 @@ func (s *Server) Submit(tenant string, spec JobSpec) (Status, error) {
 	if err != nil {
 		return Status{}, err
 	}
+	j := &job{tenant: tenant, res: res, log: newEventLog(), state: StateQueued}
+	j.log.append(Event{Type: "state", Text: StateQueued})
+	// The job is registered only once the queue has accepted it, under the
+	// same lock, so a job a closed queue refused is never listed as queued.
 	s.mu.Lock()
-	s.nseq++
-	j := &job{
-		id:     fmt.Sprintf("j%06d", s.nseq),
-		tenant: tenant,
-		res:    res,
-		log:    newEventLog(),
-		state:  StateQueued,
+	defer s.mu.Unlock()
+	j.id = fmt.Sprintf("j%06d", s.nseq+1)
+	if !s.q.push(j) {
+		return Status{}, ErrClosed
 	}
+	s.nseq++
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
-	s.mu.Unlock()
-	j.log.append(Event{Type: "state", Text: StateQueued})
-	s.q.push(j)
 	return j.status(), nil
 }
+
+// ErrClosed is Submit's error once Close has begun: the server accepts no
+// more jobs.
+var ErrClosed = errors.New("serve: server is shut down")
 
 // suite returns the server's shared benchmark suite for scale, building it
 // on first use.
@@ -274,6 +277,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st, err := s.Submit(r.Header.Get("X-Tenant"), spec)
+	if errors.Is(err, ErrClosed) {
+		writeError(w, http.StatusServiceUnavailable, err.Error())
+		return
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return

@@ -1,6 +1,8 @@
 package redsoc
 
 import (
+	"sync"
+
 	"redsoc/internal/isa"
 	"redsoc/internal/workload"
 )
@@ -14,7 +16,11 @@ import (
 type Program struct {
 	name    string
 	builder *workload.Builder
-	built   *isa.Program
+	// once guards the lazy build (built is preset for the paper's
+	// benchmarks): the sweeps run one program from many campaign workers
+	// at once.
+	once  sync.Once
+	built *isa.Program
 }
 
 // NewProgram starts an empty program.
@@ -23,9 +29,11 @@ func NewProgram(name string) *Program {
 }
 
 func (p *Program) build() *isa.Program {
-	if p.built == nil {
-		p.built = p.builder.Build()
-	}
+	p.once.Do(func() {
+		if p.built == nil {
+			p.built = p.builder.Build()
+		}
+	})
 	return p.built
 }
 

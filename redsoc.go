@@ -20,6 +20,7 @@
 package redsoc
 
 import (
+	"context"
 	"fmt"
 
 	"redsoc/internal/baseline"
@@ -234,7 +235,8 @@ func (c *Comparison) SpecLSQSpeedup() float64 {
 // CompareSchedulers runs baseline, ReDSOC, MOS, loaddelay, speclsq and TS
 // on one core.
 func CompareSchedulers(core CoreSize, p *Program) (*Comparison, error) {
-	cmp, err := baseline.Compare(core.config(), p.build())
+	cfg := core.config()
+	cmp, err := baseline.Compare(context.Background(), cfg, p.build(), baseline.DefaultThreshold(cfg))
 	if err != nil {
 		return nil, err
 	}
