@@ -65,16 +65,28 @@ func ChoosePeriod(hist *[timing.ClockPS + 1]int64, maxErr float64) (periodPS int
 	return period, errAt
 }
 
+// Runner runs one engine simulation. ooo.Run is the plain runner; a grid
+// campaign passes its compute-once run cache, so a simulation the sweep and
+// a cell both need runs once. A runner's results are read-only.
+type Runner func(ooo.Config, *isa.Program) (*ooo.Result, error)
+
 // RunTS evaluates timing speculation for a program on a core: run the
-// baseline to collect the actual-delay histogram, choose the overclocked
-// period, then re-run with memory latencies rescaled (DRAM time is constant
-// in nanoseconds, so it costs more of the shorter cycles) and convert the
-// cycle counts to wall-clock speedup.
+// baseline to collect the actual-delay histogram, then evaluate TS from it
+// (see Runner.TS).
 func RunTS(cfg ooo.Config, prog *isa.Program) (TSResult, error) {
 	base, err := ooo.Run(cfg.WithPolicy(ooo.PolicyBaseline), prog)
 	if err != nil {
 		return TSResult{}, fmt.Errorf("baseline run: %w", err)
 	}
+	return Runner(ooo.Run).TS(cfg, prog, base)
+}
+
+// TS evaluates timing speculation from base, the program's baseline run on
+// cfg: choose the overclocked period from its actual-delay histogram, then
+// re-run with memory latencies rescaled (DRAM time is constant in
+// nanoseconds, so it costs more of the shorter cycles) and convert the cycle
+// counts to wall-clock speedup.
+func (run Runner) TS(cfg ooo.Config, prog *isa.Program, base *ooo.Result) (TSResult, error) {
 	period, errRate := ChoosePeriod(&base.DelayHistogram, MaxErrorRate)
 	if period >= timing.ClockPS {
 		return TSResult{PeriodPS: timing.ClockPS, ErrorRate: errRate, Speedup: 1, Cycles: base.Cycles}, nil
@@ -82,7 +94,7 @@ func RunTS(cfg ooo.Config, prog *isa.Program) (TSResult, error) {
 	scaled := cfg.WithPolicy(ooo.PolicyBaseline)
 	scaled.Mem.L2Latency = scaleLatency(scaled.Mem.L2Latency, period)
 	scaled.Mem.DRAMLatency = scaleLatency(scaled.Mem.DRAMLatency, period)
-	res, err := ooo.Run(scaled, prog)
+	res, err := run(scaled, prog)
 	if err != nil {
 		return TSResult{}, fmt.Errorf("scaled run: %w", err)
 	}
@@ -138,16 +150,23 @@ func DefaultThreshold(cfg ooo.Config) int {
 	return cfg.WithPolicy(ooo.PolicyRedsoc).Redsoc.ThresholdTicks
 }
 
-// Compare runs all six schedulers of one benchmark on one core, ReDSOC at
-// the given slack threshold, and fails if any engine run's architectural
-// state differs from the baseline's. Between runs it notes progress through
-// campaign.Heartbeat, so a stall report names which simulation a hung
-// campaign cell last finished; outside a campaign the notes go nowhere.
+// Compare runs all six schedulers of one benchmark on one core with
+// ooo.Run; see Runner.Compare.
 func Compare(ctx context.Context, cfg ooo.Config, prog *isa.Program, threshold int) (*Comparison, error) {
+	return Runner(ooo.Run).Compare(ctx, cfg, prog, threshold)
+}
+
+// Compare runs all six schedulers of one benchmark on one core, ReDSOC at
+// the given slack threshold and TS from the baseline run, and fails if any
+// engine run's architectural state differs from the baseline's. Between
+// runs it notes progress through campaign.Heartbeat, so a stall report
+// names which simulation a hung campaign cell last finished; outside a
+// campaign the notes go nowhere.
+func (run Runner) Compare(ctx context.Context, cfg ooo.Config, prog *isa.Program, threshold int) (*Comparison, error) {
 	rc := cfg.WithPolicy(ooo.PolicyRedsoc)
 	rc.Redsoc.ThresholdTicks = threshold
 	cmp := &Comparison{Benchmark: prog.Name, Core: cfg.Name}
-	for _, run := range []struct {
+	for _, r := range []struct {
 		dst **ooo.Result
 		cfg ooo.Config
 	}{
@@ -157,14 +176,14 @@ func Compare(ctx context.Context, cfg ooo.Config, prog *isa.Program, threshold i
 		{&cmp.LoadDelay, cfg.WithPolicy(ooo.PolicyLoadDelay)},
 		{&cmp.SpecLSQ, cfg.WithPolicy(ooo.PolicySpecLSQ)},
 	} {
-		res, err := ooo.Run(run.cfg, prog)
+		res, err := run(r.cfg, prog)
 		if err != nil {
 			return nil, err
 		}
-		*run.dst = res
-		campaign.Heartbeat(ctx, fmt.Sprintf("%s/%s: %s done (%d cycles)", prog.Name, cfg.Name, run.cfg.Policy, res.Cycles))
+		*r.dst = res
+		campaign.Heartbeat(ctx, fmt.Sprintf("%s/%s: %s done (%d cycles)", prog.Name, cfg.Name, r.cfg.Policy, res.Cycles))
 	}
-	ts, err := RunTS(cfg, prog)
+	ts, err := run.TS(cfg, prog, cmp.Baseline)
 	if err != nil {
 		return nil, err
 	}

@@ -159,3 +159,35 @@ func TestCompareEnginesAndThreshold(t *testing.T) {
 		t.Fatalf("redsoc ran at threshold %d, want %d", got, th)
 	}
 }
+
+// TestCompareRunsEachConfigOnce: Compare takes every simulation from its
+// runner, runs each distinct configuration once — TS reuses the baseline
+// run instead of repeating it — and its TS matches the standalone RunTS.
+func TestCompareRunsEachConfigOnce(t *testing.T) {
+	cfg := ooo.SmallConfig()
+	prog := logicChain(200)
+	runs := map[ooo.Config]int{}
+	count := Runner(func(c ooo.Config, p *isa.Program) (*ooo.Result, error) {
+		runs[c]++
+		return ooo.Run(c, p)
+	})
+	cmp, err := count.Compare(context.Background(), cfg, prog, DefaultThreshold(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != 6 {
+		t.Fatalf("Compare ran %d distinct configs, want 6 (five engines + the rescaled TS baseline)", len(runs))
+	}
+	for c, n := range runs {
+		if n != 1 {
+			t.Errorf("%s/%s ran %d times, want once", c.Name, c.Policy, n)
+		}
+	}
+	ts, err := RunTS(cfg, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cmp.TS != ts {
+		t.Fatalf("Compare's TS %+v differs from RunTS's %+v", cmp.TS, ts)
+	}
+}

@@ -245,8 +245,15 @@ type Options struct {
 // class → core → benchmark order the serial evaluation used. ctx cancels
 // in-flight scheduling (SIGINT in the CLIs lands here); with a journal
 // armed, everything completed before the cancellation is already persisted
-// and a -resume run picks up exactly where this one stopped.
+// and a -resume run picks up exactly where this one stopped. Both phases
+// take their simulations from one run cache, so each distinct engine run
+// happens once per call.
 func Run(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, opts Options) (*Grid, error) {
+	return runGrid(ctx, benchmarks, cores, opts, newRunCache(len(benchmarks)*len(cores)).run)
+}
+
+// runGrid is Run with every simulation taken from run.
+func runGrid(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, opts Options, run baseline.Runner) (*Grid, error) {
 	if err := opts.CheckShard("harness"); err != nil {
 		return nil, err
 	}
@@ -271,7 +278,7 @@ func Run(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, opts O
 			pairs = append(pairs, classCore{class, cfg})
 		}
 	}
-	thresholds, err := chooseThresholds(ctx, pairs, byClass, digests, opts)
+	thresholds, err := chooseThresholds(ctx, pairs, byClass, digests, opts, run)
 	if err != nil {
 		return nil, err
 	}
@@ -314,7 +321,7 @@ func Run(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, opts O
 				Kind: "grid-cell", Label: label(j),
 				Key: func() cellstore.Key { return cellKey(t.cfg, digests[t.b.Prog], t.th) },
 				Run: func() (Cell, error) {
-					cmp, err := baseline.Compare(ctx, t.cfg, t.b.Prog, t.th)
+					cmp, err := run.Compare(ctx, t.cfg, t.b.Prog, t.th)
 					if err != nil {
 						return Cell{}, fmt.Errorf("harness: %s on %s: %w", t.b.Name, t.cfg.Name, err)
 					}
@@ -339,7 +346,7 @@ func Run(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, opts O
 // on that core. The (pair, candidate) grid is flattened into one campaign;
 // the reduction walks candidates in declared order with a strict >, so ties
 // resolve to the earliest candidate exactly as the serial sweep did.
-func chooseThresholds(ctx context.Context, pairs []classCore, byClass map[Class][]Benchmark, digests map[*isa.Program][]byte, opts Options) ([]int, error) {
+func chooseThresholds(ctx context.Context, pairs []classCore, byClass map[Class][]Benchmark, digests map[*isa.Program][]byte, opts Options, run baseline.Runner) ([]int, error) {
 	out := make([]int, len(pairs))
 	if !opts.SweepThreshold {
 		for i, pr := range pairs {
@@ -373,13 +380,13 @@ func chooseThresholds(ctx context.Context, pairs []classCore, byClass map[Class]
 					total := 0.0
 					for _, b := range class {
 						campaign.Heartbeat(ctx, fmt.Sprintf("%s: simulating %s", label(i), b.Name))
-						base, err := ooo.Run(pr.cfg.WithPolicy(ooo.PolicyBaseline), b.Prog)
+						base, err := run(pr.cfg.WithPolicy(ooo.PolicyBaseline), b.Prog)
 						if err != nil {
 							return 0, err
 						}
 						rc := pr.cfg.WithPolicy(ooo.PolicyRedsoc)
 						rc.Redsoc.ThresholdTicks = th
-						red, err := ooo.Run(rc, b.Prog)
+						red, err := run(rc, b.Prog)
 						if err != nil {
 							return 0, err
 						}

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"sort"
 	"sync"
 	"testing"
@@ -56,6 +58,51 @@ func TestJournalKeysPinned(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("unit %d key drifted:\n got %s\nwant %s", i, got[i], want[i])
+		}
+	}
+}
+
+// TestJournalPayloadsPinned pins the SHA-256 of two journaled payloads —
+// the quick bitcnt/Big grid cell and its sweep total at th=4 — to literal
+// values. The keys above only prove a journal is found; this proves what it
+// holds is unchanged, so an engine-side refactor (result sharing, arch-state
+// canonicalisation, encoding) that perturbs a single byte of a cell fails
+// here rather than silently forking every journal on disk.
+func TestJournalPayloadsPinned(t *testing.T) {
+	b, err := FindBenchmark(Benchmarks(Quick), "bitcnt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := cellstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	var mu sync.Mutex
+	keys := map[string]cellstore.Key{}
+	_, err = Run(context.Background(), []Benchmark{b}, []ooo.Config{ooo.BigConfig()}, Options{
+		SweepThreshold: true,
+		Workers:        1,
+		Journal:        store,
+		OnCell: func(ev CellEvent) {
+			mu.Lock()
+			keys[ev.Label] = ev.Key
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for label, want := range map[string]string{
+		"bitcnt/Big":             "52a9e0e240196b4618df6523ca99cb798ab6880933fb9b9dd54ca50b67f5a07b",
+		"sweep MiBench/Big th=4": "2915fdc2c6801841f958b4f8d643d4bfa38ea92c4d9d93f1aacafcf1ff8fa470",
+	} {
+		data, ok := store.Get(keys[label])
+		if !ok {
+			t.Fatalf("%s: no journaled payload", label)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+			t.Errorf("%s payload drifted:\n got sha256 %s\nwant sha256 %s", label, got, want)
 		}
 	}
 }

@@ -62,3 +62,38 @@ func TestGetEvictsOldestBeyondBound(t *testing.T) {
 		t.Fatal("an evicted key must be rebuilt")
 	}
 }
+
+// TestGetRebuildsAfterPanic: a build that panics must not poison its key.
+// The panic reaches the caller, a concurrent waiter on the failed build
+// and every later Get build afresh, and the FIFO forgets the failed key.
+func TestGetRebuildsAfterPanic(t *testing.T) {
+	c := New[int, *int](4)
+	started, release := make(chan struct{}), make(chan struct{})
+	boom := func(int) *int { close(started); <-release; panic("boom") }
+	panicked := make(chan any)
+	go func() {
+		defer func() { panicked <- recover() }()
+		c.Get(1, boom)
+	}()
+	<-started
+	// A second caller races the failing build: it either waits on it and
+	// sees it fail, or arrives after the entry was dropped. Both must build.
+	waiter := make(chan *int)
+	go func() { waiter <- c.Get(1, func(k int) *int { v := k * 10; return &v }) }()
+	close(release)
+	if r := <-panicked; r != "boom" {
+		t.Fatalf("the failed build's caller recovered %v, want the build's panic", r)
+	}
+	if v := <-waiter; v == nil || *v != 10 {
+		t.Fatalf("a caller waiting on the failed build got %v, want a fresh build's 10", v)
+	}
+	if v := c.Get(1, func(int) *int { t.Fatal("a successful rebuild must be cached"); return nil }); *v != 10 {
+		t.Fatalf("cached rebuild = %d, want 10", *v)
+	}
+	c.mu.Lock()
+	n := len(c.order)
+	c.mu.Unlock()
+	if n != 1 {
+		t.Fatalf("FIFO tracks %d keys after a failed and a good build of one key, want 1", n)
+	}
+}

@@ -116,7 +116,9 @@ type Simulator struct {
 	// the binary is built with -tags redsoc_audit.
 	audit auditState
 
-	res Result
+	// res is allocated apart from the simulator, so a Result a caller
+	// retains does not pin the slab, memory image and predictor tables.
+	res *Result
 }
 
 // New builds a simulator for the program under the configuration.
@@ -189,8 +191,7 @@ func New(cfg Config, prog *isa.Program) (*Simulator, error) {
 	if cfg.PVT.Enable {
 		s.cpm = timing.NewCPM(cfg.PVT, lut)
 	}
-	s.res.Config = cfg
-	s.res.Sequences = core.NewSeqTracker()
+	s.res = &Result{Config: cfg, Sequences: core.NewSeqTracker()}
 	return s, nil
 }
 
@@ -230,7 +231,7 @@ func (s *Simulator) Run() (*Result, error) {
 		}
 	}
 	s.capture()
-	return &s.res, nil
+	return s.res, nil
 }
 
 // step advances the pipeline one cycle and reports whether the program

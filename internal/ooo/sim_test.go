@@ -3,6 +3,7 @@ package ooo
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"redsoc/internal/core"
 	"redsoc/internal/isa"
@@ -62,6 +63,29 @@ func TestSimpleProgramResult(t *testing.T) {
 	}
 	if res.Instructions != 4 {
 		t.Fatalf("committed %d instructions, want 4", res.Instructions)
+	}
+}
+
+// TestResultDoesNotPinSimulator: the Result a run returns is its own
+// allocation, not a field of the Simulator, so a caller that keeps results
+// (a campaign's run cache, a grid's cells) keeps only them — not the slab,
+// memory image and predictor tables of every simulator that produced one.
+func TestResultDoesNotPinSimulator(t *testing.T) {
+	b := workload.NewBuilder("pin")
+	b.MovImm(isa.R(1), 6)
+	b.OpImm(isa.OpADD, isa.R(2), isa.R(1), 8)
+	s, err := New(SmallConfig(), b.Build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := uintptr(unsafe.Pointer(s))
+	hi := lo + unsafe.Sizeof(*s)
+	if p := uintptr(unsafe.Pointer(res)); p >= lo && p < hi {
+		t.Fatalf("Run returned a pointer %d bytes into its %d-byte Simulator; a retained Result pins the whole simulator", p-lo, hi-lo)
 	}
 }
 
