@@ -242,20 +242,26 @@ func BenchmarkAblationOperationalVsIllustrative(b *testing.B) {
 		prog.Name, op, il)
 }
 
-// BenchmarkSimulatorThroughput measures raw simulation speed on the Big core.
+// BenchmarkSimulatorThroughput measures raw simulation speed on the Big core,
+// one sub-benchmark per scheduler policy, so a policy's own scheduling cost
+// (MOS fusion probing, EGPW grandparent wakeups, load-delay tracking) shows
+// against the others. The redsoc sub-benchmark is the historical reference.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	benchs := harness.Benchmarks(harness.Quick)
-	var prog = benchs[0].Prog
-	b.ResetTimer()
-	var instrs int64
-	for i := 0; i < b.N; i++ {
-		res, err := ooo.Run(ooo.BigConfig().WithPolicy(ooo.PolicyRedsoc), prog)
-		if err != nil {
-			b.Fatal(err)
-		}
-		instrs += res.Instructions
+	prog := harness.Benchmarks(harness.Quick)[0].Prog
+	for _, pol := range []ooo.Policy{ooo.PolicyRedsoc, ooo.PolicyBaseline, ooo.PolicyMOS, ooo.PolicyLoadDelay, ooo.PolicySpecLSQ} {
+		cfg := ooo.BigConfig().WithPolicy(pol)
+		b.Run(pol.String(), func(b *testing.B) {
+			var instrs int64
+			for i := 0; i < b.N; i++ {
+				res, err := ooo.Run(cfg, prog)
+				if err != nil {
+					b.Fatal(err)
+				}
+				instrs += res.Instructions
+			}
+			b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "sim-instrs/s")
+		})
 	}
-	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "sim-instrs/s")
 }
 
 // BenchmarkSimulatorThroughputTraced measures the same workload with a

@@ -18,3 +18,5 @@ func (auditState) onIssue(*Simulator, *entry, int) {}
 func (auditState) onCommitMem(*Simulator, int32, int32) {}
 
 func (auditState) onArbRequests(*Simulator, []core.Request) {}
+
+func (auditState) onReadyMerged(*Simulator, int64) {}

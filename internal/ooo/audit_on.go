@@ -18,6 +18,12 @@ package ooo
 //     time: estimated EX-TIME ≥ actual delay, and the broadcast completion
 //     instant covers start + actual. This is ReDSOC's "overstate, never
 //     understate" safety argument made executable.
+//  4. No lost wakeups: after each cycle's ready-set merge, every waiting
+//     reservation-station entry outside the ready set is unschedulable —
+//     none satisfies trackedReady, specEligible or specPending. The
+//     tag-indexed scheduler only examines ready-set entries, so a
+//     schedulable entry outside it would silently never issue (or issue
+//     late) instead of deadlocking loudly.
 //
 // Violations panic with full context: an audit build exists to crash loudly
 // at the first inconsistency, not to keep simulating on corrupted timing.
@@ -118,6 +124,22 @@ func (a *auditState) onArbRequests(s *Simulator, reqs []core.Request) {
 		if reqs[i-1].Age >= reqs[i].Age {
 			panic(fmt.Sprintf("ooo: audit: %s/%s: arbiter requests out of age order at %d: %d >= %d",
 				s.cfg.Name, s.cfg.Policy, i, reqs[i-1].Age, reqs[i].Age))
+		}
+	}
+}
+
+// onReadyMerged asserts invariant 4 once the wake buffer has been folded into
+// the ready set: a waiting entry outside the set must be blocked on an event
+// it is registered for. The check is exactly the scan's keep rule applied to
+// the entries the scan does not visit (specEligible implies specPending).
+func (a *auditState) onReadyMerged(s *Simulator, cycle int64) {
+	for _, ei := range s.rs {
+		e := s.ent(ei)
+		if e.inReady {
+			continue
+		}
+		if ok, _ := s.trackedReady(e, cycle); ok || s.specPending(e, cycle) {
+			auditFailf(s, e, "lost wakeup at cycle %d: schedulable waiting entry is outside the ready set", cycle)
 		}
 	}
 }

@@ -3,6 +3,7 @@
 package ooo
 
 import (
+	"strings"
 	"testing"
 
 	"redsoc/internal/isa"
@@ -51,4 +52,32 @@ func TestAuditKernels(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestAuditCatchesLostWakeup plants the bug the lost-wakeup invariant
+// exists for: a schedulable entry dropped from the wake buffer before the
+// merge. The tag-indexed scan would never examine it again, so the audit
+// must panic at the merge, with the flight recorder's tail attached.
+func TestAuditCatchesLostWakeup(t *testing.T) {
+	s := gpChain(t, BigConfig().WithPolicy(PolicyBaseline))
+	s.AttachFlightRecorder(16)
+	s.dispatch(0)
+	if len(s.wakeBuf) == 0 {
+		t.Fatal("dispatch seeded nothing; the planted drop needs a seeded entry")
+	}
+	for _, ei := range s.wakeBuf {
+		s.ent(ei).inReady = false
+	}
+	s.wakeBuf = s.wakeBuf[:0]
+
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "lost wakeup") {
+			t.Fatalf("want a lost-wakeup audit panic, got %q", msg)
+		}
+		if !strings.Contains(msg, "flight recorder") {
+			t.Fatalf("the audit panic must carry the flight recorder's tail: %q", msg)
+		}
+	}()
+	s.issue(0)
 }

@@ -150,13 +150,15 @@ type entry struct {
 	//
 	// waiters is this entry's consumer list: waiting entries registered at
 	// dispatch to be re-examined when this entry broadcasts (and, for
-	// stores, when it commits — the memory-dependence wakeup). inReady marks
-	// membership in the scheduler's ready set (or its pending wake buffer),
-	// so multiple same-cycle broadcasts enqueue a consumer once. refs counts
-	// incoming references (source operand, grandparent tag, memory
-	// dependence, front-end redirect); an entry returns to the free list only
-	// once it has committed and refs reaches zero — see arena.go for the
-	// recycle-safety rule.
+	// stores, when it commits — the memory-dependence wakeup). Consumers,
+	// EGPW grandchildren and dependent loads all append at their own
+	// dispatch, so the list is ascending by seq; tryFuse probes it in that
+	// order. inReady marks membership in the scheduler's ready set (or its
+	// pending wake buffer), so multiple same-cycle broadcasts enqueue a
+	// consumer once. refs counts incoming references (source operand,
+	// grandparent tag, memory dependence, front-end redirect); an entry
+	// returns to the free list only once it has committed and refs reaches
+	// zero — see arena.go for the recycle-safety rule.
 	waiters []int32
 	inReady bool
 	refs    int32

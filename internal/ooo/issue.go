@@ -107,14 +107,23 @@ func (s *Simulator) trackedReady(e *entry, cycle int64) (bool, timing.Ticks) {
 }
 
 // specEligible reports whether the entry can place a speculative EGPW
-// request: parent not yet awake, grandparent tag seen (Sec. IV-B).
+// request: parent not yet awake, grandparent tag seen (Sec. IV-B), and its
+// pool able to evaluate transparently.
 //
 //redsoc:hotpath
 func (s *Simulator) specEligible(e *entry, cycle int64) bool {
-	if s.cfg.Policy != PolicyRedsoc || !s.params.EGPW || !s.canTransparent(e) {
-		return false
-	}
-	if e.lastIdx < 0 {
+	return s.specPending(e, cycle) && !s.degr[e.fu].Degraded()
+}
+
+// specPending reports whether the entry is an EGPW candidate whose parent is
+// not yet awake but whose grandparent tag has been seen. It differs from
+// specEligible only by ignoring pool degradation: a degradation controller
+// re-arms silently (no broadcast fires), so such entries must stay in the
+// ready set and be re-examined each cycle rather than wait for a tag event.
+//
+//redsoc:hotpath
+func (s *Simulator) specPending(e *entry, cycle int64) bool {
+	if !s.egpwCandidate(e) || e.lastIdx < 0 {
 		return false
 	}
 	if pi := e.srcs[e.lastIdx].prod; pi != none && awake(s.ent(pi), cycle) {
@@ -123,31 +132,14 @@ func (s *Simulator) specEligible(e *entry, cycle int64) bool {
 	return e.gp != none && awake(s.ent(e.gp), cycle)
 }
 
-// specPending reports whether the entry is an EGPW candidate whose only
-// obstacle may be transient pool degradation: grandparent seen, parent not
-// yet awake, but canTransparent currently false. A degradation controller
-// re-arms silently (no broadcast fires), so such entries must stay in the
-// ready set and be re-examined each cycle rather than wait for a tag event.
-//
-//redsoc:hotpath
-func (s *Simulator) specPending(e *entry, cycle int64) bool {
-	if s.cfg.Policy != PolicyRedsoc || !s.params.EGPW || !s.params.Recycle ||
-		e.bits&trace.BitSingleCycle == 0 {
-		return false
-	}
-	if e.lastIdx < 0 {
-		return false
-	}
-	if pi := e.srcs[e.lastIdx].prod; pi != none && awake(s.ent(pi), cycle) {
-		return false
-	}
-	return e.gp != none && awake(s.ent(e.gp), cycle)
-}
-
 // issueReq is one reservation-station entry asking its FU pool's select logic
-// for a grant this cycle.
+// for a grant this cycle. It carries the entry's age and its position in the
+// ready set, so arbitration, grant ordering and the grant-time removal from
+// the ready set read no slab entries.
 type issueReq struct {
 	ei   int32
+	pos  int32 // index into s.ready
+	seq  int64
 	spec bool
 }
 
@@ -198,10 +190,9 @@ func (s *Simulator) mergeReady() {
 // allocated.
 //
 //redsoc:hotpath
-func (s *Simulator) insertBySeq(granted []issueReq, r issueReq) []issueReq {
+func insertBySeq(granted []issueReq, r issueReq) []issueReq {
 	granted = append(granted, r)
-	sq := s.ent(r.ei).seq
-	for i := len(granted) - 1; i > 0 && s.ent(granted[i-1].ei).seq > sq; i-- {
+	for i := len(granted) - 1; i > 0 && granted[i-1].seq > r.seq; i-- {
 		granted[i], granted[i-1] = granted[i-1], granted[i]
 	}
 	return granted
@@ -211,20 +202,28 @@ func (s *Simulator) insertBySeq(granted []issueReq, r issueReq) []issueReq {
 //
 // Wakeup is tag-indexed: instead of re-scanning the whole reservation
 // station, the scheduler examines only the ready set — entries whose
-// registered tag events (producer/grandparent broadcast, store commit) have
-// fired since they were last examined, plus entries retained by the keep
-// rules below. An entry found unschedulable for a reason that *will* fire a
-// registered event is dropped from the set; everything else stays:
+// registered tag events (producer broadcast, an EGPW candidate's grandparent
+// broadcast, store broadcast or commit) have fired since they were last
+// examined, entries dispatched while possibly schedulable, and entries
+// retained by the keep rules below. An entry found unschedulable for a reason
+// that *will* fire a registered event is dropped from the set; everything
+// else stays:
 //
-//   - tracked-ready entries (all monitored tags awake) stay until granted —
-//     their remaining obstacles (issue-window eligibility, select bandwidth,
-//     validation cancels) emit no broadcast;
+//   - tracked-ready entries (all monitored tags awake) stay until granted and
+//     issued — their remaining obstacles (issue-window eligibility, select
+//     bandwidth, validation cancels) emit no broadcast;
 //   - EGPW candidates whose grandparent is awake stay even while their pool
 //     is degraded (specPending): re-arming is silent.
+//
+// An issued entry leaves the set at grant time; only entries fused by MOS
+// (which never pass through select) are found stale and dropped by the
+// scan. The audit build asserts after every merge that no waiting entry
+// outside the set is schedulable — a lost wakeup.
 //
 //redsoc:hotpath
 func (s *Simulator) issue(cycle int64) {
 	s.mergeReady()
+	s.audit.onReadyMerged(s, cycle)
 	window := s.clock.CycleStart(cycle + 1)
 	params := s.issueParams()
 
@@ -232,15 +231,15 @@ func (s *Simulator) issue(cycle int64) {
 	for _, ei := range s.ready {
 		e := s.ent(ei)
 		if e.state != stWaiting {
-			// Issued or fused since its last examination; registration on a
-			// recycled successor is impossible (waiters fire before commit).
+			// Fused since its last examination; registration on a recycled
+			// successor is impossible (waiters fire before commit).
 			e.inReady = false
 			continue
 		}
 		if ok, ready := s.trackedReady(e, cycle); ok {
 			live = append(live, ei)
 			if params.IssueEligible(s.clock, window, ready, s.canTransparent(e)) {
-				s.reqs[e.fu] = append(s.reqs[e.fu], issueReq{ei: ei, spec: false})
+				s.reqs[e.fu] = append(s.reqs[e.fu], issueReq{ei: ei, pos: int32(len(live) - 1), seq: e.seq})
 				if s.obs != nil && !e.obsWoke {
 					e.obsWoke = true
 					src := int64(-1)
@@ -255,7 +254,7 @@ func (s *Simulator) issue(cycle int64) {
 		}
 		if s.specEligible(e, cycle) {
 			live = append(live, ei)
-			s.reqs[e.fu] = append(s.reqs[e.fu], issueReq{ei: ei, spec: true})
+			s.reqs[e.fu] = append(s.reqs[e.fu], issueReq{ei: ei, pos: int32(len(live) - 1), seq: e.seq, spec: true})
 			if s.obs != nil && !e.obsWoke {
 				e.obsWoke = true
 				s.obs.Emit(obs.Event{Kind: obs.KindWakeup, Cycle: cycle, Seq: e.seq, Op: e.op,
@@ -284,7 +283,7 @@ func (s *Simulator) issue(cycle int64) {
 		conv := 0
 		arb := s.arb[:0]
 		for _, r := range rk {
-			arb = append(arb, core.Request{Age: s.ent(r.ei).seq, Spec: r.spec})
+			arb = append(arb, core.Request{Age: r.seq, Spec: r.spec})
 			if !r.spec {
 				conv++
 			}
@@ -299,7 +298,7 @@ func (s *Simulator) issue(cycle int64) {
 		s.audit.onArbRequests(s, arb)
 		grants := s.arbiter.GrantSorted(arb, free)
 		for _, gi := range grants {
-			granted = s.insertBySeq(granted, rk[gi])
+			granted = insertBySeq(granted, rk[gi])
 		}
 		if s.obs != nil {
 			// Per-request select outcome, in request (reservation-station)
@@ -334,17 +333,29 @@ func (s *Simulator) issue(cycle int64) {
 	}
 
 	// Grants were inserted in age order so producers execute before
-	// same-cycle (EGPW-woken) consumers.
-	issuedAny := false
+	// same-cycle (EGPW-woken) consumers. Age order is also ready-set order,
+	// so the issued entries are compacted out of the set in the same pass:
+	// ready[w:r] is the gap their removal has opened so far.
+	ready := s.ready
+	w, r := 0, 0
 	for _, g := range granted {
 		e := s.ent(g.ei)
-		if s.issueEntry(e, cycle, g.spec) {
-			issuedAny = true
-			s.rsRemove(e)
+		if !s.issueEntry(e, cycle, g.spec) {
+			continue
 		}
+		s.rsRemove(e)
+		e.inReady = false
+		p := int(g.pos)
+		if w != r {
+			copy(ready[w:], ready[r:p])
+		}
+		w += p - r
+		r = p + 1
 	}
-	if issuedAny {
+	if r > 0 {
 		s.res.IssueCycles++
+		w += copy(ready[w:], ready[r:])
+		s.ready = ready[:w]
 	}
 }
 
@@ -946,6 +957,14 @@ func (s *Simulator) classify(e *entry, out alu.Outcome) {
 // fits in the producer's remaining cycle budget and execute it piggybacked
 // in the same cycle on the same unit.
 //
+// The candidates are the producer's own waiters, not the whole RS: every
+// dependent dispatched while the producer was unissued — which is every
+// dependent, since it issues (and broadcasts) exactly once, now — registered
+// on its tag. Waiters are appended at dispatch, so the list is ascending by
+// seq and the probe runs oldest-first, the order the old seq-sorted RS scan
+// probed in; a consumer naming the producer in two operands registered twice,
+// back to back, and is probed once.
+//
 //redsoc:hotpath
 func (s *Simulator) tryFuse(e *entry, cycle int64) {
 	if e.bits&trace.BitSingleCycle == 0 || e.bits&trace.BitMem != 0 {
@@ -953,12 +972,12 @@ func (s *Simulator) tryFuse(e *entry, cycle int64) {
 	}
 	tpc := s.clock.CyclesToTicks(1)
 	window := s.clock.CycleStart(cycle + 1)
-	// The RS list is in arbitrary order (rsRemove swaps), but the paired
-	// selection must stay deterministic: collect the statically eligible
-	// dependents first, then probe them oldest-first — exactly the order the
-	// old seq-sorted RS scan probed in.
-	cands := s.fuseCands[:0]
-	for _, bi := range s.rs {
+	prev := none
+	for _, bi := range e.waiters {
+		if bi == prev {
+			continue
+		}
+		prev = bi
 		b := s.ent(bi)
 		if b.state != stWaiting || b.fused || b.bits&trace.BitSingleCycle == 0 || b.fu != e.fu {
 			continue
@@ -986,14 +1005,6 @@ func (s *Simulator) tryFuse(e *entry, cycle int64) {
 		if !dependsOnE || !ok {
 			continue
 		}
-		cands = append(cands, bi) //lint:allow schedalloc amortized: candidate scratch regrows once per high-water mark, then recycles
-		for j := len(cands) - 1; j > 0 && s.ent(cands[j-1]).seq > b.seq; j-- {
-			cands[j-1], cands[j] = cands[j], cands[j-1]
-		}
-	}
-	s.fuseCands = cands
-	for _, bi := range cands {
-		b := s.ent(bi)
 		out := s.execute(b, nil)
 		if s.estimator.Aggressive(b.est, out.ActualWidth) {
 			// The fused pair would miss timing: abandon this fusion with no

@@ -257,6 +257,7 @@ func TestTryFuseAbandonedLeavesNoResidue(t *testing.T) {
 	b.srcs[0] = srcRef{idx: uint8(isa.R(1).RenameIndex()), prod: ei}
 	b.srcs[1] = srcRef{idx: uint8(isa.R(2).RenameIndex()), prod: none, value: alu.Value{Lo: 3}}
 	s.rs = append(s.rs, bi)
+	e.waiters = append(e.waiters, bi) // dispatch registers the consumer on its producer's tag
 
 	s.tryFuse(e, 5)
 

@@ -81,7 +81,8 @@ type Simulator struct {
 	// ready is the scheduler's wakeup set — the only entries issue examines —
 	// kept sorted ascending by seq so events are emitted in the same order
 	// the old full-RS scan produced. wakeBuf collects entries woken since the
-	// last merge (producer broadcasts, store commits, fresh dispatches);
+	// last merge (producer broadcasts, store commits, fresh dispatches that
+	// might be schedulable — see watchWakeups);
 	// readyScratch is the merge target, swapped with ready each merge so
 	// neither list reallocates in steady state.
 	ready        []int32
@@ -96,10 +97,6 @@ type Simulator struct {
 	granted []issueReq
 	won     []bool
 	cands   []int
-
-	// fuseCands holds tryFuse's statically eligible dependents, re-sorted by
-	// seq so fusion probing stays oldest-first over the unordered RS list.
-	fuseCands []int32
 
 	fus [numFUKinds]*fuPool
 
@@ -592,14 +589,30 @@ func (s *Simulator) wakeWaiters(e *entry) {
 	}
 }
 
+// egpwCandidate reports whether the entry can ever place or hold an EGPW
+// request: the shared precondition of specEligible and specPending (ReDSOC
+// with EGPW and recycling on, single-cycle op). Only such entries gain
+// anything from their grandparent's broadcast.
+//
+//redsoc:hotpath
+func (s *Simulator) egpwCandidate(e *entry) bool {
+	return s.cfg.Policy == PolicyRedsoc && s.params.EGPW && s.params.Recycle &&
+		e.bits&trace.BitSingleCycle != 0
+}
+
 // watchWakeups registers a freshly dispatched entry on the consumer list of
-// every event that can make it schedulable: each in-flight producer's
-// broadcast, the grandparent's broadcast (the EGPW trigger — specEligible
-// entries "ride the grandparent's list"), and the blocking store's commit for
-// loads. The entry itself starts in the ready set so the same-cycle
-// examination the old full-RS scan performed still happens; entries whose
-// remaining obstacle emits no broadcast (degraded pools, issue-window
-// eligibility) simply stay in the set — see the keep rules in issue.
+// every event that can make it schedulable — each in-flight producer's
+// broadcast, the blocking store's broadcast and commit for loads and, for
+// EGPW candidates only, the grandparent's broadcast (speculative children
+// "ride the grandparent's list"; no other entry can act on that tag) — and
+// seeds the ready set only if the entry might be schedulable already. An
+// entry whose predicted last-arriving producer has not broadcast fails
+// trackedReady under every design and is registered on that producer, so
+// seeding it would buy one dead examination; the exception is an EGPW
+// candidate whose grandparent has already broadcast, which may request
+// speculatively this very cycle. Entries whose remaining obstacle emits no
+// broadcast (degraded pools, issue-window eligibility) stay in the set once
+// there — see the keep rules in issue.
 //
 //redsoc:hotpath
 func (s *Simulator) watchWakeups(ei int32, e *entry) {
@@ -610,14 +623,20 @@ func (s *Simulator) watchWakeups(ei int32, e *entry) {
 			}
 		}
 	}
-	if e.gp != none {
+	gpAwake := false
+	if e.gp != none && s.egpwCandidate(e) {
 		if gp := s.ent(e.gp); gp.broadcastCycle < 0 {
 			gp.waiters = append(gp.waiters, ei) //lint:allow schedalloc amortized: waiters backing arrays survive slab recycling, so appends reuse warm capacity
+		} else {
+			gpAwake = true
 		}
 	}
 	if e.memDep != none {
 		dep := s.ent(e.memDep)
 		dep.waiters = append(dep.waiters, ei) //lint:allow schedalloc amortized: waiters backing arrays survive slab recycling, so appends reuse warm capacity
+	}
+	if e.lastIdx >= 0 && s.ent(e.srcs[e.lastIdx].prod).broadcastCycle < 0 && !gpAwake {
+		return
 	}
 	s.wake(ei)
 }
