@@ -42,7 +42,7 @@ const (
 // per-picosecond delay histogram of a baseline run. The period is never
 // pushed below the point where errors would exceed the bound, and never
 // above the nominal ClockPS.
-func ChoosePeriod(hist *[timing.ClockPS + 1]int64, maxErr float64) (periodPS int, errRate float64) {
+func ChoosePeriod(hist *ooo.DelayHistogram, maxErr float64) (periodPS int, errRate float64) {
 	var total int64
 	for _, c := range hist {
 		total += c

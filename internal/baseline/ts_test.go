@@ -11,7 +11,7 @@ import (
 )
 
 func TestChoosePeriodEmpty(t *testing.T) {
-	var hist [timing.ClockPS + 1]int64
+	var hist ooo.DelayHistogram
 	p, e := ChoosePeriod(&hist, MaxErrorRate)
 	if p != timing.ClockPS || e != 0 {
 		t.Fatalf("empty histogram: period %d err %v", p, e)
@@ -19,7 +19,7 @@ func TestChoosePeriodEmpty(t *testing.T) {
 }
 
 func TestChoosePeriodRespectsErrorBudget(t *testing.T) {
-	var hist [timing.ClockPS + 1]int64
+	var hist ooo.DelayHistogram
 	// 1000 fast ops at 200 ps, 5 slow ops at 450 ps: 0.5% slow.
 	hist[200] = 1000
 	hist[450] = 5
@@ -41,7 +41,7 @@ func TestChoosePeriodRespectsErrorBudget(t *testing.T) {
 }
 
 func TestChoosePeriodMonotoneInBudget(t *testing.T) {
-	var hist [timing.ClockPS + 1]int64
+	var hist ooo.DelayHistogram
 	for d := 150; d <= 500; d += 10 {
 		hist[d] = int64(d)
 	}

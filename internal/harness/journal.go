@@ -1,9 +1,12 @@
 package harness
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"maps"
+	"slices"
 
 	"redsoc/internal/alu"
 	"redsoc/internal/baseline"
@@ -29,17 +32,18 @@ import (
 // cellstore.SchemaVersion; it participates in the fingerprint, so bumping
 // it orphans (rather than misreads) old entries. Version 2 added the
 // dynamic-delay policies (loaddelay, speclsq) to every cell; version 3
-// stores the five results' shared architectural state once (archState).
-const cellPayloadVersion = 3
+// stores the five results' shared architectural state once (archState);
+// version 4 moves that state out of the JSON into a binary section and
+// writes each delay histogram sparsely (ooo.DelayHistogram).
+const cellPayloadVersion = 4
 
-// journaledCell is the serialized outcome of one grid cell. The five
-// ooo.Results in Cmp are written with their architectural fields empty;
-// Arch holds that state once for all of them.
+// journaledCell is the JSON head of one grid cell's payload. The five
+// ooo.Results in Cmp are written with their architectural fields empty; the
+// binary section after the head holds that state once for all of them.
 type journaledCell struct {
 	Version   int                  `json:"version"`
 	Threshold int                  `json:"threshold_ticks"`
 	Cmp       *baseline.Comparison `json:"comparison"`
-	Arch      *archState           `json:"arch,omitempty"`
 }
 
 // archState is the final architectural state every scheduler of a cell
@@ -47,9 +51,9 @@ type journaledCell struct {
 // disagree (ArchEqual), so one copy describes all five results exactly;
 // encodeCell re-checks that before dropping the other four.
 type archState struct {
-	Regs  map[isa.Reg]alu.Value `json:"regs"`
-	Mem   map[uint64]uint64     `json:"mem"`
-	Flags alu.Flags             `json:"flags"`
+	Regs  map[isa.Reg]alu.Value
+	Mem   map[uint64]uint64
+	Flags alu.Flags
 }
 
 // journaledTotal is the serialized outcome of one sweep task.
@@ -130,16 +134,19 @@ func sweepKey(cfg ooo.Config, class Class, digests [][]byte, candidate int) cell
 	return f.Key()
 }
 
-// encodeCell serializes a completed cell for the journal. encoding/json is
-// canonical here (struct fields in declaration order, map keys sorted,
-// shortest-round-trip floats), so identical cells produce identical bytes.
-// The architectural state is written once (see archState); a cell whose
-// five results do not hold exactly the same state is refused, so it is
-// simulated again rather than journaled lossily.
+// encodeCell serializes a completed cell for the journal: the JSON head
+// (journaledCell), one newline — which json.Marshal never emits — and the
+// binary architectural-state section (appendArch). Both parts are
+// canonical (encoding/json writes struct fields in declaration order, map
+// keys sorted and shortest-round-trip floats; the section is sorted), so
+// identical cells produce identical bytes. The architectural state is
+// written once (see archState); a cell whose five results do not hold
+// exactly the same state is refused, so it is simulated again rather than
+// journaled lossily.
 func encodeCell(c Cell) ([]byte, error) {
 	cmp := *c.Cmp
 	base := cmp.Baseline
-	arch := &archState{Regs: base.FinalRegs, Mem: base.FinalMem, Flags: base.FinalFlags}
+	arch := archState{Regs: base.FinalRegs, Mem: base.FinalMem, Flags: base.FinalFlags}
 	for _, res := range cmp.Engines() {
 		r := **res
 		if !maps.Equal(r.FinalRegs, arch.Regs) || !maps.Equal(r.FinalMem, arch.Mem) || r.FinalFlags != arch.Flags {
@@ -148,7 +155,11 @@ func encodeCell(c Cell) ([]byte, error) {
 		r.FinalRegs, r.FinalMem, r.FinalFlags = nil, nil, alu.Flags{}
 		*res = &r
 	}
-	return json.Marshal(journaledCell{Version: cellPayloadVersion, Threshold: c.Threshold, Cmp: &cmp, Arch: arch})
+	head, err := json.Marshal(journaledCell{Version: cellPayloadVersion, Threshold: c.Threshold, Cmp: &cmp})
+	if err != nil {
+		return nil, err
+	}
+	return appendArch(append(head, '\n'), arch), nil
 }
 
 // decodeCell rebuilds a Cell from its journaled payload, handing the one
@@ -156,24 +167,180 @@ func encodeCell(c Cell) ([]byte, error) {
 // everything downstream only reads them). Any shape problem is an error,
 // which the caller treats as a cache miss.
 func decodeCell(data []byte, b Benchmark, core string) (Cell, error) {
+	head, section, ok := bytes.Cut(data, []byte{'\n'})
+	if !ok {
+		return Cell{}, fmt.Errorf("harness: journaled cell has no architectural-state section")
+	}
 	var v journaledCell
-	if err := json.Unmarshal(data, &v); err != nil {
+	if err := json.Unmarshal(head, &v); err != nil {
 		return Cell{}, err
 	}
 	if v.Version != cellPayloadVersion {
 		return Cell{}, fmt.Errorf("harness: journaled cell version %d, want %d", v.Version, cellPayloadVersion)
 	}
-	if v.Cmp == nil || v.Arch == nil {
+	if v.Cmp == nil {
 		return Cell{}, fmt.Errorf("harness: journaled cell is incomplete")
+	}
+	arch, err := decodeArch(section)
+	if err != nil {
+		return Cell{}, err
 	}
 	for _, res := range v.Cmp.Engines() {
 		r := *res
 		if r == nil {
 			return Cell{}, fmt.Errorf("harness: journaled cell is incomplete")
 		}
-		r.FinalRegs, r.FinalMem, r.FinalFlags = v.Arch.Regs, v.Arch.Mem, v.Arch.Flags
+		r.FinalRegs, r.FinalMem, r.FinalFlags = arch.Regs, arch.Mem, arch.Flags
 	}
 	return Cell{Benchmark: b, Core: core, Threshold: v.Threshold, Cmp: v.Cmp}, nil
+}
+
+// The architectural-state section is a sequence of encoding/binary
+// uvarints and raw bytes:
+//
+//	register count, then per register in ascending order: reg byte, Lo, Hi
+//	one NZCV flags byte (alu.Flags.Pack, so at most 15)
+//	memory-word count, then per word in ascending address order:
+//	    address delta (from 0 for the first word), value
+//
+// It is binary because a cell's memory image is thousands of words: as a
+// JSON object each word needs a quoted decimal key, a string parse and a
+// reflected map insert, and here it is two varints. It is canonical:
+// decodeArch accepts only what appendArch writes — minimal varints,
+// strictly ascending registers and addresses, no trailing bytes — so a
+// section that decodes re-encodes to the same bytes.
+
+// appendArch appends a's architectural-state section to b.
+func appendArch(b []byte, a archState) []byte {
+	regs := make([]isa.Reg, 0, len(a.Regs))
+	for r := range a.Regs {
+		regs = append(regs, r)
+	}
+	slices.Sort(regs)
+	b = binary.AppendUvarint(b, uint64(len(regs)))
+	for _, r := range regs {
+		v := a.Regs[r]
+		b = append(b, byte(r))
+		b = binary.AppendUvarint(b, v.Lo)
+		b = binary.AppendUvarint(b, v.Hi)
+	}
+	b = append(b, byte(a.Flags.Pack().Lo))
+	addrs := make([]uint64, 0, len(a.Mem))
+	for addr := range a.Mem {
+		addrs = append(addrs, addr)
+	}
+	slices.Sort(addrs)
+	b = binary.AppendUvarint(b, uint64(len(addrs)))
+	var prev uint64
+	for _, addr := range addrs {
+		b = binary.AppendUvarint(b, addr-prev)
+		b = binary.AppendUvarint(b, a.Mem[addr])
+		prev = addr
+	}
+	return b
+}
+
+// archReader reads an architectural-state section front to back; the first
+// problem sticks in err and every later read returns zero.
+type archReader struct {
+	b   []byte
+	err error
+}
+
+func (r *archReader) fail(msg string) {
+	if r.err == nil {
+		r.err = fmt.Errorf("harness: journaled architectural state: %s", msg)
+	}
+}
+
+// uvarint reads one minimally encoded uvarint (a longer encoding of the same
+// value would decode too, but never re-encode to the same bytes).
+func (r *archReader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b)
+	switch {
+	case n == 0:
+		r.fail("truncated varint")
+		return 0
+	case n < 0:
+		r.fail("varint overflows 64 bits")
+		return 0
+	case n > 1 && r.b[n-1] == 0:
+		r.fail("non-minimal varint")
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *archReader) readByte() byte {
+	if r.err != nil {
+		return 0
+	}
+	if len(r.b) == 0 {
+		r.fail("truncated")
+		return 0
+	}
+	c := r.b[0]
+	r.b = r.b[1:]
+	return c
+}
+
+// count reads an entry count. Every entry takes at least one byte, so a
+// count beyond the remaining bytes is corrupt — and is refused before it
+// sizes an allocation.
+func (r *archReader) count() int {
+	n := r.uvarint()
+	if n > uint64(len(r.b)) {
+		r.fail("count exceeds the remaining bytes")
+		return 0
+	}
+	return int(n)
+}
+
+// decodeArch parses an architectural-state section (see appendArch),
+// rejecting anything appendArch would not have written.
+func decodeArch(b []byte) (archState, error) {
+	r := archReader{b: b}
+	n := r.count()
+	a := archState{Regs: make(map[isa.Reg]alu.Value, n)}
+	for i, prev := 0, -1; i < n && r.err == nil; i++ {
+		reg := int(r.readByte())
+		if reg <= prev {
+			r.fail("registers out of order")
+		}
+		prev = reg
+		lo := r.uvarint()
+		a.Regs[isa.Reg(reg)] = alu.Value{Lo: lo, Hi: r.uvarint()}
+	}
+	flags := r.readByte()
+	if flags > 15 {
+		r.fail("flags byte out of range")
+	}
+	a.Flags = alu.UnpackFlags(alu.Scalar(uint64(flags)))
+	n = r.count()
+	a.Mem = make(map[uint64]uint64, n)
+	var addr uint64
+	for i := 0; i < n && r.err == nil; i++ {
+		delta := r.uvarint()
+		if i > 0 && delta == 0 {
+			r.fail("addresses out of order")
+		}
+		if addr+delta < addr {
+			r.fail("address overflows 64 bits")
+		}
+		addr += delta
+		a.Mem[addr] = r.uvarint()
+	}
+	if r.err == nil && len(r.b) > 0 {
+		r.fail("trailing bytes")
+	}
+	if r.err != nil {
+		return archState{}, r.err
+	}
+	return a, nil
 }
 
 // encodeTotal / decodeTotal serialize a sweep task's speedup sum.

@@ -5,21 +5,20 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
+	"redsoc/internal/alu"
 	"redsoc/internal/baseline"
 	"redsoc/internal/cellstore"
 	"redsoc/internal/isa"
 	"redsoc/internal/ooo"
 )
 
-// quickCell simulates one quick-scale grid cell the way Run does.
-func quickCell(t *testing.T, name string) Cell {
+// simulateCell simulates one grid cell on the small core the way Run does.
+func simulateCell(t testing.TB, b Benchmark) Cell {
 	t.Helper()
-	b, err := FindBenchmark(Benchmarks(Quick), name)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := ooo.SmallConfig()
 	th := cfg.WithPolicy(ooo.PolicyRedsoc).Redsoc.ThresholdTicks
 	cmp, err := baseline.Compare(context.Background(), cfg, b.Prog, th)
@@ -32,6 +31,16 @@ func quickCell(t *testing.T, name string) Cell {
 	return Cell{Benchmark: b, Core: cfg.Name, Threshold: th, Cmp: cmp}
 }
 
+// quickCell simulates one quick-scale benchmark's cell on the small core.
+func quickCell(t testing.TB, name string) Cell {
+	t.Helper()
+	b, err := FindBenchmark(Benchmarks(Quick), name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return simulateCell(t, b)
+}
+
 func cellResults(c *baseline.Comparison) []*ooo.Result {
 	var out []*ooo.Result
 	for _, r := range c.Engines() {
@@ -40,58 +49,69 @@ func cellResults(c *baseline.Comparison) []*ooo.Result {
 	return out
 }
 
-// TestJournalCellPayloadRoundTrip pins payload v3: decoding an encoded cell
-// gives back results deep-equal to the freshly simulated ones, the memory
-// image is written once rather than once per scheduler, and payloads of the
-// old version or without the architectural-state block are misses.
+// TestJournalCellPayloadRoundTrip pins payload v4 over every quick
+// benchmark: decoding an encoded cell gives back results deep-equal to the
+// freshly simulated ones (delay histograms, registers, memory and flags
+// included), and the JSON head carries no architectural state — no arch
+// block and no memory words; those live once, in the binary section.
 func TestJournalCellPayloadRoundTrip(t *testing.T) {
+	for _, b := range Benchmarks(Quick) {
+		fresh := simulateCell(t, b)
+		data, err := encodeCell(fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := decodeCell(data, fresh.Benchmark, fresh.Core)
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		if got.Threshold != fresh.Threshold || got.Core != fresh.Core {
+			t.Fatalf("%s: decoded cell %s th=%d, want %s th=%d", b.Name, got.Core, got.Threshold, fresh.Core, fresh.Threshold)
+		}
+		want := cellResults(fresh.Cmp)
+		for i, r := range cellResults(got.Cmp) {
+			if !reflect.DeepEqual(r, want[i]) {
+				t.Errorf("%s: %s result does not round-trip the journal", b.Name, want[i].Config.Policy)
+			}
+		}
+		if !reflect.DeepEqual(got.Cmp.TS, fresh.Cmp.TS) {
+			t.Errorf("%s: TS result does not round-trip the journal", b.Name)
+		}
+
+		head, _, ok := bytes.Cut(data, []byte{'\n'})
+		if !ok {
+			t.Fatalf("%s: payload has no section separator", b.Name)
+		}
+		var top map[string]json.RawMessage
+		if err := json.Unmarshal(head, &top); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := top["arch"]; ok || len(top) != 3 {
+			t.Errorf("%s: head has %d top-level keys (arch present: %v), want only version, threshold_ticks and comparison", b.Name, len(top), ok)
+		}
+		if n := bytes.Count(head, []byte(`"FinalMem":null`)); n != len(want) {
+			t.Errorf("%s: head writes %d empty memory images, want %d (one per result, none with words)", b.Name, n, len(want))
+		}
+		// Encoding must not have stripped the caller's results.
+		for _, r := range want {
+			if len(r.FinalMem) == 0 || len(r.FinalRegs) == 0 {
+				t.Fatalf("%s: encodeCell cleared the %s result's architectural state", b.Name, r.Config.Policy)
+			}
+		}
+	}
+}
+
+// TestJournalCellPayloadVersions: only a complete v4 payload is a hit.
+// Payloads of earlier versions, and a v4 head without its section, are
+// cache misses rather than misreads.
+func TestJournalCellPayloadVersions(t *testing.T) {
 	fresh := quickCell(t, "crc")
 	data, err := encodeCell(fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeCell(data, fresh.Benchmark, fresh.Core)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Threshold != fresh.Threshold || got.Core != fresh.Core {
-		t.Fatalf("decoded cell %s th=%d, want %s th=%d", got.Core, got.Threshold, fresh.Core, fresh.Threshold)
-	}
-	want := cellResults(fresh.Cmp)
-	for i, r := range cellResults(got.Cmp) {
-		if !reflect.DeepEqual(r, want[i]) {
-			t.Errorf("%s result does not round-trip the journal", want[i].Config.Policy)
-		}
-	}
-	if !reflect.DeepEqual(got.Cmp.TS, fresh.Cmp.TS) {
-		t.Error("TS result does not round-trip the journal")
-	}
-
-	memImage, err := json.Marshal(fresh.Cmp.Baseline.FinalMem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fresh.Cmp.Baseline.FinalMem) == 0 {
-		t.Fatal("premise: the cell must have a memory image")
-	}
-	if n := bytes.Count(data, memImage); n != 1 {
-		t.Fatalf("payload holds the memory image %d times, want once", n)
-	}
-	// Encoding must not have stripped the caller's results.
-	for _, r := range cellResults(fresh.Cmp) {
-		if len(r.FinalMem) == 0 || len(r.FinalRegs) == 0 {
-			t.Fatalf("encodeCell cleared the %s result's architectural state", r.Config.Policy)
-		}
-	}
-
-	dir := t.TempDir()
-	store, err := cellstore.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	opts := Options{Journal: store, Resume: true}
-	decode := func(d []byte) (Cell, error) { return decodeCell(d, fresh.Benchmark, fresh.Core) }
+	head, _, _ := bytes.Cut(data, []byte{'\n'})
+	base := fresh.Cmp.Baseline
 	v2, err := json.Marshal(struct {
 		Version   int                  `json:"version"`
 		Threshold int                  `json:"threshold_ticks"`
@@ -100,18 +120,38 @@ func TestJournalCellPayloadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v3NoArch, err := json.Marshal(journaledCell{Version: cellPayloadVersion, Threshold: fresh.Threshold, Cmp: fresh.Cmp})
+	type v3Arch struct {
+		Regs  map[isa.Reg]alu.Value `json:"regs"`
+		Mem   map[uint64]uint64     `json:"mem"`
+		Flags alu.Flags             `json:"flags"`
+	}
+	v3, err := json.Marshal(struct {
+		Version   int                  `json:"version"`
+		Threshold int                  `json:"threshold_ticks"`
+		Cmp       *baseline.Comparison `json:"comparison"`
+		Arch      v3Arch               `json:"arch"`
+	}{3, fresh.Threshold, fresh.Cmp, v3Arch{base.FinalRegs, base.FinalMem, base.FinalFlags}})
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	store, err := cellstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	opts := Options{Journal: store, Resume: true}
+	decode := func(d []byte) (Cell, error) { return decodeCell(d, fresh.Benchmark, fresh.Core) }
 	for i, tc := range []struct {
 		name    string
 		payload []byte
 		hit     bool
 	}{
-		{"v3", data, true},
+		{"v4", data, true},
 		{"v2", v2, false},
-		{"v3 without arch block", v3NoArch, false},
+		{"v3", v3, false},
+		{"v4 head without its section", head, false},
+		{"v4 head with an empty section", append(slices.Clip(head), '\n'), false},
 	} {
 		key := cellstore.NewFingerprint("payload-test").Field("case", i).Key()
 		if err := store.Put(key, tc.payload); err != nil {
@@ -119,6 +159,51 @@ func TestJournalCellPayloadRoundTrip(t *testing.T) {
 		}
 		if _, hit := journalGet(opts, key, decode); hit != tc.hit {
 			t.Errorf("%s payload: hit = %v, want %v", tc.name, hit, tc.hit)
+		}
+	}
+}
+
+// TestDecodeArchRejects: the architectural-state decoder accepts exactly
+// what appendArch writes; every malformed or non-canonical section is an
+// error (a cache miss), never a misread.
+func TestDecodeArchRejects(t *testing.T) {
+	ok := appendArch(nil, archState{
+		Regs:  map[isa.Reg]alu.Value{isa.R(1): {Lo: 300}, isa.V(0): {Lo: 1, Hi: 2}},
+		Mem:   map[uint64]uint64{0x1000: 7, 0x1008: 1 << 40},
+		Flags: alu.Flags{N: true, C: true},
+	})
+	if a, err := decodeArch(ok); err != nil || !bytes.Equal(appendArch(nil, a), ok) {
+		t.Fatalf("premise: a canonical section must round-trip (err %v)", err)
+	}
+	// One register r1=5, flags 0, one word 0x10=1, built by hand.
+	valid := []byte{1, byte(isa.R(1)), 5, 0, 0, 1, 0x10, 1}
+	if _, err := decodeArch(valid); err != nil {
+		t.Fatalf("premise: the hand-built section must decode: %v", err)
+	}
+	for _, tc := range []struct {
+		name    string
+		section []byte
+		want    string
+	}{
+		{"empty", nil, "truncated varint"},
+		{"truncated varint", []byte{0x80}, "truncated varint"},
+		{"truncated after the flags", valid[:5], "truncated varint"},
+		{"truncated before the flags", []byte{0}, "truncated"},
+		{"truncated before the memory count", []byte{0, 0}, "truncated varint"},
+		{"truncated inside a word", valid[:len(valid)-1], "truncated varint"},
+		{"varint overflows 64 bits", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, "overflows 64 bits"},
+		{"non-minimal varint", []byte{0x80, 0x00, 0, 0}, "non-minimal varint"},
+		{"register count larger than the remaining bytes", []byte{200, 1, 2}, "count exceeds"},
+		{"memory count larger than the remaining bytes", []byte{0, 0, 9, 1, 1}, "count exceeds"},
+		{"registers out of order", []byte{2, 5, 0, 0, 4, 0, 0, 0, 0}, "registers out of order"},
+		{"duplicate register", []byte{2, 4, 0, 0, 4, 0, 0, 0, 0}, "registers out of order"},
+		{"flags byte above 15", []byte{0, 16, 0}, "flags byte out of range"},
+		{"zero address delta after the first word", []byte{0, 0, 2, 0x10, 1, 0, 2}, "addresses out of order"},
+		{"address overflows 64 bits", append([]byte{0, 0, 2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 1, 1}, 1), "address overflows 64 bits"},
+		{"trailing bytes", append(slices.Clip(valid), 0), "trailing bytes"},
+	} {
+		if _, err := decodeArch(tc.section); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: section %x: err = %v, want one mentioning %q", tc.name, tc.section, err, tc.want)
 		}
 	}
 }

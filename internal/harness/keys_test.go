@@ -46,11 +46,11 @@ func TestJournalKeysPinned(t *testing.T) {
 	}
 	sort.Strings(got)
 	want := []string{
-		"grid-cell bitcnt/Big df1df4538cca0f077b7fd325063514ff3fde1be70d55820d803ff4f9b7fe315c",
-		"sweep-total sweep MiBench/Big th=4 178082ff1d9da187cab048546edc34e26049d3260a974e29bc39fe15fbfa2571",
-		"sweep-total sweep MiBench/Big th=5 9c6c8b50f4f342b8d0b72c46d686391d3f47b457e158655e6bd412b311bb9a0b",
-		"sweep-total sweep MiBench/Big th=6 906889b017c2713663eb6cc703945a45fab2ec8b1fcb338cce540460096ddb1e",
-		"sweep-total sweep MiBench/Big th=7 5fedf628449f6da89012e1233ee9c218cafa59c9036005ca5396757b2ccce7e3",
+		"grid-cell bitcnt/Big dc481693cb4a3986b4992d5d9eb7ffcb465451311a38620b37073fff56ac657c",
+		"sweep-total sweep MiBench/Big th=4 ab52df2f9d27da442cdfe8b5b5f0a7f277844b32c3f3e7a1075922568577165f",
+		"sweep-total sweep MiBench/Big th=5 8d499cfec6467c48587a737a356ffa14c901569395631367fb2da12b88163606",
+		"sweep-total sweep MiBench/Big th=6 95f7a2c7159128191c60b5464bac96b13439403f0fa022144eadc46bbc89c0f0",
+		"sweep-total sweep MiBench/Big th=7 0b12cd7d3c79300b5ea31b58aa4136268baebae541601a5cc45a1903a004b8a5",
 	}
 	if len(got) != len(want) {
 		t.Fatalf("got %d keyed units, want %d:\n%q", len(got), len(want), got)
@@ -94,8 +94,8 @@ func TestJournalPayloadsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	for label, want := range map[string]string{
-		"bitcnt/Big":             "52a9e0e240196b4618df6523ca99cb798ab6880933fb9b9dd54ca50b67f5a07b",
-		"sweep MiBench/Big th=4": "2915fdc2c6801841f958b4f8d643d4bfa38ea92c4d9d93f1aacafcf1ff8fa470",
+		"bitcnt/Big":             "45302791c88e5e9a7d808b73f94022b206fccb53732dde8ce418742979715de2",
+		"sweep MiBench/Big th=4": "9f14378417eba1138b3d1ca6855f82f1870f01cb75b1e27e34dd298ca780cd4a",
 	} {
 		data, ok := store.Get(keys[label])
 		if !ok {

@@ -7,7 +7,6 @@ import (
 	"redsoc/internal/isa"
 	"redsoc/internal/mem"
 	"redsoc/internal/predict"
-	"redsoc/internal/timing"
 )
 
 // OpMix is the Fig. 10 characterization of a run: the fraction of dynamic
@@ -70,7 +69,7 @@ type Result struct {
 	DegradedCycles    int64 // cycles with >= 1 FU pool held at baseline timing
 	FaultStats        fault.Stats
 	Sequences         *core.SeqTracker
-	DelayHistogram    [timing.ClockPS + 1]int64 // actual delay (ps) of single-cycle ops
+	DelayHistogram    DelayHistogram // actual delay (ps) of single-cycle ops
 	WidthPredictor    predict.WidthStats
 	LastArrival       predict.LastArrivalStats
 	LoadDelay         predict.LoadDelayStats

@@ -26,20 +26,30 @@ func newQueue() *queue {
 	return q
 }
 
-// push enqueues a job at the back of its tenant's FIFO. It reports false,
-// enqueueing nothing, once the queue is closed.
-func (q *queue) push(j *job) bool {
+// maxQueuedPerTenant bounds the jobs one tenant may have waiting (running
+// jobs do not count). Fairness already stops a flood from delaying other
+// tenants; the bound stops it from growing the server's memory without
+// limit, and tells the client to back off.
+const maxQueuedPerTenant = 64
+
+// push enqueues a job at the back of its tenant's FIFO. It enqueues nothing
+// and returns ErrClosed once the queue is closed, or ErrQueueFull when the
+// tenant already has maxQueuedPerTenant jobs waiting.
+func (q *queue) push(j *job) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
-		return false
+		return ErrClosed
+	}
+	if len(q.perTenant[j.tenant]) >= maxQueuedPerTenant {
+		return ErrQueueFull
 	}
 	if _, ok := q.perTenant[j.tenant]; !ok {
 		q.ring = append(q.ring, j.tenant)
 	}
 	q.perTenant[j.tenant] = append(q.perTenant[j.tenant], j)
 	q.cond.Signal()
-	return true
+	return nil
 }
 
 // pop blocks until a job is available (round-robin across tenants, FIFO

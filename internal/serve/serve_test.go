@@ -526,6 +526,68 @@ func TestServeSubmitAfterClose(t *testing.T) {
 	}
 }
 
+// TestServeQueueDepthBound: a tenant with maxQueuedPerTenant jobs waiting
+// gets ErrQueueFull (429 over HTTP) for the next one, which registers
+// nothing; other tenants are unaffected, and every accepted job — including
+// one submitted after the rejection — still runs. The server starts with
+// its runners stopped, so the queue fills deterministically.
+func TestServeQueueDepthBound(t *testing.T) {
+	srv, err := newServer(Config{Journal: t.TempDir(), MaxConcurrent: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		if err := srv.Close(); err != nil {
+			t.Errorf("server close: %v", err)
+		}
+	})
+	var first Status
+	for i := 0; i < maxQueuedPerTenant; i++ {
+		st, err := srv.Submit("flood", testSpec())
+		if err != nil {
+			t.Fatalf("queued job %d refused: %v", i, err)
+		}
+		if i == 0 {
+			first = st
+		}
+	}
+	registered := len(srv.order)
+	if _, err := srv.Submit("flood", testSpec()); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("Submit over the bound: err = %v, want ErrQueueFull", err)
+	}
+	body, _ := json.Marshal(testSpec())
+	req, err := http.NewRequest("POST", ts.URL+"/v1/jobs", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Tenant", "flood")
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("HTTP submit over the bound: status %d, want 429", resp.StatusCode)
+	}
+	if n := len(srv.order); n != registered {
+		t.Fatalf("%d rejected jobs were registered", n-registered)
+	}
+
+	calm := submit(t, ts, "calm", testSpec())
+	srv.start()
+	for _, id := range []string{first.ID, calm.ID} {
+		if st := wait(t, ts, id); st.State != StateDone {
+			t.Fatalf("job %s ended %s (%s), want done", id, st.State, st.Error)
+		}
+	}
+	// The flood tenant's first job has left the queue, so it has room again.
+	if _, err := srv.Submit("flood", testSpec()); err != nil {
+		t.Fatalf("Submit after the queue drained by one: %v", err)
+	}
+}
+
 // TestServeEndpointStates covers the non-happy endpoint paths: unknown job
 // IDs and report requests before completion.
 func TestServeEndpointStates(t *testing.T) {

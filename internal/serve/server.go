@@ -74,6 +74,17 @@ type job struct {
 
 // New opens the cache and starts the runner pool.
 func New(cfg Config) (*Server, error) {
+	s, err := newServer(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.start()
+	return s, nil
+}
+
+// newServer opens the cache and builds a Server whose queue accepts jobs
+// but which runs none until start.
+func newServer(cfg Config) (*Server, error) {
 	if cfg.Journal == "" {
 		return nil, fmt.Errorf("serve: Config.Journal is required — the cache is the service")
 	}
@@ -94,11 +105,15 @@ func New(cfg Config) (*Server, error) {
 		jobs:   map[string]*job{},
 		suites: map[harness.Scale][]harness.Benchmark{},
 	}
-	s.wg.Add(cfg.MaxConcurrent)
-	for i := 0; i < cfg.MaxConcurrent; i++ {
+	return s, nil
+}
+
+// start launches the runner pool.
+func (s *Server) start() {
+	s.wg.Add(s.cfg.MaxConcurrent)
+	for i := 0; i < s.cfg.MaxConcurrent; i++ {
 		go s.runner()
 	}
-	return s, nil
 }
 
 // Close drains the service: queued jobs are failed, running campaigns are
@@ -140,12 +155,12 @@ func (s *Server) Submit(tenant string, spec JobSpec) (Status, error) {
 	j := &job{tenant: tenant, res: res, log: newEventLog(), state: StateQueued}
 	j.log.append(Event{Type: "state", Text: StateQueued})
 	// The job is registered only once the queue has accepted it, under the
-	// same lock, so a job a closed queue refused is never listed as queued.
+	// same lock, so a job the queue refused is never listed as queued.
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j.id = fmt.Sprintf("j%06d", s.nseq+1)
-	if !s.q.push(j) {
-		return Status{}, ErrClosed
+	if err := s.q.push(j); err != nil {
+		return Status{}, err
 	}
 	s.nseq++
 	s.jobs[j.id] = j
@@ -156,6 +171,10 @@ func (s *Server) Submit(tenant string, spec JobSpec) (Status, error) {
 // ErrClosed is Submit's error once Close has begun: the server accepts no
 // more jobs.
 var ErrClosed = errors.New("serve: server is shut down")
+
+// ErrQueueFull is Submit's error when the tenant already has
+// maxQueuedPerTenant jobs waiting (429 over HTTP).
+var ErrQueueFull = fmt.Errorf("serve: tenant already has %d jobs queued", maxQueuedPerTenant)
 
 // suite returns the server's shared benchmark suite for scale, building it
 // on first use.
@@ -279,6 +298,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	st, err := s.Submit(r.Header.Get("X-Tenant"), spec)
 	if errors.Is(err, ErrClosed) {
 		writeError(w, http.StatusServiceUnavailable, err.Error())
+		return
+	}
+	if errors.Is(err, ErrQueueFull) {
+		writeError(w, http.StatusTooManyRequests, err.Error())
 		return
 	}
 	if err != nil {
