@@ -144,6 +144,23 @@ func (c *Comparison) Engines() []**ooo.Result {
 	return []**ooo.Result{&c.Baseline, &c.Redsoc, &c.MOS, &c.LoadDelay, &c.SpecLSQ}
 }
 
+// EngineConfigs returns the configurations of a comparison's five engine
+// runs on cfg, in Engines order: each scheduler on cfg, ReDSOC at the given
+// slack threshold. It is the one definition of what Compare runs, so a
+// journaled cell can name its results' configs by (cfg, threshold) instead
+// of storing them.
+func EngineConfigs(cfg ooo.Config, threshold int) []ooo.Config {
+	rc := cfg.WithPolicy(ooo.PolicyRedsoc)
+	rc.Redsoc.ThresholdTicks = threshold
+	return []ooo.Config{
+		cfg.WithPolicy(ooo.PolicyBaseline),
+		rc,
+		cfg.WithPolicy(ooo.PolicyMOS),
+		cfg.WithPolicy(ooo.PolicyLoadDelay),
+		cfg.WithPolicy(ooo.PolicySpecLSQ),
+	}
+}
+
 // DefaultThreshold is the paper's default ReDSOC slack threshold on cfg
 // (3/4 of a cycle at cfg's slack precision).
 func DefaultThreshold(cfg ooo.Config) int {
@@ -163,25 +180,15 @@ func Compare(ctx context.Context, cfg ooo.Config, prog *isa.Program, threshold i
 // names which simulation a hung campaign cell last finished; outside a
 // campaign the notes go nowhere.
 func (run Runner) Compare(ctx context.Context, cfg ooo.Config, prog *isa.Program, threshold int) (*Comparison, error) {
-	rc := cfg.WithPolicy(ooo.PolicyRedsoc)
-	rc.Redsoc.ThresholdTicks = threshold
 	cmp := &Comparison{Benchmark: prog.Name, Core: cfg.Name}
-	for _, r := range []struct {
-		dst **ooo.Result
-		cfg ooo.Config
-	}{
-		{&cmp.Baseline, cfg.WithPolicy(ooo.PolicyBaseline)},
-		{&cmp.Redsoc, rc},
-		{&cmp.MOS, cfg.WithPolicy(ooo.PolicyMOS)},
-		{&cmp.LoadDelay, cfg.WithPolicy(ooo.PolicyLoadDelay)},
-		{&cmp.SpecLSQ, cfg.WithPolicy(ooo.PolicySpecLSQ)},
-	} {
-		res, err := run(r.cfg, prog)
+	dst := cmp.Engines()
+	for i, rc := range EngineConfigs(cfg, threshold) {
+		res, err := run(rc, prog)
 		if err != nil {
 			return nil, err
 		}
-		*r.dst = res
-		campaign.Heartbeat(ctx, fmt.Sprintf("%s/%s: %s done (%d cycles)", prog.Name, cfg.Name, r.cfg.Policy, res.Cycles))
+		*dst[i] = res
+		campaign.Heartbeat(ctx, fmt.Sprintf("%s/%s: %s done (%d cycles)", prog.Name, cfg.Name, rc.Policy, res.Cycles))
 	}
 	ts, err := run.TS(cfg, prog, cmp.Baseline)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"redsoc/internal/alu"
+	"redsoc/internal/baseline"
 	"redsoc/internal/isa"
 	"redsoc/internal/ooo"
 )
@@ -13,11 +14,12 @@ import (
 // must never panic — a corrupt journal value is a cache miss, not a crash —
 // and the encodings it accepts must be canonical: an architectural-state
 // section that decodes re-encodes to the same bytes, and so does a delay
-// histogram's JSON. Seeds: a real payload and its truncations, a small
-// section and a real histogram.
+// histogram's JSON. Seeds: a real v5 payload and its truncations, the same
+// cell in v4's shape, a small section and a real histogram.
 func FuzzDecodeCell(f *testing.F) {
+	cfg := ooo.SmallConfig()
 	c := quickCell(f, "crc")
-	data, err := encodeCell(c)
+	data, err := encodeCell(c, cfg)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -27,6 +29,7 @@ func FuzzDecodeCell(f *testing.F) {
 	if i := bytes.IndexByte(data, '\n'); i >= 0 {
 		f.Add(data[:i+1])
 	}
+	f.Add(v4Payload(f, data, baseline.EngineConfigs(cfg, c.Threshold)))
 	// A small section behind an empty head reaches decodeArch cheaply.
 	f.Add(appendArch([]byte("{}\n"), archState{
 		Regs:  map[isa.Reg]alu.Value{isa.R(1): {Lo: 300}, isa.V(2): {Lo: 1, Hi: 1 << 63}},
@@ -40,7 +43,7 @@ func FuzzDecodeCell(f *testing.F) {
 	f.Add(hist)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if got, err := decodeCell(data, c.Benchmark, c.Core); err == nil && got.Cmp == nil {
+		if got, err := decodeCell(data, c.Benchmark, cfg, new(archCache)); err == nil && got.Cmp == nil {
 			t.Fatal("decodeCell accepted a payload without a comparison")
 		}
 		if _, section, ok := bytes.Cut(data, []byte{'\n'}); ok {

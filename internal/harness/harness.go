@@ -247,13 +247,16 @@ type Options struct {
 // armed, everything completed before the cancellation is already persisted
 // and a -resume run picks up exactly where this one stopped. Both phases
 // take their simulations from one run cache, so each distinct engine run
-// happens once per call.
+// happens once per call, and journaled cells of one program share one
+// decoded architectural state.
 func Run(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, opts Options) (*Grid, error) {
-	return runGrid(ctx, benchmarks, cores, opts, newRunCache(len(benchmarks)*len(cores)).run)
+	return runGrid(ctx, benchmarks, cores, opts, newRunCache(len(benchmarks)*len(cores)))
 }
 
-// runGrid is Run with every simulation taken from run.
-func runGrid(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, opts Options, run baseline.Runner) (*Grid, error) {
+// runGrid is Run with every simulation and decoded cell state taken from
+// runs.
+func runGrid(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, opts Options, runs *runCache) (*Grid, error) {
+	run := baseline.Runner(runs.run)
 	if err := opts.CheckShard("harness"); err != nil {
 		return nil, err
 	}
@@ -330,8 +333,8 @@ func runGrid(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, op
 					}
 					return Cell{Benchmark: t.b, Core: t.cfg.Name, Threshold: t.th, Cmp: cmp}, nil
 				},
-				Encode: encodeCell,
-				Decode: func(d []byte) (Cell, error) { return decodeCell(d, t.b, t.cfg.Name) },
+				Encode: func(c Cell) ([]byte, error) { return encodeCell(c, t.cfg) },
+				Decode: func(d []byte) (Cell, error) { return decodeCell(d, t.b, t.cfg, &runs.archs) },
 			})
 		})
 	if err != nil {

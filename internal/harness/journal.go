@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"sync"
 
 	"redsoc/internal/alu"
 	"redsoc/internal/baseline"
@@ -34,12 +35,16 @@ import (
 // dynamic-delay policies (loaddelay, speclsq) to every cell; version 3
 // stores the five results' shared architectural state once (archState);
 // version 4 moves that state out of the JSON into a binary section and
-// writes each delay histogram sparsely (ooo.DelayHistogram).
-const cellPayloadVersion = 4
+// writes each delay histogram sparsely (ooo.DelayHistogram); version 5
+// drops the five results' configs and zero counters from the head.
+const cellPayloadVersion = 5
 
-// journaledCell is the JSON head of one grid cell's payload. The five
-// ooo.Results in Cmp are written with their architectural fields empty; the
-// binary section after the head holds that state once for all of them.
+// journaledCell is the JSON head of one grid cell's payload. Its five
+// ooo.Results carry neither their configs nor their architectural state
+// (ooo.Result leaves both out of its JSON): the configs are a function of
+// the core and the threshold the cell key already names
+// (baseline.EngineConfigs), and the binary section after the head holds the
+// state once for all of them.
 type journaledCell struct {
 	Version   int                  `json:"version"`
 	Threshold int                  `json:"threshold_ticks"`
@@ -66,9 +71,42 @@ type journaledTotal struct {
 // (every dynamic instruction, the initial memory image, via programDigest)
 // plus the benchmark's class, name and verification data, which participate
 // in the cell outcome (a cell that fails verification journals nothing).
-// Only the program part is memoised, so a benchmark that reuses a program
-// under another name or reference result still gets its own digest.
+// The digest is memoised per (program, class, name) together with a copy of
+// the WantMem it was computed from, and a cached digest is served only while
+// the benchmark's WantMem still equals that copy — so a program reused under
+// another reference result, or a WantMem changed since, gets the digest of
+// what it holds now.
 func benchmarkDigest(b Benchmark) []byte {
+	d := benchmarkDigests.Get(digestKey{b.Prog, b.Class, b.Name}, func(digestKey) digestedBenchmark {
+		return digestedBenchmark{maps.Clone(b.WantMem), digestBenchmark(b)}
+	})
+	// A nil and an empty WantMem are maps.Equal but digest differently.
+	if (d.want == nil) != (b.WantMem == nil) || !maps.Equal(d.want, b.WantMem) {
+		return digestBenchmark(b)
+	}
+	return d.digest
+}
+
+// digestKey names one benchmark in benchmarkDigests.
+type digestKey struct {
+	prog  *isa.Program
+	class Class
+	name  string
+}
+
+// digestedBenchmark is a memoised benchmark digest and the WantMem it covers.
+type digestedBenchmark struct {
+	want   map[uint64]uint64
+	digest []byte
+}
+
+// benchmarkDigests memoises benchmarkDigest under the same bound as
+// programDigests: serve rebuilds no suite, but a benchmark harness that
+// rebuilds one per iteration must not pin every program it ever built.
+var benchmarkDigests = memo.New[digestKey, digestedBenchmark](maxDigestedPrograms)
+
+// digestBenchmark computes benchmarkDigest without the memo.
+func digestBenchmark(b Benchmark) []byte {
 	return cellstore.DigestJSON(struct {
 		Class   Class
 		Name    string
@@ -134,39 +172,42 @@ func sweepKey(cfg ooo.Config, class Class, digests [][]byte, candidate int) cell
 	return f.Key()
 }
 
-// encodeCell serializes a completed cell for the journal: the JSON head
-// (journaledCell), one newline — which json.Marshal never emits — and the
-// binary architectural-state section (appendArch). Both parts are
+// encodeCell serializes a completed cell of core cfg for the journal: the
+// JSON head (journaledCell), one newline — which json.Marshal never emits —
+// and the binary architectural-state section (appendArch). Both parts are
 // canonical (encoding/json writes struct fields in declaration order, map
 // keys sorted and shortest-round-trip floats; the section is sorted), so
-// identical cells produce identical bytes. The architectural state is
-// written once (see archState); a cell whose five results do not hold
-// exactly the same state is refused, so it is simulated again rather than
-// journaled lossily.
-func encodeCell(c Cell) ([]byte, error) {
-	cmp := *c.Cmp
+// identical cells produce identical bytes. What the payload leaves out must
+// come back exactly: a cell whose results did not run under
+// baseline.EngineConfigs(cfg, threshold), or whose five results do not hold
+// exactly the same architectural state (see archState), is refused, so it
+// is simulated again rather than journaled lossily.
+func encodeCell(c Cell, cfg ooo.Config) ([]byte, error) {
+	cmp := c.Cmp
 	base := cmp.Baseline
-	arch := archState{Regs: base.FinalRegs, Mem: base.FinalMem, Flags: base.FinalFlags}
-	for _, res := range cmp.Engines() {
-		r := **res
-		if !maps.Equal(r.FinalRegs, arch.Regs) || !maps.Equal(r.FinalMem, arch.Mem) || r.FinalFlags != arch.Flags {
+	cfgs := baseline.EngineConfigs(cfg, c.Threshold)
+	for i, res := range cmp.Engines() {
+		r := *res
+		if r.Config != cfgs[i] {
+			return nil, fmt.Errorf("harness: cell %s/%s: %s result ran under another config than %s at threshold %d", cmp.Benchmark, cmp.Core, r.Config.Policy, cfg.Name, c.Threshold)
+		}
+		if !maps.Equal(r.FinalRegs, base.FinalRegs) || !maps.Equal(r.FinalMem, base.FinalMem) || r.FinalFlags != base.FinalFlags {
 			return nil, fmt.Errorf("harness: cell %s/%s: %s architectural state differs from baseline", cmp.Benchmark, cmp.Core, r.Config.Policy)
 		}
-		r.FinalRegs, r.FinalMem, r.FinalFlags = nil, nil, alu.Flags{}
-		*res = &r
 	}
-	head, err := json.Marshal(journaledCell{Version: cellPayloadVersion, Threshold: c.Threshold, Cmp: &cmp})
+	head, err := json.Marshal(journaledCell{Version: cellPayloadVersion, Threshold: c.Threshold, Cmp: cmp})
 	if err != nil {
 		return nil, err
 	}
-	return appendArch(append(head, '\n'), arch), nil
+	return appendArch(append(head, '\n'), archState{Regs: base.FinalRegs, Mem: base.FinalMem, Flags: base.FinalFlags}), nil
 }
 
-// decodeCell rebuilds a Cell from its journaled payload, handing the one
-// stored architectural state to all five results (they share its maps;
-// everything downstream only reads them). Any shape problem is an error,
+// decodeCell rebuilds a Cell of b on core cfg from its journaled payload:
+// each result gets its config back from baseline.EngineConfigs, and all five
+// share the one stored architectural state (its maps; everything downstream
+// only reads them), decoded through archs. Any shape problem is an error,
 // which the caller treats as a cache miss.
-func decodeCell(data []byte, b Benchmark, core string) (Cell, error) {
+func decodeCell(data []byte, b Benchmark, cfg ooo.Config, archs *archCache) (Cell, error) {
 	head, section, ok := bytes.Cut(data, []byte{'\n'})
 	if !ok {
 		return Cell{}, fmt.Errorf("harness: journaled cell has no architectural-state section")
@@ -181,18 +222,66 @@ func decodeCell(data []byte, b Benchmark, core string) (Cell, error) {
 	if v.Cmp == nil {
 		return Cell{}, fmt.Errorf("harness: journaled cell is incomplete")
 	}
-	arch, err := decodeArch(section)
+	arch, err := archs.decode(b.Prog, section)
 	if err != nil {
 		return Cell{}, err
 	}
-	for _, res := range v.Cmp.Engines() {
+	cfgs := baseline.EngineConfigs(cfg, v.Threshold)
+	for i, res := range v.Cmp.Engines() {
 		r := *res
 		if r == nil {
 			return Cell{}, fmt.Errorf("harness: journaled cell is incomplete")
 		}
+		r.Config = cfgs[i]
 		r.FinalRegs, r.FinalMem, r.FinalFlags = arch.Regs, arch.Mem, arch.Flags
 	}
-	return Cell{Benchmark: b, Core: core, Threshold: v.Threshold, Cmp: v.Cmp}, nil
+	return Cell{Benchmark: b, Core: cfg.Name, Threshold: v.Threshold, Cmp: v.Cmp}, nil
+}
+
+// archCache is the cell-phase counterpart of runCache.canon: within one
+// grid run, every journaled cell of a program whose architectural-state
+// section is byte-equal to the first one decoded for that program shares
+// that decoded state instead of decoding its own copy — a program's cells
+// on the three cores normally hold the same section. A cell whose section
+// differs decodes its own.
+type archCache struct {
+	mu sync.Mutex
+	m  map[*isa.Program]decodedArch
+}
+
+// decodedArch is a decoded section and the bytes it was decoded from.
+type decodedArch struct {
+	section []byte
+	arch    archState
+}
+
+// decode returns the architectural state of prog's section, shared as
+// described on archCache.
+func (c *archCache) decode(prog *isa.Program, section []byte) (archState, error) {
+	c.mu.Lock()
+	d, ok := c.m[prog]
+	c.mu.Unlock()
+	if ok && bytes.Equal(d.section, section) {
+		return d.arch, nil
+	}
+	a, err := decodeArch(section)
+	if err != nil {
+		return archState{}, err
+	}
+	// Decoding ran unlocked, so another cell of prog may have published a
+	// state meanwhile: adopt it when it covers the same bytes, so which
+	// cells share does not depend on how the workers interleaved.
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if d, ok := c.m[prog]; !ok {
+		if c.m == nil {
+			c.m = map[*isa.Program]decodedArch{}
+		}
+		c.m[prog] = decodedArch{section, a}
+	} else if bytes.Equal(d.section, section) {
+		a = d.arch
+	}
+	return a, nil
 }
 
 // The architectural-state section is a sequence of encoding/binary

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"maps"
 	"reflect"
 	"slices"
 	"strings"
@@ -49,19 +51,21 @@ func cellResults(c *baseline.Comparison) []*ooo.Result {
 	return out
 }
 
-// TestJournalCellPayloadRoundTrip pins payload v4 over every quick
+// TestJournalCellPayloadRoundTrip pins payload v5 over every quick
 // benchmark: decoding an encoded cell gives back results deep-equal to the
-// freshly simulated ones (delay histograms, registers, memory and flags
-// included), and the JSON head carries no architectural state — no arch
-// block and no memory words; those live once, in the binary section.
+// freshly simulated ones (configs, delay histograms, registers, memory and
+// flags included), and the JSON head carries neither a result's config nor
+// its architectural state — the key names the one, the binary section
+// holds the other.
 func TestJournalCellPayloadRoundTrip(t *testing.T) {
+	cfg := ooo.SmallConfig()
 	for _, b := range Benchmarks(Quick) {
 		fresh := simulateCell(t, b)
-		data, err := encodeCell(fresh)
+		data, err := encodeCell(fresh, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := decodeCell(data, fresh.Benchmark, fresh.Core)
+		got, err := decodeCell(data, fresh.Benchmark, cfg, new(archCache))
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
@@ -82,31 +86,72 @@ func TestJournalCellPayloadRoundTrip(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: payload has no section separator", b.Name)
 		}
-		var top map[string]json.RawMessage
+		var top struct {
+			Cmp map[string]json.RawMessage `json:"comparison"`
+		}
 		if err := json.Unmarshal(head, &top); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := top["arch"]; ok || len(top) != 3 {
-			t.Errorf("%s: head has %d top-level keys (arch present: %v), want only version, threshold_ticks and comparison", b.Name, len(top), ok)
-		}
-		if n := bytes.Count(head, []byte(`"FinalMem":null`)); n != len(want) {
-			t.Errorf("%s: head writes %d empty memory images, want %d (one per result, none with words)", b.Name, n, len(want))
+		for _, name := range []string{"Baseline", "Redsoc", "MOS", "LoadDelay", "SpecLSQ"} {
+			var fields map[string]json.RawMessage
+			if err := json.Unmarshal(top.Cmp[name], &fields); err != nil {
+				t.Fatalf("%s: %s: %v", b.Name, name, err)
+			}
+			for _, key := range []string{"Config", "FinalRegs", "FinalMem", "FinalFlags"} {
+				if _, ok := fields[key]; ok {
+					t.Errorf("%s: the head writes the %s result's %s", b.Name, name, key)
+				}
+			}
 		}
 		// Encoding must not have stripped the caller's results.
 		for _, r := range want {
-			if len(r.FinalMem) == 0 || len(r.FinalRegs) == 0 {
-				t.Fatalf("%s: encodeCell cleared the %s result's architectural state", b.Name, r.Config.Policy)
+			if len(r.FinalMem) == 0 || len(r.FinalRegs) == 0 || r.Config.Name != cfg.Name {
+				t.Fatalf("%s: encodeCell cleared the %s result's config or architectural state", b.Name, r.Config.Policy)
 			}
 		}
 	}
 }
 
-// TestJournalCellPayloadVersions: only a complete v4 payload is a hit.
-// Payloads of earlier versions, and a v4 head without its section, are
+// v4Payload rewrites a v5 payload into the shape payload v4 had: version 4,
+// and each result's config and (empty) architectural fields in the head.
+func v4Payload(t testing.TB, data []byte, cfgs []ooo.Config) []byte {
+	t.Helper()
+	head, section, _ := bytes.Cut(data, []byte{'\n'})
+	var top map[string]json.RawMessage
+	var cmp map[string]json.RawMessage
+	if err := json.Unmarshal(head, &top); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(top["comparison"], &cmp); err != nil {
+		t.Fatal(err)
+	}
+	raw := func(v any) json.RawMessage {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for i, name := range []string{"Baseline", "Redsoc", "MOS", "LoadDelay", "SpecLSQ"} {
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(cmp[name], &fields); err != nil {
+			t.Fatal(err)
+		}
+		fields["Config"] = raw(cfgs[i])
+		fields["FinalRegs"], fields["FinalMem"], fields["FinalFlags"] = raw(nil), raw(nil), raw(alu.Flags{})
+		cmp[name] = raw(fields)
+	}
+	top["comparison"], top["version"] = raw(cmp), raw(4)
+	return append(append(raw(top), '\n'), section...)
+}
+
+// TestJournalCellPayloadVersions: only a complete v5 payload is a hit.
+// Payloads of earlier versions, and a v5 head without its section, are
 // cache misses rather than misreads.
 func TestJournalCellPayloadVersions(t *testing.T) {
+	cfg := ooo.SmallConfig()
 	fresh := quickCell(t, "crc")
-	data, err := encodeCell(fresh)
+	data, err := encodeCell(fresh, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,6 +179,7 @@ func TestJournalCellPayloadVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	v4 := v4Payload(t, data, baseline.EngineConfigs(cfg, fresh.Threshold))
 
 	store, err := cellstore.Open(t.TempDir())
 	if err != nil {
@@ -141,17 +187,18 @@ func TestJournalCellPayloadVersions(t *testing.T) {
 	}
 	defer store.Close()
 	opts := Options{Journal: store, Resume: true}
-	decode := func(d []byte) (Cell, error) { return decodeCell(d, fresh.Benchmark, fresh.Core) }
+	decode := func(d []byte) (Cell, error) { return decodeCell(d, fresh.Benchmark, cfg, new(archCache)) }
 	for i, tc := range []struct {
 		name    string
 		payload []byte
 		hit     bool
 	}{
-		{"v4", data, true},
+		{"v5", data, true},
 		{"v2", v2, false},
 		{"v3", v3, false},
-		{"v4 head without its section", head, false},
-		{"v4 head with an empty section", append(slices.Clip(head), '\n'), false},
+		{"v4", v4, false},
+		{"v5 head without its section", head, false},
+		{"v5 head with an empty section", append(slices.Clip(head), '\n'), false},
 	} {
 		key := cellstore.NewFingerprint("payload-test").Field("case", i).Key()
 		if err := store.Put(key, tc.payload); err != nil {
@@ -159,6 +206,52 @@ func TestJournalCellPayloadVersions(t *testing.T) {
 		}
 		if _, hit := journalGet(opts, key, decode); hit != tc.hit {
 			t.Errorf("%s payload: hit = %v, want %v", tc.name, hit, tc.hit)
+		}
+	}
+}
+
+// TestEncodeCellRefuses: a cell the payload could not reproduce exactly is
+// refused rather than journaled — one whose results did not run under the
+// configs the key names (baseline.EngineConfigs of the cell's core and
+// threshold), or whose results disagree on the architectural state.
+func TestEncodeCellRefuses(t *testing.T) {
+	cfg := ooo.SmallConfig()
+	fresh := quickCell(t, "bitcnt")
+	if _, err := encodeCell(fresh, cfg); err != nil {
+		t.Fatalf("premise: the simulated cell must encode: %v", err)
+	}
+	// with returns fresh with one result replaced by an edited copy.
+	with := func(pick func(*baseline.Comparison) **ooo.Result, edit func(*ooo.Result)) Cell {
+		c := fresh
+		cmp := *fresh.Cmp
+		r := **pick(&cmp)
+		edit(&r)
+		*pick(&cmp) = &r
+		c.Cmp = &cmp
+		return c
+	}
+	redsoc := func(c *baseline.Comparison) **ooo.Result { return &c.Redsoc }
+	mos := func(c *baseline.Comparison) **ooo.Result { return &c.MOS }
+	base := func(c *baseline.Comparison) **ooo.Result { return &c.Baseline }
+	for _, tc := range []struct {
+		name string
+		cell Cell
+		core ooo.Config
+		want string
+	}{
+		{"cell threshold differs from the ReDSOC run's", func() Cell { c := fresh; c.Threshold++; return c }(), cfg, "another config"},
+		{"ReDSOC ran at another threshold", with(redsoc, func(r *ooo.Result) { r.Config.Redsoc.ThresholdTicks++ }), cfg, "another config"},
+		{"MOS result ran under another policy", with(mos, func(r *ooo.Result) { r.Config.Policy = ooo.PolicyBaseline }), cfg, "another config"},
+		{"baseline ran with another ROB", with(base, func(r *ooo.Result) { r.Config.ROBSize++ }), cfg, "another config"},
+		{"cell encoded for another core", fresh, ooo.BigConfig(), "another config"},
+		{"MOS memory differs", with(mos, func(r *ooo.Result) {
+			r.FinalMem = maps.Clone(r.FinalMem)
+			r.FinalMem[0xdead0] = 1
+		}), cfg, "architectural state differs"},
+		{"ReDSOC flags differ", with(redsoc, func(r *ooo.Result) { r.FinalFlags.N = !r.FinalFlags.N }), cfg, "architectural state differs"},
+	} {
+		if _, err := encodeCell(tc.cell, tc.core); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one mentioning %q", tc.name, err, tc.want)
 		}
 	}
 }
@@ -250,6 +343,58 @@ func TestJournalKeysAreContentAddressed(t *testing.T) {
 	}
 	if bytes.Equal(benchmarkDigest(rewanted), d) {
 		t.Error("changing a benchmark's WantMem over the same program left its digest unchanged")
+	}
+}
+
+// TestBenchmarkDigestMemoExact: the memoised benchmarkDigest always equals
+// the unmemoised digest of what the benchmark holds now — for a program
+// reused under another WantMem, for a WantMem changed after the first call
+// (including nil versus empty, which maps.Equal does not tell apart), and
+// across more suite rebuilds than the memo holds, which stays bounded.
+func TestBenchmarkDigestMemoExact(t *testing.T) {
+	check := func(what string, b Benchmark) []byte {
+		t.Helper()
+		got, want := benchmarkDigest(b), digestBenchmark(b)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: memoised digest %x, want %x", what, got, want)
+		}
+		return got
+	}
+	prog := &isa.Program{Name: "digest-memo", Instrs: []isa.Instruction{{Op: isa.OpMOV, Dst: isa.R(1)}}}
+	b := Benchmark{Class: ClassMiB, Name: "digest-memo", Prog: prog, WantMem: map[uint64]uint64{0x40: 1}}
+	first := check("first call", b)
+
+	reused := b
+	reused.WantMem = map[uint64]uint64{0x40: 2}
+	if bytes.Equal(check("program reused under another WantMem", reused), first) {
+		t.Error("a program reused under another WantMem kept the first benchmark's digest")
+	}
+	check("the first benchmark after the reuse", b)
+
+	b.WantMem[0x48] = 3
+	if bytes.Equal(check("WantMem mutated after the first call", b), first) {
+		t.Error("a WantMem changed after the first call kept its old digest")
+	}
+	nilWant := Benchmark{Class: ClassSPEC, Name: "digest-memo-nil", Prog: prog}
+	check("nil WantMem", nilWant)
+	emptyWant := nilWant
+	emptyWant.WantMem = map[uint64]uint64{}
+	check("empty WantMem after a nil one", emptyWant)
+
+	suite := func(i int) []Benchmark {
+		p := &isa.Program{Name: "rebuilt", Instrs: []isa.Instruction{{Op: isa.OpMOV, Dst: isa.R(1), Imm: uint64(i % 3)}}}
+		return []Benchmark{
+			{Class: ClassMiB, Name: "rebuilt", Prog: p, WantMem: map[uint64]uint64{0x40: uint64(i % 2)}},
+			{Class: ClassSPEC, Name: "rebuilt-synthetic", Prog: p},
+		}
+	}
+	for i := 0; i <= maxDigestedPrograms; i++ {
+		for _, b := range suite(i) {
+			check(fmt.Sprintf("suite rebuild %d: %s", i, b.Name), b)
+		}
+	}
+	if n := benchmarkDigests.Len(); n > maxDigestedPrograms {
+		t.Errorf("the digest memo holds %d benchmarks, bound is %d", n, maxDigestedPrograms)
 	}
 }
 

@@ -46,11 +46,11 @@ func TestJournalKeysPinned(t *testing.T) {
 	}
 	sort.Strings(got)
 	want := []string{
-		"grid-cell bitcnt/Big dc481693cb4a3986b4992d5d9eb7ffcb465451311a38620b37073fff56ac657c",
-		"sweep-total sweep MiBench/Big th=4 ab52df2f9d27da442cdfe8b5b5f0a7f277844b32c3f3e7a1075922568577165f",
-		"sweep-total sweep MiBench/Big th=5 8d499cfec6467c48587a737a356ffa14c901569395631367fb2da12b88163606",
-		"sweep-total sweep MiBench/Big th=6 95f7a2c7159128191c60b5464bac96b13439403f0fa022144eadc46bbc89c0f0",
-		"sweep-total sweep MiBench/Big th=7 0b12cd7d3c79300b5ea31b58aa4136268baebae541601a5cc45a1903a004b8a5",
+		"grid-cell bitcnt/Big 9cbcdcace11fece80293cdfb058df782ca9c1f38b3b2b6eee3423dec8de4a119",
+		"sweep-total sweep MiBench/Big th=4 f5ecda6329f414ebb10a9bb89846951901d0e90fd44b37cd71c5768cd15ec6ce",
+		"sweep-total sweep MiBench/Big th=5 bfb2420b61f8d0c785dbd15639fedf0dcc7fd44bd3ea8720f1e64f63aa95f151",
+		"sweep-total sweep MiBench/Big th=6 005d16ce95582af6f6d9e25e06868cf4ab81d2c5314bf45cd6d90f710343e65e",
+		"sweep-total sweep MiBench/Big th=7 abedc640bff106bb37fd28d060e014d965d95c736b007296928fc96aac6ea002",
 	}
 	if len(got) != len(want) {
 		t.Fatalf("got %d keyed units, want %d:\n%q", len(got), len(want), got)
@@ -94,8 +94,8 @@ func TestJournalPayloadsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	for label, want := range map[string]string{
-		"bitcnt/Big":             "45302791c88e5e9a7d808b73f94022b206fccb53732dde8ce418742979715de2",
-		"sweep MiBench/Big th=4": "9f14378417eba1138b3d1ca6855f82f1870f01cb75b1e27e34dd298ca780cd4a",
+		"bitcnt/Big":             "63ec87c14337870b2555e0426062e6b28a6d1af74a0feb383e071f107fd65727",
+		"sweep MiBench/Big th=4": "91fa0bbdeb03ee080899a48a9964195608eb2fcea066688b1ef466e696f4c34f",
 	} {
 		data, ok := store.Get(keys[label])
 		if !ok {

@@ -27,6 +27,9 @@ type runCache struct {
 	// canon holds each program's first result: later results with the same
 	// architectural state share its FinalRegs and FinalMem maps.
 	canon map[*isa.Program]*ooo.Result
+
+	// archs shares decoded architectural state among journaled cells.
+	archs archCache
 }
 
 type runKey struct {

@@ -1,11 +1,16 @@
 package harness
 
 import (
+	"bytes"
 	"context"
 	"maps"
 	"reflect"
+	"slices"
 	"testing"
 
+	"redsoc/internal/baseline"
+	"redsoc/internal/cellstore"
+	"redsoc/internal/isa"
 	"redsoc/internal/ooo"
 )
 
@@ -26,7 +31,7 @@ func TestRunCacheEngineRunCount(t *testing.T) {
 		{false, int64(pairs * 6)},
 	} {
 		runs := newRunCache(pairs)
-		if _, err := runGrid(context.Background(), benchmarks, cores, Options{SweepThreshold: tc.sweep, Workers: 2}, runs.run); err != nil {
+		if _, err := runGrid(context.Background(), benchmarks, cores, Options{SweepThreshold: tc.sweep, Workers: 2}, runs); err != nil {
 			t.Fatal(err)
 		}
 		if got := runs.builds.Load(); got != tc.want {
@@ -47,7 +52,7 @@ func TestRunCacheSharesArchState(t *testing.T) {
 	benchmarks := Benchmarks(Quick)[5:7]
 	cores := Cores()
 	runs := newRunCache(len(benchmarks) * len(cores))
-	g, err := runGrid(context.Background(), benchmarks, cores, Options{SweepThreshold: true, Workers: 2}, runs.run)
+	g, err := runGrid(context.Background(), benchmarks, cores, Options{SweepThreshold: true, Workers: 2}, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,5 +102,78 @@ func TestRunCacheKeepsDivergentState(t *testing.T) {
 	}
 	if mapID(res.FinalRegs) != mapID(good.FinalRegs) || mapID(res.FinalMem) != mapID(good.FinalMem) {
 		t.Fatal("a result equal to the canonical state must share its maps")
+	}
+}
+
+// TestResumedCellsShareArchState: on a resumed grid, the journaled cells of
+// one program decode its architectural state once — the three cores' cells
+// share one FinalMem map — while a cell whose journaled section differs
+// keeps its own.
+func TestResumedCellsShareArchState(t *testing.T) {
+	benchmarks, cores := Benchmarks(Quick)[5:8], Cores()
+	store, err := cellstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if _, err := Run(context.Background(), benchmarks, cores, Options{Workers: 2, Journal: store}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rewrite one cell's section with an extra memory word: still a valid
+	// payload, but no longer byte-equal to its program's other cells.
+	odd := benchmarks[1]
+	oddCore := cores[1]
+	key := cellKey(oddCore, benchmarkDigest(odd), baseline.DefaultThreshold(oddCore))
+	data, ok := store.Get(key)
+	if !ok {
+		t.Fatal("premise: the cell must be journaled")
+	}
+	head, section, _ := bytes.Cut(data, []byte{'\n'})
+	a, err := decodeArch(section)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Mem[0xdead0] = 1
+	if err := store.Put(key, appendArch(append(slices.Clip(head), '\n'), a)); err != nil {
+		t.Fatal(err)
+	}
+
+	runs := newRunCache(len(benchmarks) * len(cores))
+	g, err := runGrid(context.Background(), benchmarks, cores, Options{Workers: 2, Journal: store, Resume: true}, runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runs.builds.Load(); n != 0 {
+		t.Fatalf("resumed grid simulated %d runs, want every cell served from the journal", n)
+	}
+	mems := map[*isa.Program]map[uintptr]int{}
+	for _, c := range g.Cells {
+		id := mapID(c.Cmp.Baseline.FinalMem)
+		for _, r := range c.Cmp.Engines() {
+			if mapID((*r).FinalMem) != id {
+				t.Fatalf("%s/%s: a cell's results hold different memory maps", c.Benchmark.Name, c.Core)
+			}
+		}
+		if mems[c.Benchmark.Prog] == nil {
+			mems[c.Benchmark.Prog] = map[uintptr]int{}
+		}
+		mems[c.Benchmark.Prog][id]++
+		if odd := c.Benchmark.Prog == odd.Prog && c.Core == oddCore.Name; odd != (c.Cmp.Baseline.FinalMem[0xdead0] == 1) {
+			t.Fatalf("%s/%s: decoded the wrong section", c.Benchmark.Name, c.Core)
+		}
+	}
+	for _, b := range benchmarks {
+		var counts []int
+		for _, n := range mems[b.Prog] {
+			counts = append(counts, n)
+		}
+		slices.Sort(counts)
+		switch {
+		case b.Prog == odd.Prog && !slices.Equal(counts, []int{1, 2}):
+			t.Errorf("%s: cells per memory map %v, want the odd cell alone and the other two shared", b.Name, counts)
+		case b.Prog != odd.Prog && !slices.Equal(counts, []int{len(cores)}):
+			t.Errorf("%s: cells per memory map %v, want all %d cells on one map", b.Name, counts, len(cores))
+		}
 	}
 }

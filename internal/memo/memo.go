@@ -59,6 +59,13 @@ func (c *Cache[K, V]) Get(k K, build func(K) V) V {
 	}
 }
 
+// Len returns the number of keys cached.
+func (c *Cache[K, V]) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.order)
+}
+
 // entry returns k's entry, inserting an empty one (and evicting the oldest
 // beyond the bound) if k has none.
 func (c *Cache[K, V]) entry(k K) *entry[V] {

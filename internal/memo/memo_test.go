@@ -49,11 +49,8 @@ func TestGetEvictsOldestBeyondBound(t *testing.T) {
 	if c.Get(max/2, build) != first[max/2] {
 		t.Fatal("a mid-age key lost its slot")
 	}
-	c.mu.Lock()
-	n := len(c.order)
-	c.mu.Unlock()
-	if n != max {
-		t.Fatalf("FIFO tracks %d keys, bound is %d", n, max)
+	if n := c.Len(); n != max {
+		t.Fatalf("cache holds %d keys, bound is %d", n, max)
 	}
 	if _, ok := c.m.Load(0); ok {
 		t.Fatal("the oldest key must have been evicted to admit the newest")
