@@ -251,6 +251,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	for _, pol := range []ooo.Policy{ooo.PolicyRedsoc, ooo.PolicyBaseline, ooo.PolicyMOS, ooo.PolicyLoadDelay, ooo.PolicySpecLSQ} {
 		cfg := ooo.BigConfig().WithPolicy(pol)
 		b.Run(pol.String(), func(b *testing.B) {
+			b.ReportAllocs()
 			var instrs int64
 			for i := 0; i < b.N; i++ {
 				res, err := ooo.Run(cfg, prog)
@@ -271,6 +272,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 func BenchmarkSimulatorThroughputTraced(b *testing.B) {
 	benchs := harness.Benchmarks(harness.Quick)
 	var prog = benchs[0].Prog
+	b.ReportAllocs()
 	b.ResetTimer()
 	var instrs int64
 	for i := 0; i < b.N; i++ {

@@ -346,8 +346,11 @@ func runGrid(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, op
 
 // chooseThresholds runs the Sec. VI-C design sweep for every (class, core)
 // pair: pick the slack threshold that maximizes the class's summed speedup
-// on that core. The (pair, candidate) grid is flattened into one campaign;
-// the reduction walks candidates in declared order with a strict >, so ties
+// on that core. The (pair, candidate) grid is flattened into one campaign
+// ordered candidate-major — unit i is pair i%np at candidate i/np — so
+// workers running side by side take different pairs, not two thresholds of
+// one pair that would both wait on the same baseline runs in the run cache.
+// The reduction walks candidates in declared order with a strict >, so ties
 // resolve to the earliest candidate exactly as the serial sweep did.
 func chooseThresholds(ctx context.Context, pairs []classCore, byClass map[Class][]Benchmark, digests map[*isa.Program][]byte, opts Options, run baseline.Runner) ([]int, error) {
 	out := make([]int, len(pairs))
@@ -357,18 +360,18 @@ func chooseThresholds(ctx context.Context, pairs []classCore, byClass map[Class]
 		}
 		return out, nil
 	}
-	nc := len(ThresholdCandidates)
+	np, nc := len(pairs), len(ThresholdCandidates)
 	if opts.Journal != nil {
-		_ = opts.Journal.LogCampaign(len(pairs)*nc, "threshold sweep")
+		_ = opts.Journal.LogCampaign(np*nc, "threshold sweep")
 	}
 	label := func(i int) string {
-		pr := pairs[i/nc]
-		return fmt.Sprintf("sweep %s/%s th=%d", pr.class, pr.cfg.Name, ThresholdCandidates[i%nc])
+		pr := pairs[i%np]
+		return fmt.Sprintf("sweep %s/%s th=%d", pr.class, pr.cfg.Name, ThresholdCandidates[i/np])
 	}
-	totals, err := campaign.Run(ctx, len(pairs)*nc,
+	totals, err := campaign.Run(ctx, np*nc,
 		CampaignOptions[float64](opts, label, nil),
 		func(ctx context.Context, i int) (float64, error) {
-			pr, th := pairs[i/nc], ThresholdCandidates[i%nc]
+			pr, th := pairs[i%np], ThresholdCandidates[i/np]
 			class := byClass[pr.class]
 			return Step(ctx, opts, Unit[float64]{
 				Kind: "sweep-total", Label: label(i),
@@ -407,7 +410,7 @@ func chooseThresholds(ctx context.Context, pairs []classCore, byClass map[Class]
 	for p := range pairs {
 		best, bestGain := ThresholdCandidates[0], -1.0
 		for c, th := range ThresholdCandidates {
-			if total := totals[p*nc+c]; total > bestGain {
+			if total := totals[c*np+p]; total > bestGain {
 				best, bestGain = th, total
 			}
 		}

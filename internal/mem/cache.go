@@ -4,10 +4,7 @@
 // paper's Fig. 10 characterization: MEM-LL are L1 hits, MEM-HL are L1 misses.
 package mem
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Level identifies where an access was satisfied.
 type Level uint8
@@ -178,25 +175,10 @@ type Hierarchy struct {
 	pfTagged map[uint64]struct{} // lines brought in by prefetch, not yet used
 }
 
-// hierPool recycles hierarchy line storage across simulator runs: a 2 MB L2
-// alone carries ~320 kB of tag/valid/LRU metadata, and a campaign constructs
-// one hierarchy per cell. Reuse is observably identical to a fresh build —
-// reset clears the valid bits (which gate every tag and LRU read), the
-// counters, and the prefetch tags.
-var hierPool sync.Pool
-
-// NewHierarchy builds the hierarchy, reusing released storage when a pooled
-// hierarchy has the identical configuration.
+// NewHierarchy builds a cold hierarchy.
 func NewHierarchy(cfg Config) *Hierarchy {
 	if cfg.LineBytes == 0 {
 		cfg = DefaultConfig()
-	}
-	if v := hierPool.Get(); v != nil {
-		if h := v.(*Hierarchy); h.cfg == cfg {
-			h.reset()
-			return h
-		}
-		// Different geometry: drop it and build fresh.
 	}
 	return &Hierarchy{
 		cfg:      cfg,
@@ -206,16 +188,32 @@ func NewHierarchy(cfg Config) *Hierarchy {
 	}
 }
 
-// Release returns the hierarchy's storage to the package pool for a later
-// NewHierarchy with the same configuration. The caller must not touch the
-// hierarchy afterwards.
-func (h *Hierarchy) Release() { hierPool.Put(h) }
-
-func (h *Hierarchy) reset() {
-	h.l1.reset()
-	h.l2.reset()
+// Reset returns the hierarchy to the state NewHierarchy(cfg) builds, reusing
+// its line storage when cfg has the same geometry (sizes, ways, line): a 2 MB
+// L2 alone carries ~330 kB of tag/valid/LRU metadata. Latencies and the
+// prefetch switch are not geometry; they are simply adopted. Reuse is
+// observably identical to a fresh build: clearing the valid bits (which gate
+// every tag and LRU read), the counters and the prefetch tags restores a cold
+// hierarchy.
+func (h *Hierarchy) Reset(cfg Config) {
+	if cfg.LineBytes == 0 {
+		cfg = DefaultConfig()
+	}
+	if cfg.geometry() != h.cfg.geometry() {
+		h.l1 = newCache(cfg.L1Bytes, cfg.L1Ways, cfg.LineBytes)
+		h.l2 = newCache(cfg.L2Bytes, cfg.L2Ways, cfg.LineBytes)
+	} else {
+		h.l1.reset()
+		h.l2.reset()
+	}
+	h.cfg = cfg
 	h.stats = Stats{}
 	clear(h.pfTagged)
+}
+
+// geometry is the part of a Config that sizes the caches' storage.
+func (c Config) geometry() [5]int {
+	return [5]int{c.L1Bytes, c.L1Ways, c.L2Bytes, c.L2Ways, c.LineBytes}
 }
 
 func (h *Hierarchy) lineOf(addr uint64) uint64 {

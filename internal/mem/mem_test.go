@@ -190,3 +190,74 @@ func TestRandomAccessesDoNotPanic(t *testing.T) {
 		h.Access(rng.Uint64() % (1 << 30))
 	}
 }
+
+// TestMemoryResetMatchesFresh: a store reset from an image reads, snapshots
+// and counts exactly like one instantiated from it, whatever it held before —
+// span writes, overflow writes, or a sparse (map-backed) image.
+func TestMemoryResetMatchesFresh(t *testing.T) {
+	dense := NewImage(map[uint64]uint64{0x100: 1, 0x118: 2})
+	sparse := NewImage(map[uint64]uint64{0x10: 3, 0x10 + 8*(maxSpanWords+1): 4})
+	for _, img := range []*Image{dense, sparse, NewImage(nil)} {
+		for _, prev := range []*Image{dense, sparse, NewImage(nil)} {
+			m := NewMemoryFromImage(prev)
+			m.Write64(0x108, 5)    // inside the dense span
+			m.Write64(0x9000, 6)   // outside every span: overflow map
+			m.Write128(0x10, 7, 8) // sparse image word
+			m.Reset(img)
+			fresh := NewMemoryFromImage(img)
+			if m.Len() != fresh.Len() {
+				t.Fatalf("reset Len %d, fresh %d", m.Len(), fresh.Len())
+			}
+			got, want := m.Snapshot(), fresh.Snapshot()
+			if len(got) != len(want) {
+				t.Fatalf("reset snapshot %v, fresh %v", got, want)
+			}
+			for a, v := range want { //lint:allow simdeterminism order-independent: per-key equality
+				if got[a] != v {
+					t.Fatalf("reset snapshot %v, fresh %v", got, want)
+				}
+			}
+			for _, a := range []uint64{0x100, 0x108, 0x118, 0x9000, 0x10, 0x18} {
+				if m.Read64(a) != fresh.Read64(a) {
+					t.Fatalf("reset reads %#x = %d, fresh %d", a, m.Read64(a), fresh.Read64(a))
+				}
+			}
+		}
+	}
+}
+
+// TestHierarchyResetMatchesFresh: a reset hierarchy behaves exactly like a
+// new one of the target configuration, whether it keeps its line storage
+// (same geometry, other latencies) or must rebuild it (other geometry).
+func TestHierarchyResetMatchesFresh(t *testing.T) {
+	slow := DefaultConfig()
+	slow.L2Latency, slow.DRAMLatency = 30, 200
+	small := DefaultConfig()
+	small.L2Bytes = 256 << 10
+	rng := rand.New(rand.NewSource(5))
+	addrs := make([]uint64, 4000)
+	for i := range addrs {
+		addrs[i] = rng.Uint64() % (4 << 20)
+	}
+	for _, cfg := range []Config{slow, small, DefaultConfig()} {
+		h := NewHierarchy(DefaultConfig())
+		for _, a := range addrs {
+			h.Access(a)
+		}
+		h.Reset(cfg)
+		fresh := NewHierarchy(cfg)
+		if h.Config() != cfg {
+			t.Fatalf("reset hierarchy has config %+v, want %+v", h.Config(), cfg)
+		}
+		for i, a := range addrs {
+			gc, gl := h.Access(a)
+			wc, wl := fresh.Access(a)
+			if gc != wc || gl != wl {
+				t.Fatalf("access %d (%#x): reset gives %d cycles at %v, fresh %d at %v", i, a, gc, gl, wc, wl)
+			}
+		}
+		if h.Stats() != fresh.Stats() {
+			t.Fatalf("reset stats %+v, fresh %+v", h.Stats(), fresh.Stats())
+		}
+	}
+}

@@ -37,22 +37,28 @@ func NewMemoryFrom(image map[uint64]uint64) *Memory {
 // NewMemoryFromImage instantiates a writable store from a shared read-only
 // image: the span and touched bitmap are copied, the image is never mutated.
 func NewMemoryFromImage(img *Image) *Memory {
-	m := &Memory{base: img.base, n: img.n}
+	m := &Memory{}
+	m.Reset(img)
+	return m
+}
+
+// Reset reinitialises the store from img exactly as NewMemoryFromImage(img)
+// would, reusing the span, the bitmap and the overflow map's storage: a
+// recycled store keeps nothing of its previous contents, only its capacity.
+func (m *Memory) Reset(img *Image) {
+	m.base, m.n = img.base, img.n
+	m.words = append(m.words[:0], img.words...)
+	m.touch = append(m.touch[:0], img.touch...)
+	clear(m.over)
 	if img.fallback != nil {
-		m.over = make(map[uint64]uint64, len(img.fallback))
+		if m.over == nil {
+			m.over = make(map[uint64]uint64, len(img.fallback))
+		}
 		for a, v := range img.fallback { //lint:allow simdeterminism order-independent: map copy
 			m.over[a] = v
 		}
 		m.n = 0
-		return m
 	}
-	if len(img.words) > 0 {
-		m.words = make([]uint64, len(img.words))
-		copy(m.words, img.words)
-		m.touch = make([]uint64, len(img.touch))
-		copy(m.touch, img.touch)
-	}
-	return m
 }
 
 func align8(addr uint64) uint64 { return addr &^ 7 }

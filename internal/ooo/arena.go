@@ -1,5 +1,11 @@
 package ooo
 
+import (
+	"sync"
+
+	"redsoc/internal/mem"
+)
+
 // The entry slab is the simulator's physical register file, R10K-style: a
 // dense []entry backing store, a free list of slab indices, and the map table
 // (Simulator.rat) mapping architectural rename indices to the slab index of
@@ -23,6 +29,19 @@ package ooo
 // dependence) plus the redirect. New preallocates for the typical peak
 // (2*ROBSize+8); the grow path below absorbs the rare tail, amortized once
 // per high-water mark.
+//
+// Storage lifetime: the slab and free list, the cache hierarchy and the
+// functional memory are one bundle (storage) with one owner at a time. New
+// borrows a bundle from storagePool and resets it; Run returns it when the
+// simulation ends — after capture, on the error path too — and nils the
+// Simulator's fields, so nothing reaches the storage through a finished
+// Simulator and a second Run is refused. The reset contract is that a
+// borrowed bundle is observably a fresh one: the hierarchy is reset to cold
+// (mem.Hierarchy.Reset, which keeps line storage only when the geometry
+// matches), the memory is re-instantiated from the program's image
+// (mem.Memory.Reset), and the slab and free list are emptied to length zero,
+// so a recycled slot is only ever reached through alloc, which zeroes it.
+// Only capacity carries from one run into the next, never contents.
 
 // ent resolves a slab index. The returned pointer is valid only until the
 // next alloc (the slab may grow); the scheduler never holds one across a
@@ -89,4 +108,53 @@ func (s *Simulator) releaseRefs(e *entry) {
 	if e.memDep != none {
 		s.release(e.memDep)
 	}
+}
+
+// storage is a simulation's recyclable machine storage: everything whose size
+// follows the core and the program rather than the trace position, and whose
+// allocation would otherwise dominate a short run. See the storage lifetime
+// paragraph above.
+type storage struct {
+	hier     *mem.Hierarchy
+	memory   *mem.Memory
+	slab     []entry
+	freeList []int32
+}
+
+// storagePool holds the bundles of finished simulations for the next New.
+var storagePool sync.Pool
+
+// borrowStorage returns a bundle reset for a run of cfg over a program whose
+// initial memory is img, recycled when the pool has one.
+func borrowStorage(cfg Config, img *mem.Image) *storage {
+	// The hard slab bound is the refcount rule above (7*ROBSize+8), but real
+	// traces pin a small fraction of that — sources resolve within a ROB's
+	// reach of their consumers. Size for the typical peak and let alloc's
+	// amortized grow path absorb the pathological tail: a full-bound slab
+	// costs more in allocation and zeroing than growth ever does.
+	slabCap := 2*cfg.ROBSize + 8
+	st, _ := storagePool.Get().(*storage)
+	if st == nil {
+		st = &storage{hier: mem.NewHierarchy(cfg.Mem), memory: mem.NewMemory()}
+	} else {
+		st.hier.Reset(cfg.Mem)
+	}
+	st.memory.Reset(img)
+	if cap(st.slab) < slabCap {
+		st.slab = make([]entry, 0, slabCap)
+	}
+	if cap(st.freeList) < slabCap {
+		st.freeList = make([]int32, 0, slabCap)
+	}
+	st.slab, st.freeList = st.slab[:0], st.freeList[:0]
+	return st
+}
+
+// releaseStorage returns the simulator's bundle to the pool, keeping the slab
+// and free list as they grew, and unhooks every field that reaches it.
+func (s *Simulator) releaseStorage() {
+	st := s.store
+	st.slab, st.freeList = s.slab, s.freeList
+	s.store, s.hier, s.memory, s.slab, s.freeList = nil, nil, nil, nil, nil
+	storagePool.Put(st)
 }

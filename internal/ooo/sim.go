@@ -1,6 +1,7 @@
 package ooo
 
 import (
+	"errors"
 	"fmt"
 
 	"redsoc/internal/alu"
@@ -15,7 +16,8 @@ import (
 )
 
 // Simulator executes one Program on one core configuration. Create a fresh
-// Simulator per run; it is not reusable or safe for concurrent use. The
+// Simulator per run: Run may be called once (a second call returns an error),
+// and a Simulator is not safe for concurrent use. The
 // program's static facts are read through a shared, immutable trace.Decoded
 // view (built once per program, cached across simulations), and all dynamic
 // per-instruction state lives in a dense entry slab addressed by int32
@@ -63,6 +65,10 @@ type Simulator struct {
 	// emission is behind an `if s.obs != nil` guard (enforced by the
 	// obszeroalloc analyzer), so the disabled path costs one branch.
 	obs obs.Sink
+
+	// store is the borrowed machine storage behind memory, hier, slab and
+	// freeList; Run returns it to the pool and nils all five (arena.go).
+	store *storage
 
 	// slab and freeList are the dense physical entry store (see arena.go);
 	// rat is the R10K-style map table from architectural rename index to the
@@ -135,13 +141,17 @@ func New(cfg Config, prog *isa.Program) (*Simulator, error) {
 	lut := timing.NewLUT(clock)
 	wp := predict.NewWidthPredictor(cfg.WidthPredictorEntries, predict.DefaultConfidenceBits)
 	dec := trace.DecodeCached(prog)
+	st := borrowStorage(cfg, dec.Image)
 	s := &Simulator{
 		cfg:        cfg,
 		clock:      clock,
 		prog:       prog,
 		dec:        dec,
-		memory:     mem.NewMemoryFromImage(dec.Image),
-		hier:       mem.NewHierarchy(cfg.Mem),
+		store:      st,
+		memory:     st.memory,
+		hier:       st.hier,
+		slab:       st.slab,
+		freeList:   st.freeList,
 		lut:        lut,
 		widthPred:  wp,
 		lastPred:   predict.NewLastArrivalPredictor(cfg.LastArrivalEntries),
@@ -154,16 +164,6 @@ func New(cfg Config, prog *isa.Program) (*Simulator, error) {
 	if cfg.Policy == PolicyLoadDelay {
 		s.loadPred = predict.NewLoadDelayTracker(cfg.LoadDelayEntries)
 	}
-	// The hard slab bound is the refcount rule in arena.go (7*ROBSize+8:
-	// ROBSize uncommitted entries, each pinning at most 6 committed ones,
-	// plus the redirect), but real traces pin a small fraction of that —
-	// sources resolve within a ROB's reach of their consumers. Preallocate
-	// for the typical peak and let the amortized grow path absorb the
-	// pathological tail: a full-bound prealloc costs more in allocation +
-	// zeroing per Run than growth ever does.
-	slabCap := 2*cfg.ROBSize + 8
-	s.slab = make([]entry, 0, slabCap)
-	s.freeList = make([]int32, 0, slabCap)
 	for i := range s.rat {
 		s.rat[i] = none
 	}
@@ -211,8 +211,14 @@ func estimatorParams(cfg Config, clock timing.Clock) core.Params {
 	return p
 }
 
-// Run simulates to completion and returns the results.
+// Run simulates to completion and returns the results. It returns the
+// simulator's machine storage to the pool for the next New, so it runs once:
+// a second call returns an error and leaves the first Result untouched.
 func (s *Simulator) Run() (*Result, error) {
+	if s.store == nil {
+		return nil, errors.New("ooo: Simulator.Run called again; a Simulator runs once")
+	}
+	defer s.releaseStorage()
 	limit := s.cfg.MaxCycles
 	if limit == 0 {
 		limit = 64*int64(len(s.prog.Instrs)) + 100000
@@ -717,18 +723,11 @@ func (s *Simulator) capture() {
 // Clock exposes the simulator's clock (for harness reporting).
 func (s *Simulator) Clock() timing.Clock { return s.clock }
 
-// Run is a convenience: build and run in one call. Because the simulator
-// never escapes, the cache hierarchy's line storage can be recycled into the
-// mem pool for the next run — campaign workers construct one hierarchy per
-// cell, and reuse keeps that off the allocator.
+// Run is a convenience: build and run in one call.
 func Run(cfg Config, prog *isa.Program) (*Result, error) {
 	s, err := New(cfg, prog)
 	if err != nil {
 		return nil, err
 	}
-	res, rerr := s.Run()
-	h := s.hier
-	s.hier = nil // the released storage must not be reachable through s
-	h.Release()
-	return res, rerr
+	return s.Run()
 }
