@@ -191,7 +191,7 @@ func encodeCell(c Cell, cfg ooo.Config) ([]byte, error) {
 		if r.Config != cfgs[i] {
 			return nil, fmt.Errorf("harness: cell %s/%s: %s result ran under another config than %s at threshold %d", cmp.Benchmark, cmp.Core, r.Config.Policy, cfg.Name, c.Threshold)
 		}
-		if !maps.Equal(r.FinalRegs, base.FinalRegs) || !maps.Equal(r.FinalMem, base.FinalMem) || r.FinalFlags != base.FinalFlags {
+		if !r.ArchEqual(base) {
 			return nil, fmt.Errorf("harness: cell %s/%s: %s architectural state differs from baseline", cmp.Benchmark, cmp.Core, r.Config.Policy)
 		}
 	}
@@ -238,15 +238,16 @@ func decodeCell(data []byte, b Benchmark, cfg ooo.Config, archs *archCache) (Cel
 	return Cell{Benchmark: b, Core: cfg.Name, Threshold: v.Threshold, Cmp: v.Cmp}, nil
 }
 
-// archCache is the cell-phase counterpart of runCache.canon: within one
-// grid run, every journaled cell of a program whose architectural-state
-// section is byte-equal to the first one decoded for that program shares
-// that decoded state instead of decoding its own copy — a program's cells
-// on the three cores normally hold the same section. A cell whose section
-// differs decodes its own.
+// archCache is the cell-phase counterpart of the engine's canonical final
+// state (internal/ooo/final.go): within one grid run, the journaled cells
+// of a program whose architectural-state sections are byte-equal share one
+// decoded state instead of each decoding its own copy — a program's cells
+// on the three cores normally hold the same section. Every distinct section
+// is kept, not only the first decoded, so which cells share does not depend
+// on the order the workers decode them in.
 type archCache struct {
 	mu sync.Mutex
-	m  map[*isa.Program]decodedArch
+	m  map[*isa.Program][]decodedArch
 }
 
 // decodedArch is a decoded section and the bytes it was decoded from.
@@ -255,32 +256,40 @@ type decodedArch struct {
 	arch    archState
 }
 
+// find returns the state decoded from prog's section, if any; c.mu is held.
+func (c *archCache) find(prog *isa.Program, section []byte) (archState, bool) {
+	for _, d := range c.m[prog] {
+		if bytes.Equal(d.section, section) {
+			return d.arch, true
+		}
+	}
+	return archState{}, false
+}
+
 // decode returns the architectural state of prog's section, shared as
 // described on archCache.
 func (c *archCache) decode(prog *isa.Program, section []byte) (archState, error) {
 	c.mu.Lock()
-	d, ok := c.m[prog]
+	a, ok := c.find(prog, section)
 	c.mu.Unlock()
-	if ok && bytes.Equal(d.section, section) {
-		return d.arch, nil
+	if ok {
+		return a, nil
 	}
 	a, err := decodeArch(section)
 	if err != nil {
 		return archState{}, err
 	}
-	// Decoding ran unlocked, so another cell of prog may have published a
-	// state meanwhile: adopt it when it covers the same bytes, so which
-	// cells share does not depend on how the workers interleaved.
+	// Decoding ran unlocked, so another cell of prog may have decoded the
+	// same bytes meanwhile: adopt its state.
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if d, ok := c.m[prog]; !ok {
-		if c.m == nil {
-			c.m = map[*isa.Program]decodedArch{}
-		}
-		c.m[prog] = decodedArch{section, a}
-	} else if bytes.Equal(d.section, section) {
-		a = d.arch
+	if d, ok := c.find(prog, section); ok {
+		return d, nil
 	}
+	if c.m == nil {
+		c.m = map[*isa.Program][]decodedArch{}
+	}
+	c.m[prog] = append(c.m[prog], decodedArch{section, a})
 	return a, nil
 }
 

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"redsoc/internal/isa"
@@ -22,11 +21,6 @@ type runCache struct {
 	runs *memo.Cache[runKey, runOutcome]
 	// builds counts the engine runs performed (the run-count test reads it).
 	builds atomic.Int64
-
-	mu sync.Mutex
-	// canon holds each program's first result: later results with the same
-	// architectural state share its FinalRegs and FinalMem maps.
-	canon map[*isa.Program]*ooo.Result
 
 	// archs shares decoded architectural state among journaled cells.
 	archs archCache
@@ -53,8 +47,7 @@ var runsPerPair = 1 + len(ThresholdCandidates) + 3 + 1
 // (benchmark, core) pairs, so nothing a grid needs is evicted.
 func newRunCache(pairs int) *runCache {
 	return &runCache{
-		runs:  memo.New[runKey, runOutcome](pairs * runsPerPair),
-		canon: map[*isa.Program]*ooo.Result{},
+		runs: memo.New[runKey, runOutcome](pairs * runsPerPair),
 	}
 }
 
@@ -64,24 +57,10 @@ func (c *runCache) run(cfg ooo.Config, prog *isa.Program) (*ooo.Result, error) {
 	return out.res, out.err
 }
 
-// build runs one simulation and, before the result is published, points its
-// architectural state at the program's canonical copy when the two are
-// equal. A divergent result keeps its own state, so the cross-scheduler
-// ArchEqual checks still see the divergence.
+// build runs one simulation. The engine already points a result that ends
+// in its program's canonical final state at that state's shared maps.
 func (c *runCache) build(k runKey) runOutcome {
 	c.builds.Add(1)
 	res, err := ooo.Run(k.cfg, k.prog)
-	if err != nil {
-		return runOutcome{res, err}
-	}
-	c.mu.Lock()
-	first, seen := c.canon[k.prog]
-	if !seen {
-		c.canon[k.prog] = res
-	}
-	c.mu.Unlock()
-	if seen && res.ArchEqual(first) {
-		res.FinalRegs, res.FinalMem = first.FinalRegs, first.FinalMem
-	}
-	return runOutcome{res, nil}
+	return runOutcome{res, err}
 }

@@ -3,7 +3,6 @@ package harness
 import (
 	"bytes"
 	"context"
-	"maps"
 	"reflect"
 	"slices"
 	"testing"
@@ -11,7 +10,6 @@ import (
 	"redsoc/internal/baseline"
 	"redsoc/internal/cellstore"
 	"redsoc/internal/isa"
-	"redsoc/internal/ooo"
 )
 
 // TestRunCacheEngineRunCount pins the engine work of the quick grid: with
@@ -43,66 +41,6 @@ func TestRunCacheEngineRunCount(t *testing.T) {
 // mapID is a map's identity, for checking that results share one map.
 func mapID[M ~map[K]V, K comparable, V any](m M) uintptr {
 	return uintptr(reflect.ValueOf(m).UnsafePointer())
-}
-
-// TestRunCacheSharesArchState: every cached result of one program holds the
-// program's single canonical FinalRegs/FinalMem, across schedulers, cores
-// and the sweep.
-func TestRunCacheSharesArchState(t *testing.T) {
-	benchmarks := Benchmarks(Quick)[5:7]
-	cores := Cores()
-	runs := newRunCache(len(benchmarks) * len(cores))
-	g, err := runGrid(context.Background(), benchmarks, cores, Options{SweepThreshold: true, Workers: 2}, runs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range g.Cells {
-		canon := runs.canon[c.Benchmark.Prog]
-		for _, r := range c.Cmp.Engines() {
-			res := *r
-			if mapID(res.FinalRegs) != mapID(canon.FinalRegs) || mapID(res.FinalMem) != mapID(canon.FinalMem) {
-				t.Errorf("%s/%s/%s holds its own architectural state, want the program's canonical copy",
-					c.Benchmark.Name, c.Core, res.Config.Policy)
-			}
-		}
-	}
-}
-
-// TestRunCacheKeepsDivergentState: a result whose architectural state
-// differs from the program's canonical one keeps its own maps, so the
-// cross-scheduler ArchEqual check still sees the divergence; an equal one
-// adopts the canonical maps.
-func TestRunCacheKeepsDivergentState(t *testing.T) {
-	b := Benchmarks(Quick)[5]
-	cfg := ooo.SmallConfig()
-	ref, err := ooo.Run(cfg, b.Prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	runs := newRunCache(1)
-	bad := *ref
-	bad.FinalMem = maps.Clone(ref.FinalMem)
-	bad.FinalMem[0xdead0] = 1
-	runs.canon[b.Prog] = &bad
-	res, err := runs.run(cfg, b.Prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mapID(res.FinalMem) == mapID(bad.FinalMem) || res.ArchEqual(&bad) {
-		t.Fatal("a result that diverges from the canonical state must keep its own")
-	}
-
-	runs = newRunCache(1)
-	good := *ref
-	good.FinalRegs, good.FinalMem = maps.Clone(ref.FinalRegs), maps.Clone(ref.FinalMem)
-	runs.canon[b.Prog] = &good
-	if res, err = runs.run(cfg, b.Prog); err != nil {
-		t.Fatal(err)
-	}
-	if mapID(res.FinalRegs) != mapID(good.FinalRegs) || mapID(res.FinalMem) != mapID(good.FinalMem) {
-		t.Fatal("a result equal to the canonical state must share its maps")
-	}
 }
 
 // TestResumedCellsShareArchState: on a resumed grid, the journaled cells of
@@ -175,5 +113,32 @@ func TestResumedCellsShareArchState(t *testing.T) {
 		case b.Prog != odd.Prog && !slices.Equal(counts, []int{len(cores)}):
 			t.Errorf("%s: cells per memory map %v, want all %d cells on one map", b.Name, counts, len(cores))
 		}
+	}
+}
+
+// TestArchCacheSharingIgnoresOrder: the cells of a program whose sections
+// are byte-equal share one decoded state even when a cell with a different
+// section was decoded first.
+func TestArchCacheSharingIgnoresOrder(t *testing.T) {
+	prog := Benchmarks(Quick)[0].Prog
+	common := appendArch(nil, archState{Mem: map[uint64]uint64{0x100: 1}})
+	odd := appendArch(nil, archState{Mem: map[uint64]uint64{0x100: 2}})
+	var c archCache
+	var mems []map[uint64]uint64
+	for _, section := range [][]byte{odd, common, slices.Clone(common)} {
+		a, err := c.decode(prog, section)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mems = append(mems, a.Mem)
+	}
+	if mems[0][0x100] != 2 || mems[1][0x100] != 1 {
+		t.Fatal("decoded the wrong section")
+	}
+	if mapID(mems[1]) != mapID(mems[2]) {
+		t.Fatal("two byte-equal sections decoded after a different one must share one state")
+	}
+	if mapID(mems[0]) == mapID(mems[1]) {
+		t.Fatal("a different section must keep its own state")
 	}
 }

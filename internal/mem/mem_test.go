@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -260,4 +261,78 @@ func TestHierarchyResetMatchesFresh(t *testing.T) {
 			t.Fatalf("reset stats %+v, fresh %+v", h.Stats(), fresh.Stats())
 		}
 	}
+}
+
+// TestMemoryMatchesFrozen pins Matches to Snapshot equality: a store matches
+// a frozen copy exactly when their snapshots are equal, on a dense image, a
+// sparse (map-backed) image, after a store outside the span, and after a
+// store of the value a word already reads — which adds the word to the
+// snapshot, so it must also break the match.
+func TestMemoryMatchesFrozen(t *testing.T) {
+	dense := NewImage(map[uint64]uint64{0x100: 1, 0x118: 2, 0x200: 3})
+	sparse := NewImage(map[uint64]uint64{0x10: 3, 0x10 + 8*(maxSpanWords+1): 4})
+	if sparse.fallback == nil {
+		t.Fatal("premise: the sparse image must take the fallback path")
+	}
+	writes := []struct {
+		name string
+		do   func(m *Memory)
+	}{
+		{"none", func(*Memory) {}},
+		{"span word", func(m *Memory) { m.Write64(0x118, 9) }},
+		{"outside the span", func(m *Memory) { m.Write64(0x9000, 6) }},
+		{"initial value again", func(m *Memory) { m.Write64(0x100, 1) }},
+		{"zero into an untouched word", func(m *Memory) { m.Write64(0x108, 0) }},
+		{"sparse word", func(m *Memory) { m.Write64(0x10, 8) }},
+	}
+	for _, img := range []*Image{dense, sparse, NewImage(nil)} {
+		for _, fw := range writes {
+			ref := NewMemoryFromImage(img)
+			fw.do(ref)
+			f := ref.Freeze()
+			fw.do(ref) // the copy is independent of its source
+			ref.Write64(0x9008, 1)
+			if !maps.Equal(f.Snapshot(), NewMemoryFromImage(img).apply(fw.do).Snapshot()) {
+				t.Fatalf("%s: the frozen copy changed with its source", fw.name)
+			}
+			for _, mw := range writes {
+				m := NewMemoryFromImage(img).apply(mw.do)
+				want := maps.Equal(m.Snapshot(), f.Snapshot())
+				if got := m.Matches(f); got != want {
+					t.Errorf("image %d words, frozen after %q, live after %q: Matches = %v, snapshots equal = %v",
+						img.Len(), fw.name, mw.name, got, want)
+				}
+			}
+		}
+	}
+	// The same contents in another layout still match.
+	m := NewMemoryFrom(map[uint64]uint64{0x100: 1, 0x118: 2, 0x200: 3})
+	other := NewMemory()
+	for _, a := range []uint64{0x200, 0x118, 0x100} {
+		other.Write64(a, m.Read64(a))
+	}
+	if !other.Matches(m.Freeze()) {
+		t.Error("equal contents in an overflow-only store must match a span-backed frozen copy")
+	}
+}
+
+// TestMemoryMatchesAllocatesNothing: comparing a store with a frozen copy of
+// its own layout allocates nothing.
+func TestMemoryMatchesAllocatesNothing(t *testing.T) {
+	m := NewMemoryFrom(map[uint64]uint64{0x100: 1, 0x118: 2})
+	m.Write64(0x9000, 6)
+	f := m.Freeze()
+	if n := testing.AllocsPerRun(100, func() {
+		if !m.Matches(f) {
+			t.Fatal("a store must match its own frozen copy")
+		}
+	}); n != 0 {
+		t.Fatalf("Matches allocated %.0f times per call", n)
+	}
+}
+
+// apply runs do on m and returns m.
+func (m *Memory) apply(do func(*Memory)) *Memory {
+	do(m)
+	return m
 }

@@ -1,6 +1,10 @@
 package mem
 
-import "math/bits"
+import (
+	"maps"
+	"math/bits"
+	"slices"
+)
 
 // Memory is the functional backing store: a 64-bit word store keyed by
 // 8-byte-aligned addresses. The trace builders lay data out at aligned
@@ -131,3 +135,37 @@ func (m *Memory) Snapshot() map[uint64]uint64 {
 
 // Len returns the number of touched words.
 func (m *Memory) Len() int { return m.n + len(m.over) }
+
+// Frozen is a read-only copy of a Memory's contents at one instant, kept so
+// that a later store can be compared against it (Matches) without building
+// a Snapshot map. Nothing writes a Frozen after Freeze returns, so one may be
+// shared across goroutines.
+type Frozen struct{ m Memory }
+
+// Freeze copies the current contents.
+func (m *Memory) Freeze() *Frozen {
+	return &Frozen{Memory{
+		base:  m.base,
+		words: slices.Clone(m.words),
+		touch: slices.Clone(m.touch),
+		n:     m.n,
+		over:  maps.Clone(m.over),
+	}}
+}
+
+// Matches reports whether m holds exactly f's contents, as Snapshot reports
+// them: the same words present, with the same values. When both share one
+// span — m was instantiated from the image f's source was — it is two slice
+// compares and an overflow-map compare, and allocates nothing: an untouched
+// span word is always zero, so equal spans and equal touched bitmaps mean
+// equal snapshots. Stores of different layouts compare their snapshots.
+func (m *Memory) Matches(f *Frozen) bool {
+	o := &f.m
+	if m.base != o.base || len(m.words) != len(o.words) {
+		return maps.Equal(m.Snapshot(), o.Snapshot())
+	}
+	return slices.Equal(m.touch, o.touch) && slices.Equal(m.words, o.words) && maps.Equal(m.over, o.over)
+}
+
+// Snapshot returns the frozen contents as Memory.Snapshot would have.
+func (f *Frozen) Snapshot() map[uint64]uint64 { return f.m.Snapshot() }

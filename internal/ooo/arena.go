@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"redsoc/internal/mem"
+	"redsoc/internal/predict"
 )
 
 // The entry slab is the simulator's physical register file, R10K-style: a
@@ -30,18 +31,21 @@ import (
 // (2*ROBSize+8); the grow path below absorbs the rare tail, amortized once
 // per high-water mark.
 //
-// Storage lifetime: the slab and free list, the cache hierarchy and the
-// functional memory are one bundle (storage) with one owner at a time. New
-// borrows a bundle from storagePool and resets it; Run returns it when the
-// simulation ends — after capture, on the error path too — and nils the
-// Simulator's fields, so nothing reaches the storage through a finished
-// Simulator and a second Run is refused. The reset contract is that a
-// borrowed bundle is observably a fresh one: the hierarchy is reset to cold
-// (mem.Hierarchy.Reset, which keeps line storage only when the geometry
-// matches), the memory is re-instantiated from the program's image
-// (mem.Memory.Reset), and the slab and free list are emptied to length zero,
-// so a recycled slot is only ever reached through alloc, which zeroes it.
-// Only capacity carries from one run into the next, never contents.
+// Storage lifetime: the slab and free list, the cache hierarchy, the
+// functional memory and the predictor tables are one bundle (storage) with
+// one owner at a time. New borrows a bundle from storagePool and resets it;
+// Run returns it when the simulation ends — after capture, on the error
+// path too — and nils the Simulator's fields, so nothing reaches the storage
+// through a finished Simulator and a second Run is refused. The reset
+// contract is that a borrowed bundle is observably a fresh one: the
+// hierarchy is reset to cold (mem.Hierarchy.Reset, which keeps line storage
+// only when the geometry matches), the memory is re-instantiated from the
+// program's image (mem.Memory.Reset), each predictor is rebuilt in place
+// exactly as its predict.New* constructor builds it (Reset, which resizes a
+// table whose entry count differs), and the slab and free list are emptied
+// to length zero, so a recycled slot is only ever reached through alloc,
+// which zeroes it. Only capacity carries from one run into the next, never
+// contents.
 
 // ent resolves a slab index. The returned pointer is valid only until the
 // next alloc (the slab may grow); the scheduler never holds one across a
@@ -119,6 +123,11 @@ type storage struct {
 	memory   *mem.Memory
 	slab     []entry
 	freeList []int32
+
+	widthPred  *predict.WidthPredictor
+	lastPred   *predict.LastArrivalPredictor
+	branchPred *predict.BranchPredictor
+	loadPred   *predict.LoadDelayTracker // built on the first PolicyLoadDelay run
 }
 
 // storagePool holds the bundles of finished simulations for the next New.
@@ -135,11 +144,26 @@ func borrowStorage(cfg Config, img *mem.Image) *storage {
 	slabCap := 2*cfg.ROBSize + 8
 	st, _ := storagePool.Get().(*storage)
 	if st == nil {
-		st = &storage{hier: mem.NewHierarchy(cfg.Mem), memory: mem.NewMemory()}
+		st = &storage{
+			hier:       mem.NewHierarchy(cfg.Mem),
+			memory:     mem.NewMemory(),
+			widthPred:  &predict.WidthPredictor{},
+			lastPred:   &predict.LastArrivalPredictor{},
+			branchPred: &predict.BranchPredictor{},
+		}
 	} else {
 		st.hier.Reset(cfg.Mem)
 	}
 	st.memory.Reset(img)
+	st.widthPred.Reset(cfg.WidthPredictorEntries, predict.DefaultConfidenceBits)
+	st.lastPred.Reset(cfg.LastArrivalEntries)
+	st.branchPred.Reset(predict.DefaultBranchEntries, predict.DefaultHistoryBits)
+	if cfg.Policy == PolicyLoadDelay {
+		if st.loadPred == nil {
+			st.loadPred = &predict.LoadDelayTracker{}
+		}
+		st.loadPred.Reset(cfg.LoadDelayEntries)
+	}
 	if cap(st.slab) < slabCap {
 		st.slab = make([]entry, 0, slabCap)
 	}
@@ -151,10 +175,12 @@ func borrowStorage(cfg Config, img *mem.Image) *storage {
 }
 
 // releaseStorage returns the simulator's bundle to the pool, keeping the slab
-// and free list as they grew, and unhooks every field that reaches it.
+// and free list as they grew, and unhooks every field that reaches it (the
+// estimator holds the width predictor).
 func (s *Simulator) releaseStorage() {
 	st := s.store
 	st.slab, st.freeList = s.slab, s.freeList
 	s.store, s.hier, s.memory, s.slab, s.freeList = nil, nil, nil, nil, nil
+	s.widthPred, s.lastPred, s.branchPred, s.loadPred, s.estimator = nil, nil, nil, nil, nil
 	storagePool.Put(st)
 }

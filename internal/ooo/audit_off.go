@@ -20,3 +20,5 @@ func (auditState) onCommitMem(*Simulator, int32, int32) {}
 func (auditState) onArbRequests(*Simulator, []core.Request) {}
 
 func (auditState) onReadyMerged(*Simulator, int64) {}
+
+func (auditState) onAdoptFinal(*Simulator, *finalState) {}

@@ -24,14 +24,20 @@ package ooo
 //     tag-indexed scheduler only examines ready-set entries, so a
 //     schedulable entry outside it would silently never issue (or issue
 //     late) instead of deadlocking loudly.
+//  5. A program's canonical final state (final.go) is read-only: each run
+//     that adopts it first checks that its shared FinalRegs and FinalMem
+//     maps still hold what was published, so a caller that wrote into a
+//     Result's maps is caught at the next run of that program.
 //
 // Violations panic with full context: an audit build exists to crash loudly
 // at the first inconsistency, not to keep simulating on corrupted timing.
 
 import (
 	"fmt"
+	"maps"
 
 	"redsoc/internal/core"
+	"redsoc/internal/isa"
 	"redsoc/internal/obs"
 	"redsoc/internal/timing"
 )
@@ -141,6 +147,23 @@ func (a *auditState) onReadyMerged(s *Simulator, cycle int64) {
 		if ok, _ := s.trackedReady(e, cycle); ok || s.specPending(e, cycle) {
 			auditFailf(s, e, "lost wakeup at cycle %d: schedulable waiting entry is outside the ready set", cycle)
 		}
+	}
+}
+
+// onAdoptFinal asserts invariant 5 before a run adopts the canonical state f.
+func (a *auditState) onAdoptFinal(s *Simulator, f *finalState) {
+	regs := len(f.FinalRegs) == archFileRegs
+	for i := 0; regs && i < isa.NumIntRegs; i++ {
+		v, ok := f.FinalRegs[isa.R(i)]
+		regs = ok && v == f.regs[isa.R(i).RenameIndex()]
+	}
+	for i := 0; regs && i < isa.NumVecRegs; i++ {
+		v, ok := f.FinalRegs[isa.V(i)]
+		regs = ok && v == f.regs[isa.V(i).RenameIndex()]
+	}
+	if !regs || !maps.Equal(f.FinalMem, f.mem.Snapshot()) {
+		panic(fmt.Sprintf("ooo: audit: %s/%s program %q: the canonical final state's shared FinalRegs/FinalMem maps were written after publication; Result maps are read-only",
+			s.cfg.Name, s.cfg.Policy, s.prog.Name))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"redsoc/internal/alu"
 	"redsoc/internal/isa"
 	"redsoc/internal/workload/mibench"
 )
@@ -80,4 +81,38 @@ func TestAuditCatchesLostWakeup(t *testing.T) {
 		}
 	}()
 	s.issue(0)
+}
+
+// TestAuditCatchesWrittenFinalState: a run's FinalMem and FinalRegs may be
+// its program's shared canonical maps, which are read-only. A caller that
+// writes into them must be reported, naming the program, by the next run of
+// that program that would adopt them.
+func TestAuditCatchesWrittenFinalState(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		write func(r *Result)
+	}{
+		{"memory", func(r *Result) { r.FinalMem[0xdead0] = 1 }},
+		{"registers", func(r *Result) { r.FinalRegs[isa.R(3)] = alu.Scalar(12345) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p, _ := mibench.Bitcount(300, 15)
+			cfg := SmallConfig().WithPolicy(PolicyRedsoc)
+			res, err := Run(cfg, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !holdsCanonical(p, res) {
+				t.Fatal("premise: the program's first run must publish its maps")
+			}
+			c.write(res)
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "read-only") || !strings.Contains(msg, `program "bitcnt"`) {
+					t.Fatalf("want an audit panic naming the program, got %q", msg)
+				}
+			}()
+			_, _ = Run(cfg.WithPolicy(PolicyBaseline), p)
+		})
+	}
 }

@@ -79,7 +79,10 @@ type Result struct {
 	Branches          predict.BranchStats
 	MemStats          mem.Stats
 
-	// Architectural outcome, for cross-scheduler equivalence checks.
+	// Architectural outcome, for cross-scheduler equivalence checks. A run
+	// that ends in its program's canonical final state shares that state's
+	// FinalRegs and FinalMem maps with every other such run (see final.go),
+	// so both maps are read-only: never write to them.
 	FinalRegs  map[isa.Reg]alu.Value `json:"-"`
 	FinalMem   map[uint64]uint64     `json:"-"`
 	FinalFlags alu.Flags             `json:"-"`
@@ -112,8 +115,13 @@ func (r *Result) FUStallRate() float64 {
 }
 
 // ArchEqual reports whether two runs produced identical architectural state:
-// the invariant that slack recycling must preserve.
+// the invariant that slack recycling must preserve. Two results holding the
+// same maps — runs that ended in their program's canonical final state —
+// are equal without a compare.
 func (r *Result) ArchEqual(o *Result) bool {
+	if sameMap(r.FinalRegs, o.FinalRegs) && sameMap(r.FinalMem, o.FinalMem) {
+		return r.FinalFlags == o.FinalFlags
+	}
 	if len(r.FinalRegs) != len(o.FinalRegs) || r.FinalFlags != o.FinalFlags {
 		return false
 	}

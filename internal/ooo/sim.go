@@ -66,8 +66,9 @@ type Simulator struct {
 	// obszeroalloc analyzer), so the disabled path costs one branch.
 	obs obs.Sink
 
-	// store is the borrowed machine storage behind memory, hier, slab and
-	// freeList; Run returns it to the pool and nils all five (arena.go).
+	// store is the borrowed machine storage behind memory, hier, slab,
+	// freeList and the predictors; Run returns it to the pool and nils every
+	// field that reaches it (arena.go).
 	store *storage
 
 	// slab and freeList are the dense physical entry store (see arena.go);
@@ -139,7 +140,6 @@ func New(cfg Config, prog *isa.Program) (*Simulator, error) {
 		params = cfg.Redsoc
 	}
 	lut := timing.NewLUT(clock)
-	wp := predict.NewWidthPredictor(cfg.WidthPredictorEntries, predict.DefaultConfidenceBits)
 	dec := trace.DecodeCached(prog)
 	st := borrowStorage(cfg, dec.Image)
 	s := &Simulator{
@@ -153,16 +153,16 @@ func New(cfg Config, prog *isa.Program) (*Simulator, error) {
 		slab:       st.slab,
 		freeList:   st.freeList,
 		lut:        lut,
-		widthPred:  wp,
-		lastPred:   predict.NewLastArrivalPredictor(cfg.LastArrivalEntries),
-		branchPred: predict.NewBranchPredictor(predict.DefaultBranchEntries, predict.DefaultHistoryBits),
-		estimator:  core.NewEstimator(lut, wp, estimatorParams(cfg, clock)),
+		widthPred:  st.widthPred,
+		lastPred:   st.lastPred,
+		branchPred: st.branchPred,
+		estimator:  core.NewEstimator(lut, st.widthPred, estimatorParams(cfg, clock)),
 		arbiter:    core.NewArbiter(cfg.Policy == PolicyRedsoc && params.SkewedSelect),
 		params:     params,
 		redirect:   none,
 	}
 	if cfg.Policy == PolicyLoadDelay {
-		s.loadPred = predict.NewLoadDelayTracker(cfg.LoadDelayEntries)
+		s.loadPred = st.loadPred
 	}
 	for i := range s.rat {
 		s.rat[i] = none
@@ -678,17 +678,10 @@ func forwardable(st, ld *entry) bool {
 	return st.addrLo <= ld.addrLo && ld.addrHi <= st.addrHi
 }
 
-// capture snapshots final architectural state for equivalence checks.
+// capture records the final architectural state, for equivalence checks,
+// and the end-of-run statistics.
 func (s *Simulator) capture() {
-	s.res.FinalRegs = make(map[isa.Reg]alu.Value)
-	for i := 0; i < isa.NumIntRegs; i++ {
-		s.res.FinalRegs[isa.R(i)] = s.archRegs[isa.R(i).RenameIndex()]
-	}
-	for i := 0; i < isa.NumVecRegs; i++ {
-		s.res.FinalRegs[isa.V(i)] = s.archRegs[isa.V(i).RenameIndex()]
-	}
-	s.res.FinalFlags = alu.UnpackFlags(s.archRegs[isa.Flags.RenameIndex()])
-	s.res.FinalMem = s.memory.Snapshot()
+	s.captureArch()
 	s.res.WidthPredictor = s.widthPred.Stats()
 	s.res.LastArrival = s.lastPred.Stats()
 	if s.loadPred != nil {

@@ -5,59 +5,79 @@ import (
 	"runtime"
 	"testing"
 
+	"redsoc/internal/predict"
 	"redsoc/internal/workload/mibench"
 	"redsoc/internal/workload/ml"
 )
 
 // TestPooledStorageIsInvisible pins the storage reset contract: a run on
 // storage another simulation has just dirtied — a different program, core,
-// policy and memory image, run to completion or abandoned mid-flight by the
-// deadlock guard with live slab entries — produces exactly the Result of a
-// run on fresh storage.
+// policy, memory image and predictor table sizes, run to completion or
+// abandoned mid-flight by the deadlock guard with live slab entries —
+// produces exactly the Result of a run on fresh storage.
 func TestPooledStorageIsInvisible(t *testing.T) {
 	conv, _ := ml.Conv(24, 16, 23)
 	bitcnt, _ := mibench.Bitcount(400, 15)
-	cfg := SmallConfig().WithPolicy(PolicyRedsoc)
+	// Each case dirties the predictors its measured run reads: the width,
+	// last-arrival and branch tables under ReDSOC, the load-delay tracker
+	// under loaddelay, at other sizes than the measured run's.
+	bigTables := func(c Config) Config {
+		c.WidthPredictorEntries = 2 * predict.DefaultWidthEntries
+		c.LastArrivalEntries = predict.DefaultLastArrivalEntries / 2
+		c.LoadDelayEntries = 4 * predict.DefaultLoadDelayEntries
+		return c
+	}
+	for _, c := range []struct {
+		cfg, dirty Config
+	}{
+		{SmallConfig().WithPolicy(PolicyRedsoc), BigConfig().WithPolicy(PolicyMOS)},
+		{SmallConfig().WithPolicy(PolicyRedsoc), bigTables(BigConfig().WithPolicy(PolicyRedsoc))},
+		{SmallConfig().WithPolicy(PolicyLoadDelay), bigTables(BigConfig().WithPolicy(PolicyLoadDelay))},
+	} {
+		cfg := c.cfg
+		// Two collections empty the pool (the first moves its items to the
+		// victim cache, the second drops them), so this run builds fresh
+		// storage.
+		runtime.GC()
+		runtime.GC()
+		want := run(t, cfg, bitcnt)
 
-	// Two collections empty the pool (the first moves its items to the
-	// victim cache, the second drops them), so this run builds fresh storage.
-	runtime.GC()
-	runtime.GC()
-	want := run(t, cfg, bitcnt)
-
-	for _, abort := range []bool{false, true} {
-		dirtyCfg := BigConfig().WithPolicy(PolicyMOS)
-		if abort {
-			dirtyCfg.MaxCycles = 60
-		}
-		reused := false
-		for attempt := 0; attempt < 5 && !reused; attempt++ {
-			dirty, err := New(dirtyCfg, conv)
-			if err != nil {
-				t.Fatal(err)
+		for _, abort := range []bool{false, true} {
+			dirtyCfg := c.dirty
+			if abort {
+				dirtyCfg.MaxCycles = 60
 			}
-			st := dirty.store
-			if _, err := dirty.Run(); (err != nil) != abort {
-				t.Fatalf("dirtying run (abort %v): err = %v", abort, err)
+			reused := false
+			for attempt := 0; attempt < 5 && !reused; attempt++ {
+				dirty, err := New(dirtyCfg, conv)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := dirty.store
+				if _, err := dirty.Run(); (err != nil) != abort {
+					t.Fatalf("dirtying run (abort %v): err = %v", abort, err)
+				}
+				s, err := New(cfg, bitcnt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// sync.Pool gives no guarantee of handing the item back (a GC
+				// or a move to another P can intervene), so retry until it does.
+				reused = s.store == st
+				got, err := s.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					sameResult(t, got, want)
+					t.Fatalf("%s after %s/%s (abort %v, attempt %d, storage reused: %v): result differs from a run on fresh storage",
+						cfg.Policy, dirtyCfg.Name, dirtyCfg.Policy, abort, attempt, reused)
+				}
 			}
-			s, err := New(cfg, bitcnt)
-			if err != nil {
-				t.Fatal(err)
+			if !reused && !raceEnabled {
+				t.Fatalf("%s after %s/%s (abort %v): no attempt reused the dirtied storage; the test proved nothing",
+					cfg.Policy, dirtyCfg.Name, dirtyCfg.Policy, abort)
 			}
-			// sync.Pool gives no guarantee of handing the item back (a GC
-			// or a move to another P can intervene), so retry until it does.
-			reused = s.store == st
-			got, err := s.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				sameResult(t, got, want)
-				t.Fatalf("abort %v, attempt %d (storage reused: %v): result differs from a run on fresh storage", abort, attempt, reused)
-			}
-		}
-		if !reused && !raceEnabled {
-			t.Fatalf("abort %v: no attempt reused the dirtied storage; the test proved nothing", abort)
 		}
 	}
 }
@@ -89,10 +109,12 @@ func TestSecondRunRefused(t *testing.T) {
 	}
 }
 
-// TestWarmRunAllocationBound: once the pool holds a finished run's storage,
-// a New + Run pair allocates well under the ~330 kB a fresh cache hierarchy
-// alone costs. The minimum over several runs discounts a collection that
-// empties the pool mid-measurement.
+// TestWarmRunAllocationBound: once the pool holds a finished run's storage
+// and the program has its canonical final state, a New + Run pair allocates
+// well under the ~330 kB a fresh cache hierarchy alone costs: no cache
+// arrays, predictor tables or final-state maps, about 21 kB in all. The
+// minimum over several runs discounts a collection that empties the pool
+// mid-measurement.
 func TestWarmRunAllocationBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled items at random")
@@ -109,7 +131,7 @@ func TestWarmRunAllocationBound(t *testing.T) {
 		}
 	}
 	newRun()
-	const bound = 100 << 10
+	const bound = 32 << 10
 	least := uint64(1 << 62)
 	for i := 0; i < 5; i++ {
 		var before, after runtime.MemStats

@@ -26,18 +26,35 @@ const (
 // NewBranchPredictor builds a gshare predictor; entries must be a power of
 // two.
 func NewBranchPredictor(entries int, historyBits uint) *BranchPredictor {
+	p := &BranchPredictor{}
+	p.Reset(entries, historyBits)
+	return p
+}
+
+// Reset makes p exactly what NewBranchPredictor(entries, historyBits)
+// builds, reusing its table when the capacity allows.
+func (p *BranchPredictor) Reset(entries int, historyBits uint) {
 	if entries <= 0 || entries&(entries-1) != 0 {
-		panic("predict: branch predictor entries must be a positive power of two")
+		panic("predict: branch predictor entries must be a positive power of two") //lint:allow panicpolicy audited invariant: the simulator resets only tables ooo.Config.Validate has sized; New* share the check
 	}
-	c := make([]uint8, entries)
+	c := resize(p.counters, entries)
 	for i := range c {
 		c[i] = 1 // weakly not-taken
 	}
-	return &BranchPredictor{
+	*p = BranchPredictor{
 		counters: c,
 		histBits: historyBits,
 		mask:     uint64(entries - 1),
 	}
+}
+
+// resize returns a slice of length n, reusing s's storage when it is large
+// enough. The contents are unspecified; callers overwrite every element.
+func resize[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
 }
 
 func (p *BranchPredictor) index(pc uint64) uint64 {

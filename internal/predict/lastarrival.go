@@ -19,11 +19,21 @@ const DefaultLastArrivalEntries = 1024
 
 // NewLastArrivalPredictor builds a predictor with a power-of-two table size.
 func NewLastArrivalPredictor(entries int) *LastArrivalPredictor {
+	p := &LastArrivalPredictor{}
+	p.Reset(entries)
+	return p
+}
+
+// Reset makes p exactly what NewLastArrivalPredictor(entries) builds,
+// reusing its table when the capacity allows.
+func (p *LastArrivalPredictor) Reset(entries int) {
 	if entries <= 0 || entries&(entries-1) != 0 {
-		panic("predict: last-arrival predictor entries must be a positive power of two")
+		panic("predict: last-arrival predictor entries must be a positive power of two") //lint:allow panicpolicy audited invariant: the simulator resets only tables ooo.Config.Validate has sized; New* share the check
 	}
-	return &LastArrivalPredictor{
-		secondLast: make([]bool, entries),
+	t := resize(p.secondLast, entries)
+	clear(t)
+	*p = LastArrivalPredictor{
+		secondLast: t,
 		mask:       uint64(entries - 1),
 	}
 }

@@ -24,11 +24,21 @@ const DefaultLoadDelayEntries = 512
 
 // NewLoadDelayTracker builds a tracker with a power-of-two table size.
 func NewLoadDelayTracker(entries int) *LoadDelayTracker {
+	t := &LoadDelayTracker{}
+	t.Reset(entries)
+	return t
+}
+
+// Reset makes t exactly what NewLoadDelayTracker(entries) builds, reusing
+// its table when the capacity allows.
+func (t *LoadDelayTracker) Reset(entries int) {
 	if entries <= 0 || entries&(entries-1) != 0 {
-		panic("predict: load-delay tracker entries must be a positive power of two")
+		panic("predict: load-delay tracker entries must be a positive power of two") //lint:allow panicpolicy audited invariant: the simulator resets only tables ooo.Config.Validate has sized; New* share the check
 	}
-	return &LoadDelayTracker{
-		delays: make([]int32, entries),
+	d := resize(t.delays, entries)
+	clear(d)
+	*t = LoadDelayTracker{
+		delays: d,
 		mask:   uint64(entries - 1),
 	}
 }

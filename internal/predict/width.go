@@ -37,22 +37,32 @@ const DefaultConfidenceBits = 2
 // NewWidthPredictor builds a predictor with the given table size (a power of
 // two) and confidence-counter width.
 func NewWidthPredictor(entries int, confBits int) *WidthPredictor {
+	p := &WidthPredictor{}
+	p.Reset(entries, confBits)
+	return p
+}
+
+// Reset makes p exactly what NewWidthPredictor(entries, confBits) builds,
+// reusing its tables when the capacity allows.
+func (p *WidthPredictor) Reset(entries int, confBits int) {
 	if entries <= 0 || entries&(entries-1) != 0 {
-		panic("predict: width predictor entries must be a positive power of two")
+		panic("predict: width predictor entries must be a positive power of two") //lint:allow panicpolicy audited invariant: the simulator resets only tables ooo.Config.Validate has sized; New* share the check
 	}
 	if confBits < 1 || confBits > 7 {
-		panic("predict: confidence bits out of range [1,7]")
+		panic("predict: confidence bits out of range [1,7]") //lint:allow panicpolicy audited invariant: the simulator resets only tables ooo.Config.Validate has sized; New* share the check
 	}
-	p := &WidthPredictor{
-		widths:     make([]isa.WidthClass, entries),
-		confidence: make([]uint8, entries),
+	w := resize(p.widths, entries)
+	for i := range w {
+		w[i] = isa.Width64
+	}
+	c := resize(p.confidence, entries)
+	clear(c)
+	*p = WidthPredictor{
+		widths:     w,
+		confidence: c,
 		confMax:    uint8(1<<confBits - 1),
 		mask:       uint64(entries - 1),
 	}
-	for i := range p.widths {
-		p.widths[i] = isa.Width64
-	}
-	return p
 }
 
 func (p *WidthPredictor) index(pc uint64) uint64 {
