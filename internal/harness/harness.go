@@ -250,7 +250,7 @@ type Options struct {
 // happens once per call, and journaled cells of one program share one
 // decoded architectural state.
 func Run(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, opts Options) (*Grid, error) {
-	return runGrid(ctx, benchmarks, cores, opts, newRunCache(len(benchmarks)*len(cores)))
+	return runGrid(ctx, benchmarks, cores, opts, &runCache{})
 }
 
 // runGrid is Run with every simulation and decoded cell state taken from

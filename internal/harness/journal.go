@@ -13,7 +13,6 @@ import (
 	"redsoc/internal/baseline"
 	"redsoc/internal/cellstore"
 	"redsoc/internal/isa"
-	"redsoc/internal/memo"
 	"redsoc/internal/ooo"
 )
 
@@ -71,13 +70,13 @@ type journaledTotal struct {
 // (every dynamic instruction, the initial memory image, via programDigest)
 // plus the benchmark's class, name and verification data, which participate
 // in the cell outcome (a cell that fails verification journals nothing).
-// The digest is memoised per (program, class, name) together with a copy of
-// the WantMem it was computed from, and a cached digest is served only while
-// the benchmark's WantMem still equals that copy — so a program reused under
-// another reference result, or a WantMem changed since, gets the digest of
-// what it holds now.
+// The digest is memoised on the program per (class, name) together with a
+// copy of the WantMem it was computed from, and a cached digest is served
+// only while the benchmark's WantMem still equals that copy — so a program
+// reused under another reference result, or a WantMem changed since, gets
+// the digest of what it holds now.
 func benchmarkDigest(b Benchmark) []byte {
-	d := benchmarkDigests.Get(digestKey{b.Prog, b.Class, b.Name}, func(digestKey) digestedBenchmark {
+	d := isa.Derived(b.Prog, digestKey{b.Class, b.Name}, func(*isa.Program) digestedBenchmark {
 		return digestedBenchmark{maps.Clone(b.WantMem), digestBenchmark(b)}
 	})
 	// A nil and an empty WantMem are maps.Equal but digest differently.
@@ -87,9 +86,9 @@ func benchmarkDigest(b Benchmark) []byte {
 	return d.digest
 }
 
-// digestKey names one benchmark in benchmarkDigests.
+// digestKey names one benchmark's digest among the values derived from its
+// program.
 type digestKey struct {
-	prog  *isa.Program
 	class Class
 	name  string
 }
@@ -99,11 +98,6 @@ type digestedBenchmark struct {
 	want   map[uint64]uint64
 	digest []byte
 }
-
-// benchmarkDigests memoises benchmarkDigest under the same bound as
-// programDigests: serve rebuilds no suite, but a benchmark harness that
-// rebuilds one per iteration must not pin every program it ever built.
-var benchmarkDigests = memo.New[digestKey, digestedBenchmark](maxDigestedPrograms)
 
 // digestBenchmark computes benchmarkDigest without the memo.
 func digestBenchmark(b Benchmark) []byte {
@@ -115,21 +109,17 @@ func digestBenchmark(b Benchmark) []byte {
 	}{b.Class, b.Name, programDigest(b.Prog), b.WantMem})
 }
 
-// maxDigestedPrograms bounds programDigests, like trace.DecodeCached's
-// cache: a long-running serve process digests a fixed suite per scale, but
-// fuzzers and tests mint programs without limit.
-const maxDigestedPrograms = 128
-
-// programDigests memoises the canonical digest of each program. Programs
-// are immutable once built (the assumption trace.DecodeCached shares), so a
-// program pointer always names the same content; the digest itself is
-// content-derived, so two builds of one suite still produce equal keys.
-var programDigests = memo.New[*isa.Program, []byte](maxDigestedPrograms)
+// programDigestKey names a program's own digest among the values derived
+// from it.
+type programDigestKey struct{}
 
 // programDigest returns the shared, read-only digest of p's contents,
-// hashing each program once per process rather than once per grid run.
+// hashing each program once rather than once per grid run. Programs are
+// immutable once built (the assumption trace.DecodeCached shares), so the
+// digest lives on the program; it is content-derived, so two builds of one
+// suite still produce equal keys.
 func programDigest(p *isa.Program) []byte {
-	return programDigests.Get(p, func(p *isa.Program) []byte { return cellstore.DigestJSON(p) })
+	return isa.Derived(p, programDigestKey{}, func(p *isa.Program) []byte { return cellstore.DigestJSON(p) })
 }
 
 // WorkloadDigests precomputes a journaled campaign's workload digests

@@ -350,7 +350,7 @@ func TestJournalKeysAreContentAddressed(t *testing.T) {
 // the unmemoised digest of what the benchmark holds now — for a program
 // reused under another WantMem, for a WantMem changed after the first call
 // (including nil versus empty, which maps.Equal does not tell apart), and
-// across more suite rebuilds than the memo holds, which stays bounded.
+// across repeated suite rebuilds.
 func TestBenchmarkDigestMemoExact(t *testing.T) {
 	check := func(what string, b Benchmark) []byte {
 		t.Helper()
@@ -388,13 +388,10 @@ func TestBenchmarkDigestMemoExact(t *testing.T) {
 			{Class: ClassSPEC, Name: "rebuilt-synthetic", Prog: p},
 		}
 	}
-	for i := 0; i <= maxDigestedPrograms; i++ {
+	for i := 0; i < 8; i++ {
 		for _, b := range suite(i) {
 			check(fmt.Sprintf("suite rebuild %d: %s", i, b.Name), b)
 		}
-	}
-	if n := benchmarkDigests.Len(); n > maxDigestedPrograms {
-		t.Errorf("the digest memo holds %d benchmarks, bound is %d", n, maxDigestedPrograms)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // with it. A cached result is shared by every unit that asked for it, so
 // results are read-only once returned.
 type runCache struct {
-	runs *memo.Cache[runKey, runOutcome]
+	runs memo.Map // runKey -> runOutcome
 	// builds counts the engine runs performed (the run-count test reads it).
 	builds atomic.Int64
 
@@ -38,22 +38,9 @@ type runOutcome struct {
 	err error
 }
 
-// runsPerPair is the number of distinct simulations one (benchmark, core)
-// of a swept grid needs: the baseline, ReDSOC at each threshold candidate,
-// MOS, loaddelay, speclsq and TS's rescaled baseline.
-var runsPerPair = 1 + len(ThresholdCandidates) + 3 + 1
-
-// newRunCache sizes the cache to hold every distinct run of pairs
-// (benchmark, core) pairs, so nothing a grid needs is evicted.
-func newRunCache(pairs int) *runCache {
-	return &runCache{
-		runs: memo.New[runKey, runOutcome](pairs * runsPerPair),
-	}
-}
-
 // run is a baseline.Runner: ooo.Run, once per distinct (program, config).
 func (c *runCache) run(cfg ooo.Config, prog *isa.Program) (*ooo.Result, error) {
-	out := c.runs.Get(runKey{prog, cfg}, c.build)
+	out := memo.Get(&c.runs, runKey{prog, cfg}, c.build)
 	return out.res, out.err
 }
 

@@ -28,7 +28,7 @@ func TestRunCacheEngineRunCount(t *testing.T) {
 		{true, int64(pairs * 9)},
 		{false, int64(pairs * 6)},
 	} {
-		runs := newRunCache(pairs)
+		runs := &runCache{}
 		if _, err := runGrid(context.Background(), benchmarks, cores, Options{SweepThreshold: tc.sweep, Workers: 2}, runs); err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func TestResumedCellsShareArchState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	runs := newRunCache(len(benchmarks) * len(cores))
+	runs := &runCache{}
 	g, err := runGrid(context.Background(), benchmarks, cores, Options{Workers: 2, Journal: store, Resume: true}, runs)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,10 @@
 package isa
 
-import "fmt"
+import (
+	"fmt"
+
+	"redsoc/internal/memo"
+)
 
 // Reg names an architectural register. The integer file holds R0..R31, the
 // vector file V0..V31 (128-bit), and Flags is the NZCV condition register,
@@ -200,13 +204,32 @@ func (in *Instruction) String() string {
 }
 
 // Program is a named dynamic instruction stream plus its initial data image.
+// A Program is immutable once built and must not be copied after first use.
 type Program struct {
 	Name   string
 	Instrs []Instruction
 	// Mem is the initial memory image; the simulator copies it before a run
 	// so a Program can be executed repeatedly.
 	Mem map[uint64]uint64
+
+	// derived holds the values other packages derive from the program (see
+	// Derived). It is unexported, so encoding/json and every digest of a
+	// program ignore it.
+	derived memo.Map
 }
 
 // Len returns the number of dynamic instructions.
 func (p *Program) Len() int { return len(p.Instrs) }
+
+// Derived returns the value build derives from p under key, building it at
+// most once per program and key: the flat trace decode, the workload
+// digests, the canonical final state. Because the value hangs off the
+// program, it is shared by every user of the program and collected with
+// it, with no process-wide cache to bound or evict. Concurrent first calls
+// share one build, a hit allocates nothing, and a build that panics caches
+// nothing (see memo.Get). Keys follow context.Context's convention: each
+// package keys with a type of its own, so packages cannot collide, and one
+// key type always derives one value type.
+func Derived[K comparable, V any](p *Program, key K, build func(*Program) V) V {
+	return memo.Get(&p.derived, key, func(K) V { return build(p) })
+}

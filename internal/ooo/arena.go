@@ -1,6 +1,7 @@
 package ooo
 
 import (
+	"runtime"
 	"sync"
 
 	"redsoc/internal/mem"
@@ -33,8 +34,8 @@ import (
 //
 // Storage lifetime: the slab and free list, the cache hierarchy, the
 // functional memory and the predictor tables are one bundle (storage) with
-// one owner at a time. New borrows a bundle from storagePool and resets it;
-// Run returns it when the simulation ends — after capture, on the error
+// one owner at a time. New borrows a bundle from the spare list and resets
+// it; Run returns it when the simulation ends — after capture, on the error
 // path too — and nils the Simulator's fields, so nothing reaches the storage
 // through a finished Simulator and a second Run is refused. The reset
 // contract is that a borrowed bundle is observably a fresh one: the
@@ -130,11 +131,18 @@ type storage struct {
 	loadPred   *predict.LoadDelayTracker // built on the first PolicyLoadDelay run
 }
 
-// storagePool holds the bundles of finished simulations for the next New.
-var storagePool sync.Pool
+// spare holds the bundles of finished simulations for the next New: a
+// free list, not a sync.Pool, so that a bundle outlives garbage collections
+// and is found whichever P asks. It keeps at most GOMAXPROCS bundles, as
+// many as simulations can run at once; a bundle returned beyond that is
+// dropped.
+var spare struct {
+	sync.Mutex
+	list []*storage
+}
 
 // borrowStorage returns a bundle reset for a run of cfg over a program whose
-// initial memory is img, recycled when the pool has one.
+// initial memory is img, recycled when the spare list has one.
 func borrowStorage(cfg Config, img *mem.Image) *storage {
 	// The hard slab bound is the refcount rule above (7*ROBSize+8), but real
 	// traces pin a small fraction of that — sources resolve within a ROB's
@@ -142,7 +150,14 @@ func borrowStorage(cfg Config, img *mem.Image) *storage {
 	// amortized grow path absorb the pathological tail: a full-bound slab
 	// costs more in allocation and zeroing than growth ever does.
 	slabCap := 2*cfg.ROBSize + 8
-	st, _ := storagePool.Get().(*storage)
+	var st *storage
+	spare.Lock()
+	if n := len(spare.list); n > 0 {
+		st = spare.list[n-1]
+		spare.list[n-1] = nil
+		spare.list = spare.list[:n-1]
+	}
+	spare.Unlock()
 	if st == nil {
 		st = &storage{
 			hier:       mem.NewHierarchy(cfg.Mem),
@@ -174,13 +189,17 @@ func borrowStorage(cfg Config, img *mem.Image) *storage {
 	return st
 }
 
-// releaseStorage returns the simulator's bundle to the pool, keeping the slab
-// and free list as they grew, and unhooks every field that reaches it (the
-// estimator holds the width predictor).
+// releaseStorage returns the simulator's bundle to the free list, keeping
+// the slab and free list as they grew, and unhooks every field that reaches
+// it (the estimator holds the width predictor).
 func (s *Simulator) releaseStorage() {
 	st := s.store
 	st.slab, st.freeList = s.slab, s.freeList
 	s.store, s.hier, s.memory, s.slab, s.freeList = nil, nil, nil, nil, nil
 	s.widthPred, s.lastPred, s.branchPred, s.loadPred, s.estimator = nil, nil, nil, nil, nil
-	storagePool.Put(st)
+	spare.Lock()
+	if len(spare.list) < runtime.GOMAXPROCS(0) {
+		spare.list = append(spare.list, st)
+	}
+	spare.Unlock()
 }

@@ -7,8 +7,6 @@ import (
 	"redsoc/internal/alu"
 	"redsoc/internal/isa"
 	"redsoc/internal/mem"
-	"redsoc/internal/memo"
-	"redsoc/internal/trace"
 )
 
 // Slack recycling never changes architectural results, so every run of a
@@ -40,28 +38,23 @@ type finalState struct {
 const archFileRegs = isa.NumIntRegs + isa.NumVecRegs
 
 // finalSlot holds a program's canonical state once some run publishes it.
+// The slot lives on the program (isa.Derived), like its shared decode, so a
+// canonical state lasts exactly as long as its program: every program a
+// process still holds keeps its state, and a dropped one takes it along.
 type finalSlot struct{ p atomic.Pointer[finalState] }
 
-func newFinalSlot(*trace.Decoded) *finalSlot { return &finalSlot{} }
+// finalKey names a program's canonical-state slot among the values derived
+// from it.
+type finalKey struct{}
 
-// finalSlots maps a program's shared decode to its canonical-state slot.
-// Keying on the decode ties a canonical state to one immutable view of one
-// program. The cache is bounded so that a long-running process minting
-// programs keeps only the most recent ones: a campaign reruns one suite of
-// at most fifteen programs, so sixteen slots hold every program it
-// revisits. A program evicted and run again simply publishes afresh. A
-// larger bound only keeps stale states alive: at 128 slots, a serve process
-// whose jobs each build their own suite peaked 13 MB higher.
-var finalSlots = memo.New[*trace.Decoded, *finalSlot](maxFinalPrograms)
-
-const maxFinalPrograms = 16
+func newFinalSlot(*isa.Program) *finalSlot { return &finalSlot{} }
 
 // captureArch sets the Result's architectural state: the program's
 // canonical maps when the run ended in that state, otherwise maps of its
 // own, which a fault-free run publishes as the canonical state if none is
 // yet.
 func (s *Simulator) captureArch() {
-	slot := finalSlots.Get(s.dec, newFinalSlot)
+	slot := isa.Derived(s.prog, finalKey{}, newFinalSlot)
 	if f := slot.p.Load(); f != nil && s.endsIn(f) {
 		s.adopt(f)
 		return

@@ -2,19 +2,20 @@ package ooo
 
 import (
 	"maps"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"redsoc/internal/isa"
 	"redsoc/internal/mem"
-	"redsoc/internal/trace"
 	"redsoc/internal/workload/mibench"
 	"redsoc/internal/workload/ml"
 )
 
 // canonicalOf returns p's published canonical final state, nil if none.
 func canonicalOf(p *isa.Program) *finalState {
-	return finalSlots.Get(trace.DecodeCached(p), newFinalSlot).p.Load()
+	return isa.Derived(p, finalKey{}, newFinalSlot).p.Load()
 }
 
 // plant publishes a canonical final state holding res's maps for p, which
@@ -30,7 +31,7 @@ func plant(t *testing.T, p *isa.Program, res *Result) {
 	for r, v := range res.FinalRegs { //lint:allow simdeterminism order-independent: scatter by rename index
 		f.regs[r.RenameIndex()] = v
 	}
-	if !finalSlots.Get(trace.DecodeCached(p), newFinalSlot).p.CompareAndSwap(nil, f) {
+	if !isa.Derived(p, finalKey{}, newFinalSlot).p.CompareAndSwap(nil, f) {
 		t.Fatal("premise: the program already has a canonical final state")
 	}
 }
@@ -65,6 +66,31 @@ func TestRunsShareArchState(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCanonicalStateDiesWithProgram: a program's canonical final state
+// lasts exactly as long as the program — collected once the program is
+// dropped, with no other program needed to push it out.
+func TestCanonicalStateDiesWithProgram(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		p, _ := mibench.Bitcount(300, 15)
+		run(t, SmallConfig(), p)
+		f := canonicalOf(p)
+		if f == nil {
+			t.Fatal("premise: a fault-free run publishes the canonical final state")
+		}
+		runtime.SetFinalizer(f, func(*finalState) { close(collected) })
+	}()
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("a dropped program's canonical final state was never collected")
 }
 
 // TestFaultedRunDoesNotPublish: only a fault-free run may publish a

@@ -67,8 +67,8 @@ type Simulator struct {
 	obs obs.Sink
 
 	// store is the borrowed machine storage behind memory, hier, slab,
-	// freeList and the predictors; Run returns it to the pool and nils every
-	// field that reaches it (arena.go).
+	// freeList and the predictors; Run returns it to the spare list and nils
+	// every field that reaches it (arena.go).
 	store *storage
 
 	// slab and freeList are the dense physical entry store (see arena.go);
@@ -212,8 +212,8 @@ func estimatorParams(cfg Config, clock timing.Clock) core.Params {
 }
 
 // Run simulates to completion and returns the results. It returns the
-// simulator's machine storage to the pool for the next New, so it runs once:
-// a second call returns an error and leaves the first Result untouched.
+// simulator's machine storage to the spare list for the next New, so it runs
+// once: a second call returns an error and leaves the first Result untouched.
 func (s *Simulator) Run() (*Result, error) {
 	if s.store == nil {
 		return nil, errors.New("ooo: Simulator.Run called again; a Simulator runs once")

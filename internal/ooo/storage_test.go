@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"redsoc/internal/isa"
 	"redsoc/internal/predict"
 	"redsoc/internal/workload/mibench"
 	"redsoc/internal/workload/ml"
@@ -35,11 +36,9 @@ func TestPooledStorageIsInvisible(t *testing.T) {
 		{SmallConfig().WithPolicy(PolicyLoadDelay), bigTables(BigConfig().WithPolicy(PolicyLoadDelay))},
 	} {
 		cfg := c.cfg
-		// Two collections empty the pool (the first moves its items to the
-		// victim cache, the second drops them), so this run builds fresh
-		// storage.
-		runtime.GC()
-		runtime.GC()
+		// An empty spare list makes New build fresh storage for the
+		// reference run.
+		drainSpare()
 		want := run(t, cfg, bitcnt)
 
 		for _, abort := range []bool{false, true} {
@@ -47,39 +46,42 @@ func TestPooledStorageIsInvisible(t *testing.T) {
 			if abort {
 				dirtyCfg.MaxCycles = 60
 			}
-			reused := false
-			for attempt := 0; attempt < 5 && !reused; attempt++ {
-				dirty, err := New(dirtyCfg, conv)
-				if err != nil {
-					t.Fatal(err)
-				}
-				st := dirty.store
-				if _, err := dirty.Run(); (err != nil) != abort {
-					t.Fatalf("dirtying run (abort %v): err = %v", abort, err)
-				}
-				s, err := New(cfg, bitcnt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// sync.Pool gives no guarantee of handing the item back (a GC
-				// or a move to another P can intervene), so retry until it does.
-				reused = s.store == st
-				got, err := s.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					sameResult(t, got, want)
-					t.Fatalf("%s after %s/%s (abort %v, attempt %d, storage reused: %v): result differs from a run on fresh storage",
-						cfg.Policy, dirtyCfg.Name, dirtyCfg.Policy, abort, attempt, reused)
-				}
+			dirty, err := New(dirtyCfg, conv)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !reused && !raceEnabled {
-				t.Fatalf("%s after %s/%s (abort %v): no attempt reused the dirtied storage; the test proved nothing",
+			st := dirty.store
+			if _, err := dirty.Run(); (err != nil) != abort {
+				t.Fatalf("dirtying run (abort %v): err = %v", abort, err)
+			}
+			// The spare list is last in, first out, so the next New takes
+			// the bundle the dirtying run just returned.
+			s, err := New(cfg, bitcnt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.store != st {
+				t.Fatalf("%s after %s/%s (abort %v): New did not reuse the dirtied storage; the test proves nothing",
+					cfg.Policy, dirtyCfg.Name, dirtyCfg.Policy, abort)
+			}
+			got, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				sameResult(t, got, want)
+				t.Fatalf("%s after %s/%s (abort %v): result differs from a run on fresh storage",
 					cfg.Policy, dirtyCfg.Name, dirtyCfg.Policy, abort)
 			}
 		}
 	}
+}
+
+// drainSpare empties the spare list, so the next New builds fresh storage.
+func drainSpare() {
+	spare.Lock()
+	spare.list = nil
+	spare.Unlock()
 }
 
 // TestSecondRunRefused: Run hands the machine storage back, so a second call
@@ -109,39 +111,62 @@ func TestSecondRunRefused(t *testing.T) {
 	}
 }
 
-// TestWarmRunAllocationBound: once the pool holds a finished run's storage
-// and the program has its canonical final state, a New + Run pair allocates
-// well under the ~330 kB a fresh cache hierarchy alone costs: no cache
-// arrays, predictor tables or final-state maps, about 21 kB in all. The
-// minimum over several runs discounts a collection that empties the pool
-// mid-measurement.
+// warmRunBound bounds what a warm New + Run may allocate: well under the
+// ~330 kB a fresh cache hierarchy alone costs.
+const warmRunBound = 32 << 10
+
+// newRunAlloc runs one New + Run of p on cfg and returns the bytes it
+// allocated.
+func newRunAlloc(t *testing.T, cfg Config, p *isa.Program) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := New(cfg, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestWarmRunAllocationBound: once the spare list holds a finished run's
+// storage and the program has its canonical final state, a New + Run pair
+// allocates no cache arrays, predictor tables or final-state maps, about
+// 21 kB in all. The minimum over several runs discounts allocations of
+// other goroutines.
 func TestWarmRunAllocationBound(t *testing.T) {
 	if raceEnabled {
-		t.Skip("the race detector drops pooled items at random")
+		t.Skip("allocation accounting is not meaningful under the race detector")
 	}
 	p, _ := mibench.Bitcount(400, 15)
 	cfg := BigConfig().WithPolicy(PolicyRedsoc)
-	newRun := func() {
-		s, err := New(cfg, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	newRun()
-	const bound = 32 << 10
+	newRunAlloc(t, cfg, p)
 	least := uint64(1 << 62)
 	for i := 0; i < 5; i++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		newRun()
-		runtime.ReadMemStats(&after)
-		least = min(least, after.TotalAlloc-before.TotalAlloc)
+		least = min(least, newRunAlloc(t, cfg, p))
 	}
-	if least > bound {
-		t.Fatalf("a warm New + Run allocated %d bytes; want at most %d", least, bound)
+	if least > warmRunBound {
+		t.Fatalf("a warm New + Run allocated %d bytes; want at most %d", least, warmRunBound)
 	}
 	t.Logf("warm New + Run: %d bytes", least)
+}
+
+// TestStorageSurvivesCollection: a finished run's storage waits for the
+// next New through garbage collections, so a warm New + Run after two
+// forced collections still reuses it and allocates no cache hierarchy.
+func TestStorageSurvivesCollection(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not meaningful under the race detector")
+	}
+	p, _ := mibench.Bitcount(400, 15)
+	cfg := BigConfig().WithPolicy(PolicyRedsoc)
+	newRunAlloc(t, cfg, p)
+	runtime.GC()
+	runtime.GC()
+	if n := newRunAlloc(t, cfg, p); n > warmRunBound {
+		t.Fatalf("a warm New + Run after two collections allocated %d bytes; want at most %d", n, warmRunBound)
+	}
 }

@@ -23,7 +23,6 @@ package trace
 import (
 	"redsoc/internal/isa"
 	"redsoc/internal/mem"
-	"redsoc/internal/memo"
 )
 
 // Pool routes an instruction to its functional-unit pool, partitioned per
@@ -217,23 +216,15 @@ func Decode(p *isa.Program) *Decoded {
 	return d
 }
 
-// decodeCache maps *isa.Program to its lazily built Decoded. Keying on the
-// program pointer is what makes cross-cell sharing work: harness and campaign
-// drivers construct each benchmark's Program once and hand the same pointer
-// to every grid/sweep/chaos cell. A campaign evaluates a fixed benchmark set,
-// but fuzzers, property tests and a long-running serve process mint
-// unbounded distinct programs, so the cache is bounded: the oldest cached
-// program is evicted rather than refusing to cache new ones, and the Nth
-// workload of a long campaign still shares its decode like the first.
-var decodeCache = memo.New[*isa.Program, *Decoded](maxCachedPrograms)
-
-const maxCachedPrograms = 128
+// decodeKey names a program's flat decode among the values derived from it.
+type decodeKey struct{}
 
 // DecodeCached returns the shared flat decode of p, building it at most once
 // per program no matter how many simulators (on any number of goroutines)
-// ask. The returned view is read-only; see Decoded. The cache holds the
-// maxCachedPrograms most recently inserted programs; inserting beyond that
-// evicts the oldest entry (which simply decodes afresh if it ever returns).
+// ask. The decode lives on p (isa.Derived), so campaign workers evaluating
+// different grid/sweep/chaos cells of one benchmark share it through the
+// program pointer, and it is collected with the program. The returned view
+// is read-only; see Decoded.
 func DecodeCached(p *isa.Program) *Decoded {
-	return decodeCache.Get(p, Decode)
+	return isa.Derived(p, decodeKey{}, Decode)
 }

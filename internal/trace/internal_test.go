@@ -1,41 +1,41 @@
 package trace
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"redsoc/internal/isa"
 )
 
-// TestDecodeCachedEvictsOldestBeyondBound is the regression test for the
-// cache-full bug: the cache used to refuse all insertions once
-// maxCachedPrograms distinct programs had been seen, so a long-running serve
-// process re-decoded every later workload forever. With bounded eviction the
-// (max+1)th program must be served from cache on its second use and the
-// oldest program gives up its slot.
-func TestDecodeCachedEvictsOldestBeyondBound(t *testing.T) {
-	progs := make([]*isa.Program, maxCachedPrograms+1)
-	for i := range progs {
-		progs[i] = &isa.Program{Instrs: []isa.Instruction{{Op: isa.OpMOV, Dst: isa.R(1)}}}
+// TestDecodeCachedDiesWithProgram: a program's shared decode lives exactly
+// as long as the program. While the program is held, every call returns
+// the one decode; once it is dropped, the decode is collected with it. (The
+// finalizer sits on a column, not on the Decoded, which points back at its
+// program: a finalizer inside a cycle would keep the cycle alive.)
+func TestDecodeCachedDiesWithProgram(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		instrs := make([]isa.Instruction, 64)
+		for i := range instrs {
+			instrs[i] = isa.Instruction{Op: isa.OpMOV, Dst: isa.R(1)}
+		}
+		p := &isa.Program{Name: "dropped", Instrs: instrs}
+		d := DecodeCached(p)
+		if DecodeCached(p) != d {
+			t.Fatal("a held program's second decode is not its first")
+		}
+		runtime.SetFinalizer(&d.Bits[0], func(*InstrBits) { close(collected) })
+	}()
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
-	first := make([]*Decoded, len(progs))
-	for i, p := range progs {
-		first[i] = DecodeCached(p)
-	}
-	last := progs[len(progs)-1]
-	if got := DecodeCached(last); got != first[len(progs)-1] {
-		t.Fatal("the program inserted beyond the bound must be served from cache on its second use")
-	}
-	// Recently inserted programs kept their slots too.
-	if got := DecodeCached(progs[maxCachedPrograms/2]); got != first[maxCachedPrograms/2] {
-		t.Fatal("a mid-age cached program lost its slot without the cache being full")
-	}
-	// maxCachedPrograms+1 fresh insertions fill the FIFO with exactly our
-	// last maxCachedPrograms programs, whatever earlier tests cached — so
-	// the oldest of ours is deterministically the evictee. (The bound
-	// itself is pinned by the memo package's tests.)
-	if got := DecodeCached(progs[0]); got == first[0] {
-		t.Fatal("re-decoding the evictee must build a fresh view")
-	}
+	t.Fatal("a dropped program's decode was never collected")
 }
 
 func TestSortU64(t *testing.T) {

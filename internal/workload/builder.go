@@ -19,7 +19,8 @@ import (
 // instruction (predictors index by PC).
 type Builder struct {
 	name   string
-	instrs []isa.Instruction
+	full   [][]isa.Instruction // filled chunks of chunkLen instructions
+	instrs []isa.Instruction   // the chunk being filled
 	mem    map[uint64]uint64
 	pc     uint64
 	autoPC bool
@@ -56,14 +57,23 @@ func (b *Builder) Auto() *Builder {
 
 // emit appends one instruction, stamping Seq and PC.
 func (b *Builder) emit(in isa.Instruction) *Builder {
-	in.Seq = len(b.instrs)
+	in.Seq = b.Len()
 	in.PC = b.pc
 	if b.autoPC {
 		b.pc += 4
 	}
+	if len(b.instrs) == chunkLen {
+		b.full = append(b.full, b.instrs)
+		b.instrs = make([]isa.Instruction, 0, chunkLen)
+	}
 	b.instrs = append(b.instrs, in)
 	return b
 }
+
+// chunkLen is the size of the chunks a Builder fills: Build copies them once
+// into an exactly sized stream, where growing one slice by append would
+// copy the whole stream at every growth step.
+const chunkLen = 1024
 
 // Op3 emits a three-register operation: op dst, src1, src2.
 func (b *Builder) Op3(op isa.Op, dst, src1, src2 isa.Reg) *Builder {
@@ -177,12 +187,16 @@ func (b *Builder) InitMem128(addr, lo, hi uint64) *Builder {
 }
 
 // Len returns the instruction count so far.
-func (b *Builder) Len() int { return len(b.instrs) }
+func (b *Builder) Len() int { return len(b.full)*chunkLen + len(b.instrs) }
 
 // Build finalizes the program.
 func (b *Builder) Build() *isa.Program {
-	if len(b.instrs) == 0 {
+	if b.Len() == 0 {
 		panic(fmt.Sprintf("workload: program %q is empty", b.name)) //lint:allow panicpolicy audited invariant: an empty program is a builder bug, not an input
 	}
-	return &isa.Program{Name: b.name, Instrs: b.instrs, Mem: b.mem}
+	instrs := make([]isa.Instruction, 0, b.Len())
+	for _, c := range b.full {
+		instrs = append(instrs, c...)
+	}
+	return &isa.Program{Name: b.name, Instrs: append(instrs, b.instrs...), Mem: b.mem}
 }
