@@ -88,8 +88,9 @@ func (o Options) plumbing() harness.Options {
 
 // chaosPayloadVersion versions the journaled outcome encoding; it is part of
 // the cell fingerprint, so bumping it orphans old entries instead of
-// misreading them.
-const chaosPayloadVersion = 1
+// misreading them. Version 2 came with the binary workload digest, which
+// changed every key.
+const chaosPayloadVersion = 2
 
 // outcome is the compact journaled result of one faulted run: everything the
 // Phase 3 aggregation consumes, and nothing else. Verification against the

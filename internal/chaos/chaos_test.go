@@ -150,7 +150,7 @@ func TestJournalKeyPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := "chaos-cell bitcnt rate=0.01 seed=1 cf761af302d6c0908c10a6f849b7b831c4af80edea902fa5b32cb2282aff9e06"
+	want := "chaos-cell bitcnt rate=0.01 seed=1 7c6dd412c2fdd6b700cee0d6678c93589c286edf07fa77edbf718865c129a561"
 	if len(got) != 1 || got[0] != want {
 		t.Fatalf("chaos cell keys = %q, want [%q]", got, want)
 	}

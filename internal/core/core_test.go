@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -410,6 +411,27 @@ func TestSeqTrackerEmpty(t *testing.T) {
 	tr := NewSeqTracker()
 	if tr.MeanLength() != 0 || tr.ExpectedLength() != 0 || tr.Count() != 0 {
 		t.Fatal("empty tracker must report zeros")
+	}
+}
+
+// TestSeqTrackerOf: a tracker rebuilt from another's histogram reports the
+// same statistics and histogram, and a nil histogram gives an empty tracker
+// that still records.
+func TestSeqTrackerOf(t *testing.T) {
+	tr := NewSeqTracker()
+	for _, l := range []int{2, 2, 6, 9} {
+		tr.Record(l)
+	}
+	back := SeqTrackerOf(tr.Histogram())
+	if !reflect.DeepEqual(back.Histogram(), tr.Histogram()) || back.ExpectedLength() != tr.ExpectedLength() {
+		t.Fatalf("rebuilt tracker histogram %v, want %v", back.Histogram(), tr.Histogram())
+	}
+	empty := SeqTrackerOf(nil)
+	if !reflect.DeepEqual(empty, NewSeqTracker()) {
+		t.Fatal("a nil histogram must give the same tracker as NewSeqTracker")
+	}
+	if empty.Record(3); empty.Count() != 1 {
+		t.Fatal("a tracker built from a nil histogram must record")
 	}
 }
 

@@ -1,7 +1,5 @@
 package core
 
-import "encoding/json"
-
 // SeqTracker accumulates the lengths of transparent sequences: maximal chains
 // of operations in which each operation after the first began evaluating
 // mid-cycle off its producer's transparent bypass. Fig. 11 reports the
@@ -14,6 +12,16 @@ type SeqTracker struct {
 // NewSeqTracker returns an empty tracker.
 func NewSeqTracker() *SeqTracker {
 	return &SeqTracker{hist: make(map[int]uint64)}
+}
+
+// SeqTrackerOf returns a tracker that adopts hist (length to count, as
+// Histogram returns it), or an empty one for a nil hist: the inverse of
+// Histogram, for a journal that stores a tracker's counts.
+func SeqTrackerOf(hist map[int]uint64) *SeqTracker {
+	if hist == nil {
+		return NewSeqTracker()
+	}
+	return &SeqTracker{hist: hist}
 }
 
 // Record logs one maximal transparent sequence of the given length (in
@@ -70,26 +78,6 @@ func (t *SeqTracker) Histogram() map[int]uint64 {
 		out[l] = c
 	}
 	return out
-}
-
-// MarshalJSON serializes the tracker's histogram. encoding/json sorts the
-// map keys, so identical trackers marshal to identical bytes — the property
-// the content-addressed cell journal leans on — and integer keys and counts
-// round-trip exactly.
-func (t *SeqTracker) MarshalJSON() ([]byte, error) {
-	return json.Marshal(t.hist)
-}
-
-// UnmarshalJSON restores a tracker from its histogram; a journaled tracker
-// round-trips bit-exactly, so Fig. 11's sequence statistics from a resumed
-// cell match a fresh run's.
-func (t *SeqTracker) UnmarshalJSON(data []byte) error {
-	hist := make(map[int]uint64)
-	if err := json.Unmarshal(data, &hist); err != nil {
-		return err
-	}
-	t.hist = hist
-	return nil
 }
 
 // Merge folds another tracker's counts into this one.

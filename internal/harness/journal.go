@@ -2,16 +2,19 @@ package harness
 
 import (
 	"bytes"
+	"cmp"
+	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"sync"
 
 	"redsoc/internal/alu"
 	"redsoc/internal/baseline"
 	"redsoc/internal/cellstore"
+	"redsoc/internal/core"
 	"redsoc/internal/isa"
 	"redsoc/internal/ooo"
 )
@@ -34,21 +37,11 @@ import (
 // dynamic-delay policies (loaddelay, speclsq) to every cell; version 3
 // stores the five results' shared architectural state once (archState);
 // version 4 moves that state out of the JSON into a binary section and
-// writes each delay histogram sparsely (ooo.DelayHistogram); version 5
-// drops the five results' configs and zero counters from the head.
-const cellPayloadVersion = 5
-
-// journaledCell is the JSON head of one grid cell's payload. Its five
-// ooo.Results carry neither their configs nor their architectural state
-// (ooo.Result leaves both out of its JSON): the configs are a function of
-// the core and the threshold the cell key already names
-// (baseline.EngineConfigs), and the binary section after the head holds the
-// state once for all of them.
-type journaledCell struct {
-	Version   int                  `json:"version"`
-	Threshold int                  `json:"threshold_ticks"`
-	Cmp       *baseline.Comparison `json:"comparison"`
-}
+// writes each delay histogram sparsely; version 5 drops the five results'
+// configs and zero counters from the head; version 6 replaces the JSON
+// head with a binary results section and a sweep total's JSON with its
+// float's bits (see codec).
+const cellPayloadVersion = 6
 
 // archState is the final architectural state every scheduler of a cell
 // committed. baseline.Compare fails a cell whose schedulers
@@ -58,12 +51,6 @@ type archState struct {
 	Regs  map[isa.Reg]alu.Value
 	Mem   map[uint64]uint64
 	Flags alu.Flags
-}
-
-// journaledTotal is the serialized outcome of one sweep task.
-type journaledTotal struct {
-	Version int     `json:"version"`
-	Total   float64 `json:"total_speedup"`
 }
 
 // benchmarkDigest canonically fingerprints a workload: the program identity
@@ -119,7 +106,47 @@ type programDigestKey struct{}
 // digest lives on the program; it is content-derived, so two builds of one
 // suite still produce equal keys.
 func programDigest(p *isa.Program) []byte {
-	return isa.Derived(p, programDigestKey{}, func(p *isa.Program) []byte { return cellstore.DigestJSON(p) })
+	return isa.Derived(p, programDigestKey{}, digestProgram)
+}
+
+// digestProgram hashes p's name, every instruction's fields as fixed-width
+// little-endian words and the memory image in ascending address order,
+// through one reused buffer: a JSON form of the trace would be about 140
+// bytes per instruction, each field reached by reflection.
+func digestProgram(p *isa.Program) []byte {
+	h := sha256.New()
+	le := binary.LittleEndian
+	b := make([]byte, 0, 64<<10)
+	flush := func() {
+		if len(b) > cap(b)-64 {
+			h.Write(b)
+			b = b[:0]
+		}
+	}
+	b = le.AppendUint64(b, uint64(len(p.Name)))
+	b = le.AppendUint64(append(b, p.Name...), uint64(len(p.Instrs)))
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
+		var flags byte
+		if in.SetFlags {
+			flags |= 1
+		}
+		if in.Taken {
+			flags |= 2
+		}
+		b = le.AppendUint64(le.AppendUint64(b, uint64(in.Seq)), in.PC)
+		b = le.AppendUint64(append(b, byte(in.Op), byte(in.Dst), byte(in.Src1), byte(in.Src2), byte(in.Src3)), in.Imm)
+		b = append(le.AppendUint64(append(b, in.ShiftAmt, byte(in.Lane)), in.Addr), flags)
+		flush()
+	}
+	addrs := sortedKeys(p.Mem)
+	b = le.AppendUint64(b, uint64(len(addrs)))
+	for _, a := range addrs {
+		b = le.AppendUint64(le.AppendUint64(b, a), p.Mem[a])
+		flush()
+	}
+	h.Write(b)
+	return h.Sum(nil)
 }
 
 // WorkloadDigests precomputes a journaled campaign's workload digests
@@ -163,18 +190,19 @@ func sweepKey(cfg ooo.Config, class Class, digests [][]byte, candidate int) cell
 }
 
 // encodeCell serializes a completed cell of core cfg for the journal: the
-// JSON head (journaledCell), one newline — which json.Marshal never emits —
-// and the binary architectural-state section (appendArch). Both parts are
-// canonical (encoding/json writes struct fields in declaration order, map
-// keys sorted and shortest-round-trip floats; the section is sorted), so
-// identical cells produce identical bytes. What the payload leaves out must
-// come back exactly: a cell whose results did not run under
-// baseline.EngineConfigs(cfg, threshold), or whose five results do not hold
-// exactly the same architectural state (see archState), is refused, so it
-// is simulated again rather than journaled lossily.
+// results section (codec.cell) and then the architectural-state section
+// (appendArch). Both are canonical, so identical cells produce identical
+// bytes. What the payload leaves out must come back exactly: a cell whose
+// comparison names another benchmark or core than (b, cfg), whose results
+// did not run under baseline.EngineConfigs(cfg, threshold), or whose five
+// results do not hold exactly the same architectural state (see archState),
+// is refused, so it is simulated again rather than journaled lossily.
 func encodeCell(c Cell, cfg ooo.Config) ([]byte, error) {
 	cmp := c.Cmp
 	base := cmp.Baseline
+	if cmp.Benchmark != c.Benchmark.Prog.Name || cmp.Core != cfg.Name {
+		return nil, fmt.Errorf("harness: cell %s/%s: comparison names another cell than %s on %s", cmp.Benchmark, cmp.Core, c.Benchmark.Prog.Name, cfg.Name)
+	}
 	cfgs := baseline.EngineConfigs(cfg, c.Threshold)
 	for i, res := range cmp.Engines() {
 		r := *res
@@ -185,47 +213,35 @@ func encodeCell(c Cell, cfg ooo.Config) ([]byte, error) {
 			return nil, fmt.Errorf("harness: cell %s/%s: %s architectural state differs from baseline", cmp.Benchmark, cmp.Core, r.Config.Policy)
 		}
 	}
-	head, err := json.Marshal(journaledCell{Version: cellPayloadVersion, Threshold: c.Threshold, Cmp: cmp})
-	if err != nil {
-		return nil, err
-	}
-	return appendArch(append(head, '\n'), archState{Regs: base.FinalRegs, Mem: base.FinalMem, Flags: base.FinalFlags}), nil
+	w := codec{enc: true, b: make([]byte, 0, 4<<10)}
+	w.cell(&c.Threshold, cmp)
+	return appendArch(w.b, archState{Regs: base.FinalRegs, Mem: base.FinalMem, Flags: base.FinalFlags}), nil
 }
 
 // decodeCell rebuilds a Cell of b on core cfg from its journaled payload:
-// each result gets its config back from baseline.EngineConfigs, and all five
-// share the one stored architectural state (its maps; everything downstream
-// only reads them), decoded through archs. Any shape problem is an error,
-// which the caller treats as a cache miss.
+// the comparison gets its benchmark and core names back from (b, cfg), each
+// result its config from baseline.EngineConfigs, and all five share the one
+// stored architectural state (its maps; everything downstream only reads
+// them), decoded through archs. Any shape problem is an error, which the
+// caller treats as a cache miss.
 func decodeCell(data []byte, b Benchmark, cfg ooo.Config, archs *archCache) (Cell, error) {
-	head, section, ok := bytes.Cut(data, []byte{'\n'})
-	if !ok {
-		return Cell{}, fmt.Errorf("harness: journaled cell has no architectural-state section")
+	rd := codec{b: data}
+	cmp := &baseline.Comparison{Benchmark: b.Prog.Name, Core: cfg.Name}
+	var th int
+	if rd.cell(&th, cmp); rd.err != nil {
+		return Cell{}, rd.err
 	}
-	var v journaledCell
-	if err := json.Unmarshal(head, &v); err != nil {
-		return Cell{}, err
-	}
-	if v.Version != cellPayloadVersion {
-		return Cell{}, fmt.Errorf("harness: journaled cell version %d, want %d", v.Version, cellPayloadVersion)
-	}
-	if v.Cmp == nil {
-		return Cell{}, fmt.Errorf("harness: journaled cell is incomplete")
-	}
-	arch, err := archs.decode(b.Prog, section)
+	arch, err := archs.decode(b.Prog, rd.b)
 	if err != nil {
 		return Cell{}, err
 	}
-	cfgs := baseline.EngineConfigs(cfg, v.Threshold)
-	for i, res := range v.Cmp.Engines() {
+	cfgs := baseline.EngineConfigs(cfg, th)
+	for i, res := range cmp.Engines() {
 		r := *res
-		if r == nil {
-			return Cell{}, fmt.Errorf("harness: journaled cell is incomplete")
-		}
 		r.Config = cfgs[i]
 		r.FinalRegs, r.FinalMem, r.FinalFlags = arch.Regs, arch.Mem, arch.Flags
 	}
-	return Cell{Benchmark: b, Core: cfg.Name, Threshold: v.Threshold, Cmp: v.Cmp}, nil
+	return Cell{Benchmark: b, Core: cfg.Name, Threshold: th, Cmp: cmp}, nil
 }
 
 // archCache is the cell-phase counterpart of the engine's canonical final
@@ -283,28 +299,31 @@ func (c *archCache) decode(prog *isa.Program, section []byte) (archState, error)
 	return a, nil
 }
 
-// The architectural-state section is a sequence of encoding/binary
-// uvarints and raw bytes:
+// A grid-cell payload is one front-to-back sequence of encoding/binary
+// uvarints, raw bytes and floats as 8-byte little-endian IEEE 754 bits:
 //
-//	register count, then per register in ascending order: reg byte, Lo, Hi
-//	one NZCV flags byte (alu.Flags.Pack, so at most 15)
-//	memory-word count, then per word in ascending address order:
-//	    address delta (from 0 for the first word), value
+//	version (cellPayloadVersion), threshold
+//	five results in Engines order, each field in ooo.Result declaration order:
+//	    a counter: the uvarint of its two's-complement bits
+//	    HeadWait, Sequences: entry count, then key and value per entry in
+//	        ascending key order (an op-class name is its length and bytes)
+//	    DelayHistogram: non-zero bin count, then bin and count per such bin
+//	TS: PeriodPS, ErrorRate and Speedup (floats), Cycles
+//	the architectural-state section:
+//	    register count, then reg byte, Lo, Hi per register in ascending order
+//	    one NZCV flags byte (alu.Flags.Pack, so at most 15)
+//	    memory-word count, then address delta (from 0 for the first word)
+//	        and value per word in ascending address order
 //
-// It is binary because a cell's memory image is thousands of words: as a
-// JSON object each word needs a quoted decimal key, a string parse and a
-// reflected map insert, and here it is two varints. It is canonical:
-// decodeArch accepts only what appendArch writes — minimal varints,
-// strictly ascending registers and addresses, no trailing bytes — so a
-// section that decodes re-encodes to the same bytes.
+// The key names the configs, benchmark and core, so the payload does not. A
+// sweep total is the version and its float. The decoder accepts only what
+// the encoder writes — the exact version, minimal varints, strictly
+// ascending keys, bins, registers and addresses, non-zero histogram counts,
+// no trailing bytes — so a payload that decodes re-encodes to the same bytes.
 
 // appendArch appends a's architectural-state section to b.
 func appendArch(b []byte, a archState) []byte {
-	regs := make([]isa.Reg, 0, len(a.Regs))
-	for r := range a.Regs {
-		regs = append(regs, r)
-	}
-	slices.Sort(regs)
+	regs := sortedKeys(a.Regs)
 	b = binary.AppendUvarint(b, uint64(len(regs)))
 	for _, r := range regs {
 		v := a.Regs[r]
@@ -313,11 +332,7 @@ func appendArch(b []byte, a archState) []byte {
 		b = binary.AppendUvarint(b, v.Hi)
 	}
 	b = append(b, byte(a.Flags.Pack().Lo))
-	addrs := make([]uint64, 0, len(a.Mem))
-	for addr := range a.Mem {
-		addrs = append(addrs, addr)
-	}
-	slices.Sort(addrs)
+	addrs := sortedKeys(a.Mem)
 	b = binary.AppendUvarint(b, uint64(len(addrs)))
 	var prev uint64
 	for _, addr := range addrs {
@@ -328,74 +343,233 @@ func appendArch(b []byte, a archState) []byte {
 	return b
 }
 
-// archReader reads an architectural-state section front to back; the first
-// problem sticks in err and every later read returns zero.
-type archReader struct {
+// codec walks a payload in one fixed order in either direction: with enc
+// set, each step appends the value its pointer holds to b; otherwise it
+// reads the value from the front of b into the pointer, the first problem
+// sticks in err, and every later read yields zero. One walk (cell, result)
+// serves both directions, so encoder and decoder cannot drift apart.
+// Encoding never writes through its pointers: other goroutines may be
+// reading the same results.
+type codec struct {
+	enc bool
 	b   []byte
 	err error
 }
 
-func (r *archReader) fail(msg string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("harness: journaled architectural state: %s", msg)
+func (c *codec) fail(msg string) {
+	if c.err == nil {
+		c.err = fmt.Errorf("harness: journaled payload: %s", msg)
 	}
 }
 
 // uvarint reads one minimally encoded uvarint (a longer encoding of the same
 // value would decode too, but never re-encode to the same bytes).
-func (r *archReader) uvarint() uint64 {
-	if r.err != nil {
+func (c *codec) uvarint() uint64 {
+	if c.err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint(r.b)
+	v, n := binary.Uvarint(c.b)
 	switch {
 	case n == 0:
-		r.fail("truncated varint")
+		c.fail("truncated varint")
 		return 0
 	case n < 0:
-		r.fail("varint overflows 64 bits")
+		c.fail("varint overflows 64 bits")
 		return 0
-	case n > 1 && r.b[n-1] == 0:
-		r.fail("non-minimal varint")
+	case n > 1 && c.b[n-1] == 0:
+		c.fail("non-minimal varint")
 		return 0
 	}
-	r.b = r.b[n:]
+	c.b = c.b[n:]
 	return v
 }
 
-func (r *archReader) readByte() byte {
-	if r.err != nil {
-		return 0
+// next reads the next n raw bytes (zeros once decoding has failed).
+func (c *codec) next(n int) []byte {
+	if c.err == nil && len(c.b) < n {
+		c.fail("truncated")
 	}
-	if len(r.b) == 0 {
-		r.fail("truncated")
-		return 0
+	if c.err != nil {
+		return make([]byte, n)
 	}
-	c := r.b[0]
-	r.b = r.b[1:]
-	return c
+	v := c.b[:n]
+	c.b = c.b[n:]
+	return v
 }
 
 // count reads an entry count. Every entry takes at least one byte, so a
 // count beyond the remaining bytes is corrupt — and is refused before it
 // sizes an allocation.
-func (r *archReader) count() int {
-	n := r.uvarint()
-	if n > uint64(len(r.b)) {
-		r.fail("count exceeds the remaining bytes")
+func (c *codec) count() int {
+	n := c.uvarint()
+	if n > uint64(len(c.b)) {
+		c.fail("count exceeds the remaining bytes")
 		return 0
 	}
 	return int(n)
 }
 
+// ints walks integers as uvarints; a negative one is its two's-complement
+// bits, so every value round-trips.
+func ints[T ~int | ~int64 | ~uint64](c *codec, ps ...*T) {
+	for _, p := range ps {
+		if c.enc {
+			c.b = binary.AppendUvarint(c.b, uint64(*p))
+		} else {
+			*p = T(c.uvarint())
+		}
+	}
+}
+
+// floats walks floats as their IEEE 754 bits, 8 bytes little-endian.
+func (c *codec) floats(ps ...*float64) {
+	for _, p := range ps {
+		if c.enc {
+			c.b = binary.LittleEndian.AppendUint64(c.b, math.Float64bits(*p))
+		} else {
+			*p = math.Float64frombits(binary.LittleEndian.Uint64(c.next(8)))
+		}
+	}
+}
+
+func (c *codec) str(p *string) {
+	if c.enc {
+		c.b = append(binary.AppendUvarint(c.b, uint64(len(*p))), *p...)
+	} else {
+		*p = string(c.next(c.count()))
+	}
+}
+
+// version walks the payload version; decoding fails on any other.
+func (c *codec) version() {
+	v := uint64(cellPayloadVersion)
+	if ints(c, &v); v != cellPayloadVersion {
+		c.fail(fmt.Sprintf("version %d, want %d", v, cellPayloadVersion))
+	}
+}
+
+// end fails a decoded payload with bytes left over.
+func (c *codec) end() error {
+	if c.err == nil && len(c.b) > 0 {
+		c.fail("trailing bytes")
+	}
+	return c.err
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// pairs walks map *m as an entry count and then each key and value in
+// ascending key order; decoding requires strictly ascending keys and
+// leaves *m nil when there are none.
+func pairs[K cmp.Ordered, V ~int64 | ~uint64](c *codec, m *map[K]V, key func(*K)) {
+	keys := sortedKeys(*m)
+	n := len(keys)
+	if c.enc {
+		ints(c, &n)
+	} else if n = c.count(); n > 0 {
+		*m, keys = make(map[K]V, n), make([]K, n)
+	}
+	for i := 0; i < n && c.err == nil; i++ {
+		v := (*m)[keys[i]]
+		if key(&keys[i]); i > 0 && keys[i] <= keys[i-1] {
+			c.fail("keys out of order")
+		}
+		if ints(c, &v); !c.enc {
+			(*m)[keys[i]] = v
+		}
+	}
+}
+
+// histogram walks a delay histogram sparsely: the count of non-zero bins,
+// then each such bin in ascending order and its count.
+func (c *codec) histogram(h *ooo.DelayHistogram) {
+	if c.enc {
+		var bins []uint64
+		for bin, v := range h {
+			if v != 0 {
+				bins = append(bins, uint64(bin))
+			}
+		}
+		c.b = binary.AppendUvarint(c.b, uint64(len(bins)))
+		for _, bin := range bins {
+			c.b = binary.AppendUvarint(binary.AppendUvarint(c.b, bin), uint64(h[bin]))
+		}
+		return
+	}
+	n := c.count()
+	for i, prev := 0, uint64(0); i < n && c.err == nil; i++ {
+		switch bin, v := c.uvarint(), c.uvarint(); {
+		case bin >= uint64(len(h)) || i > 0 && bin <= prev:
+			c.fail("delay histogram bins out of order")
+		case v == 0:
+			c.fail("zero delay histogram count")
+		default:
+			h[bin], prev = int64(v), bin
+		}
+	}
+}
+
+// result walks every field of r but its config and architectural state, in
+// declaration order.
+func (c *codec) result(r *ooo.Result) {
+	m, f, w, ms := &r.Mix, &r.FaultStats, &r.WidthPredictor, &r.MemStats
+	ints(c, &r.Cycles, &r.Instructions, &m.MemHL, &m.MemLL, &m.SIMD, &m.OtherMulti, &m.ALUHS, &m.ALULS,
+		&r.RecycledOps, &r.TwoCycleHolds, &r.GPWakeupGrants, &r.GPWakeupWasted, &r.TagMispredicts,
+		&r.WidthReplays, &r.FusedOps, &r.FUStallCycles, &r.IssueCycles,
+		&r.LoadDelayPredicts, &r.LoadDelayMispredicts, &r.LSQSpecForwards, &r.LSQMisallocations,
+		&r.StallRedirect, &r.StallROB, &r.StallRSE, &r.StallLSQ)
+	pairs(c, &r.HeadWait, c.str)
+	ints(c, &r.ThresholdAdjustments)
+	ints(c, &r.FinalThreshold)
+	ints(c, &r.PVTRecalibrations, &r.TimingViolations, &r.ViolationReplays, &r.DegradationEvents,
+		&r.DegradeRearms, &r.DegradedCycles, &f.Estimate, &f.Delay, &f.Latch, &f.Predictor)
+	var seqs map[int]uint64
+	if c.enc && r.Sequences != nil {
+		seqs = r.Sequences.Histogram()
+	}
+	if pairs(c, &seqs, func(k *int) { ints(c, k) }); !c.enc {
+		r.Sequences = core.SeqTrackerOf(seqs)
+	}
+	c.histogram(&r.DelayHistogram)
+	ints(c, &w.Lookups, &w.Exact, &w.Conservative, &w.Aggressive,
+		&r.LastArrival.Lookups, &r.LastArrival.Mispredictions, &r.LoadDelay.Lookups, &r.LoadDelay.Mispredictions,
+		&r.Branches.Lookups, &r.Branches.Mispredictions,
+		&ms.Accesses, &ms.L1Hits, &ms.L2Hits, &ms.DRAMAccesses, &ms.Prefetches)
+}
+
+// cell walks a cell's results section: everything in its payload before
+// the architectural-state section. Decoding allocates the five results.
+func (c *codec) cell(th *int, cmp *baseline.Comparison) {
+	c.version()
+	ints(c, th)
+	for _, r := range cmp.Engines() {
+		if !c.enc {
+			*r = new(ooo.Result)
+		}
+		c.result(*r)
+	}
+	ts := &cmp.TS
+	ints(c, &ts.PeriodPS)
+	c.floats(&ts.ErrorRate, &ts.Speedup)
+	ints(c, &ts.Cycles)
+}
+
 // decodeArch parses an architectural-state section (see appendArch),
 // rejecting anything appendArch would not have written.
 func decodeArch(b []byte) (archState, error) {
-	r := archReader{b: b}
+	r := codec{b: b}
 	n := r.count()
 	a := archState{Regs: make(map[isa.Reg]alu.Value, n)}
 	for i, prev := 0, -1; i < n && r.err == nil; i++ {
-		reg := int(r.readByte())
+		reg := int(r.next(1)[0])
 		if reg <= prev {
 			r.fail("registers out of order")
 		}
@@ -403,7 +577,7 @@ func decodeArch(b []byte) (archState, error) {
 		lo := r.uvarint()
 		a.Regs[isa.Reg(reg)] = alu.Value{Lo: lo, Hi: r.uvarint()}
 	}
-	flags := r.readByte()
+	flags := r.next(1)[0]
 	if flags > 15 {
 		r.fail("flags byte out of range")
 	}
@@ -422,27 +596,25 @@ func decodeArch(b []byte) (archState, error) {
 		addr += delta
 		a.Mem[addr] = r.uvarint()
 	}
-	if r.err == nil && len(r.b) > 0 {
-		r.fail("trailing bytes")
-	}
-	if r.err != nil {
-		return archState{}, r.err
+	if err := r.end(); err != nil {
+		return archState{}, err
 	}
 	return a, nil
 }
 
-// encodeTotal / decodeTotal serialize a sweep task's speedup sum.
+// encodeTotal / decodeTotal serialize a sweep task's speedup sum: the
+// payload version and the float.
 func encodeTotal(total float64) ([]byte, error) {
-	return json.Marshal(journaledTotal{Version: cellPayloadVersion, Total: total})
+	w := codec{enc: true}
+	w.version()
+	w.floats(&total)
+	return w.b, nil
 }
 
 func decodeTotal(data []byte) (float64, error) {
-	var v journaledTotal
-	if err := json.Unmarshal(data, &v); err != nil {
-		return 0, err
-	}
-	if v.Version != cellPayloadVersion {
-		return 0, fmt.Errorf("harness: journaled total version %d, want %d", v.Version, cellPayloadVersion)
-	}
-	return v.Total, nil
+	r := codec{b: data}
+	var total float64
+	r.version()
+	r.floats(&total)
+	return total, r.end()
 }

@@ -14,8 +14,10 @@ import (
 	"redsoc/internal/alu"
 	"redsoc/internal/baseline"
 	"redsoc/internal/cellstore"
+	"redsoc/internal/core"
 	"redsoc/internal/isa"
 	"redsoc/internal/ooo"
+	"redsoc/internal/timing"
 )
 
 // simulateCell simulates one grid cell on the small core the way Run does.
@@ -51,12 +53,10 @@ func cellResults(c *baseline.Comparison) []*ooo.Result {
 	return out
 }
 
-// TestJournalCellPayloadRoundTrip pins payload v5 over every quick
+// TestJournalCellPayloadRoundTrip pins payload v6 over every quick
 // benchmark: decoding an encoded cell gives back results deep-equal to the
 // freshly simulated ones (configs, delay histograms, registers, memory and
-// flags included), and the JSON head carries neither a result's config nor
-// its architectural state — the key names the one, the binary section
-// holds the other.
+// flags included), and the same TS result.
 func TestJournalCellPayloadRoundTrip(t *testing.T) {
 	cfg := ooo.SmallConfig()
 	for _, b := range Benchmarks(Quick) {
@@ -81,27 +81,8 @@ func TestJournalCellPayloadRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got.Cmp.TS, fresh.Cmp.TS) {
 			t.Errorf("%s: TS result does not round-trip the journal", b.Name)
 		}
-
-		head, _, ok := bytes.Cut(data, []byte{'\n'})
-		if !ok {
-			t.Fatalf("%s: payload has no section separator", b.Name)
-		}
-		var top struct {
-			Cmp map[string]json.RawMessage `json:"comparison"`
-		}
-		if err := json.Unmarshal(head, &top); err != nil {
-			t.Fatal(err)
-		}
-		for _, name := range []string{"Baseline", "Redsoc", "MOS", "LoadDelay", "SpecLSQ"} {
-			var fields map[string]json.RawMessage
-			if err := json.Unmarshal(top.Cmp[name], &fields); err != nil {
-				t.Fatalf("%s: %s: %v", b.Name, name, err)
-			}
-			for _, key := range []string{"Config", "FinalRegs", "FinalMem", "FinalFlags"} {
-				if _, ok := fields[key]; ok {
-					t.Errorf("%s: the head writes the %s result's %s", b.Name, name, key)
-				}
-			}
+		if got.Cmp.Benchmark != fresh.Cmp.Benchmark || got.Cmp.Core != fresh.Cmp.Core {
+			t.Errorf("%s: decoded comparison names %s/%s, want %s/%s", b.Name, got.Cmp.Benchmark, got.Cmp.Core, fresh.Cmp.Benchmark, fresh.Cmp.Core)
 		}
 		// Encoding must not have stripped the caller's results.
 		for _, r := range want {
@@ -112,42 +93,115 @@ func TestJournalCellPayloadRoundTrip(t *testing.T) {
 	}
 }
 
-// v4Payload rewrites a v5 payload into the shape payload v4 had: version 4,
-// and each result's config and (empty) architectural fields in the head.
-func v4Payload(t testing.TB, data []byte, cfgs []ooo.Config) []byte {
-	t.Helper()
-	head, section, _ := bytes.Cut(data, []byte{'\n'})
-	var top map[string]json.RawMessage
-	var cmp map[string]json.RawMessage
-	if err := json.Unmarshal(head, &top); err != nil {
+// TestCellCodecComplete: the payload carries every field of ooo.Result but
+// the config and the architectural state, which the key and the last
+// section supply. Every such field of all five results — counters,
+// HeadWait, Sequences and histogram bins — and every field of TS is set by
+// reflection to a distinct non-zero value, so a field added to either type
+// and missing from the codec fails the round trip.
+func TestCellCodecComplete(t *testing.T) {
+	cfg := ooo.SmallConfig()
+	c := quickCell(t, "crc")
+	cmp := *c.Cmp
+	next := int64(0)
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		next++
+		switch {
+		case v.Type() == reflect.TypeOf((*core.SeqTracker)(nil)):
+			v.Set(reflect.ValueOf(core.SeqTrackerOf(map[int]uint64{2: uint64(next), 9: uint64(next) << 40})))
+		case v.Type() == reflect.TypeOf(map[string]int64(nil)):
+			v.Set(reflect.ValueOf(map[string]int64{"alu": next, "load/unissued": -next}))
+		case v.Kind() == reflect.Struct:
+			for i := range v.NumField() {
+				fill(v.Field(i))
+			}
+		case v.Kind() == reflect.Array:
+			for i := 0; i < v.Len(); i += 7 {
+				fill(v.Index(i))
+			}
+		case v.CanInt():
+			v.SetInt(next)
+		case v.CanUint():
+			v.SetUint(uint64(next))
+		case v.CanFloat():
+			v.SetFloat(float64(next) + 0.25)
+		default:
+			t.Fatalf("no distinct value for a field of type %s", v.Type())
+		}
+	}
+	supplied := map[string]bool{"Config": true, "FinalRegs": true, "FinalMem": true, "FinalFlags": true}
+	for _, res := range cmp.Engines() {
+		r := &ooo.Result{Config: (*res).Config, FinalRegs: (*res).FinalRegs, FinalMem: (*res).FinalMem, FinalFlags: (*res).FinalFlags}
+		rv := reflect.ValueOf(r).Elem()
+		for i := range rv.NumField() {
+			if !supplied[rv.Type().Field(i).Name] {
+				fill(rv.Field(i))
+			}
+		}
+		*res = r
+	}
+	fill(reflect.ValueOf(&cmp.TS).Elem())
+	c.Cmp = &cmp
+
+	data, err := encodeCell(c, cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(top["comparison"], &cmp); err != nil {
+	got, err := decodeCell(data, c.Benchmark, cfg, new(archCache))
+	if err != nil {
 		t.Fatal(err)
 	}
-	raw := func(v any) json.RawMessage {
-		b, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
+	want := cellResults(c.Cmp)
+	for i, r := range cellResults(got.Cmp) {
+		gv, wv := reflect.ValueOf(r).Elem(), reflect.ValueOf(want[i]).Elem()
+		for j := range gv.NumField() {
+			if !reflect.DeepEqual(gv.Field(j).Interface(), wv.Field(j).Interface()) {
+				t.Errorf("%s result: %s does not round-trip the journal", want[i].Config.Policy, gv.Type().Field(j).Name)
+			}
 		}
-		return b
 	}
-	for i, name := range []string{"Baseline", "Redsoc", "MOS", "LoadDelay", "SpecLSQ"} {
-		var fields map[string]json.RawMessage
-		if err := json.Unmarshal(cmp[name], &fields); err != nil {
-			t.Fatal(err)
-		}
-		fields["Config"] = raw(cfgs[i])
-		fields["FinalRegs"], fields["FinalMem"], fields["FinalFlags"] = raw(nil), raw(nil), raw(alu.Flags{})
-		cmp[name] = raw(fields)
+	if got.Cmp.TS != c.Cmp.TS {
+		t.Errorf("TS %+v does not round-trip the journal: got %+v", c.Cmp.TS, got.Cmp.TS)
 	}
-	top["comparison"], top["version"] = raw(cmp), raw(4)
-	return append(append(raw(top), '\n'), section...)
 }
 
-// TestJournalCellPayloadVersions: only a complete v5 payload is a hit.
-// Payloads of earlier versions, and a v5 head without its section, are
-// cache misses rather than misreads.
+// splitCell splits a cell payload into its results section and its
+// architectural-state section with the decoder's own reader.
+func splitCell(t testing.TB, data []byte) (results, section []byte) {
+	t.Helper()
+	r := codec{b: data}
+	r.cell(new(int), new(baseline.Comparison))
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	return data[:len(data)-len(r.b)], r.b
+}
+
+// jsonPayload writes cell c in the JSON shape of payload version 2–5: a
+// head of the version, the threshold and the comparison; version 3 puts the
+// architectural state in the head too, and versions 4 and 5 follow the head
+// with a newline and the binary section.
+func jsonPayload(t testing.TB, version int, c Cell) []byte {
+	t.Helper()
+	base := c.Cmp.Baseline
+	head := map[string]any{"version": version, "threshold_ticks": c.Threshold, "comparison": c.Cmp}
+	if version == 3 {
+		head["arch"] = map[string]any{"regs": base.FinalRegs, "mem": base.FinalMem, "flags": base.FinalFlags}
+	}
+	data, err := json.Marshal(head)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if version >= 4 {
+		data = appendArch(append(data, '\n'), archState{Regs: base.FinalRegs, Mem: base.FinalMem, Flags: base.FinalFlags})
+	}
+	return data
+}
+
+// TestJournalCellPayloadVersions: only a complete v6 payload is a hit.
+// Payloads of versions 2–5, and a v6 results section without its
+// architectural state, are cache misses rather than misreads.
 func TestJournalCellPayloadVersions(t *testing.T) {
 	cfg := ooo.SmallConfig()
 	fresh := quickCell(t, "crc")
@@ -155,32 +209,7 @@ func TestJournalCellPayloadVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	head, _, _ := bytes.Cut(data, []byte{'\n'})
-	base := fresh.Cmp.Baseline
-	v2, err := json.Marshal(struct {
-		Version   int                  `json:"version"`
-		Threshold int                  `json:"threshold_ticks"`
-		Cmp       *baseline.Comparison `json:"comparison"`
-	}{2, fresh.Threshold, fresh.Cmp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	type v3Arch struct {
-		Regs  map[isa.Reg]alu.Value `json:"regs"`
-		Mem   map[uint64]uint64     `json:"mem"`
-		Flags alu.Flags             `json:"flags"`
-	}
-	v3, err := json.Marshal(struct {
-		Version   int                  `json:"version"`
-		Threshold int                  `json:"threshold_ticks"`
-		Cmp       *baseline.Comparison `json:"comparison"`
-		Arch      v3Arch               `json:"arch"`
-	}{3, fresh.Threshold, fresh.Cmp, v3Arch{base.FinalRegs, base.FinalMem, base.FinalFlags}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v4 := v4Payload(t, data, baseline.EngineConfigs(cfg, fresh.Threshold))
-
+	results, _ := splitCell(t, data)
 	store, err := cellstore.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -193,12 +222,13 @@ func TestJournalCellPayloadVersions(t *testing.T) {
 		payload []byte
 		hit     bool
 	}{
-		{"v5", data, true},
-		{"v2", v2, false},
-		{"v3", v3, false},
-		{"v4", v4, false},
-		{"v5 head without its section", head, false},
-		{"v5 head with an empty section", append(slices.Clip(head), '\n'), false},
+		{"v6", data, true},
+		{"v2", jsonPayload(t, 2, fresh), false},
+		{"v3", jsonPayload(t, 3, fresh), false},
+		{"v4", jsonPayload(t, 4, fresh), false},
+		{"v5", jsonPayload(t, 5, fresh), false},
+		{"v6 results without the architectural state", results, false},
+		{"v6 with a truncated architectural state", data[:len(data)-1], false},
 	} {
 		key := cellstore.NewFingerprint("payload-test").Field("case", i).Key()
 		if err := store.Put(key, tc.payload); err != nil {
@@ -243,7 +273,13 @@ func TestEncodeCellRefuses(t *testing.T) {
 		{"ReDSOC ran at another threshold", with(redsoc, func(r *ooo.Result) { r.Config.Redsoc.ThresholdTicks++ }), cfg, "another config"},
 		{"MOS result ran under another policy", with(mos, func(r *ooo.Result) { r.Config.Policy = ooo.PolicyBaseline }), cfg, "another config"},
 		{"baseline ran with another ROB", with(base, func(r *ooo.Result) { r.Config.ROBSize++ }), cfg, "another config"},
-		{"cell encoded for another core", fresh, ooo.BigConfig(), "another config"},
+		{"cell encoded for another core", fresh, ooo.BigConfig(), "another cell"},
+		{"comparison names another benchmark", func() Cell {
+			c, cmp := fresh, *fresh.Cmp
+			cmp.Benchmark += "-renamed"
+			c.Cmp = &cmp
+			return c
+		}(), cfg, "another cell"},
 		{"MOS memory differs", with(mos, func(r *ooo.Result) {
 			r.FinalMem = maps.Clone(r.FinalMem)
 			r.FinalMem[0xdead0] = 1
@@ -254,6 +290,107 @@ func TestEncodeCellRefuses(t *testing.T) {
 			t.Errorf("%s: err = %v, want one mentioning %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// TestDelayHistogramPayload pins the sparse binary form of a delay
+// histogram: the count of non-zero bins, then each such bin and its count
+// as uvarints in ascending bin order, decoding back to the same array.
+func TestDelayHistogramPayload(t *testing.T) {
+	var h ooo.DelayHistogram
+	h[0], h[212], h[timing.ClockPS] = 3, 40, 1<<40
+	w := codec{enc: true}
+	w.histogram(&h)
+	want := []byte{3, 0, 3, 0xd4, 0x01, 40, 0xf4, 0x03, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20}
+	if !bytes.Equal(w.b, want) {
+		t.Fatalf("got % x, want % x", w.b, want)
+	}
+	r := codec{b: w.b}
+	var back ooo.DelayHistogram
+	if r.histogram(&back); r.end() != nil || back != h {
+		t.Fatalf("histogram does not round-trip (err %v)", r.err)
+	}
+	var empty ooo.DelayHistogram
+	w = codec{enc: true}
+	if w.histogram(&empty); !bytes.Equal(w.b, []byte{0}) {
+		t.Fatalf("empty histogram encodes as % x, want 00", w.b)
+	}
+}
+
+// TestDelayHistogramPayloadRejects: the histogram decoder accepts only what
+// the encoder writes, so every accepted form re-encodes to the same bytes.
+func TestDelayHistogramPayloadRejects(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		in   []byte
+		want string
+	}{
+		{"empty", nil, "truncated varint"},
+		{"truncated pair", []byte{1, 5}, "truncated varint"},
+		{"bin out of range", []byte{1, 0xf5, 0x03, 1}, "bins out of order"},
+		{"repeated bin", []byte{2, 5, 1, 5, 1}, "bins out of order"},
+		{"descending bins", []byte{2, 6, 1, 5, 1}, "bins out of order"},
+		{"zero count", []byte{1, 5, 0}, "zero delay histogram count"},
+		{"non-minimal count", []byte{1, 5, 0x81, 0x00}, "non-minimal varint"},
+		{"bin count larger than the remaining bytes", []byte{9, 5, 1}, "count exceeds"},
+		{"trailing bytes", []byte{1, 5, 1, 0}, "trailing bytes"},
+	} {
+		r := codec{b: tc.in}
+		var h ooo.DelayHistogram
+		if r.histogram(&h); r.end() == nil || !strings.Contains(r.err.Error(), tc.want) {
+			t.Errorf("%s: % x: err = %v, want one mentioning %q", tc.name, tc.in, r.err, tc.want)
+		}
+	}
+}
+
+// TestCellPayloadRejects: the rest of the codec is as strict — the exact
+// version, strictly ascending map keys, string lengths and floats within
+// the payload, no trailing bytes — so a malformed payload is an error (a
+// cache miss), never a misread.
+func TestCellPayloadRejects(t *testing.T) {
+	total, err := encodeTotal(1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := decodeTotal(total); err != nil || v != 1.5 {
+		t.Fatalf("premise: a sweep total must round-trip (got %v, err %v)", v, err)
+	}
+	for _, tc := range []struct {
+		name string
+		in   []byte
+		walk func(*codec)
+		want string
+	}{
+		{"total of version 5", append([]byte{5}, total[1:]...), nil, "version 5, want 6"},
+		{"truncated total", total[:len(total)-1], nil, "truncated"},
+		{"total with trailing bytes", append(slices.Clip(total), 0), nil, "trailing bytes"},
+		{"cell of version 7", []byte{7}, func(c *codec) { c.cell(new(int), new(baseline.Comparison)) }, "version 7, want 6"},
+		{"head-wait classes out of order", []byte{2, 1, 'b', 1, 1, 'a', 1}, headWait, "keys out of order"},
+		{"duplicate head-wait class", []byte{2, 1, 'a', 1, 1, 'a', 1}, headWait, "keys out of order"},
+		{"class name longer than the payload", []byte{1, 9, 'a', 1}, headWait, "count exceeds"},
+		{"sequence lengths out of order", []byte{2, 3, 1, 2, 1}, sequences, "keys out of order"},
+	} {
+		r := codec{b: tc.in}
+		if tc.walk == nil {
+			_, r.err = decodeTotal(tc.in)
+		} else {
+			tc.walk(&r)
+			r.end()
+		}
+		if r.err == nil || !strings.Contains(r.err.Error(), tc.want) {
+			t.Errorf("%s: % x: err = %v, want one mentioning %q", tc.name, tc.in, r.err, tc.want)
+		}
+	}
+}
+
+// headWait and sequences decode one map the way codec.result does.
+func headWait(c *codec) {
+	var m map[string]int64
+	pairs(c, &m, c.str)
+}
+
+func sequences(c *codec) {
+	var m map[int]uint64
+	pairs(c, &m, func(k *int) { ints(c, k) })
 }
 
 // TestDecodeArchRejects: the architectural-state decoder accepts exactly
@@ -409,5 +546,81 @@ func TestProgramDigestMemoHitAllocFree(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Errorf("memoised digest lookup allocates %.1f objects/run, want 0", avg)
+	}
+}
+
+// TestProgramDigestCoversEveryField: changing any one field of one
+// instruction changes its program's digest — in its lowest and its highest
+// bit, so a field hashed narrower than its type fails too — and so does
+// renaming the program or changing, adding or moving one memory word. The
+// fields come from reflection over isa.Instruction, so a field added later
+// and left out of digestProgram fails here.
+func TestProgramDigestCoversEveryField(t *testing.T) {
+	prog := func() *isa.Program {
+		return &isa.Program{Name: "digest", Instrs: []isa.Instruction{
+			{Seq: 0, PC: 0x100, Op: isa.OpMOV, Dst: isa.R(1), Imm: 5},
+			{Seq: 1, PC: 0x104, Op: isa.OpADD, Dst: isa.R(2), Src1: isa.R(1), Src2: isa.R(1), Src3: isa.RegNone},
+		}, Mem: map[uint64]uint64{0x40: 1, 0x48: 2}}
+	}
+	base := digestProgram(prog())
+	typ := reflect.TypeOf(isa.Instruction{})
+	for i := range typ.NumField() {
+		for _, high := range []bool{false, true} {
+			p := prog()
+			f := reflect.ValueOf(&p.Instrs[1]).Elem().Field(i)
+			bit := uint64(1)
+			if high && f.Kind() != reflect.Bool {
+				bit <<= f.Type().Bits() - 1
+			}
+			switch {
+			case f.CanInt():
+				f.SetInt(f.Int() ^ int64(bit))
+			case f.CanUint():
+				f.SetUint(f.Uint() ^ bit)
+			case f.Kind() == reflect.Bool:
+				f.SetBool(!f.Bool())
+			default:
+				t.Fatalf("Instruction.%s: no way to change a %s field", typ.Field(i).Name, f.Type())
+			}
+			if bytes.Equal(digestProgram(p), base) {
+				t.Errorf("changing Instruction.%s (high bit %v) left the digest unchanged", typ.Field(i).Name, high)
+			}
+		}
+	}
+	for name, edit := range map[string]func(*isa.Program){
+		"renamed":             func(p *isa.Program) { p.Name += "x" },
+		"memory word changed": func(p *isa.Program) { p.Mem[0x40]++ },
+		"memory word added":   func(p *isa.Program) { p.Mem[0x50] = 0 },
+		"memory word moved":   func(p *isa.Program) { delete(p.Mem, 0x48); p.Mem[0x50] = 2 },
+	} {
+		p := prog()
+		if edit(p); bytes.Equal(digestProgram(p), base) {
+			t.Errorf("%s: the digest is unchanged", name)
+		}
+	}
+	if !bytes.Equal(digestProgram(prog()), base) {
+		t.Fatal("two builds of one program digest differently")
+	}
+}
+
+// BenchmarkWorkloadDigests times the cold work of WorkloadDigests on the
+// quick and full suites: hashing every program's trace and memory image,
+// done once per program at the start of a journaled run.
+//
+//	go test -run '^$' -bench WorkloadDigests -benchmem ./internal/harness
+func BenchmarkWorkloadDigests(b *testing.B) {
+	for _, s := range []struct {
+		name  string
+		scale Scale
+	}{{"quick", Quick}, {"full", Full}} {
+		bs := Benchmarks(s.scale)
+		b.Run(s.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				for _, bm := range bs {
+					digestProgram(bm.Prog)
+				}
+			}
+		})
 	}
 }

@@ -46,11 +46,11 @@ func TestJournalKeysPinned(t *testing.T) {
 	}
 	sort.Strings(got)
 	want := []string{
-		"grid-cell bitcnt/Big 9cbcdcace11fece80293cdfb058df782ca9c1f38b3b2b6eee3423dec8de4a119",
-		"sweep-total sweep MiBench/Big th=4 f5ecda6329f414ebb10a9bb89846951901d0e90fd44b37cd71c5768cd15ec6ce",
-		"sweep-total sweep MiBench/Big th=5 bfb2420b61f8d0c785dbd15639fedf0dcc7fd44bd3ea8720f1e64f63aa95f151",
-		"sweep-total sweep MiBench/Big th=6 005d16ce95582af6f6d9e25e06868cf4ab81d2c5314bf45cd6d90f710343e65e",
-		"sweep-total sweep MiBench/Big th=7 abedc640bff106bb37fd28d060e014d965d95c736b007296928fc96aac6ea002",
+		"grid-cell bitcnt/Big 040330f3ab58a58bc58a171bb1d1deb6509359f31acd0cac784ee9221a0602ee",
+		"sweep-total sweep MiBench/Big th=4 e119c7ad8c26ce59740abd07802048abbae745446d8c4e399c1285c18fc947dd",
+		"sweep-total sweep MiBench/Big th=5 a619b47160b745c12818fe1ddecb4b560a0fb264b5cd271345ca05838c2ab0f3",
+		"sweep-total sweep MiBench/Big th=6 0321c447bfa684954021832da45347cdfb250a6ec032dde9064bd6fb98fc7f0d",
+		"sweep-total sweep MiBench/Big th=7 1fc8e7bf68fe1e478742912578cbbd95695cbd0bcbfc12338eba44637f5afa1b",
 	}
 	if len(got) != len(want) {
 		t.Fatalf("got %d keyed units, want %d:\n%q", len(got), len(want), got)
@@ -94,8 +94,8 @@ func TestJournalPayloadsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	for label, want := range map[string]string{
-		"bitcnt/Big":             "63ec87c14337870b2555e0426062e6b28a6d1af74a0feb383e071f107fd65727",
-		"sweep MiBench/Big th=4": "91fa0bbdeb03ee080899a48a9964195608eb2fcea066688b1ef466e696f4c34f",
+		"bitcnt/Big":             "e75a77857d9bbd7c40087623e64641da9bf20e626523a7165e95fc96bb41df9a",
+		"sweep MiBench/Big th=4": "79dc0d97a453cdc2afb0965e4c22a7322d57305812a8acf6e95822ad06f27c33",
 	} {
 		data, ok := store.Get(keys[label])
 		if !ok {

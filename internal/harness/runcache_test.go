@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"context"
 	"reflect"
 	"slices"
@@ -67,13 +66,13 @@ func TestResumedCellsShareArchState(t *testing.T) {
 	if !ok {
 		t.Fatal("premise: the cell must be journaled")
 	}
-	head, section, _ := bytes.Cut(data, []byte{'\n'})
+	results, section := splitCell(t, data)
 	a, err := decodeArch(section)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a.Mem[0xdead0] = 1
-	if err := store.Put(key, appendArch(append(slices.Clip(head), '\n'), a)); err != nil {
+	if err := store.Put(key, appendArch(slices.Clip(results), a)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -25,51 +25,48 @@ func (m OpMix) Total() int64 {
 	return m.MemHL + m.MemLL + m.SIMD + m.OtherMulti + m.ALUHS + m.ALULS
 }
 
-// Result aggregates everything a run produces. Its JSON form is the cell
-// journal's head: the config and the architectural state are left out (the
-// journal names the one and stores the other in binary), and so is every
-// zero counter.
+// Result aggregates everything a run produces.
 type Result struct {
-	Config Config `json:"-"`
+	Config Config
 
-	Cycles       int64 `json:",omitempty"`
-	Instructions int64 `json:",omitempty"`
+	Cycles       int64
+	Instructions int64
 
 	Mix OpMix
 
 	// Slack recycling activity.
-	RecycledOps    int64 `json:",omitempty"` // ops that began evaluating mid-cycle
-	TwoCycleHolds  int64 `json:",omitempty"` // recycled ops that held their FU 2 cycles
-	GPWakeupGrants int64 `json:",omitempty"` // speculative grants that issued usefully
-	GPWakeupWasted int64 `json:",omitempty"` // speculative grants cancelled (no recycle/parent)
-	TagMispredicts int64 `json:",omitempty"` // last-arrival validation failures (with penalty)
-	WidthReplays   int64 `json:",omitempty"` // aggressive width mispredictions replayed
-	FusedOps       int64 `json:",omitempty"` // MOS: consumer ops executed in their producer's cycle
-	FUStallCycles  int64 `json:",omitempty"` // cycles where a timing-ready op found no free FU
-	IssueCycles    int64 `json:",omitempty"` // cycles in which at least one op issued
+	RecycledOps    int64 // ops that began evaluating mid-cycle
+	TwoCycleHolds  int64 // recycled ops that held their FU 2 cycles
+	GPWakeupGrants int64 // speculative grants that issued usefully
+	GPWakeupWasted int64 // speculative grants cancelled (no recycle/parent)
+	TagMispredicts int64 // last-arrival validation failures (with penalty)
+	WidthReplays   int64 // aggressive width mispredictions replayed
+	FusedOps       int64 // MOS: consumer ops executed in their producer's cycle
+	FUStallCycles  int64 // cycles where a timing-ready op found no free FU
+	IssueCycles    int64 // cycles in which at least one op issued
 	// Dynamic-delay policy activity.
-	LoadDelayPredicts    int64 `json:",omitempty"` // loaddelay: loads issued with a tracked-delay broadcast
-	LoadDelayMispredicts int64 `json:",omitempty"` // loaddelay: tracked delay differed from the resolved one
-	LSQSpecForwards      int64 `json:",omitempty"` // speclsq: loads served at LSQ-read latency from a queue entry
-	LSQMisallocations    int64 `json:",omitempty"` // speclsq: speculative issues squashed (store not yet executed)
+	LoadDelayPredicts    int64 // loaddelay: loads issued with a tracked-delay broadcast
+	LoadDelayMispredicts int64 // loaddelay: tracked delay differed from the resolved one
+	LSQSpecForwards      int64 // speclsq: loads served at LSQ-read latency from a queue entry
+	LSQMisallocations    int64 // speclsq: speculative issues squashed (store not yet executed)
 	// Dispatch-stall breakdown (cycles in which dispatch stopped early for
 	// the given reason; a cycle can count at most one reason).
-	StallRedirect, StallROB, StallRSE, StallLSQ int64 `json:",omitempty"`
+	StallRedirect, StallROB, StallRSE, StallLSQ int64
 	// HeadWait accumulates, per op class, the cycles the ROB head spent
 	// incomplete while younger work waited behind it (commit-blocking).
 	HeadWait map[string]int64
 	// ThresholdAdjustments counts dynamic-threshold controller moves;
 	// FinalThreshold is the threshold at the end of the run.
-	ThresholdAdjustments int64 `json:",omitempty"`
-	FinalThreshold       int   `json:",omitempty"`
+	ThresholdAdjustments int64
+	FinalThreshold       int
 	// PVTRecalibrations counts CPM-driven LUT rescalings (Sec. V).
-	PVTRecalibrations int64 `json:",omitempty"`
+	PVTRecalibrations int64
 	// Fault injection and Razor-style recovery (robustness campaigns).
-	TimingViolations  int64 `json:",omitempty"` // detections at the consumer or output latch
-	ViolationReplays  int64 `json:",omitempty"` // selective reissues those detections triggered
-	DegradationEvents int64 `json:",omitempty"` // degradation-controller trips to baseline timing
-	DegradeRearms     int64 `json:",omitempty"` // cool-down expiries re-enabling recycling
-	DegradedCycles    int64 `json:",omitempty"` // cycles with >= 1 FU pool held at baseline timing
+	TimingViolations  int64 // detections at the consumer or output latch
+	ViolationReplays  int64 // selective reissues those detections triggered
+	DegradationEvents int64 // degradation-controller trips to baseline timing
+	DegradeRearms     int64 // cool-down expiries re-enabling recycling
+	DegradedCycles    int64 // cycles with >= 1 FU pool held at baseline timing
 	FaultStats        fault.Stats
 	Sequences         *core.SeqTracker
 	DelayHistogram    DelayHistogram // actual delay (ps) of single-cycle ops
@@ -83,9 +80,9 @@ type Result struct {
 	// that ends in its program's canonical final state shares that state's
 	// FinalRegs and FinalMem maps with every other such run (see final.go),
 	// so both maps are read-only: never write to them.
-	FinalRegs  map[isa.Reg]alu.Value `json:"-"`
-	FinalMem   map[uint64]uint64     `json:"-"`
-	FinalFlags alu.Flags             `json:"-"`
+	FinalRegs  map[isa.Reg]alu.Value
+	FinalMem   map[uint64]uint64
+	FinalFlags alu.Flags
 }
 
 // IPC returns committed instructions per cycle.
