@@ -43,8 +43,9 @@ const manifestName = "MANIFEST.log"
 
 // Stats is a point-in-time snapshot of a store's counters.
 type Stats struct {
-	// Hits and Misses count Get outcomes; Corrupt is the subset of misses
-	// caused by a present-but-invalid value file.
+	// Hits and Misses count Get and Load outcomes; Corrupt is the subset of
+	// misses caused by a present-but-invalid value file or a payload Load's
+	// decoder refused.
 	Hits    int64 `json:"hits"`
 	Misses  int64 `json:"misses"`
 	Corrupt int64 `json:"corrupt"`
@@ -120,23 +121,35 @@ func (s *Store) path(key Key) string {
 // failure mode — absent file, torn write, checksum mismatch, stale schema,
 // foreign key — is a miss; Get never returns unverified bytes.
 func (s *Store) Get(key Key) ([]byte, bool) {
+	return Load(s, key, func(payload []byte) ([]byte, error) { return payload, nil })
+}
+
+// Load is Get for a caller that decodes the payload: the lookup counts as a
+// hit only once decode accepts the verified payload. A payload decode
+// refuses is a miss, counted as corrupt like a value that fails its
+// checksum, so Stats never counts a value the caller could not use.
+func Load[T any](s *Store, key Key, decode func([]byte) (T, error)) (T, bool) {
+	var v T
 	if !key.valid() {
 		s.misses.Add(1)
-		return nil, false
+		return v, false
 	}
 	data, err := os.ReadFile(s.path(key))
 	if err != nil {
 		s.misses.Add(1)
-		return nil, false
+		return v, false
 	}
 	payload, err := decodeValue(key, data)
+	if err == nil {
+		v, err = decode(payload)
+	}
 	if err != nil {
 		s.misses.Add(1)
 		s.corrupt.Add(1)
-		return nil, false
+		return *new(T), false
 	}
 	s.hits.Add(1)
-	return payload, true
+	return v, true
 }
 
 // Put journals payload under key: the framed value is written to a

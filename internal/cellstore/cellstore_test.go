@@ -42,6 +42,29 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadCountsRefusedPayloadAsCorrupt: a verified payload the caller's
+// decoder refuses is a corrupt miss, and one it accepts is a hit.
+func TestLoadCountsRefusedPayloadAsCorrupt(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	key := testKey(t, "refused")
+	if err := s.Put(key, []byte("not a number")); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := Load(s, key, func(p []byte) (int, error) { return 0, fmt.Errorf("refused %q", p) }); ok {
+		t.Fatal("Load served a payload its decoder refused")
+	}
+	if n, ok := Load(s, key, func(p []byte) (int, error) { return len(p), nil }); !ok || n != 12 {
+		t.Fatalf("Load = %d, %v; want the decoded payload", n, ok)
+	}
+	if st := s.Stats(); st.Hits != 1 || st.Misses != 1 || st.Corrupt != 1 {
+		t.Fatalf("stats = %+v, want 1 hit and 1 corrupt miss", st)
+	}
+}
+
 func TestFingerprintSensitivity(t *testing.T) {
 	base := testKey(t, map[string]int{"a": 1, "b": 2}, "medium", 0.01)
 	if got := testKey(t, map[string]int{"b": 2, "a": 1}, "medium", 0.01); got != base {

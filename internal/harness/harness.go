@@ -10,6 +10,7 @@ package harness
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -179,10 +180,12 @@ type Grid struct {
 // ThresholdCandidates is the Sec. VI-C design-sweep range.
 var ThresholdCandidates = []int{4, 5, 6, 7}
 
-// classCore is one (class, core) pair of the threshold-selection phase.
+// classCore is one (class, core) pair of the threshold-selection phase;
+// core is cfg's canonical JSON for its journal keys (nil without one).
 type classCore struct {
 	class Class
 	cfg   ooo.Config
+	core  []byte
 }
 
 // Options tunes a grid run.
@@ -247,14 +250,13 @@ type Options struct {
 // armed, everything completed before the cancellation is already persisted
 // and a -resume run picks up exactly where this one stopped. Both phases
 // take their simulations from one run cache, so each distinct engine run
-// happens once per call, and journaled cells of one program share one
-// decoded architectural state.
+// happens once per call; journaled cells of one program share one decoded
+// architectural state, this call's and every other's (see archCache).
 func Run(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, opts Options) (*Grid, error) {
 	return runGrid(ctx, benchmarks, cores, opts, &runCache{})
 }
 
-// runGrid is Run with every simulation and decoded cell state taken from
-// runs.
+// runGrid is Run with every simulation taken from runs.
 func runGrid(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, opts Options, runs *runCache) (*Grid, error) {
 	run := baseline.Runner(runs.run)
 	if err := opts.CheckShard("harness"); err != nil {
@@ -266,8 +268,15 @@ func runGrid(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, op
 		byClass[b.Class] = append(byClass[b.Class], b)
 	}
 	var digests map[*isa.Program][]byte
+	coreIDs := make([][]byte, len(cores))
 	if opts.Journal != nil {
 		digests = WorkloadDigests(benchmarks)
+		for i, cfg := range cores {
+			var err error
+			if coreIDs[i], err = json.Marshal(cfg); err != nil {
+				return nil, fmt.Errorf("harness: core %s does not marshal: %w", cfg.Name, err)
+			}
+		}
 	}
 
 	// Phase A: one threshold per (class, core), from the Sec. VI-C sweep.
@@ -277,8 +286,8 @@ func runGrid(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, op
 			continue
 		}
 		g.ChosenThreshold[class] = map[string]int{}
-		for _, cfg := range cores {
-			pairs = append(pairs, classCore{class, cfg})
+		for i, cfg := range cores {
+			pairs = append(pairs, classCore{class, cfg, coreIDs[i]})
 		}
 	}
 	thresholds, err := chooseThresholds(ctx, pairs, byClass, digests, opts, run)
@@ -291,15 +300,14 @@ func runGrid(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, op
 
 	// Phase B: the grid cells, flattened in reporting order.
 	type cellTask struct {
-		class Class
-		b     Benchmark
-		cfg   ooo.Config
-		th    int
+		classCore
+		b  Benchmark
+		th int
 	}
 	var tasks []cellTask
 	for i, pr := range pairs {
 		for _, b := range byClass[pr.class] {
-			tasks = append(tasks, cellTask{pr.class, b, pr.cfg, thresholds[i]})
+			tasks = append(tasks, cellTask{pr, b, thresholds[i]})
 		}
 	}
 	// A sharded run computes only its owned slice of the task list; the
@@ -322,7 +330,7 @@ func runGrid(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, op
 			t := tasks[owned[j]]
 			return Step(ctx, opts, Unit[Cell]{
 				Kind: "grid-cell", Label: label(j),
-				Key: func() cellstore.Key { return cellKey(t.cfg, digests[t.b.Prog], t.th) },
+				Key: func() cellstore.Key { return cellKey(t.core, digests[t.b.Prog], t.th) },
 				Run: func() (Cell, error) {
 					cmp, err := run.Compare(ctx, t.cfg, t.b.Prog, t.th)
 					if err != nil {
@@ -334,7 +342,7 @@ func runGrid(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, op
 					return Cell{Benchmark: t.b, Core: t.cfg.Name, Threshold: t.th, Cmp: cmp}, nil
 				},
 				Encode: func(c Cell) ([]byte, error) { return encodeCell(c, t.cfg) },
-				Decode: func(d []byte) (Cell, error) { return decodeCell(d, t.b, t.cfg, &runs.archs) },
+				Decode: func(d []byte) (Cell, error) { return decodeCell(d, t.b, t.cfg) },
 			})
 		})
 	if err != nil {
@@ -380,7 +388,7 @@ func chooseThresholds(ctx context.Context, pairs []classCore, byClass map[Class]
 					for j, b := range class {
 						ds[j] = digests[b.Prog]
 					}
-					return sweepKey(pr.cfg, pr.class, ds, th)
+					return sweepKey(pr.core, pr.class, ds, th)
 				},
 				Run: func() (float64, error) {
 					total := 0.0

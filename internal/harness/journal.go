@@ -162,25 +162,26 @@ func WorkloadDigests(benchmarks []Benchmark) map[*isa.Program][]byte {
 	return out
 }
 
-// cellKey fingerprints one Phase B grid cell: the full core configuration,
-// the workload digest, the policy set the cell compares, and the threshold
-// the sweep chose.
-func cellKey(cfg ooo.Config, digest []byte, threshold int) cellstore.Key {
+// cellKey fingerprints one Phase B grid cell: the full core configuration
+// (core, its canonical JSON, marshalled once per run), the workload digest,
+// the policy set the cell compares, and the threshold the sweep chose.
+func cellKey(core, digest []byte, threshold int) cellstore.Key {
 	return cellstore.NewFingerprint("grid-cell").
 		Field("payload-version", cellPayloadVersion).
-		Field("core", cfg).
+		Bytes("core", core).
 		Bytes("workload", digest).
 		Field("policies", []string{"baseline", "redsoc", "mos", "loaddelay", "speclsq", "ts"}).
 		Field("threshold", threshold).
 		Key()
 }
 
-// sweepKey fingerprints one Phase A sweep task: the core, the ordered
-// workload digests of the class, and the candidate threshold.
-func sweepKey(cfg ooo.Config, class Class, digests [][]byte, candidate int) cellstore.Key {
+// sweepKey fingerprints one Phase A sweep task: the core (its canonical
+// JSON, as for cellKey), the ordered workload digests of the class, and the
+// candidate threshold.
+func sweepKey(core []byte, class Class, digests [][]byte, candidate int) cellstore.Key {
 	f := cellstore.NewFingerprint("sweep-total").
 		Field("payload-version", cellPayloadVersion).
-		Field("core", cfg).
+		Bytes("core", core).
 		Field("class", class).
 		Field("candidate", candidate)
 	for i, d := range digests {
@@ -222,16 +223,16 @@ func encodeCell(c Cell, cfg ooo.Config) ([]byte, error) {
 // the comparison gets its benchmark and core names back from (b, cfg), each
 // result its config from baseline.EngineConfigs, and all five share the one
 // stored architectural state (its maps; everything downstream only reads
-// them), decoded through archs. Any shape problem is an error, which the
+// them), decoded through archCache. Any shape problem is an error, which the
 // caller treats as a cache miss.
-func decodeCell(data []byte, b Benchmark, cfg ooo.Config, archs *archCache) (Cell, error) {
+func decodeCell(data []byte, b Benchmark, cfg ooo.Config) (Cell, error) {
 	rd := codec{b: data}
 	cmp := &baseline.Comparison{Benchmark: b.Prog.Name, Core: cfg.Name}
 	var th int
 	if rd.cell(&th, cmp); rd.err != nil {
 		return Cell{}, rd.err
 	}
-	arch, err := archs.decode(b.Prog, rd.b)
+	arch, err := archCache{}.decode(b.Prog, rd.b)
 	if err != nil {
 		return Cell{}, err
 	}
@@ -245,58 +246,52 @@ func decodeCell(data []byte, b Benchmark, cfg ooo.Config, archs *archCache) (Cel
 }
 
 // archCache is the cell-phase counterpart of the engine's canonical final
-// state (internal/ooo/final.go): within one grid run, the journaled cells
-// of a program whose architectural-state sections are byte-equal share one
-// decoded state instead of each decoding its own copy — a program's cells
-// on the three cores normally hold the same section. Every distinct section
+// state (internal/ooo/final.go): journaled cells of a program whose
+// architectural-state sections are byte-equal share one decoded state
+// instead of each decoding its own copy. A program's cells on the three
+// cores normally hold the same section, and so does every later grid run
+// over the same suite, such as a server's jobs. The decoded sections live
+// on the program (archSections, through isa.Derived), so archCache holds
+// nothing itself: a section is decoded at most once per program and
+// distinct bytes, and is collected with its program. Every distinct section
 // is kept, not only the first decoded, so which cells share does not depend
 // on the order the workers decode them in.
-type archCache struct {
-	mu sync.Mutex
-	m  map[*isa.Program][]decodedArch
+type archCache struct{}
+
+// archKey names a program's decoded sections among its derived values.
+type archKey struct{}
+
+// archSections are the architectural-state sections decoded for a program.
+type archSections struct {
+	mu      sync.Mutex
+	decoded []decodedArch
 }
 
-// decodedArch is a decoded section and the bytes it was decoded from.
+// decodedArch is a decoded section and a copy of the bytes it was decoded
+// from: a slice of the payload would pin the whole payload.
 type decodedArch struct {
 	section []byte
 	arch    archState
 }
 
-// find returns the state decoded from prog's section, if any; c.mu is held.
-func (c *archCache) find(prog *isa.Program, section []byte) (archState, bool) {
-	for _, d := range c.m[prog] {
+// decode returns the architectural state of prog's section, shared as
+// described on archCache. The first cell to ask for a section decodes it
+// under the program's lock, so a cell of the same program that asks
+// meanwhile waits for that state instead of decoding its own.
+func (archCache) decode(prog *isa.Program, section []byte) (archState, error) {
+	s := isa.Derived(prog, archKey{}, func(*isa.Program) *archSections { return new(archSections) })
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, d := range s.decoded {
 		if bytes.Equal(d.section, section) {
-			return d.arch, true
+			return d.arch, nil
 		}
 	}
-	return archState{}, false
-}
-
-// decode returns the architectural state of prog's section, shared as
-// described on archCache.
-func (c *archCache) decode(prog *isa.Program, section []byte) (archState, error) {
-	c.mu.Lock()
-	a, ok := c.find(prog, section)
-	c.mu.Unlock()
-	if ok {
-		return a, nil
-	}
 	a, err := decodeArch(section)
-	if err != nil {
-		return archState{}, err
+	if err == nil {
+		s.decoded = append(s.decoded, decodedArch{slices.Clone(section), a})
 	}
-	// Decoding ran unlocked, so another cell of prog may have decoded the
-	// same bytes meanwhile: adopt its state.
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if d, ok := c.find(prog, section); ok {
-		return d, nil
-	}
-	if c.m == nil {
-		c.m = map[*isa.Program][]decodedArch{}
-	}
-	c.m[prog] = append(c.m[prog], decodedArch{section, a})
-	return a, nil
+	return a, err
 }
 
 // A grid-cell payload is one front-to-back sequence of encoding/binary

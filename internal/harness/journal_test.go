@@ -65,7 +65,7 @@ func TestJournalCellPayloadRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := decodeCell(data, fresh.Benchmark, cfg, new(archCache))
+		got, err := decodeCell(data, fresh.Benchmark, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
@@ -148,7 +148,7 @@ func TestCellCodecComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeCell(data, c.Benchmark, cfg, new(archCache))
+	got, err := decodeCell(data, c.Benchmark, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,8 +215,7 @@ func TestJournalCellPayloadVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	opts := Options{Journal: store, Resume: true}
-	decode := func(d []byte) (Cell, error) { return decodeCell(d, fresh.Benchmark, cfg, new(archCache)) }
+	decode := func(d []byte) (Cell, error) { return decodeCell(d, fresh.Benchmark, cfg) }
 	for i, tc := range []struct {
 		name    string
 		payload []byte
@@ -234,9 +233,12 @@ func TestJournalCellPayloadVersions(t *testing.T) {
 		if err := store.Put(key, tc.payload); err != nil {
 			t.Fatal(err)
 		}
-		if _, hit := journalGet(opts, key, decode); hit != tc.hit {
+		if _, hit := cellstore.Load(store, key, decode); hit != tc.hit {
 			t.Errorf("%s payload: hit = %v, want %v", tc.name, hit, tc.hit)
 		}
+	}
+	if st := store.Stats(); st.Hits != 1 || st.Corrupt != 6 {
+		t.Errorf("stats = %+v, want the v6 payload a hit and every other a corrupt miss", st)
 	}
 }
 
@@ -438,6 +440,16 @@ func TestDecodeArchRejects(t *testing.T) {
 	}
 }
 
+// coreID is cfg's canonical JSON, the core component of its journal keys.
+func coreID(t testing.TB, cfg ooo.Config) []byte {
+	t.Helper()
+	data, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // TestJournalKeysAreContentAddressed: the program-digest memo keys on the
 // program pointer, but the digest it caches is content-derived — two
 // independent builds of the quick suite produce the same cell and sweep
@@ -447,8 +459,9 @@ func TestJournalKeysAreContentAddressed(t *testing.T) {
 		digests := WorkloadDigests(bs)
 		var out []cellstore.Key
 		for _, cfg := range Cores() {
+			core := coreID(t, cfg)
 			for _, b := range bs {
-				out = append(out, cellKey(cfg, digests[b.Prog], 4))
+				out = append(out, cellKey(core, digests[b.Prog], 4))
 			}
 			for _, class := range Classes() {
 				var ds [][]byte
@@ -457,7 +470,7 @@ func TestJournalKeysAreContentAddressed(t *testing.T) {
 						ds = append(ds, digests[b.Prog])
 					}
 				}
-				out = append(out, sweepKey(cfg, class, ds, 4))
+				out = append(out, sweepKey(core, class, ds, 4))
 			}
 		}
 		return out

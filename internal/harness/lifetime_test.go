@@ -2,6 +2,7 @@ package harness
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -40,6 +41,39 @@ func TestDigestsDieWithProgram(t *testing.T) {
 	}()
 	awaitCollection(t, "a dropped program's digest", progGone)
 	awaitCollection(t, "a dropped program's benchmark digest", benchGone)
+}
+
+// TestArchStateDiesWithProgram: a program's decoded architectural-state
+// sections are shared while the program is held, keep a copy of the bytes
+// they were decoded from rather than the payload those were sliced from,
+// and are collected once the program is dropped.
+func TestArchStateDiesWithProgram(t *testing.T) {
+	gone := make(chan struct{})
+	func() {
+		p := &isa.Program{Name: "dropped"}
+		payload := append([]byte("results section"), appendArch(nil, archState{Mem: map[uint64]uint64{0x40: 1, 0x48: 2}})...)
+		section := payload[len("results section"):]
+		a, err := archCache{}.decode(p, section)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := archCache{}.decode(p, slices.Clone(section))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mapID(a.Mem) != mapID(b.Mem) {
+			t.Fatal("a held program's section was decoded twice")
+		}
+		s := isa.Derived(p, archKey{}, func(*isa.Program) *archSections { return new(archSections) })
+		if len(s.decoded) != 1 {
+			t.Fatalf("the program holds %d decoded sections, want 1", len(s.decoded))
+		}
+		if &s.decoded[0].section[0] == &section[0] {
+			t.Fatal("a decoded section keeps its payload alive")
+		}
+		runtime.SetFinalizer(s, func(*archSections) { close(gone) })
+	}()
+	awaitCollection(t, "a dropped program's decoded sections", gone)
 }
 
 // TestSuitesKeepTheirCanonicalState: with the quick and the full suite both

@@ -7,9 +7,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"redsoc/internal/baseline"
 	"redsoc/internal/campaign"
 	"redsoc/internal/cellstore"
 	"redsoc/internal/ooo"
@@ -135,6 +137,53 @@ func TestJournalCorruptionFallsBackToSimulation(t *testing.T) {
 	st := resumed.Stats()
 	if st.Corrupt != 1 || st.Misses != 1 || int(st.Hits) != len(bs)-1 {
 		t.Fatalf("resume stats = %+v, want exactly the corrupted cell re-simulated", st)
+	}
+}
+
+// TestJournalRefusedPayloadIsCorruptMiss plants a well-framed payload that
+// is not a cell (a sweep total) under a real cell's key: the store verifies
+// its framing and checksum, but decodeCell refuses it, so the resume
+// simulates the cell again and the store counts a corrupt miss, not a hit.
+func TestJournalRefusedPayloadIsCorruptMiss(t *testing.T) {
+	b, err := FindBenchmark(Benchmarks(Quick), "bitcnt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs, cores := []Benchmark{b}, []ooo.Config{ooo.BigConfig()}
+	store, err := cellstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if _, err := Run(context.Background(), bs, cores, Options{Workers: 2, Journal: store}); err != nil {
+		t.Fatal(err)
+	}
+	total, err := encodeTotal(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := cellKey(coreID(t, cores[0]), benchmarkDigest(b), baseline.DefaultThreshold(cores[0]))
+	if err := store.Put(key, total); err != nil {
+		t.Fatal(err)
+	}
+
+	before := store.Stats()
+	var simulated atomic.Int64
+	_, err = Run(context.Background(), bs, cores, Options{Workers: 2, Journal: store, Resume: true,
+		OnCell: func(ev CellEvent) {
+			if !ev.Hit {
+				simulated.Add(1)
+			}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := store.Stats()
+	if d := [3]int64{after.Hits - before.Hits, after.Misses - before.Misses, after.Corrupt - before.Corrupt}; d != [3]int64{0, 1, 1} {
+		t.Errorf("resume moved hits, misses, corrupt by %v, want [0 1 1]", d)
+	}
+	if n := simulated.Load(); n != 1 {
+		t.Errorf("%d units simulated, want the refused cell alone", n)
 	}
 }
 

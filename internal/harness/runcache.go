@@ -21,9 +21,6 @@ type runCache struct {
 	runs memo.Map // runKey -> runOutcome
 	// builds counts the engine runs performed (the run-count test reads it).
 	builds atomic.Int64
-
-	// archs shares decoded architectural state among journaled cells.
-	archs archCache
 }
 
 type runKey struct {

@@ -61,7 +61,7 @@ func TestResumedCellsShareArchState(t *testing.T) {
 	// payload, but no longer byte-equal to its program's other cells.
 	odd := benchmarks[1]
 	oddCore := cores[1]
-	key := cellKey(oddCore, benchmarkDigest(odd), baseline.DefaultThreshold(oddCore))
+	key := cellKey(coreID(t, oddCore), benchmarkDigest(odd), baseline.DefaultThreshold(oddCore))
 	data, ok := store.Get(key)
 	if !ok {
 		t.Fatal("premise: the cell must be journaled")
@@ -139,5 +139,45 @@ func TestArchCacheSharingIgnoresOrder(t *testing.T) {
 	}
 	if mapID(mems[0]) == mapID(mems[1]) {
 		t.Fatal("a different section must keep its own state")
+	}
+}
+
+// TestResumedRunsShareArchState: a program's decoded architectural state
+// outlives the Run that decoded it. Of two resumed runs over one suite, the
+// second serves every cell the very FinalMem map the first served, so it
+// decodes no section, and the cells of one program share one map across
+// the cores.
+func TestResumedRunsShareArchState(t *testing.T) {
+	benchmarks, cores := Benchmarks(Quick)[5:8], Cores()
+	store, err := cellstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	opts := Options{Workers: 2, Journal: store}
+	if _, err := Run(context.Background(), benchmarks, cores, opts); err != nil {
+		t.Fatal(err)
+	}
+	opts.Resume = true
+	var grids [2]*Grid
+	for i := range grids {
+		runs := &runCache{}
+		if grids[i], err = runGrid(context.Background(), benchmarks, cores, opts, runs); err != nil {
+			t.Fatal(err)
+		}
+		if n := runs.builds.Load(); n != 0 {
+			t.Fatalf("resumed grid %d simulated %d runs, want every cell served from the journal", i, n)
+		}
+	}
+	perProg := map[*isa.Program]uintptr{}
+	for i, c := range grids[1].Cells {
+		id := mapID(c.Cmp.Baseline.FinalMem)
+		if id != mapID(grids[0].Cells[i].Cmp.Baseline.FinalMem) {
+			t.Errorf("%s/%s: the second run decoded its own FinalMem instead of sharing the first run's", c.Benchmark.Name, c.Core)
+		}
+		if first, ok := perProg[c.Benchmark.Prog]; ok && first != id {
+			t.Errorf("%s/%s: the cells of one program hold different FinalMem maps", c.Benchmark.Name, c.Core)
+		}
+		perProg[c.Benchmark.Prog] = id
 	}
 }

@@ -56,7 +56,11 @@ func Step[T any](ctx context.Context, opts Options, u Unit[T]) (T, error) {
 	hit := false
 	if opts.Journal != nil {
 		key = u.Key()
-		v, hit = journalGet(opts, key, u.Decode)
+		if opts.Resume {
+			// A payload u.Decode refuses (a foreign or stale shape) is a
+			// corrupt miss to Load, and the unit runs.
+			v, hit = cellstore.Load(opts.Journal, key, u.Decode)
+		}
 	}
 	if hit {
 		campaign.Heartbeat(ctx, u.Label+": served from journal")
@@ -75,27 +79,6 @@ func Step[T any](ctx context.Context, opts Options, u Unit[T]) (T, error) {
 		opts.OnCell(CellEvent{Kind: u.Kind, Label: u.Label, Key: key, Hit: hit})
 	}
 	return v, nil
-}
-
-// journalGet serves a journaled payload when resuming. A nil journal, a
-// fresh (non-resume) run, a miss or an undecodable payload all mean "run
-// the simulation"; decode failures count as misses by construction (the
-// journal already verified the checksum, so a decode failure here means a
-// foreign or stale payload shape).
-func journalGet[T any](opts Options, key cellstore.Key, decode func([]byte) (T, error)) (T, bool) {
-	var zero T
-	if opts.Journal == nil || !opts.Resume {
-		return zero, false
-	}
-	data, ok := opts.Journal.Get(key)
-	if !ok {
-		return zero, false
-	}
-	v, err := decode(data)
-	if err != nil {
-		return zero, false
-	}
-	return v, true
 }
 
 // CampaignOptions projects opts onto one campaign phase. The hung-cell
