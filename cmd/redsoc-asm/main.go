@@ -21,6 +21,7 @@ import (
 	"redsoc/internal/asm"
 	"redsoc/internal/baseline"
 	"redsoc/internal/isa"
+	"redsoc/internal/obs"
 	"redsoc/internal/ooo"
 )
 
@@ -31,7 +32,7 @@ func main() {
 	policyName := flag.String("policy", "redsoc", "scheduler: baseline, redsoc, mos, loaddelay or speclsq")
 	compare := flag.Bool("compare", false, "run every scheduler and compare")
 	maxSteps := flag.Int("max-steps", 0, "dynamic instruction cap (0 = default)")
-	trace := flag.Bool("trace", false, "print the pipeline event trace (small programs!)")
+	trace := flag.Bool("trace", false, "print the obs pipeline event stream, one line per event (small programs!)")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		log.Fatal("usage: redsoc-asm [flags] prog.s")
@@ -77,12 +78,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	var text *obs.TextSink
 	if *trace {
-		sim.SetTracer(os.Stdout)
+		text = obs.NewTextSink(os.Stdout, sim.Clock().TicksPerCycle())
+		sim.SetObserver(text)
 	}
 	res, err := sim.Run()
 	if err != nil {
 		log.Fatal(err)
+	}
+	if text != nil && text.Err() != nil {
+		log.Fatalf("writing the trace: %v", text.Err())
 	}
 	fmt.Printf("%s/%s: %d cycles, IPC %.3f, %d recycled ops\n",
 		cfg.Name, policy, res.Cycles, res.IPC(), res.RecycledOps)

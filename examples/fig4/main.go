@@ -1,9 +1,10 @@
-// fig4 reproduces the paper's Fig. 4/5 worked example with the pipeline
-// tracer: a three-operation dependency chain whose per-op computation times
-// leave recyclable slack. Under the baseline each operation clocks at a
-// cycle edge (3 cycles of execution); under ReDSOC the consumers start the
-// instant their producer's value stabilizes, and the trace shows the
-// mid-cycle execution windows, the EGPW issue and the 2-cycle FU hold.
+// fig4 reproduces the paper's Fig. 4/5 worked example with the obs event
+// stream printed live: a three-operation dependency chain whose per-op
+// computation times leave recyclable slack. Under the baseline each
+// operation clocks at a cycle edge (3 cycles of execution); under ReDSOC the
+// consumers start the instant their producer's value stabilizes, and the
+// issue lines show the mid-cycle execution windows, the recycled and EGPW
+// issues and the 2-cycle FU hold.
 package main
 
 import (
@@ -11,6 +12,7 @@ import (
 	"os"
 
 	"redsoc/internal/isa"
+	"redsoc/internal/obs"
 	"redsoc/internal/ooo"
 	"redsoc/internal/workload"
 )
@@ -42,9 +44,13 @@ func trace(policy ooo.Policy) {
 		panic(err)
 	}
 	fmt.Printf("--- %v ---\n", policy)
-	sim.SetTracer(os.Stdout)
+	text := obs.NewTextSink(os.Stdout, sim.Clock().TicksPerCycle())
+	sim.SetObserver(text)
 	res, err := sim.Run()
 	if err != nil {
+		panic(err)
+	}
+	if err := text.Err(); err != nil {
 		panic(err)
 	}
 	fmt.Printf("total: %d cycles, %d recycled ops\n\n", res.Cycles, res.RecycledOps)

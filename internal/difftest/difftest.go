@@ -5,7 +5,8 @@
 // the rendered pipeline-event stream, the cycle count, the serialized metrics
 // snapshot, and the final architectural state. Any divergence is a bug in the
 // rewrite (or, rarely, a deliberate behavior change that must be applied to
-// both packages — see the oooref package comment).
+// both packages — see the oooref package comment). The reference models
+// only what these comparisons reach, so every Pair stays inside its scope.
 package difftest
 
 import (
@@ -21,9 +22,9 @@ import (
 	"redsoc/internal/workload"
 )
 
-// Pair is one core/policy configuration instantiated for both engines. The
-// two configs are built from the matching preset constructors so the pairing
-// cannot drift when a preset gains a field.
+// Pair is one core/policy configuration. Both engines take the same
+// ooo.Config, and the reference's is derived from it (RefConfig), so the
+// pairing cannot drift.
 //
 // ArchOnly relaxes the comparison to architectural state (registers, memory,
 // flags) plus the instruction count: it pairs a policy the frozen reference
@@ -33,9 +34,17 @@ import (
 // completion instant is forbidden from breaking.
 type Pair struct {
 	Name     string
-	New      ooo.Config
-	Ref      oooref.Config
+	Config   ooo.Config
 	ArchOnly bool
+}
+
+// RefConfig is the configuration the reference engine runs for the pair:
+// the pair's own, or its baseline for an ArchOnly pair.
+func (p Pair) RefConfig() ooo.Config {
+	if p.ArchOnly {
+		return p.Config.WithPolicy(ooo.PolicyBaseline)
+	}
+	return p.Config
 }
 
 // Pairs returns the configurations the harness diffs: every policy on the
@@ -45,13 +54,13 @@ type Pair struct {
 // against the reference baseline.
 func Pairs() []Pair {
 	return []Pair{
-		{Name: "small/baseline", New: ooo.SmallConfig().WithPolicy(ooo.PolicyBaseline), Ref: oooref.SmallConfig().WithPolicy(oooref.PolicyBaseline)},
-		{Name: "small/redsoc", New: ooo.SmallConfig().WithPolicy(ooo.PolicyRedsoc), Ref: oooref.SmallConfig().WithPolicy(oooref.PolicyRedsoc)},
-		{Name: "small/mos", New: ooo.SmallConfig().WithPolicy(ooo.PolicyMOS), Ref: oooref.SmallConfig().WithPolicy(oooref.PolicyMOS)},
-		{Name: "medium/redsoc", New: ooo.MediumConfig().WithPolicy(ooo.PolicyRedsoc), Ref: oooref.MediumConfig().WithPolicy(oooref.PolicyRedsoc)},
-		{Name: "big/redsoc", New: ooo.BigConfig().WithPolicy(ooo.PolicyRedsoc), Ref: oooref.BigConfig().WithPolicy(oooref.PolicyRedsoc)},
-		{Name: "small/loaddelay", New: ooo.SmallConfig().WithPolicy(ooo.PolicyLoadDelay), Ref: oooref.SmallConfig().WithPolicy(oooref.PolicyBaseline), ArchOnly: true},
-		{Name: "small/speclsq", New: ooo.SmallConfig().WithPolicy(ooo.PolicySpecLSQ), Ref: oooref.SmallConfig().WithPolicy(oooref.PolicyBaseline), ArchOnly: true},
+		{Name: "small/baseline", Config: ooo.SmallConfig().WithPolicy(ooo.PolicyBaseline)},
+		{Name: "small/redsoc", Config: ooo.SmallConfig().WithPolicy(ooo.PolicyRedsoc)},
+		{Name: "small/mos", Config: ooo.SmallConfig().WithPolicy(ooo.PolicyMOS)},
+		{Name: "medium/redsoc", Config: ooo.MediumConfig().WithPolicy(ooo.PolicyRedsoc)},
+		{Name: "big/redsoc", Config: ooo.BigConfig().WithPolicy(ooo.PolicyRedsoc)},
+		{Name: "small/loaddelay", Config: ooo.SmallConfig().WithPolicy(ooo.PolicyLoadDelay), ArchOnly: true},
+		{Name: "small/speclsq", Config: ooo.SmallConfig().WithPolicy(ooo.PolicySpecLSQ), ArchOnly: true},
 	}
 }
 
@@ -175,7 +184,7 @@ func runNew(cfg ooo.Config, prog *isa.Program) (sideResult, error) {
 	}, nil
 }
 
-func runRef(cfg oooref.Config, prog *isa.Program) (sideResult, error) {
+func runRef(cfg ooo.Config, prog *isa.Program) (sideResult, error) {
 	sim, err := oooref.New(cfg, prog)
 	if err != nil {
 		return sideResult{}, err
@@ -207,11 +216,11 @@ func runRef(cfg oooref.Config, prog *isa.Program) (sideResult, error) {
 // stream, metrics snapshot) — those are policy-defined — and still demand
 // identical committed state and instruction counts.
 func Compare(p Pair, prog *isa.Program) error {
-	nw, err := runNew(p.New, prog)
+	nw, err := runNew(p.Config, prog)
 	if err != nil {
 		return fmt.Errorf("%s: new engine: %w", p.Name, err)
 	}
-	rf, err := runRef(p.Ref, prog)
+	rf, err := runRef(p.RefConfig(), prog)
 	if err != nil {
 		return fmt.Errorf("%s: ref engine: %w", p.Name, err)
 	}

@@ -15,6 +15,7 @@ package obs
 
 import (
 	"fmt"
+	"io"
 	"strings"
 
 	"redsoc/internal/isa"
@@ -314,3 +315,30 @@ func FormatStream(events []Event, ticksPerCycle int) string {
 	}
 	return b.String()
 }
+
+// TextSink is a streaming Sink that writes each event as one Format line the
+// moment it is emitted, for live pipeline traces of small programs. Its
+// output equals FormatStream over a Buffer of the same run. Emit cannot
+// fail, so the first write error is kept, later events are dropped, and Err
+// reports it after the run.
+type TextSink struct {
+	w             io.Writer
+	ticksPerCycle int
+	err           error
+}
+
+// NewTextSink returns a TextSink writing to w at the given sub-cycle
+// precision (the simulator clock's TicksPerCycle).
+func NewTextSink(w io.Writer, ticksPerCycle int) *TextSink {
+	return &TextSink{w: w, ticksPerCycle: ticksPerCycle}
+}
+
+// Emit writes the event's Format line.
+func (t *TextSink) Emit(e Event) {
+	if t.err == nil {
+		_, t.err = io.WriteString(t.w, e.Format(t.ticksPerCycle)+"\n")
+	}
+}
+
+// Err returns the first write error, if any.
+func (t *TextSink) Err() error { return t.err }

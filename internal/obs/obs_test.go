@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -96,6 +97,42 @@ func TestFormatStreamStable(t *testing.T) {
 	}
 	if got != FormatStream(testEvents(), 8) {
 		t.Error("FormatStream is not deterministic")
+	}
+}
+
+// failAfter accepts n writes, then fails every later one.
+type failAfter struct {
+	n, calls int
+	sb       strings.Builder
+}
+
+var errWrite = errors.New("write failed")
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	w.calls++
+	if w.calls > w.n {
+		return 0, errWrite
+	}
+	return w.sb.Write(p)
+}
+
+// TestTextSinkKeepsFirstWriteError checks that the streaming sink writes
+// FormatStream's lines and, once a write fails, keeps that error and stops
+// writing.
+func TestTextSinkKeepsFirstWriteError(t *testing.T) {
+	w := &failAfter{n: 2}
+	text := NewTextSink(w, 8)
+	for _, e := range testEvents() {
+		text.Emit(e)
+	}
+	if !errors.Is(text.Err(), errWrite) {
+		t.Fatalf("Err() = %v, want the write error", text.Err())
+	}
+	if w.calls != 3 {
+		t.Errorf("%d writes attempted, want 3 (none after the first failure)", w.calls)
+	}
+	if want := FormatStream(testEvents()[:2], 8); w.sb.String() != want {
+		t.Errorf("wrote %q, want %q", w.sb.String(), want)
 	}
 }
 

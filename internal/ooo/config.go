@@ -134,8 +134,9 @@ type Config struct {
 	MaxCycles int64
 }
 
-// withDefaults fills unset fields.
-func (c Config) withDefaults() Config {
+// WithDefaults returns a copy with every unset field filled with its
+// default, as New applies them.
+func (c Config) WithDefaults() Config {
 	if c.PrecisionBits == 0 {
 		c.PrecisionBits = timing.DefaultPrecisionBits
 	}
@@ -156,7 +157,7 @@ func (c Config) withDefaults() Config {
 
 // Validate rejects inconsistent configurations.
 func (c Config) Validate() error {
-	cc := c.withDefaults()
+	cc := c.WithDefaults()
 	if cc.FrontEndWidth < 1 {
 		return fmt.Errorf("ooo: front-end width %d < 1", cc.FrontEndWidth)
 	}
@@ -210,7 +211,7 @@ func SmallConfig() Config {
 		FrontEndWidth: 3,
 		ROBSize:       40, LSQSize: 16, RSESize: 32,
 		NumALU: 3, NumSIMD: 2, NumFP: 2, NumMemPorts: 2,
-	}.withDefaults()
+	}.WithDefaults()
 }
 
 // MediumConfig is the Medium core of Table I: width 4, 80/32/64, 4/3/3.
@@ -220,7 +221,7 @@ func MediumConfig() Config {
 		FrontEndWidth: 4,
 		ROBSize:       80, LSQSize: 32, RSESize: 64,
 		NumALU: 4, NumSIMD: 3, NumFP: 3, NumMemPorts: 3,
-	}.withDefaults()
+	}.WithDefaults()
 }
 
 // BigConfig is the Big core of Table I: width 8, 160/64/128, 6/4/4.
@@ -230,7 +231,7 @@ func BigConfig() Config {
 		FrontEndWidth: 8,
 		ROBSize:       160, LSQSize: 64, RSESize: 128,
 		NumALU: 6, NumSIMD: 4, NumFP: 4, NumMemPorts: 4,
-	}.withDefaults()
+	}.WithDefaults()
 }
 
 // WithFaults returns a copy that injects every fault class at the given
@@ -262,7 +263,7 @@ func ParseCore(name string) (Config, error) {
 // WithPolicy returns a copy configured for the given scheduling policy; for
 // PolicyRedsoc the paper's default parameters are applied.
 func (c Config) WithPolicy(p Policy) Config {
-	c = c.withDefaults()
+	c = c.WithDefaults()
 	c.Policy = p
 	c.Redsoc = core.Params{}
 	if p == PolicyRedsoc {

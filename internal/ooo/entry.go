@@ -144,8 +144,6 @@ type entry struct {
 	fused   bool // MOS: executed piggybacked on its producer's cycle
 	replays int32
 
-	dispatchCycle int64
-
 	// Scheduler bookkeeping for the tag-indexed wakeup and the entry slab.
 	//
 	// waiters is this entry's consumer list: waiting entries registered at

@@ -613,9 +613,6 @@ func (s *Simulator) issueEntry(e *entry, cycle int64, spec bool) bool {
 	// for EGPW children granted alongside this parent this very cycle.
 	s.wakeWaiters(e)
 	s.audit.onIssue(s, e, unit)
-	if s.tracer != nil {
-		s.tracer.issue(cycle, e, s.in(e), spec)
-	}
 	if s.obs != nil {
 		var fl obs.Flag
 		if spec {
@@ -670,9 +667,6 @@ func (s *Simulator) cancelGrant(e *entry, cycle int64, spec bool) bool {
 		s.res.TagMispredicts++
 		s.trainLastArrival(e)
 	}
-	if s.tracer != nil {
-		s.tracer.cancel(e.dispatchCycle, e, s.in(e), spec)
-	}
 	if s.obs != nil {
 		var fl obs.Flag
 		if spec {
@@ -696,9 +690,6 @@ func (s *Simulator) cancelGrant(e *entry, cycle int64, spec bool) bool {
 //redsoc:hotpath
 func (s *Simulator) lsqSquash(e, dep *entry, cycle int64, spec bool) bool {
 	s.res.LSQMisallocations++
-	if s.tracer != nil {
-		s.tracer.cancel(e.dispatchCycle, e, s.in(e), spec)
-	}
 	if s.obs != nil {
 		s.obs.Emit(obs.Event{Kind: obs.KindLSQSquash, Cycle: cycle, Seq: e.seq, Op: e.op,
 			PC: e.pc, FU: uint8(e.fu), Unit: -1, Arg: dep.seq})

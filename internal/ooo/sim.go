@@ -59,8 +59,6 @@ type Simulator struct {
 	adapt *core.ThresholdController
 	// cpm drives the optional PVT guard-band recalibration.
 	cpm *timing.CPM
-	// tracer, when set, receives pipeline events as text.
-	tracer *Tracer
 	// obs, when set, receives structured sub-cycle pipeline events. Every
 	// emission is behind an `if s.obs != nil` guard (enforced by the
 	// obszeroalloc analyzer), so the disabled path costs one branch.
@@ -127,7 +125,7 @@ type Simulator struct {
 
 // New builds a simulator for the program under the configuration.
 func New(cfg Config, prog *isa.Program) (*Simulator, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -192,7 +190,8 @@ func New(cfg Config, prog *isa.Program) (*Simulator, error) {
 	return s, nil
 }
 
-// in resolves an entry's trace instruction (cold paths: execution, tracing).
+// in resolves an entry's trace instruction (cold paths: functional execution
+// and width-prediction validation).
 //
 //redsoc:hotpath
 func (s *Simulator) in(e *entry) *isa.Instruction { return &s.prog.Instrs[e.ti] }
@@ -328,9 +327,6 @@ func (s *Simulator) commit(cycle int64) {
 		if !e.extended {
 			s.res.Sequences.Record(int(e.chainLen))
 		}
-		if s.tracer != nil {
-			s.tracer.commit(cycle, e, s.in(e))
-		}
 		if s.obs != nil {
 			s.obs.Emit(obs.Event{Kind: obs.KindCommit, Cycle: cycle, Seq: e.seq, Op: e.op, PC: e.pc, FU: uint8(e.fu), Unit: -1})
 		}
@@ -441,7 +437,6 @@ func (s *Simulator) dispatch(cycle int64) {
 		e.isLoad = bits&trace.BitLoad != 0
 		e.isStore = bits&trace.BitStore != 0
 		e.fu = fuKind(dec.Pool[ti])
-		e.dispatchCycle = cycle
 		s.nextSeq++
 		// Predictor faults corrupt shared table state before this op reads
 		// it, so the op itself can observe the corruption; the ordinary
@@ -483,9 +478,6 @@ func (s *Simulator) dispatch(cycle int64) {
 				s.storeQ.push(ei)
 			}
 		}
-		if s.tracer != nil {
-			s.tracer.dispatch(cycle, e, in)
-		}
 		if s.obs != nil {
 			// Decode-time slack-bucket assignment: the LUT address the
 			// estimate was read from and the bucketed EX-TIME in ticks.
@@ -499,9 +491,6 @@ func (s *Simulator) dispatch(cycle int64) {
 			// so it participates in the slab refcount.
 			s.redirect = ei
 			s.retain(ei)
-			if s.tracer != nil {
-				s.tracer.redirect(cycle, e)
-			}
 			if s.obs != nil {
 				s.obs.Emit(obs.Event{Kind: obs.KindRedirect, Cycle: cycle, Seq: e.seq, Op: e.op, PC: e.pc, FU: uint8(e.fu), Unit: -1})
 			}

@@ -8,9 +8,6 @@ package oooref
 // hooks.
 type auditState struct{}
 
-// Enabled reports whether the runtime audit layer is compiled in.
-func (auditState) Enabled() bool { return false }
-
 func (auditState) onIssue(*Simulator, *entry, int) {}
 
 func (auditState) onCommitMem(*Simulator, *entry, *entry) {}

@@ -25,7 +25,6 @@ package oooref
 import (
 	"fmt"
 
-	"redsoc/internal/obs"
 	"redsoc/internal/timing"
 )
 
@@ -33,9 +32,6 @@ import (
 type auditState struct {
 	lastComp [numFUKinds]map[int]timing.Ticks
 }
-
-// Enabled reports whether the runtime audit layer is compiled in.
-func (*auditState) Enabled() bool { return true }
 
 // onIssue checks the invariants for one operation the scheduler just issued
 // on the given unit of its FU pool.
@@ -56,8 +52,8 @@ func (a *auditState) onIssue(s *Simulator, e *entry, unit int) {
 	}
 
 	// Invariant 2: the transparent-dataflow FU-hold bound (IT3). A violation
-	// replay is exempt: its honest synchronous re-plan may need 2 cycles for
-	// a fault-drifted delay without being a recycled evaluation.
+	// replay is exempt: its honest synchronous re-plan may need 2 cycles
+	// without being a recycled evaluation.
 	if sched.FUCycles > 2 && !e.violated {
 		auditFailf(s, e, "FU held %d cycles; the transparent-dataflow rule allows at most 2", sched.FUCycles)
 	}
@@ -65,16 +61,13 @@ func (a *auditState) onIssue(s *Simulator, e *entry, unit int) {
 		auditFailf(s, e, "synchronous single-cycle evaluation held its FU 2 cycles; only recycled ops may cross an edge")
 	}
 
-	// Invariant 3: estimates may overstate, never understate — unless an
-	// injected fault deliberately broke the estimate, in which case the
-	// violation detector must have restored the post-recovery guarantee
-	// (checked unconditionally below).
-	if actual := s.clock.PSToTicks(e.delayPS); actual > e.exTicks && e.faulted == 0 {
+	// Invariant 3: estimates may overstate, never understate.
+	if actual := s.clock.PSToTicks(e.delayPS); actual > e.exTicks {
 		auditFailf(s, e, "estimated EX-TIME %d ticks understates actual evaluation time %d ticks (%d ps)",
 			e.exTicks, actual, e.delayPS)
 	}
-	// Post-recovery guarantee: whatever was injected, the final schedule
-	// covers the true evaluation — Razor recovery must leave no residue.
+	// Post-recovery guarantee: the final schedule covers the true
+	// evaluation — Razor recovery must leave no residue.
 	if sched.Comp < sched.Start+s.clock.PSToTicks(e.delayPS) {
 		auditFailf(s, e, "final CI %d understates start %d + actual %d ps", sched.Comp, sched.Start, e.delayPS)
 	}
@@ -109,19 +102,8 @@ func (a *auditState) onCommitMem(s *Simulator, e, lsqHead *entry) {
 	}
 }
 
-// auditFailf reports an invariant violation and aborts the run. When a
-// flight recorder is attached, the panic message carries the recorder's tail
-// so the events leading up to the failure survive into the crash report.
+// auditFailf reports an invariant violation and aborts the run.
 func auditFailf(s *Simulator, e *entry, format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	head := fmt.Sprintf("ooo: audit: %s/%s seq %d op %v: %s",
-		s.cfg.Name, s.cfg.Policy, e.seq, e.in.Op, msg)
-	if ring, ok := s.obs.(*obs.Ring); ok && ring.Len() > 0 {
-		head += "\nflight recorder (last " + fmt.Sprint(len(ring.Tail(flightTail))) + " events):\n" +
-			obs.FormatStream(ring.Tail(flightTail), s.clock.TicksPerCycle())
-	}
-	panic(head)
+	panic(fmt.Sprintf("ooo: audit: %s/%s seq %d op %v: %s",
+		s.cfg.Name, s.cfg.Policy, e.seq, e.in.Op, fmt.Sprintf(format, args...)))
 }
-
-// flightTail bounds how many trailing events an audit panic reproduces.
-const flightTail = 16

@@ -1,19 +1,26 @@
-// Package oooref is a frozen, verbatim snapshot of internal/ooo as it stood
-// before the flat-trace/SoA scheduler representation landed: the entry graph
-// is pointer-linked, rename reads isa.Instruction fields directly, and memory
-// is the map-backed store. It exists solely as the legacy half of the
-// differential harness in internal/difftest — every generated program must
-// produce byte-identical event streams, cycle counts and metrics through both
-// packages. Do not optimize or extend this package; fix bugs only when the
-// live package's fix is itself a behavior change that both sides must share.
+// Package oooref is the frozen reference engine of the differential harness
+// in internal/difftest: a snapshot of internal/ooo as it stood before the
+// flat-trace/SoA scheduler representation landed. The entry graph is
+// pointer-linked, rename reads isa.Instruction fields directly, and memory
+// is the map-backed store. Every generated program must produce
+// byte-identical event streams, cycle counts, metrics and architectural
+// state through both packages. Do not optimize or extend this package; fix
+// bugs only when the live package's fix is itself a behavior change that
+// both sides must share.
 //
-// The model: an out-of-order core with an idealized front end —
-// an idealized-front-end, trace-driven, cycle-level pipeline with register
-// renaming, a reorder buffer, a load/store queue with store-to-load
+// Its scope is exactly what difftest compares: an ooo.Config under the
+// baseline, ReDSOC or MOS policy, fault-free, at a fixed slack threshold.
+// The live engine's fault injection, graceful degradation, PVT/CPM model,
+// adaptive-threshold controller and dynamic-delay policies have no
+// counterpart here, and New refuses a configuration that asks for any of
+// them. Their Result fields and metric keys stay, always zero, so a
+// reference metrics snapshot has the same keys as a live one.
+//
+// The model: an idealized-front-end, trace-driven, cycle-level pipeline with
+// register renaming, a reorder buffer, a load/store queue with store-to-load
 // forwarding, reservation stations with tag-broadcast wakeup and
 // oldest-first (optionally skewed) selection, per-class functional-unit
-// pools, and sub-cycle completion-instant tracking. The three Table I cores
-// (Small, Medium, Big) are provided as presets.
+// pools, and sub-cycle completion-instant tracking.
 //
 // Instructions execute functionally, so architectural results are available
 // for cross-scheduler equivalence checks. Branches arrive pre-resolved in
@@ -25,185 +32,29 @@ package oooref
 import (
 	"fmt"
 
-	"redsoc/internal/core"
-	"redsoc/internal/fault"
-	"redsoc/internal/mem"
-	"redsoc/internal/predict"
-	"redsoc/internal/timing"
+	"redsoc/internal/ooo"
 )
 
-// Policy selects the scheduling mechanism under test.
-type Policy uint8
-
-const (
-	// PolicyBaseline is the conventional timing-conservative core: every
-	// operation clocks at cycle boundaries.
-	PolicyBaseline Policy = iota
-	// PolicyRedsoc enables slack recycling per the core.Params.
-	PolicyRedsoc
-	// PolicyMOS is the Multiple-Operations-in-Single-cycle comparator
-	// (dynamic operation fusion, Sec. VI-D).
-	PolicyMOS
-)
-
-// String names the policy.
-func (p Policy) String() string {
-	switch p {
-	case PolicyRedsoc:
-		return "redsoc"
-	case PolicyMOS:
-		return "mos"
-	}
-	return "baseline"
-}
-
-// Config describes one core. Use SmallConfig/MediumConfig/BigConfig for the
-// Table I machines.
-type Config struct {
-	Name string
-
-	// FrontEndWidth is the per-cycle dispatch and commit bandwidth.
-	FrontEndWidth int
-	// ROBSize, LSQSize and RSESize size the reorder buffer, load/store
-	// queue and reservation stations.
-	ROBSize, LSQSize, RSESize int
-	// NumALU, NumSIMD, NumFP and NumMemPorts size the functional-unit pools.
-	NumALU, NumSIMD, NumFP, NumMemPorts int
-
-	// Mem configures the cache hierarchy.
-	Mem mem.Config
-	// PVT enables the CPM-driven guard-band model (Sec. V): the slack LUT
-	// is recalibrated on the fly as environmental conditions vary, adding
-	// PVT slack to the recyclable total.
-	PVT timing.PVTConfig
-	// PrecisionBits sets the slack-tracking precision (default 3).
-	PrecisionBits int
-
-	// Policy picks the scheduler; Redsoc configures it when Policy is
-	// PolicyRedsoc.
-	Policy Policy
-	Redsoc core.Params
-
-	// WidthPredictorEntries and LastArrivalEntries size the predictors
-	// (defaults follow the paper).
-	WidthPredictorEntries int
-	LastArrivalEntries    int
-
-	// Fault configures deterministic, seeded fault injection (robustness
-	// campaigns); the zero value injects nothing. Degrade arms the
-	// graceful-degradation controller that reverts a FU pool whose
-	// violation rate crosses the limit back to baseline conservative
-	// timing until its cool-down expires.
-	Fault   fault.Config
-	Degrade fault.DegradeConfig
-
-	// MaxCycles caps the simulation as a deadlock guard; 0 derives a bound
-	// from the trace length.
-	MaxCycles int64
-}
-
-// withDefaults fills unset fields.
-func (c Config) withDefaults() Config {
-	if c.PrecisionBits == 0 {
-		c.PrecisionBits = timing.DefaultPrecisionBits
-	}
-	if c.Mem.LineBytes == 0 {
-		c.Mem = mem.DefaultConfig()
-	}
-	if c.WidthPredictorEntries == 0 {
-		c.WidthPredictorEntries = predict.DefaultWidthEntries
-	}
-	if c.LastArrivalEntries == 0 {
-		c.LastArrivalEntries = predict.DefaultLastArrivalEntries
-	}
-	return c
-}
-
-// Validate rejects inconsistent configurations.
-func (c Config) Validate() error {
-	cc := c.withDefaults()
-	if cc.FrontEndWidth < 1 {
-		return fmt.Errorf("ooo: front-end width %d < 1", cc.FrontEndWidth)
-	}
-	if cc.ROBSize < 1 || cc.LSQSize < 1 || cc.RSESize < 1 {
-		return fmt.Errorf("ooo: ROB/LSQ/RSE sizes must be positive")
-	}
-	if cc.NumALU < 1 || cc.NumSIMD < 0 || cc.NumFP < 0 || cc.NumMemPorts < 1 {
-		return fmt.Errorf("ooo: FU pool sizes invalid")
-	}
-	if n := cc.WidthPredictorEntries; n <= 0 || n&(n-1) != 0 {
-		return fmt.Errorf("ooo: width predictor entries %d must be a positive power of two", n)
-	}
-	if n := cc.LastArrivalEntries; n <= 0 || n&(n-1) != 0 {
-		return fmt.Errorf("ooo: last-arrival predictor entries %d must be a positive power of two", n)
-	}
-	if err := cc.Mem.Validate(); err != nil {
+// checkScope validates the configuration as the live engine does, then
+// refuses one the reference does not model.
+func checkScope(cfg ooo.Config) error {
+	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	if err := cc.Fault.Validate(); err != nil {
-		return err
+	switch cfg.Policy {
+	case ooo.PolicyBaseline, ooo.PolicyRedsoc, ooo.PolicyMOS:
+	default:
+		return fmt.Errorf("oooref: policy %s is outside the reference's scope", cfg.Policy)
 	}
-	if err := cc.Degrade.Validate(); err != nil {
-		return err
-	}
-	clock, err := timing.NewClock(cc.PrecisionBits)
-	if err != nil {
-		return err
-	}
-	if cc.Policy == PolicyRedsoc {
-		if err := cc.Redsoc.Validate(clock); err != nil {
-			return err
-		}
+	switch {
+	case cfg.Fault.Enable:
+		return fmt.Errorf("oooref: fault injection is outside the reference's scope")
+	case cfg.Degrade.Enable:
+		return fmt.Errorf("oooref: graceful degradation is outside the reference's scope")
+	case cfg.PVT.Enable:
+		return fmt.Errorf("oooref: the PVT guard-band model is outside the reference's scope")
+	case cfg.Redsoc.DynamicThreshold:
+		return fmt.Errorf("oooref: the dynamic slack threshold is outside the reference's scope")
 	}
 	return nil
-}
-
-// Table I presets. All three cores share the 2 GHz clock and the 64kB/2MB
-// memory system with prefetch.
-
-// SmallConfig is the Small core of Table I: width 3, 40/16/32 ROB/LSQ/RSE,
-// 3/2/2 ALU/SIMD/FP.
-func SmallConfig() Config {
-	return Config{
-		Name:          "Small",
-		FrontEndWidth: 3,
-		ROBSize:       40, LSQSize: 16, RSESize: 32,
-		NumALU: 3, NumSIMD: 2, NumFP: 2, NumMemPorts: 2,
-	}.withDefaults()
-}
-
-// MediumConfig is the Medium core of Table I: width 4, 80/32/64, 4/3/3.
-func MediumConfig() Config {
-	return Config{
-		Name:          "Medium",
-		FrontEndWidth: 4,
-		ROBSize:       80, LSQSize: 32, RSESize: 64,
-		NumALU: 4, NumSIMD: 3, NumFP: 3, NumMemPorts: 3,
-	}.withDefaults()
-}
-
-// BigConfig is the Big core of Table I: width 8, 160/64/128, 6/4/4.
-func BigConfig() Config {
-	return Config{
-		Name:          "Big",
-		FrontEndWidth: 8,
-		ROBSize:       160, LSQSize: 64, RSESize: 128,
-		NumALU: 6, NumSIMD: 4, NumFP: 4, NumMemPorts: 4,
-	}.withDefaults()
-}
-
-// WithPolicy returns a copy configured for the given scheduling policy; for
-// PolicyRedsoc the paper's default parameters are applied.
-func (c Config) WithPolicy(p Policy) Config {
-	c = c.withDefaults()
-	c.Policy = p
-	c.Redsoc = core.Params{}
-	if p == PolicyRedsoc {
-		// An out-of-range precision leaves the params zeroed; Validate (run
-		// by ooo.New) reports the precision error itself.
-		if clock, err := timing.NewClock(c.PrecisionBits); err == nil {
-			c.Redsoc = core.DefaultParams(clock)
-		}
-	}
-	return c
 }

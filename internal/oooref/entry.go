@@ -3,7 +3,6 @@ package oooref
 import (
 	"redsoc/internal/alu"
 	"redsoc/internal/core"
-	"redsoc/internal/fault"
 	"redsoc/internal/isa"
 	"redsoc/internal/timing"
 )
@@ -75,12 +74,11 @@ type entry struct {
 
 	// Operational design: predicted last-arriving source (index into srcs)
 	// and the corresponding grandparent tag handed over via the RAT.
-	lastIdx    int
-	gp         *entry
-	multiSrc   bool // >= 2 in-flight producers at rename (prediction counted)
-	validated  bool // after a tag misprediction, fall back to all-tag wakeup
-	specWakeup bool // request in flight is a speculative GP wakeup
-	obsWoke    bool // wakeup event already emitted for the current request
+	lastIdx   int
+	gp        *entry
+	multiSrc  bool // >= 2 in-flight producers at rename (prediction counted)
+	validated bool // after a tag misprediction, fall back to all-tag wakeup
+	obsWoke   bool // wakeup event already emitted for the current request
 
 	state          entryState
 	broadcastCycle int64 // select cycle at which (tag, CI) went on the bus; -1 = not yet
@@ -88,13 +86,11 @@ type entry struct {
 	sched          core.Schedule
 	fu             fuKind
 
-	// Fault injection and Razor-style recovery. trueComp is the instant the
-	// value is actually stable and latched — equal to sched.Comp except while
-	// an injected fault makes the broadcast CI a lie; faulted records which
-	// fault classes hit this entry; violated marks a detected timing violation
-	// that was recovered by selective reissue.
+	// Razor-style recovery. trueComp is the instant the value is actually
+	// stable and latched — equal to sched.Comp unless the evaluation overran
+	// the broadcast CI; violated marks a detected timing violation that was
+	// recovered by selective reissue.
 	trueComp timing.Ticks
-	faulted  fault.Bit
 	violated bool
 
 	// Memory.
@@ -104,11 +100,9 @@ type entry struct {
 	isStore bool
 
 	// Execution outcome.
-	result      alu.Value
-	flagsOut    alu.Flags
-	writesFlags bool
-	actualWidth isa.WidthClass
-	delayPS     int
+	result   alu.Value
+	flagsOut alu.Flags
+	delayPS  int
 
 	// Transparent-sequence accounting.
 	chainLen int32
@@ -116,8 +110,6 @@ type entry struct {
 
 	fused   bool // MOS: executed piggybacked on its producer's cycle
 	replays int32
-
-	dispatchCycle int64
 
 	// Scheduler bookkeeping for the tag-indexed wakeup and the entry arena.
 	//
@@ -141,8 +133,6 @@ type entry struct {
 func (e *entry) storeOutcome(out alu.Outcome) {
 	e.result = out.Result
 	e.flagsOut = out.FlagsOut
-	e.writesFlags = out.WritesFlags
-	e.actualWidth = out.ActualWidth
 	e.delayPS = out.DelayPS
 }
 
@@ -208,6 +198,3 @@ func (p *fuPool) allocate(cycle int64, cycles int) (int, bool) {
 	}
 	return -1, false
 }
-
-// size returns the pool's unit count.
-func (p *fuPool) size() int { return len(p.busyUntil) }

@@ -5,17 +5,17 @@ import (
 
 	"redsoc/internal/alu"
 	"redsoc/internal/core"
-	"redsoc/internal/fault"
 	"redsoc/internal/isa"
 	"redsoc/internal/mem"
 	"redsoc/internal/obs"
+	"redsoc/internal/ooo"
 	"redsoc/internal/timing"
 )
 
 // issueParams returns the slack parameters the scheduler's eligibility logic
 // runs with: the configured ones under ReDSOC, none otherwise.
 func (s *Simulator) issueParams() core.Params {
-	if s.cfg.Policy == PolicyRedsoc {
+	if s.cfg.Policy == ooo.PolicyRedsoc {
 		return s.params
 	}
 	return core.Params{}
@@ -37,20 +37,18 @@ func awake(p *entry, cycle int64) bool {
 //
 //redsoc:hotpath
 func (s *Simulator) tracksAllParents(e *entry) bool {
-	if s.cfg.Policy != PolicyRedsoc {
+	if s.cfg.Policy != ooo.PolicyRedsoc {
 		return true
 	}
 	return s.params.Design == core.Illustrative || e.validated
 }
 
 // canTransparent reports whether the op may evaluate through the transparent
-// bypass under the current policy. A degraded FU pool schedules everything
-// synchronously (baseline conservative timing) until its controller re-arms.
+// bypass under the current policy.
 //
 //redsoc:hotpath
 func (s *Simulator) canTransparent(e *entry) bool {
-	return s.cfg.Policy == PolicyRedsoc && s.params.Recycle && transparentCapable(e.in.Op) &&
-		!s.degr[e.fu].Degraded()
+	return s.cfg.Policy == ooo.PolicyRedsoc && s.params.Recycle && transparentCapable(e.in.Op)
 }
 
 // trackedReady returns whether the entry's tracked parents have all
@@ -102,7 +100,7 @@ func (s *Simulator) trackedReady(e *entry, cycle int64) (bool, timing.Ticks) {
 //
 //redsoc:hotpath
 func (s *Simulator) specEligible(e *entry, cycle int64) bool {
-	if s.cfg.Policy != PolicyRedsoc || !s.params.EGPW || !s.canTransparent(e) {
+	if s.cfg.Policy != ooo.PolicyRedsoc || !s.params.EGPW || !s.canTransparent(e) {
 		return false
 	}
 	if e.lastIdx < 0 {
@@ -111,27 +109,6 @@ func (s *Simulator) specEligible(e *entry, cycle int64) bool {
 	p := e.srcs[e.lastIdx].producer
 	if awake(p, cycle) {
 		return false // conventional wakeup covers it
-	}
-	return awake(e.gp, cycle)
-}
-
-// specPending reports whether the entry is an EGPW candidate whose only
-// obstacle may be transient pool degradation: grandparent seen, parent not
-// yet awake, but canTransparent currently false. A degradation controller
-// re-arms silently (no broadcast fires), so such entries must stay in the
-// ready set and be re-examined each cycle rather than wait for a tag event.
-//
-//redsoc:hotpath
-func (s *Simulator) specPending(e *entry, cycle int64) bool {
-	if s.cfg.Policy != PolicyRedsoc || !s.params.EGPW || !s.params.Recycle ||
-		!transparentCapable(e.in.Op) {
-		return false
-	}
-	if e.lastIdx < 0 {
-		return false
-	}
-	if awake(e.srcs[e.lastIdx].producer, cycle) {
-		return false
 	}
 	return awake(e.gp, cycle)
 }
@@ -203,14 +180,11 @@ func insertBySeq(granted []issueReq, r issueReq) []issueReq {
 // station, the scheduler examines only the ready set — entries whose
 // registered tag events (producer/grandparent broadcast, store commit) have
 // fired since they were last examined, plus entries retained by the keep
-// rules below. An entry found unschedulable for a reason that *will* fire a
-// registered event is dropped from the set; everything else stays:
-//
-//   - tracked-ready entries (all monitored tags awake) stay until granted —
-//     their remaining obstacles (issue-window eligibility, select bandwidth,
-//     validation cancels) emit no broadcast;
-//   - EGPW candidates whose grandparent is awake stay even while their pool
-//     is degraded (specPending): re-arming is silent.
+// rule below. An entry found unschedulable for a reason that *will* fire a
+// registered event is dropped from the set; tracked-ready entries (all
+// monitored tags awake) stay until granted — their remaining obstacles
+// (issue-window eligibility, select bandwidth, validation cancels) emit no
+// broadcast.
 //
 //redsoc:hotpath
 func (s *Simulator) issue(cycle int64) {
@@ -250,10 +224,6 @@ func (s *Simulator) issue(cycle int64) {
 				s.obs.Emit(obs.Event{Kind: obs.KindWakeup, Cycle: cycle, Seq: e.seq, Op: e.in.Op,
 					PC: e.in.PC, FU: uint8(e.fu), Unit: -1, Flags: obs.FlagSpec, Arg: e.gp.seq})
 			}
-			continue
-		}
-		if s.specPending(e, cycle) {
-			live = append(live, e)
 			continue
 		}
 		// Blocked on a tag that has not broadcast (or an uncommitted store):
@@ -459,28 +429,9 @@ func (s *Simulator) issueEntry(e *entry, cycle int64, spec bool) bool {
 	// by their own cycle-boundary detectors.
 	broadcastComp := sched.Comp
 
-	// Fault injection at evaluation time: PVT drift beyond the guard band on
-	// the FU's combinational path, and hold-time slip on the transparent
-	// output latch of a recycled evaluation.
-	var latchDrift timing.Ticks
-	if s.inject != nil {
-		if e.in.Op.SingleCycle() {
-			if ps, ok := s.inject.DelayFault(); ok {
-				e.delayPS += ps
-				e.faulted |= fault.BitDelay
-			}
-		}
-		if sched.Recycled {
-			if t, ok := s.inject.LatchFault(); ok {
-				latchDrift = t
-				e.faulted |= fault.BitLatch
-			}
-		}
-	}
-
 	// The true evaluation time, independent of what the scheduler believes:
-	// single-cycle ops take their (possibly drifted) circuit delay;
-	// multi-cycle ops keep their pipeline latency.
+	// single-cycle ops take their circuit delay; multi-cycle ops keep their
+	// pipeline latency.
 	evalTicks := sched.Comp - sched.Start
 	if e.in.Op.SingleCycle() {
 		evalTicks = s.clock.PSToTicks(e.delayPS)
@@ -499,10 +450,9 @@ func (s *Simulator) issueEntry(e *entry, cycle int64, spec bool) bool {
 	}
 
 	// Razor-style detection, producer side: the evaluation overran the
-	// planned completion instant (optimistic LUT estimate, delay drift or
-	// latch slip) and the shadow comparator at the output latch caught it.
-	// Replay synchronously with the honest evaluation time.
-	if trueCompOf(sched, evalTicks, latchDrift) > sched.Comp {
+	// planned completion instant and the shadow comparator at the output
+	// latch caught it. Replay synchronously with the honest evaluation time.
+	if trueCompOf(sched, evalTicks) > sched.Comp {
 		ready := trueReady
 		if trueActual > ready {
 			ready = trueActual
@@ -510,7 +460,7 @@ func (s *Simulator) issueEntry(e *entry, cycle int64, spec bool) bool {
 		sched = core.PlanSynchronous(s.clock, window+2*tpc, ready, evalTicks)
 		s.recordViolation(e, cycle, unit, true)
 	}
-	e.trueComp = trueCompOf(sched, evalTicks, latchDrift)
+	e.trueComp = trueCompOf(sched, evalTicks)
 
 	// Transparent-sequence accounting.
 	if sched.Recycled {
@@ -543,9 +493,6 @@ func (s *Simulator) issueEntry(e *entry, cycle int64, spec bool) bool {
 	// for EGPW children granted alongside this parent this very cycle.
 	s.wakeWaiters(e)
 	s.audit.onIssue(s, e, unit)
-	if s.tracer != nil {
-		s.tracer.issue(cycle, e, spec)
-	}
 	if s.obs != nil {
 		var fl obs.Flag
 		if spec {
@@ -567,7 +514,7 @@ func (s *Simulator) issueEntry(e *entry, cycle int64, spec bool) bool {
 		}
 	}
 
-	if s.cfg.Policy == PolicyMOS {
+	if s.cfg.Policy == ooo.PolicyMOS {
 		s.tryFuse(e, cycle)
 	}
 	return true
@@ -586,9 +533,6 @@ func (s *Simulator) cancelGrant(e *entry, cycle int64, spec bool) bool {
 		s.res.TagMispredicts++
 		s.trainLastArrival(e)
 	}
-	if s.tracer != nil {
-		s.tracer.cancel(e.dispatchCycle, e, spec)
-	}
 	if s.obs != nil {
 		var fl obs.Flag
 		if spec {
@@ -602,15 +546,12 @@ func (s *Simulator) cancelGrant(e *entry, cycle int64, spec bool) bool {
 }
 
 // trueCompOf is the instant a schedule's result is actually valid at its
-// output latch: the planned completion, or later if the evaluation (plus any
-// transparent-latch slip) overruns it.
+// output latch: the planned completion, or later if the evaluation overruns
+// it.
 //
 //redsoc:hotpath
-func trueCompOf(sc core.Schedule, evalTicks, latchDrift timing.Ticks) timing.Ticks {
+func trueCompOf(sc core.Schedule, evalTicks timing.Ticks) timing.Ticks {
 	t := sc.Start + evalTicks
-	if sc.Recycled {
-		t += latchDrift
-	}
 	if t < sc.Comp {
 		t = sc.Comp // finished early: the output still latches at Comp
 	}
@@ -636,7 +577,7 @@ func (s *Simulator) trueParentComp(e *entry, fwdDep *entry) timing.Ticks {
 }
 
 // recordViolation accounts one detected timing violation and its selective
-// reissue, and reports it to the op's degradation controller.
+// reissue.
 //
 //redsoc:hotpath
 func (s *Simulator) recordViolation(e *entry, cycle int64, unit int, latch bool) {
@@ -644,7 +585,6 @@ func (s *Simulator) recordViolation(e *entry, cycle int64, unit int, latch bool)
 	s.res.ViolationReplays++
 	e.replays++
 	e.violated = true
-	s.degr[e.fu].Record(cycle)
 	if s.obs != nil {
 		var fl obs.Flag
 		if latch {

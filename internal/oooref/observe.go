@@ -5,20 +5,10 @@ import "redsoc/internal/obs"
 // SetObserver attaches a structured pipeline-event sink (nil detaches). The
 // simulator emits obs events at sub-cycle resolution: dispatch/bucket
 // assignment, wakeup, select grant/deny, issue, transparent recycling,
-// violations and replays, degradation transitions, redirects and commits.
+// violations and replays, redirects and commits.
 // Observation never changes simulation outcomes; with a nil sink the hooks
 // compile to one predictable branch each.
 func (s *Simulator) SetObserver(sink obs.Sink) { s.obs = sink }
-
-// AttachFlightRecorder arms a ring-buffer flight recorder retaining the last
-// n events and returns it; on a redsoc_audit invariant failure the panic
-// message carries the recorder's tail, and campaign drivers (internal/chaos)
-// dump it on verification mismatches.
-func (s *Simulator) AttachFlightRecorder(n int) *obs.Ring {
-	r := obs.NewRing(n)
-	s.obs = r
-	return r
-}
 
 // String names the FU pool, matching the obs layer's taxonomy.
 func (k fuKind) String() string { return obs.FUName(uint8(k)) }

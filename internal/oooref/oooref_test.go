@@ -12,6 +12,7 @@ import (
 
 	"redsoc/internal/difftest"
 	"redsoc/internal/obs"
+	"redsoc/internal/ooo"
 	"redsoc/internal/oooref"
 )
 
@@ -20,7 +21,7 @@ func TestFrozenEngineRunsDifferentialPairs(t *testing.T) {
 		t.Run(pair.Name, func(t *testing.T) {
 			for i, seed := range []int64{11, 12, 13} {
 				prog := difftest.Generate(seed, 64+48*i)
-				first, err := oooref.Run(pair.Ref, prog)
+				first, err := oooref.Run(pair.RefConfig(), prog)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -30,7 +31,7 @@ func TestFrozenEngineRunsDifferentialPairs(t *testing.T) {
 				if first.Cycles <= 0 {
 					t.Fatalf("seed %d: nonpositive cycle count %d", seed, first.Cycles)
 				}
-				again, err := oooref.Run(pair.Ref, prog)
+				again, err := oooref.Run(pair.RefConfig(), prog)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -47,7 +48,7 @@ func TestFrozenEngineRunsDifferentialPairs(t *testing.T) {
 // attached observer must see a non-empty stream and the metrics must encode.
 func TestFrozenEngineObservables(t *testing.T) {
 	prog := difftest.Generate(7, 96)
-	cfg := oooref.MediumConfig().WithPolicy(oooref.PolicyRedsoc)
+	cfg := ooo.MediumConfig().WithPolicy(ooo.PolicyRedsoc)
 	sim, err := oooref.New(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
@@ -71,10 +72,35 @@ func TestFrozenEngineObservables(t *testing.T) {
 	}
 }
 
+// TestFrozenEngineRejectsInvalidConfig checks the reference's scope guard:
+// each configuration the live engine runs but the reference does not model
+// is refused, as is one the live engine's Validate rejects (zero ROB).
 func TestFrozenEngineRejectsInvalidConfig(t *testing.T) {
-	cfg := oooref.SmallConfig()
-	cfg.ROBSize = 0
-	if _, err := oooref.Run(cfg, difftest.Generate(1, 16)); err == nil {
-		t.Fatal("zero ROB accepted")
+	cases := []struct {
+		name      string
+		policy    ooo.Policy
+		edit      func(*ooo.Config)
+		validLive bool
+	}{
+		{"loaddelay", ooo.PolicyLoadDelay, func(*ooo.Config) {}, true},
+		{"speclsq", ooo.PolicySpecLSQ, func(*ooo.Config) {}, true},
+		{"fault", ooo.PolicyRedsoc, func(c *ooo.Config) { *c = c.WithFaults(0.01, 1); c.Degrade.Enable = false }, true},
+		{"degrade", ooo.PolicyRedsoc, func(c *ooo.Config) { c.Degrade.Enable = true }, true},
+		{"pvt", ooo.PolicyRedsoc, func(c *ooo.Config) { c.PVT.Enable = true }, true},
+		{"dynamic-threshold", ooo.PolicyRedsoc, func(c *ooo.Config) { c.Redsoc.DynamicThreshold = true }, true},
+		{"zero-rob", ooo.PolicyBaseline, func(c *ooo.Config) { c.ROBSize = 0 }, false},
+	}
+	prog := difftest.Generate(1, 16)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := ooo.SmallConfig().WithPolicy(tc.policy)
+			tc.edit(&cfg)
+			if _, err := ooo.New(cfg, prog); (err == nil) != tc.validLive {
+				t.Fatalf("live engine: New error %v, want valid=%v", err, tc.validLive)
+			}
+			if _, err := oooref.New(cfg, prog); err == nil {
+				t.Fatal("reference accepted the configuration")
+			}
+		})
 	}
 }

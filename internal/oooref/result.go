@@ -6,6 +6,7 @@ import (
 	"redsoc/internal/fault"
 	"redsoc/internal/isa"
 	"redsoc/internal/mem"
+	"redsoc/internal/ooo"
 	"redsoc/internal/predict"
 	"redsoc/internal/timing"
 )
@@ -26,9 +27,12 @@ func (m OpMix) Total() int64 {
 	return m.MemHL + m.MemLL + m.SIMD + m.OtherMulti + m.ALUHS + m.ALULS
 }
 
-// Result aggregates everything a run produces.
+// Result aggregates everything a run produces. The threshold-controller,
+// PVT, fault and degradation fields are outside the reference's scope and
+// stay zero; they are kept so its metrics snapshot has the live engine's
+// keys.
 type Result struct {
-	Config Config
+	Config ooo.Config
 
 	Cycles       int64
 	Instructions int64
@@ -83,44 +87,4 @@ func (r *Result) IPC() float64 {
 		return 0
 	}
 	return float64(r.Instructions) / float64(r.Cycles)
-}
-
-// SpeedupOver returns this run's speedup relative to a baseline run of the
-// same program (baseline cycles / these cycles).
-func (r *Result) SpeedupOver(base *Result) float64 {
-	if r.Cycles == 0 {
-		return 0
-	}
-	return float64(base.Cycles) / float64(r.Cycles)
-}
-
-// FUStallRate is Fig. 14's metric: the fraction of cycles in which at least
-// one otherwise-ready operation stalled on functional-unit availability.
-func (r *Result) FUStallRate() float64 {
-	if r.Cycles == 0 {
-		return 0
-	}
-	return float64(r.FUStallCycles) / float64(r.Cycles)
-}
-
-// ArchEqual reports whether two runs produced identical architectural state:
-// the invariant that slack recycling must preserve.
-func (r *Result) ArchEqual(o *Result) bool {
-	if len(r.FinalRegs) != len(o.FinalRegs) || r.FinalFlags != o.FinalFlags {
-		return false
-	}
-	for reg, v := range r.FinalRegs { //lint:allow simdeterminism order-independent: equality over both maps
-		if o.FinalRegs[reg] != v {
-			return false
-		}
-	}
-	if len(r.FinalMem) != len(o.FinalMem) {
-		return false
-	}
-	for a, v := range r.FinalMem { //lint:allow simdeterminism order-independent: equality over both maps
-		if o.FinalMem[a] != v {
-			return false
-		}
-	}
-	return true
 }

@@ -5,10 +5,10 @@ import (
 
 	"redsoc/internal/alu"
 	"redsoc/internal/core"
-	"redsoc/internal/fault"
 	"redsoc/internal/isa"
 	"redsoc/internal/mem"
 	"redsoc/internal/obs"
+	"redsoc/internal/ooo"
 	"redsoc/internal/predict"
 	"redsoc/internal/timing"
 )
@@ -16,13 +16,12 @@ import (
 // Simulator executes one Program on one core configuration. Create a fresh
 // Simulator per run; it is not reusable or safe for concurrent use.
 type Simulator struct {
-	cfg    Config
+	cfg    ooo.Config
 	clock  timing.Clock
 	prog   *isa.Program
 	memory *mem.Memory
 	hier   *mem.Hierarchy
 
-	lut        *timing.LUT
 	widthPred  *predict.WidthPredictor
 	lastPred   *predict.LastArrivalPredictor
 	branchPred *predict.BranchPredictor
@@ -34,19 +33,6 @@ type Simulator struct {
 	// until it resolves and the front end refills.
 	redirect *entry
 
-	// inject, when set, perturbs estimates, delays, latch timing and
-	// predictor state at the configured per-op rates; degr holds one
-	// graceful-degradation controller per transparent-capable FU pool
-	// (nil entries never degrade).
-	inject *fault.Injector
-	degr   [numFUKinds]*fault.Degrader
-
-	// adapt drives the optional dynamic slack-threshold controller.
-	adapt *core.ThresholdController
-	// cpm drives the optional PVT guard-band recalibration.
-	cpm *timing.CPM
-	// tracer, when set, receives pipeline events as text.
-	tracer *Tracer
 	// obs, when set, receives structured sub-cycle pipeline events. Every
 	// emission is behind an `if s.obs != nil` guard (enforced by the
 	// obszeroalloc analyzer), so the disabled path costs one branch.
@@ -98,18 +84,20 @@ type Simulator struct {
 	res Result
 }
 
-// New builds a simulator for the program under the configuration.
-func New(cfg Config, prog *isa.Program) (*Simulator, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+// New builds a simulator for the program under the configuration. It
+// refuses a configuration outside the reference's scope (see the package
+// comment).
+func New(cfg ooo.Config, prog *isa.Program) (*Simulator, error) {
+	if err := checkScope(cfg); err != nil {
 		return nil, err
 	}
+	cfg = cfg.WithDefaults()
 	clock, err := timing.NewClock(cfg.PrecisionBits)
 	if err != nil {
 		return nil, err
 	}
 	params := core.Params{}
-	if cfg.Policy == PolicyRedsoc {
+	if cfg.Policy == ooo.PolicyRedsoc {
 		params = cfg.Redsoc
 	}
 	lut := timing.NewLUT(clock)
@@ -120,12 +108,11 @@ func New(cfg Config, prog *isa.Program) (*Simulator, error) {
 		prog:       prog,
 		memory:     mem.NewMemoryFrom(prog.Mem),
 		hier:       mem.NewHierarchy(cfg.Mem),
-		lut:        lut,
 		widthPred:  wp,
 		lastPred:   predict.NewLastArrivalPredictor(cfg.LastArrivalEntries),
 		branchPred: predict.NewBranchPredictor(predict.DefaultBranchEntries, predict.DefaultHistoryBits),
 		estimator:  core.NewEstimator(lut, wp, estimatorParams(cfg, clock)),
-		arbiter:    core.NewArbiter(cfg.Policy == PolicyRedsoc && params.SkewedSelect),
+		arbiter:    core.NewArbiter(cfg.Policy == ooo.PolicyRedsoc && params.SkewedSelect),
 		params:     params,
 	}
 	s.rob = newEntryRing(cfg.ROBSize)
@@ -134,19 +121,6 @@ func New(cfg Config, prog *isa.Program) (*Simulator, error) {
 	s.fus[fuSIMD] = newFUPool(cfg.NumSIMD)
 	s.fus[fuFP] = newFUPool(cfg.NumFP)
 	s.fus[fuMEM] = newFUPool(cfg.NumMemPorts)
-	if cfg.Policy == PolicyRedsoc && params.DynamicThreshold {
-		s.adapt = core.NewThresholdController(params.ThresholdTicks, clock.TicksPerCycle())
-	}
-	s.inject = fault.NewInjector(cfg.Fault)
-	if cfg.Policy == PolicyRedsoc && params.Recycle && cfg.Degrade.Enable {
-		// Only the transparent-capable pools can recycle slack, so only they
-		// have a baseline to degrade to.
-		s.degr[fuALU] = fault.NewDegrader(cfg.Degrade)
-		s.degr[fuSIMD] = fault.NewDegrader(cfg.Degrade)
-	}
-	if cfg.PVT.Enable {
-		s.cpm = timing.NewCPM(cfg.PVT, lut)
-	}
 	s.res.Config = cfg
 	s.res.Sequences = core.NewSeqTracker()
 	return s, nil
@@ -155,14 +129,14 @@ func New(cfg Config, prog *isa.Program) (*Simulator, error) {
 // estimatorParams: the baseline core does not carry slack hardware, but the
 // estimator still runs (to classify ops for Fig. 10 and to feed MOS fusion
 // windows); width prediction is only meaningful under ReDSOC.
-func estimatorParams(cfg Config, clock timing.Clock) core.Params {
-	if cfg.Policy == PolicyRedsoc {
+func estimatorParams(cfg ooo.Config, clock timing.Clock) core.Params {
+	if cfg.Policy == ooo.PolicyRedsoc {
 		return cfg.Redsoc
 	}
 	p := core.DefaultParams(clock)
 	p.Recycle = false
 	p.EGPW = false
-	p.WidthPrediction = cfg.Policy == PolicyMOS // MOS needs width estimates too
+	p.WidthPrediction = cfg.Policy == ooo.PolicyMOS // MOS needs width estimates too
 	return p
 }
 
@@ -196,46 +170,9 @@ func (s *Simulator) step(cycle int64) (done bool) {
 	if s.pc >= len(s.prog.Instrs) && s.rob.len() == 0 {
 		return true
 	}
-	if s.cpm != nil && s.cpm.Tick(cycle) {
-		s.res.PVTRecalibrations++
-	}
 	s.dispatch(cycle)
 	s.issue(cycle)
-	s.tickDegraders(cycle)
-	if s.adapt != nil && s.adapt.Observe(cycle, s.res.RecycledOps, s.res.FUStallCycles) {
-		s.params.ThresholdTicks = s.adapt.Threshold()
-		s.res.ThresholdAdjustments++
-	}
 	return false
-}
-
-// tickDegraders advances each pool's graceful-degradation controller one
-// cycle and accounts transitions and degraded residency.
-//
-//redsoc:hotpath
-func (s *Simulator) tickDegraders(cycle int64) {
-	any := false
-	for k := range s.degr {
-		tripped, rearmed := s.degr[k].Tick(cycle)
-		if tripped {
-			s.res.DegradationEvents++
-			if s.obs != nil {
-				s.obs.Emit(obs.Event{Kind: obs.KindDegrade, Cycle: cycle, Seq: -1, FU: uint8(k), Unit: -1})
-			}
-		}
-		if rearmed {
-			s.res.DegradeRearms++
-			if s.obs != nil {
-				s.obs.Emit(obs.Event{Kind: obs.KindRearm, Cycle: cycle, Seq: -1, FU: uint8(k), Unit: -1})
-			}
-		}
-		if s.degr[k].Degraded() {
-			any = true
-		}
-	}
-	if any {
-		s.res.DegradedCycles++
-	}
 }
 
 // commit retires completed instructions in order, up to the front-end width.
@@ -271,9 +208,6 @@ func (s *Simulator) commit(cycle int64) {
 		}
 		if !e.extended {
 			s.res.Sequences.Record(int(e.chainLen))
-		}
-		if s.tracer != nil {
-			s.tracer.commit(cycle, e)
 		}
 		if s.obs != nil {
 			s.obs.Emit(obs.Event{Kind: obs.KindCommit, Cycle: cycle, Seq: e.seq, Op: in.Op, PC: in.PC, FU: uint8(e.fu), Unit: -1})
@@ -370,26 +304,9 @@ func (s *Simulator) dispatch(cycle int64) {
 		e.isLoad = in.Op == isa.OpLDR
 		e.isStore = in.Op == isa.OpSTR
 		e.fu = fuKindOf(in.Op.Class())
-		e.dispatchCycle = cycle
 		s.nextSeq++
-		// Predictor faults corrupt shared table state before this op reads
-		// it, so the op itself can observe the corruption; the ordinary
-		// width-replay and tag-validation machinery recovers from both.
-		if s.inject != nil && s.inject.PredictorFault() {
-			s.widthPred.Poison(in.PC, isa.Width8)
-			s.lastPred.Flip(in.PC)
-		}
 		e.est = s.estimator.Estimate(in)
 		e.exTicks = e.est.ExTicks
-		// Estimate faults model an optimistic slack-LUT bucket: the tabulated
-		// computation time understates the true circuit, so a transparent
-		// schedule built on it completes before the value is stable.
-		if s.inject != nil && in.Op.SingleCycle() {
-			if shrink, ok := s.inject.EstimateFault(); ok {
-				e.exTicks = s.lut.OptimisticCompTicks(e.est.Addr, shrink)
-				e.faulted |= fault.BitEstimate
-			}
-		}
 
 		s.rename(e)
 		s.linkMemDep(e)
@@ -408,9 +325,6 @@ func (s *Simulator) dispatch(cycle int64) {
 		if isMem {
 			s.lsq.push(e)
 		}
-		if s.tracer != nil {
-			s.tracer.dispatch(cycle, e)
-		}
 		if s.obs != nil {
 			// Decode-time slack-bucket assignment: the LUT address the
 			// estimate was read from and the bucketed EX-TIME in ticks.
@@ -424,9 +338,6 @@ func (s *Simulator) dispatch(cycle int64) {
 			// so it participates in the arena refcount.
 			s.redirect = e
 			retain(e)
-			if s.tracer != nil {
-				s.tracer.redirect(cycle, e)
-			}
 			if s.obs != nil {
 				s.obs.Emit(obs.Event{Kind: obs.KindRedirect, Cycle: cycle, Seq: e.seq, Op: in.Op, PC: in.PC, FU: uint8(e.fu), Unit: -1})
 			}
@@ -532,8 +443,8 @@ func (s *Simulator) wakeWaiters(e *entry) {
 // entries "ride the grandparent's list"), and the blocking store's commit for
 // loads. The entry itself starts in the ready set so the same-cycle
 // examination the old full-RS scan performed still happens; entries whose
-// remaining obstacle emits no broadcast (degraded pools, issue-window
-// eligibility) simply stay in the set — see the keep rules in issue.
+// remaining obstacle emits no broadcast (issue-window eligibility) simply
+// stay in the set — see the keep rule in issue.
 //
 //redsoc:hotpath
 func (s *Simulator) watchWakeups(e *entry) {
@@ -618,18 +529,13 @@ func (s *Simulator) capture() {
 		}
 	}
 	s.res.FinalThreshold = s.params.ThresholdTicks
-	// Every other injector site nil-checks s.inject; capture must too, so a
-	// configuration without an injector cannot panic at snapshot time.
-	if s.inject != nil {
-		s.res.FaultStats = s.inject.Stats()
-	}
 }
 
 // Clock exposes the simulator's clock (for harness reporting).
 func (s *Simulator) Clock() timing.Clock { return s.clock }
 
 // Run is a convenience: build and run in one call.
-func Run(cfg Config, prog *isa.Program) (*Result, error) {
+func Run(cfg ooo.Config, prog *isa.Program) (*Result, error) {
 	s, err := New(cfg, prog)
 	if err != nil {
 		return nil, err
