@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"redsoc/internal/alu"
+	"redsoc/internal/arch"
 	"redsoc/internal/isa"
+	"redsoc/internal/mem"
 )
 
 // BasePC is the address of the first static instruction; each statement
@@ -36,19 +38,9 @@ func (p *Program) Trace(maxSteps int) (*TraceResult, error) {
 	if maxSteps <= 0 {
 		maxSteps = DefaultMaxSteps
 	}
-	var regs [isa.NumIntRegs]uint64
-	var vecs [isa.NumVecRegs]alu.Value
-	var flags alu.Flags
-	regVal := func(r isa.Reg) alu.Value {
-		if r.IsVec() {
-			return vecs[r.RenameIndex()-isa.NumIntRegs]
-		}
-		return alu.Scalar(regs[r.RenameIndex()])
-	}
-	mem := make(map[uint64]uint64, len(p.mem))
-	for a, v := range p.mem {
-		mem[a] = v
-	}
+	// Functional execution is the architectural interpreter's; Trace only
+	// lowers statements and resolves branches against its state.
+	st := &arch.State{Mem: mem.NewMemoryFrom(p.mem)}
 	out := &isa.Program{Name: p.Name, Mem: p.mem}
 
 	pcOf := func(idx int) uint64 { return BasePC + uint64(idx)*4 }
@@ -65,7 +57,7 @@ func (p *Program) Trace(maxSteps int) (*TraceResult, error) {
 			break
 		}
 		if s.isBranch {
-			taken := evalCond(s, regs, flags)
+			taken := evalCond(s, st)
 			in := isa.Instruction{Op: isa.OpB, PC: pcOf(idx), Taken: taken, Src1: isa.Flags}
 			if s.cond == condCBZ || s.cond == condCBNZ {
 				in.Src1 = s.operands[0].reg
@@ -80,64 +72,32 @@ func (p *Program) Trace(maxSteps int) (*TraceResult, error) {
 			continue
 		}
 
-		in, err := p.lower(s, regs)
+		in, err := p.lower(s, st)
 		if err != nil {
 			return nil, err
 		}
 		in.PC = pcOf(idx)
 		in.Seq = len(out.Instrs)
-
-		// Functional execution through the same ALU the simulator uses.
-		ops := alu.Operands{FlagsIn: flags}
-		if in.Src1 != isa.RegNone {
-			ops.Src1 = regVal(in.Src1)
-		}
-		if in.Src2 != isa.RegNone {
-			ops.Src2 = regVal(in.Src2)
-		}
-		if in.Src3 != isa.RegNone {
-			ops.Src3 = regVal(in.Src3)
-		}
-		if in.Op == isa.OpLDR {
-			a := in.Addr &^ 7
-			ops.MemValue = alu.Value{Lo: mem[a]}
-			if in.Dst.IsVec() {
-				ops.MemValue.Hi = mem[a+8]
-			}
-		}
-		res := alu.Exec(&in, &ops)
-		switch {
-		case in.Op == isa.OpSTR:
-			a := in.Addr &^ 7
-			mem[a] = res.Result.Lo
-			if in.Src3.IsVec() {
-				mem[a+8] = res.Result.Hi
-			}
-		case in.Op.WritesFlags():
-			flags = res.FlagsOut
-		default:
-			switch {
-			case in.Dst.IsInt():
-				regs[in.Dst.RenameIndex()] = res.Result.Lo
-			case in.Dst.IsVec():
-				vecs[in.Dst.RenameIndex()-isa.NumIntRegs] = res.Result
-			}
-			if in.SetFlags {
-				flags = res.FlagsOut
-			}
-		}
+		st.Step(&in)
 		out.Instrs = append(out.Instrs, in)
 		idx++
 	}
 	if len(out.Instrs) == 0 {
 		return nil, fmt.Errorf("asm: %s produced an empty trace", p.Name)
 	}
-	return &TraceResult{Prog: out, Regs: regs, Vecs: vecs, Mem: mem, Steps: len(out.Instrs)}, nil
+	res := &TraceResult{Prog: out, Mem: st.Mem.Snapshot(), Steps: len(out.Instrs)}
+	for i := range res.Regs {
+		res.Regs[i] = st.Reg(isa.R(i)).Lo
+	}
+	for i := range res.Vecs {
+		res.Vecs[i] = st.Reg(isa.V(i))
+	}
+	return res, nil
 }
 
 // lower converts a statement plus current register state into one trace-form
 // instruction (memory addresses resolved).
-func (p *Program) lower(s *stmt, regs [isa.NumIntRegs]uint64) (isa.Instruction, error) {
+func (p *Program) lower(s *stmt, st *arch.State) (isa.Instruction, error) {
 	in := isa.Instruction{Op: s.op, SetFlags: s.setFlags, Lane: s.lane}
 	o := s.operands
 	if s.lane != isa.Lane0 {
@@ -171,11 +131,11 @@ func (p *Program) lower(s *stmt, regs [isa.NumIntRegs]uint64) (isa.Instruction, 
 	case isa.OpLDR:
 		in.Dst = o[0].reg
 		in.Src1 = o[1].base
-		in.Addr = regs[o[1].base.RenameIndex()] + uint64(o[1].off)
+		in.Addr = st.Reg(o[1].base).Lo + uint64(o[1].off)
 	case isa.OpSTR:
 		in.Src3 = o[0].reg
 		in.Src1 = o[1].base
-		in.Addr = regs[o[1].base.RenameIndex()] + uint64(o[1].off)
+		in.Addr = st.Reg(o[1].base).Lo + uint64(o[1].off)
 	case isa.OpMOV, isa.OpMVN:
 		in.Dst = o[0].reg
 		if o[1].kind == opdReg {
@@ -220,7 +180,8 @@ func (p *Program) lower(s *stmt, regs [isa.NumIntRegs]uint64) (isa.Instruction, 
 }
 
 // evalCond resolves a branch direction from the current flags/registers.
-func evalCond(s *stmt, regs [isa.NumIntRegs]uint64, f alu.Flags) bool {
+func evalCond(s *stmt, st *arch.State) bool {
+	f := st.Flags()
 	switch s.cond {
 	case condAlways:
 		return true
@@ -245,9 +206,9 @@ func evalCond(s *stmt, regs [isa.NumIntRegs]uint64, f alu.Flags) bool {
 	case condPL:
 		return !f.N
 	case condCBZ:
-		return regs[s.operands[0].reg.RenameIndex()] == 0
+		return st.Reg(s.operands[0].reg).Lo == 0
 	case condCBNZ:
-		return regs[s.operands[0].reg.RenameIndex()] != 0
+		return st.Reg(s.operands[0].reg).Lo != 0
 	}
 	return false
 }

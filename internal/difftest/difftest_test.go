@@ -1,13 +1,19 @@
 package difftest
 
 import (
+	"bufio"
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 
 	"redsoc/internal/isa"
 	"redsoc/internal/workload"
 )
+
+// goldenSeeds is the default random-program budget; each of its seeds, and
+// each deterministic case, has a line in testdata/golden.txt.
+const goldenSeeds = 300
 
 // diffN returns the random-program budget: REDSOC_DIFF_N overrides the
 // default (set it to 10000+ for a soak run before releasing a scheduler
@@ -20,27 +26,86 @@ func diffN(t *testing.T) int {
 		}
 		return n
 	}
-	return 300
+	return goldenSeeds
 }
 
-// TestDifferentialRandomPrograms feeds generated programs through both
-// engines. Small budgets diff every configuration pair per program; soak
-// budgets rotate through the pairs so the program count dominates.
+// loadGolden reads testdata/golden.txt: program key -> one digest per pair,
+// in Pairs order.
+func loadGolden(t *testing.T) map[string][]string {
+	t.Helper()
+	f, err := os.Open("testdata/golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var names []string
+	for _, p := range Pairs() {
+		names = append(names, p.Name)
+	}
+	golden := map[string][]string{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		fields := strings.Fields(sc.Text())
+		switch {
+		case len(fields) == 0 || strings.HasPrefix(fields[0], "#"):
+		case fields[0] == "pairs":
+			if got := strings.Join(fields[1:], " "); got != strings.Join(names, " ") {
+				t.Fatalf("golden pairs %q, want %q", got, strings.Join(names, " "))
+			}
+		case len(fields) != 1+len(names):
+			t.Fatalf("golden line for %s has %d digests, want %d", fields[0], len(fields)-1, len(names))
+		default:
+			golden[fields[0]] = fields[1:]
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if want := goldenSeeds + len(deterministicCases()); len(golden) != want {
+		t.Fatalf("golden file has %d programs, want %d", len(golden), want)
+	}
+	return golden
+}
+
+// checkProgram runs prog through every pair and, when want is non-nil,
+// compares the digests with the program's golden line. A mismatch names the
+// program and pair and prints the replacement line.
+func checkProgram(t *testing.T, key string, prog *isa.Program, want []string) {
+	t.Helper()
+	pairs := Pairs()
+	got := make([]string, len(pairs))
+	for i, p := range pairs {
+		d, err := Compare(p, prog)
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		got[i] = d.String()
+	}
+	for i, p := range pairs {
+		if want != nil && got[i] != want[i] {
+			t.Fatalf("%s %s: digest %s, golden %s; replacement line:\n%s %s",
+				key, p.Name, got[i], want[i], key, strings.Join(got, " "))
+		}
+	}
+}
+
+// TestDifferentialRandomPrograms feeds generated programs through every
+// pair. The golden seeds and small budgets run every pair per program; soak
+// budgets rotate through the pairs beyond them so the program count
+// dominates.
 func TestDifferentialRandomPrograms(t *testing.T) {
 	n := diffN(t)
+	golden := loadGolden(t)
 	pairs := Pairs()
 	for i := 0; i < n; i++ {
 		seed := int64(1e9 + i)
+		key := strconv.FormatInt(seed, 10)
 		prog := Generate(seed, 48+(i%5)*48)
-		if n <= 1000 {
-			for _, p := range pairs {
-				if err := Compare(p, prog); err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-			}
+		if want := golden[key]; want != nil || n <= 1000 {
+			checkProgram(t, key, prog, want)
 			continue
 		}
-		if err := Compare(pairs[i%len(pairs)], prog); err != nil {
+		if _, err := Compare(pairs[i%len(pairs)], prog); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
@@ -115,22 +180,23 @@ func deterministicCases() map[string]*isa.Program {
 	return cases
 }
 
-// TestDifferentialDeterministicCases diffs the hand-written shapes across
-// every configuration pair.
+// TestDifferentialDeterministicCases runs the hand-written shapes through
+// every configuration pair against their golden lines.
 func TestDifferentialDeterministicCases(t *testing.T) {
+	golden := loadGolden(t)
 	for name, prog := range deterministicCases() {
 		t.Run(name, func(t *testing.T) {
-			for _, p := range Pairs() {
-				if err := Compare(p, prog); err != nil {
-					t.Fatal(err)
-				}
+			want := golden[name]
+			if want == nil {
+				t.Errorf("%s has no golden line", name)
 			}
+			checkProgram(t, name, prog, want)
 		})
 	}
 }
 
 // FuzzDifferential lets the fuzzer steer the generator: any (seed, shape,
-// pair) triple must produce byte-identical behavior through both engines. CI
+// pair) triple must commit exactly what the interpreter commits. CI
 // runs this as a short smoke; crashers minimize to a (seed, n) pair that
 // reproduces locally via Generate.
 func FuzzDifferential(f *testing.F) {
@@ -143,7 +209,7 @@ func FuzzDifferential(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, pairIdx uint8, n uint16) {
 		size := 8 + int(n)%240
 		p := pairs[int(pairIdx)%len(pairs)]
-		if err := Compare(p, Generate(seed, size)); err != nil {
+		if _, err := Compare(p, Generate(seed, size)); err != nil {
 			t.Fatal(err)
 		}
 	})

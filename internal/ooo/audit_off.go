@@ -15,6 +15,8 @@ func (auditState) Enabled() bool { return false }
 
 func (auditState) onIssue(*Simulator, *entry, int) {}
 
+func (auditState) onCommit(*Simulator, *entry) {}
+
 func (auditState) onCommitMem(*Simulator, int32, int32) {}
 
 func (auditState) onArbRequests(*Simulator, []core.Request) {}

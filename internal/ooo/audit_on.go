@@ -28,6 +28,12 @@ package ooo
 //     that adopts it first checks that its shared FinalRegs and FinalMem
 //     maps still hold what was published, so a caller that wrote into a
 //     Result's maps is caught at the next run of that program.
+//  6. Lockstep commit: the engine commits exactly what the in-order
+//     architectural interpreter (internal/arch) executes. The interpreter
+//     steps once per committed instruction, and the first commit whose
+//     destination value, store data or flags differ from its step fails,
+//     so a divergence is reported at the instruction that committed it,
+//     not as a mismatched final state at the end of the run.
 //
 // Violations panic with full context: an audit build exists to crash loudly
 // at the first inconsistency, not to keep simulating on corrupted timing.
@@ -35,16 +41,22 @@ package ooo
 import (
 	"fmt"
 	"maps"
+	"sync"
 
+	"redsoc/internal/arch"
 	"redsoc/internal/core"
 	"redsoc/internal/isa"
+	"redsoc/internal/mem"
 	"redsoc/internal/obs"
 	"redsoc/internal/timing"
+	"redsoc/internal/trace"
 )
 
-// auditState tracks the last completion instant per functional unit.
+// auditState tracks the last completion instant per functional unit and the
+// lockstep interpreter, created at the first commit.
 type auditState struct {
 	lastComp [numFUKinds]map[int]timing.Ticks
+	arch     *arch.State
 }
 
 // Enabled reports whether the runtime audit layer is compiled in.
@@ -106,6 +118,59 @@ func (a *auditState) onIssue(s *Simulator, e *entry, unit int) {
 		auditFailf(s, e, "completion instant %d not after predecessor %d on %v unit %d", sched.Comp, last, e.fu, unit)
 	}
 	a.lastComp[e.fu][unit] = sched.Comp
+}
+
+// onCommit asserts invariant 6 for the entry retiring from the ROB head,
+// before it writes architectural state.
+func (a *auditState) onCommit(s *Simulator, e *entry) {
+	if a.arch == nil {
+		a.arch = takeArch(s.dec.Image)
+	}
+	if int64(e.ti) != a.arch.Steps {
+		auditFailf(s, e, "pc %#x: commits trace index %d, but the interpreter is at %d", e.pc, e.ti, a.arch.Steps)
+	}
+	in := s.in(e)
+	want := a.arch.Step(in)
+	vec := e.bits&trace.BitVecAccess != 0
+	switch {
+	case e.isStore && (e.result.Lo != want.Result.Lo || vec && e.result.Hi != want.Result.Hi):
+		auditFailf(s, e, "pc %#x: store data %v, interpreter %v", e.pc, e.result, want.Result)
+	case e.bits&trace.BitHasDest != 0 && e.dest != flagsRenameIdx && e.result != want.Result:
+		auditFailf(s, e, "pc %#x: %v = %v, interpreter %v", e.pc, in.DestReg(), e.result, want.Result)
+	}
+	writesFlags := e.bits&trace.BitSetFlagsExtra != 0 || e.bits&trace.BitHasDest != 0 && e.dest == flagsRenameIdx
+	if writesFlags && e.flagsOut != want.FlagsOut {
+		auditFailf(s, e, "pc %#x: flags %+v, interpreter %+v", e.pc, e.flagsOut, want.FlagsOut)
+	}
+	if a.arch.Steps == int64(len(s.prog.Instrs)) {
+		spareArch.Lock()
+		spareArch.free = append(spareArch.free, a.arch)
+		spareArch.Unlock()
+		a.arch = nil
+	}
+}
+
+// spareArch holds the lockstep interpreters of finished runs, so that an
+// audit build's warm runs reuse one instead of copying a memory image each.
+var spareArch struct {
+	sync.Mutex
+	free []*arch.State
+}
+
+// takeArch returns an interpreter in the start state of a program whose
+// initial memory is img: arch.New's state, built from the shared image.
+func takeArch(img *mem.Image) *arch.State {
+	spareArch.Lock()
+	defer spareArch.Unlock()
+	n := len(spareArch.free)
+	if n == 0 {
+		return &arch.State{Mem: mem.NewMemoryFromImage(img)}
+	}
+	st := spareArch.free[n-1]
+	spareArch.free = spareArch.free[:n-1]
+	*st = arch.State{Mem: st.Mem}
+	st.Mem.Reset(img)
+	return st
 }
 
 // onCommitMem asserts the LSQ-head alignment invariant: when a memory op

@@ -3,6 +3,7 @@
 package ooo
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -113,6 +114,54 @@ func TestAuditCatchesWrittenFinalState(t *testing.T) {
 				}
 			}()
 			_, _ = Run(cfg.WithPolicy(PolicyBaseline), p)
+		})
+	}
+}
+
+// TestAuditLockstepCatchesCorruptResult plants a one-bit corruption in an
+// issued but uncommitted result. The lockstep interpreter must stop the run
+// at exactly that commit: every older instruction commits cleanly, and the
+// panic names the corrupted seq.
+func TestAuditLockstepCatchesCorruptResult(t *testing.T) {
+	for _, pol := range []Policy{PolicyBaseline, PolicyRedsoc} {
+		t.Run(pol.String(), func(t *testing.T) {
+			p, _ := mibench.Bitcount(300, 15)
+			k := 100
+			for !p.Instrs[k].DestReg().IsInt() {
+				k++
+			}
+			s, err := New(SmallConfig().WithPolicy(pol), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.AttachFlightRecorder(16)
+			cycle := int64(0)
+			for planted := false; !planted; cycle++ {
+				if s.step(cycle) {
+					t.Fatalf("program drained before seq %d issued", k)
+				}
+				for i := 0; i < s.rob.len(); i++ {
+					if e := s.ent(s.rob.at(i)); e.seq == int64(k) && e.state == stIssued {
+						e.result.Lo ^= 1 << 7
+						planted = true
+					}
+				}
+			}
+			defer func() {
+				msg, _ := recover().(string)
+				if want := fmt.Sprintf("seq %d op %v: pc %#x: %v = ", k, p.Instrs[k].Op, p.Instrs[k].PC, p.Instrs[k].Dst); !strings.Contains(msg, want) {
+					t.Fatalf("want a lockstep panic containing %q, got %q", want, msg)
+				}
+				if !strings.Contains(msg, "flight recorder") {
+					t.Fatalf("the lockstep panic must carry the flight recorder's tail: %q", msg)
+				}
+				if s.res.Instructions != int64(k) {
+					t.Fatalf("panicked after %d commits; want exactly the %d older instructions committed", s.res.Instructions, k)
+				}
+			}()
+			for ; !s.step(cycle); cycle++ {
+			}
+			t.Fatal("the corrupted result committed without a lockstep panic")
 		})
 	}
 }

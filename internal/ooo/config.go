@@ -134,9 +134,9 @@ type Config struct {
 	MaxCycles int64
 }
 
-// WithDefaults returns a copy with every unset field filled with its
+// withDefaults returns a copy with every unset field filled with its
 // default, as New applies them.
-func (c Config) WithDefaults() Config {
+func (c Config) withDefaults() Config {
 	if c.PrecisionBits == 0 {
 		c.PrecisionBits = timing.DefaultPrecisionBits
 	}
@@ -157,7 +157,7 @@ func (c Config) WithDefaults() Config {
 
 // Validate rejects inconsistent configurations.
 func (c Config) Validate() error {
-	cc := c.WithDefaults()
+	cc := c.withDefaults()
 	if cc.FrontEndWidth < 1 {
 		return fmt.Errorf("ooo: front-end width %d < 1", cc.FrontEndWidth)
 	}
@@ -211,7 +211,7 @@ func SmallConfig() Config {
 		FrontEndWidth: 3,
 		ROBSize:       40, LSQSize: 16, RSESize: 32,
 		NumALU: 3, NumSIMD: 2, NumFP: 2, NumMemPorts: 2,
-	}.WithDefaults()
+	}.withDefaults()
 }
 
 // MediumConfig is the Medium core of Table I: width 4, 80/32/64, 4/3/3.
@@ -221,7 +221,7 @@ func MediumConfig() Config {
 		FrontEndWidth: 4,
 		ROBSize:       80, LSQSize: 32, RSESize: 64,
 		NumALU: 4, NumSIMD: 3, NumFP: 3, NumMemPorts: 3,
-	}.WithDefaults()
+	}.withDefaults()
 }
 
 // BigConfig is the Big core of Table I: width 8, 160/64/128, 6/4/4.
@@ -231,7 +231,7 @@ func BigConfig() Config {
 		FrontEndWidth: 8,
 		ROBSize:       160, LSQSize: 64, RSESize: 128,
 		NumALU: 6, NumSIMD: 4, NumFP: 4, NumMemPorts: 4,
-	}.WithDefaults()
+	}.withDefaults()
 }
 
 // WithFaults returns a copy that injects every fault class at the given
@@ -263,7 +263,7 @@ func ParseCore(name string) (Config, error) {
 // WithPolicy returns a copy configured for the given scheduling policy; for
 // PolicyRedsoc the paper's default parameters are applied.
 func (c Config) WithPolicy(p Policy) Config {
-	c = c.WithDefaults()
+	c = c.withDefaults()
 	c.Policy = p
 	c.Redsoc = core.Params{}
 	if p == PolicyRedsoc {

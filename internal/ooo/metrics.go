@@ -63,8 +63,8 @@ func (r *Result) Metrics(benchmark, core, policy string) obs.Metrics {
 		return float64(num) / float64(den)
 	}
 	// Dynamic-delay policy counters appear only under their policy: the
-	// reference model (internal/oooref) is frozen without them, and the
-	// difftest metrics contract compares snapshots byte-for-byte.
+	// difftest golden digests and the committed reports pin every other
+	// policy's metrics key set byte for byte.
 	switch r.Config.Policy {
 	case PolicyLoadDelay:
 		c["load_delay_predicts"] = r.LoadDelayPredicts

@@ -125,7 +125,7 @@ type Simulator struct {
 
 // New builds a simulator for the program under the configuration.
 func New(cfg Config, prog *isa.Program) (*Simulator, error) {
-	cfg = cfg.WithDefaults()
+	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -311,6 +311,7 @@ func (s *Simulator) commit(cycle int64) {
 			}
 			return
 		}
+		s.audit.onCommit(s, e)
 		if e.isStore {
 			if e.bits&trace.BitVecAccess != 0 {
 				s.memory.Write128(e.addr, e.result.Lo, e.result.Hi)

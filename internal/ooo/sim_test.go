@@ -50,6 +50,36 @@ func TestTableIConfigs(t *testing.T) {
 	}
 }
 
+// TestNewConfigScope checks what New accepts: every policy and every optional
+// mechanism (faults, degradation, PVT, the dynamic threshold), but not a
+// configuration Validate rejects.
+func TestNewConfigScope(t *testing.T) {
+	cases := []struct {
+		name   string
+		policy Policy
+		edit   func(*Config)
+		valid  bool
+	}{
+		{"loaddelay", PolicyLoadDelay, func(*Config) {}, true},
+		{"speclsq", PolicySpecLSQ, func(*Config) {}, true},
+		{"fault", PolicyRedsoc, func(c *Config) { *c = c.WithFaults(0.01, 1); c.Degrade.Enable = false }, true},
+		{"degrade", PolicyRedsoc, func(c *Config) { c.Degrade.Enable = true }, true},
+		{"pvt", PolicyRedsoc, func(c *Config) { c.PVT.Enable = true }, true},
+		{"dynamic-threshold", PolicyRedsoc, func(c *Config) { c.Redsoc.DynamicThreshold = true }, true},
+		{"zero-rob", PolicyBaseline, func(c *Config) { c.ROBSize = 0 }, false},
+	}
+	prog := workload.NewBuilder("scope").MovImm(isa.R(1), 1).Build()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := SmallConfig().WithPolicy(tc.policy)
+			tc.edit(&cfg)
+			if _, err := New(cfg, prog); (err == nil) != tc.valid {
+				t.Fatalf("New error %v, want valid=%v", err, tc.valid)
+			}
+		})
+	}
+}
+
 func TestSimpleProgramResult(t *testing.T) {
 	b := workload.NewBuilder("simple")
 	b.MovImm(isa.R(1), 6)
