@@ -40,27 +40,38 @@ const (
 // ChoosePeriod picks the shortest clock period whose error rate (fraction of
 // single-cycle ops with delay > period) does not exceed maxErr, given the
 // per-picosecond delay histogram of a baseline run. The period is never
-// pushed below the point where errors would exceed the bound, and never
-// above the nominal ClockPS.
-func ChoosePeriod(hist *ooo.DelayHistogram, maxErr float64) (periodPS int, errRate float64) {
+// pushed below the point where errors would exceed the bound, nor below
+// 1 ps, and never above the nominal ClockPS.
+//
+// The error rate only changes where a bin is, so the scan walks the bins
+// from the top: the ops above the current bin all err at every period from
+// the previous bin's delay down to this bin's, and a period at a bin's own
+// delay still meets that bin's timing.
+func ChoosePeriod(hist ooo.DelayHistogram, maxErr float64) (periodPS int, errRate float64) {
 	var total int64
-	for _, c := range hist {
-		total += c
+	for _, b := range hist {
+		total += b.Ops
 	}
 	if total == 0 {
 		return timing.ClockPS, 0
 	}
-	// tail[t] = ops with delay > t; scan downward keeping the error bound.
-	var tail int64
+	var tail int64 // ops with delay above the period under test
 	period := timing.ClockPS
 	errAt := 0.0
-	for t := timing.ClockPS; t >= 1; t-- {
+	for i := len(hist) - 1; ; i-- {
+		low := 1 // the lowest period at which tail stays the same
+		if i >= 0 {
+			low = max(hist[i].PS, 1)
+		}
 		rate := float64(tail) / float64(total)
 		if rate > maxErr {
 			break
 		}
-		period, errAt = t, rate
-		tail += hist[t]
+		period, errAt = low, rate
+		if low == 1 {
+			break
+		}
+		tail += hist[i].Ops
 	}
 	return period, errAt
 }
@@ -87,7 +98,7 @@ func RunTS(cfg ooo.Config, prog *isa.Program) (TSResult, error) {
 // nanoseconds, so it costs more of the shorter cycles) and convert the cycle
 // counts to wall-clock speedup.
 func (run Runner) TS(cfg ooo.Config, prog *isa.Program, base *ooo.Result) (TSResult, error) {
-	period, errRate := ChoosePeriod(&base.DelayHistogram, MaxErrorRate)
+	period, errRate := ChoosePeriod(base.DelayHistogram, MaxErrorRate)
 	if period >= timing.ClockPS {
 		return TSResult{PeriodPS: timing.ClockPS, ErrorRate: errRate, Speedup: 1, Cycles: base.Cycles}, nil
 	}

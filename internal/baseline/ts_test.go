@@ -11,19 +11,16 @@ import (
 )
 
 func TestChoosePeriodEmpty(t *testing.T) {
-	var hist ooo.DelayHistogram
-	p, e := ChoosePeriod(&hist, MaxErrorRate)
+	p, e := ChoosePeriod(nil, MaxErrorRate)
 	if p != timing.ClockPS || e != 0 {
 		t.Fatalf("empty histogram: period %d err %v", p, e)
 	}
 }
 
 func TestChoosePeriodRespectsErrorBudget(t *testing.T) {
-	var hist ooo.DelayHistogram
 	// 1000 fast ops at 200 ps, 5 slow ops at 450 ps: 0.5% slow.
-	hist[200] = 1000
-	hist[450] = 5
-	p, e := ChoosePeriod(&hist, 0.01)
+	hist := ooo.DelayHistogram{{PS: 200, Ops: 1000}, {PS: 450, Ops: 5}}
+	p, e := ChoosePeriod(hist, 0.01)
 	// The 450 ps ops are within the 1% budget, so the period can drop to
 	// just above the fast ops.
 	if p > 250 {
@@ -34,7 +31,7 @@ func TestChoosePeriodRespectsErrorBudget(t *testing.T) {
 	}
 	// With a tiny budget the slow ops pin the period at (or above) their
 	// 450 ps delay — they meet timing exactly at 450 but fail below it.
-	p2, _ := ChoosePeriod(&hist, 0.001)
+	p2, _ := ChoosePeriod(hist, 0.001)
 	if p2 < 450 {
 		t.Fatalf("strict budget must keep period at/above the slow ops, got %d", p2)
 	}
@@ -43,11 +40,11 @@ func TestChoosePeriodRespectsErrorBudget(t *testing.T) {
 func TestChoosePeriodMonotoneInBudget(t *testing.T) {
 	var hist ooo.DelayHistogram
 	for d := 150; d <= 500; d += 10 {
-		hist[d] = int64(d)
+		hist = append(hist, ooo.DelayBin{PS: d, Ops: int64(d)})
 	}
 	prev := timing.ClockPS + 1
 	for _, budget := range []float64{0.0001, 0.001, 0.01, 0.1} {
-		p, _ := ChoosePeriod(&hist, budget)
+		p, _ := ChoosePeriod(hist, budget)
 		if p > prev {
 			t.Fatalf("looser budget must not raise the period: %d after %d", p, prev)
 		}

@@ -15,6 +15,12 @@
 // (the -j 1 ≡ -j N and exact-cycle-baseline gates) is what makes serving a
 // journaled value provably exact: re-running the cell would produce the
 // same bytes.
+//
+// Reads allocate per result, not per value file: Load reads each value into
+// a buffer the next Load reuses and hands its decoder the payload in place,
+// so a decoder copies whatever it keeps (a string conversion, a map built
+// from the bytes, a clone) and must not retain the slice itself. Get
+// returns an owned copy.
 package cellstore
 
 import (
@@ -22,8 +28,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -119,23 +127,27 @@ func (s *Store) path(key Key) string {
 
 // Get returns the journaled payload for key, or ok=false on a miss. Every
 // failure mode — absent file, torn write, checksum mismatch, stale schema,
-// foreign key — is a miss; Get never returns unverified bytes.
+// foreign key — is a miss; Get never returns unverified bytes. The payload
+// is the caller's own copy.
 func (s *Store) Get(key Key) ([]byte, bool) {
-	return Load(s, key, func(payload []byte) ([]byte, error) { return payload, nil })
+	return Load(s, key, func(payload []byte) ([]byte, error) { return bytes.Clone(payload), nil })
 }
 
 // Load is Get for a caller that decodes the payload: the lookup counts as a
 // hit only once decode accepts the verified payload. A payload decode
 // refuses is a miss, counted as corrupt like a value that fails its
-// checksum, so Stats never counts a value the caller could not use.
+// checksum, so Stats never counts a value the caller could not use. The
+// payload decode sees lives in a read buffer that later Loads reuse, so
+// decode must copy whatever it keeps of it.
 func Load[T any](s *Store, key Key, decode func([]byte) (T, error)) (T, bool) {
 	var v T
 	if !key.valid() {
 		s.misses.Add(1)
 		return v, false
 	}
-	data, err := os.ReadFile(s.path(key))
+	data, err := readValue(s.path(key))
 	if err != nil {
+		releaseBuf(data)
 		s.misses.Add(1)
 		return v, false
 	}
@@ -143,6 +155,7 @@ func Load[T any](s *Store, key Key, decode func([]byte) (T, error)) (T, bool) {
 	if err == nil {
 		v, err = decode(payload)
 	}
+	releaseBuf(data)
 	if err != nil {
 		s.misses.Add(1)
 		s.corrupt.Add(1)
@@ -150,6 +163,66 @@ func Load[T any](s *Store, key Key, decode func([]byte) (T, error)) (T, bool) {
 	}
 	s.hits.Add(1)
 	return v, true
+}
+
+// readBufs holds Load's read buffers between calls: a free list capped at
+// GOMAXPROCS buffers, as many as Loads can run at once, rather than a
+// sync.Pool, which every garbage collection empties. A buffer keeps the
+// largest capacity a value needed, up to maxKeptBuf; a larger one is
+// dropped.
+var readBufs struct {
+	sync.Mutex
+	list [][]byte
+}
+
+// maxKeptBuf bounds the read buffers the free list keeps, so one outsized
+// file does not pin its size for the life of the process.
+const maxKeptBuf = 1 << 20
+
+// readValue reads the named file into a borrowed read buffer and returns
+// its contents, which the caller hands back with releaseBuf.
+func readValue(name string) ([]byte, error) {
+	var buf []byte
+	readBufs.Lock()
+	if n := len(readBufs.list); n > 0 {
+		buf = readBufs.list[n-1]
+		readBufs.list[n-1] = nil
+		readBufs.list = readBufs.list[:n-1]
+	}
+	readBufs.Unlock()
+	if buf == nil {
+		buf = make([]byte, 0, 16<<10)
+	}
+	f, err := os.Open(name)
+	if err != nil {
+		return buf, err
+	}
+	defer f.Close()
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := f.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
+// releaseBuf returns a buffer readValue lent to the free list.
+func releaseBuf(buf []byte) {
+	if cap(buf) > maxKeptBuf {
+		return
+	}
+	readBufs.Lock()
+	if len(readBufs.list) < runtime.GOMAXPROCS(0) {
+		readBufs.list = append(readBufs.list, buf[:0])
+	}
+	readBufs.Unlock()
 }
 
 // Put journals payload under key: the framed value is written to a
@@ -206,14 +279,17 @@ func encodeValue(key Key, payload []byte) []byte {
 	return append([]byte(header), payload...)
 }
 
-// decodeValue verifies a framed value read for key and returns its payload.
+// decodeValue verifies a framed value read for key and returns its payload,
+// a slice of data. It checks the header encodeValue writes field by field
+// — magic, schema version, owning key, length, then the payload checksum —
+// and allocates nothing unless the value fails.
 func decodeValue(key Key, data []byte) ([]byte, error) {
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
 		return nil, fmt.Errorf("cellstore: no header")
 	}
-	fields := bytes.Fields(data[:nl])
-	if len(fields) != 5 {
+	var fields [5][]byte
+	if !headerFields(data[:nl], &fields) {
 		return nil, fmt.Errorf("cellstore: malformed header")
 	}
 	if string(fields[0]) != magic {
@@ -235,8 +311,37 @@ func decodeValue(key Key, data []byte) ([]byte, error) {
 		return nil, fmt.Errorf("cellstore: truncated value: %d of %d payload bytes", len(payload), length)
 	}
 	sum := sha256.Sum256(payload)
-	if hex.EncodeToString(sum[:]) != string(fields[3]) {
+	var hexSum [2 * sha256.Size]byte
+	hex.Encode(hexSum[:], sum[:])
+	if string(hexSum[:]) != string(fields[3]) {
 		return nil, fmt.Errorf("cellstore: checksum mismatch")
 	}
 	return payload, nil
+}
+
+// headerFields splits a header line at runs of ASCII white space into f
+// and reports whether it holds exactly len(f) fields. encodeValue writes
+// an ASCII line with single spaces.
+func headerFields(line []byte, f *[5][]byte) bool {
+	n := 0
+	for i := 0; i < len(line); {
+		if asciiSpace(line[i]) {
+			i++
+			continue
+		}
+		j := i
+		for j < len(line) && !asciiSpace(line[j]) {
+			j++
+		}
+		if n == len(f) {
+			return false
+		}
+		f[n], n = line[i:j], n+1
+		i = j
+	}
+	return n == len(f)
+}
+
+func asciiSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\v' || c == '\f' || c == '\r'
 }

@@ -309,3 +309,75 @@ func TestOpenRejectsEmptyDir(t *testing.T) {
 		t.Fatal("Open(\"\") must fail")
 	}
 }
+
+// TestGetReturnsOwnedCopy: Load lends its decoder a reused read buffer, so
+// Get must copy — a payload it returned stays intact through later reads
+// of other values and is the caller's to modify.
+func TestGetReturnsOwnedCopy(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	a, b := testKey(t, "a"), testKey(t, "b")
+	pa, pb := []byte("payload of a"), []byte("a longer payload of b")
+	if err := s.Put(a, pa); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(b, pb); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := s.Get(a)
+	if !ok {
+		t.Fatal("Get(a) missed")
+	}
+	for i := 0; i < 4; i++ {
+		if other, ok := s.Get(b); !ok || !bytes.Equal(other, pb) {
+			t.Fatalf("Get(b) = %q, %v", other, ok)
+		}
+	}
+	if !bytes.Equal(got, pa) {
+		t.Fatalf("a later Get overwrote an earlier payload: %q", got)
+	}
+	got[0] ^= 0xff
+	if again, ok := s.Get(a); !ok || !bytes.Equal(again, pa) {
+		t.Fatalf("modifying a returned payload reached the store: %q", again)
+	}
+}
+
+// TestHeaderWhiteSpace: header fields are split at runs of white space, so
+// a value whose header uses tabs or doubled spaces is still served.
+func TestHeaderWhiteSpace(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	key := testKey(t, "spaces")
+	payload := []byte("spaced out")
+	if err := s.Put(key, payload); err != nil {
+		t.Fatal(err)
+	}
+	corrupt(t, s, key, func(d []byte) []byte {
+		nl := bytes.IndexByte(d, '\n')
+		head := bytes.ReplaceAll(d[:nl], []byte(" "), []byte(" \t "))
+		return append(append([]byte("  "), head...), d[nl:]...)
+	})
+	if got, ok := s.Get(key); !ok || !bytes.Equal(got, payload) {
+		t.Fatalf("Get = %q, %v; want the payload", got, ok)
+	}
+}
+
+// TestDecodeValueAllocFree: verifying a good value allocates nothing, so a
+// journal hit costs its decoder's allocations and the file read only.
+func TestDecodeValueAllocFree(t *testing.T) {
+	key := testKey(t, "alloc")
+	data := encodeValue(key, bytes.Repeat([]byte("payload "), 512))
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := decodeValue(key, data); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("decodeValue allocated %v times per value, want 0", n)
+	}
+}

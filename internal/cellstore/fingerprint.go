@@ -40,6 +40,7 @@ func (k Key) valid() bool {
 type Fingerprint struct {
 	h    hash.Hash
 	kind string
+	buf  []byte // frame's scratch for a field's length-prefixed name
 }
 
 // NewFingerprint starts a fingerprint for one kind of cell ("grid-cell",
@@ -71,15 +72,15 @@ func (f *Fingerprint) Bytes(name string, data []byte) *Fingerprint {
 	return f
 }
 
-// frame writes a length-prefixed (name, value) pair into the digest.
+// frame writes a length-prefixed (name, value) pair into the digest. The
+// prefixes and name go through one reused buffer, not a conversion per
+// field; the digest sees the same bytes.
 func (f *Fingerprint) frame(name string, data []byte) {
-	var n [8]byte
-	binary.BigEndian.PutUint64(n[:], uint64(len(name)))
-	f.h.Write(n[:])
-	f.h.Write([]byte(name))
-	binary.BigEndian.PutUint64(n[:], uint64(len(data)))
-	f.h.Write(n[:])
+	b := binary.BigEndian.AppendUint64(f.buf[:0], uint64(len(name)))
+	b = binary.BigEndian.AppendUint64(append(b, name...), uint64(len(data)))
+	f.h.Write(b)
 	f.h.Write(data)
+	f.buf = b
 }
 
 // Key finalizes the fingerprint. The Fingerprint must not be reused after.

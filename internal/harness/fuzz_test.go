@@ -41,7 +41,7 @@ func FuzzDecodeCell(f *testing.F) {
 	}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if got, err := decodeCell(data, c.Benchmark, cfg); err == nil {
+		if got, err := decodeCell(data, taskOf(c, cfg)); err == nil {
 			if re, err := encodeCell(got, cfg); err != nil || !bytes.Equal(re, data) {
 				t.Fatalf("cell %x decodes but re-encodes as %x (err %v)", data, re, err)
 			}

@@ -181,11 +181,24 @@ type Grid struct {
 var ThresholdCandidates = []int{4, 5, 6, 7}
 
 // classCore is one (class, core) pair of the threshold-selection phase;
-// core is cfg's canonical JSON for its journal keys (nil without one).
+// core and classID are cfg's and class's canonical JSON for its journal
+// keys, marshalled once per run (nil without a journal).
 type classCore struct {
-	class Class
-	cfg   ooo.Config
-	core  []byte
+	class   Class
+	cfg     ooo.Config
+	core    []byte
+	classID []byte
+}
+
+// cellTask is one Phase B grid cell: a benchmark on a core at the threshold
+// the sweep chose for its class, and the five engine configs its results
+// run under (baseline.EngineConfigs), built once per (class, core) pair so
+// a journal hit does not rebuild them.
+type cellTask struct {
+	classCore
+	b       Benchmark
+	th      int
+	engines []ooo.Config
 }
 
 // Options tunes a grid run.
@@ -286,8 +299,12 @@ func runGrid(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, op
 			continue
 		}
 		g.ChosenThreshold[class] = map[string]int{}
+		var classID []byte
+		if opts.Journal != nil {
+			classID, _ = json.Marshal(class) // a string always marshals
+		}
 		for i, cfg := range cores {
-			pairs = append(pairs, classCore{class, cfg, coreIDs[i]})
+			pairs = append(pairs, classCore{class, cfg, coreIDs[i], classID})
 		}
 	}
 	thresholds, err := chooseThresholds(ctx, pairs, byClass, digests, opts, run)
@@ -299,15 +316,11 @@ func runGrid(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, op
 	}
 
 	// Phase B: the grid cells, flattened in reporting order.
-	type cellTask struct {
-		classCore
-		b  Benchmark
-		th int
-	}
 	var tasks []cellTask
 	for i, pr := range pairs {
+		engines := baseline.EngineConfigs(pr.cfg, thresholds[i])
 		for _, b := range byClass[pr.class] {
-			tasks = append(tasks, cellTask{pr, b, thresholds[i]})
+			tasks = append(tasks, cellTask{pr, b, thresholds[i], engines})
 		}
 	}
 	// A sharded run computes only its owned slice of the task list; the
@@ -342,7 +355,7 @@ func runGrid(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, op
 					return Cell{Benchmark: t.b, Core: t.cfg.Name, Threshold: t.th, Cmp: cmp}, nil
 				},
 				Encode: func(c Cell) ([]byte, error) { return encodeCell(c, t.cfg) },
-				Decode: func(d []byte) (Cell, error) { return decodeCell(d, t.b, t.cfg) },
+				Decode: func(d []byte) (Cell, error) { return decodeCell(d, t) },
 			})
 		})
 	if err != nil {
@@ -388,7 +401,7 @@ func chooseThresholds(ctx context.Context, pairs []classCore, byClass map[Class]
 					for j, b := range class {
 						ds[j] = digests[b.Prog]
 					}
-					return sweepKey(pr.core, pr.class, ds, th)
+					return sweepKey(pr.core, pr.classID, ds, th)
 				},
 				Run: func() (float64, error) {
 					total := 0.0

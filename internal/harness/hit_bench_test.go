@@ -64,9 +64,11 @@ func warmJournal(tb testing.TB, benchmarks []Benchmark, cores []ooo.Config) Opti
 
 // warmResumeBound bounds what a resumed quick-grid Run allocates once an
 // earlier resumed Run has decoded every program's architectural state. It
-// measured 1.99 MB (Go 1.24, linux/amd64), most of it the 81 value files
-// read, against 2.74 MB when every Run decodes the sections again.
-const warmResumeBound = 2200 << 10
+// measured 0.60 MB (Go 1.24, linux/amd64), most of it the 225 decoded
+// Results, and the bound is that plus about 10%: a dense delay histogram
+// per Result, a fresh read buffer per value file or architectural-state
+// sections decoded again each fail it.
+const warmResumeBound = 650 << 10
 
 // TestWarmResumeAllocationBound: a resumed quick-grid Run after a warm one
 // decodes no architectural-state section, so a per-run decode coming back

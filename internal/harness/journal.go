@@ -5,10 +5,12 @@ import (
 	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"maps"
 	"math"
 	"slices"
+	"strconv"
 	"sync"
 
 	"redsoc/internal/alu"
@@ -17,6 +19,7 @@ import (
 	"redsoc/internal/core"
 	"redsoc/internal/isa"
 	"redsoc/internal/ooo"
+	"redsoc/internal/timing"
 )
 
 // Journaling: every unit of grid work — a Phase B cell (six scheduler runs
@@ -162,30 +165,41 @@ func WorkloadDigests(benchmarks []Benchmark) map[*isa.Program][]byte {
 	return out
 }
 
+// The key fields every grid cell or sweep total shares, marshalled once:
+// Field would marshal them again for every key. Bytes folds the same JSON,
+// so the keys are unchanged. An int and a []string always marshal.
+var (
+	payloadVersionID, _ = json.Marshal(cellPayloadVersion)
+	cellPoliciesID, _   = json.Marshal([]string{"baseline", "redsoc", "mos", "loaddelay", "speclsq", "ts"})
+)
+
+// intID is the canonical JSON of an int key field, its decimal digits.
+func intID(v int) []byte { return strconv.AppendInt(nil, int64(v), 10) }
+
 // cellKey fingerprints one Phase B grid cell: the full core configuration
 // (core, its canonical JSON, marshalled once per run), the workload digest,
 // the policy set the cell compares, and the threshold the sweep chose.
 func cellKey(core, digest []byte, threshold int) cellstore.Key {
 	return cellstore.NewFingerprint("grid-cell").
-		Field("payload-version", cellPayloadVersion).
+		Bytes("payload-version", payloadVersionID).
 		Bytes("core", core).
 		Bytes("workload", digest).
-		Field("policies", []string{"baseline", "redsoc", "mos", "loaddelay", "speclsq", "ts"}).
-		Field("threshold", threshold).
+		Bytes("policies", cellPoliciesID).
+		Bytes("threshold", intID(threshold)).
 		Key()
 }
 
-// sweepKey fingerprints one Phase A sweep task: the core (its canonical
-// JSON, as for cellKey), the ordered workload digests of the class, and the
-// candidate threshold.
-func sweepKey(core []byte, class Class, digests [][]byte, candidate int) cellstore.Key {
+// sweepKey fingerprints one Phase A sweep task: the core and the class
+// (their canonical JSON, marshalled once per run as for cellKey), the
+// ordered workload digests of the class, and the candidate threshold.
+func sweepKey(core, class []byte, digests [][]byte, candidate int) cellstore.Key {
 	f := cellstore.NewFingerprint("sweep-total").
-		Field("payload-version", cellPayloadVersion).
+		Bytes("payload-version", payloadVersionID).
 		Bytes("core", core).
-		Field("class", class).
-		Field("candidate", candidate)
+		Bytes("class", class).
+		Bytes("candidate", intID(candidate))
 	for i, d := range digests {
-		f.Bytes(fmt.Sprintf("workload-%d", i), d)
+		f.Bytes("workload-"+strconv.Itoa(i), d)
 	}
 	return f.Key()
 }
@@ -219,30 +233,32 @@ func encodeCell(c Cell, cfg ooo.Config) ([]byte, error) {
 	return appendArch(w.b, archState{Regs: base.FinalRegs, Mem: base.FinalMem, Flags: base.FinalFlags}), nil
 }
 
-// decodeCell rebuilds a Cell of b on core cfg from its journaled payload:
-// the comparison gets its benchmark and core names back from (b, cfg), each
-// result its config from baseline.EngineConfigs, and all five share the one
-// stored architectural state (its maps; everything downstream only reads
-// them), decoded through archCache. Any shape problem is an error, which the
-// caller treats as a cache miss.
-func decodeCell(data []byte, b Benchmark, cfg ooo.Config) (Cell, error) {
+// decodeCell rebuilds the Cell of task t from its journaled payload: the
+// comparison gets its benchmark and core names back from t, each result
+// its config from t.engines, and all five share the one stored
+// architectural state (its maps; everything downstream only reads them),
+// decoded through archCache. Any shape problem, or a threshold other than
+// t's, is an error, which the caller treats as a cache miss.
+func decodeCell(data []byte, t cellTask) (Cell, error) {
 	rd := codec{b: data}
-	cmp := &baseline.Comparison{Benchmark: b.Prog.Name, Core: cfg.Name}
+	cmp := &baseline.Comparison{Benchmark: t.b.Prog.Name, Core: t.cfg.Name}
 	var th int
 	if rd.cell(&th, cmp); rd.err != nil {
 		return Cell{}, rd.err
 	}
-	arch, err := archCache{}.decode(b.Prog, rd.b)
+	if th != t.th {
+		return Cell{}, fmt.Errorf("harness: journaled cell at threshold %d, want %d", th, t.th)
+	}
+	arch, err := archCache{}.decode(t.b.Prog, rd.b)
 	if err != nil {
 		return Cell{}, err
 	}
-	cfgs := baseline.EngineConfigs(cfg, th)
 	for i, res := range cmp.Engines() {
 		r := *res
-		r.Config = cfgs[i]
+		r.Config = t.engines[i]
 		r.FinalRegs, r.FinalMem, r.FinalFlags = arch.Regs, arch.Mem, arch.Flags
 	}
-	return Cell{Benchmark: b, Core: cfg.Name, Threshold: th, Cmp: cmp}, nil
+	return Cell{Benchmark: t.b, Core: t.cfg.Name, Threshold: th, Cmp: cmp}, nil
 }
 
 // archCache is the cell-phase counterpart of the engine's canonical final
@@ -302,7 +318,7 @@ func (archCache) decode(prog *isa.Program, section []byte) (archState, error) {
 //	    a counter: the uvarint of its two's-complement bits
 //	    HeadWait, Sequences: entry count, then key and value per entry in
 //	        ascending key order (an op-class name is its length and bytes)
-//	    DelayHistogram: non-zero bin count, then bin and count per such bin
+//	    DelayHistogram: bin count, then delay and count per bin
 //	TS: PeriodPS, ErrorRate and Speedup (floats), Cycles
 //	the architectural-state section:
 //	    register count, then reg byte, Lo, Hi per register in ascending order
@@ -483,31 +499,30 @@ func pairs[K cmp.Ordered, V ~int64 | ~uint64](c *codec, m *map[K]V, key func(*K)
 	}
 }
 
-// histogram walks a delay histogram sparsely: the count of non-zero bins,
-// then each such bin in ascending order and its count.
+// histogram walks a delay histogram: the count of its bins, then each bin's
+// delay and count, ascending. Decoding requires what the engine writes —
+// strictly ascending delays up to ClockPS and non-zero counts — and leaves
+// *h nil when there are no bins.
 func (c *codec) histogram(h *ooo.DelayHistogram) {
 	if c.enc {
-		var bins []uint64
-		for bin, v := range h {
-			if v != 0 {
-				bins = append(bins, uint64(bin))
-			}
-		}
-		c.b = binary.AppendUvarint(c.b, uint64(len(bins)))
-		for _, bin := range bins {
-			c.b = binary.AppendUvarint(binary.AppendUvarint(c.b, bin), uint64(h[bin]))
+		c.b = binary.AppendUvarint(c.b, uint64(len(*h)))
+		for _, bin := range *h {
+			c.b = binary.AppendUvarint(binary.AppendUvarint(c.b, uint64(bin.PS)), uint64(bin.Ops))
 		}
 		return
 	}
 	n := c.count()
+	if n > 0 {
+		*h = make(ooo.DelayHistogram, n)
+	}
 	for i, prev := 0, uint64(0); i < n && c.err == nil; i++ {
-		switch bin, v := c.uvarint(), c.uvarint(); {
-		case bin >= uint64(len(h)) || i > 0 && bin <= prev:
+		switch ps, v := c.uvarint(), c.uvarint(); {
+		case ps > timing.ClockPS || i > 0 && ps <= prev:
 			c.fail("delay histogram bins out of order")
 		case v == 0:
 			c.fail("zero delay histogram count")
 		default:
-			h[bin], prev = int64(v), bin
+			(*h)[i], prev = ooo.DelayBin{PS: int(ps), Ops: int64(v)}, ps
 		}
 	}
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"maps"
@@ -65,7 +66,7 @@ func TestJournalCellPayloadRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := decodeCell(data, fresh.Benchmark, cfg)
+		got, err := decodeCell(data, taskOf(fresh, cfg))
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
@@ -93,6 +94,62 @@ func TestJournalCellPayloadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadBufferReuseLeavesCellIntact: cellstore.Load hands decodeCell the
+// payload in a read buffer that the next Load reuses, so a decoded Cell must
+// own all it holds — HeadWait keys, Sequences, the architectural state and
+// the delay histograms. A later Load that reuses the buffer and scribbles
+// over every byte of it leaves the earlier Cell equal to the simulated one.
+func TestLoadBufferReuseLeavesCellIntact(t *testing.T) {
+	cfg := ooo.SmallConfig()
+	fresh := quickCell(t, "crc")
+	var heads, seqs, bins int
+	for _, r := range cellResults(fresh.Cmp) {
+		heads, seqs, bins = heads+len(r.HeadWait), seqs+len(r.Sequences.Histogram()), bins+len(r.DelayHistogram)
+	}
+	if heads == 0 || seqs == 0 || bins == 0 || len(fresh.Cmp.Baseline.FinalMem) == 0 {
+		t.Fatal("premise: the cell must hold HeadWait, Sequences, delay bins and memory")
+	}
+	data, err := encodeCell(fresh, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := cellstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	key := cellstore.Key(strings.Repeat("5a", sha256.Size))
+	if err := store.Put(key, data); err != nil {
+		t.Fatal(err)
+	}
+	var buf *byte
+	got, ok := cellstore.Load(store, key, func(d []byte) (Cell, error) {
+		buf = &d[0]
+		return decodeCell(d, taskOf(fresh, cfg))
+	})
+	if !ok {
+		t.Fatal("journaled cell missed")
+	}
+	if _, ok := cellstore.Load(store, key, func(d []byte) (bool, error) {
+		if &d[0] != buf {
+			t.Fatal("the second Load read into another buffer; the test proves nothing")
+		}
+		d = d[:cap(d)]
+		for i := range d {
+			d[i] = 0xa5
+		}
+		return true, nil
+	}); !ok {
+		t.Fatal("journaled cell missed")
+	}
+	want := cellResults(fresh.Cmp)
+	for i, r := range cellResults(got.Cmp) {
+		if !reflect.DeepEqual(r, want[i]) {
+			t.Errorf("%s result changed when a later Load reused its buffer", want[i].Config.Policy)
+		}
+	}
+}
+
 // TestCellCodecComplete: the payload carries every field of ooo.Result but
 // the config and the architectural state, which the key and the last
 // section supply. Every such field of all five results — counters,
@@ -116,10 +173,8 @@ func TestCellCodecComplete(t *testing.T) {
 			for i := range v.NumField() {
 				fill(v.Field(i))
 			}
-		case v.Kind() == reflect.Array:
-			for i := 0; i < v.Len(); i += 7 {
-				fill(v.Index(i))
-			}
+		case v.Type() == reflect.TypeOf(ooo.DelayHistogram(nil)):
+			v.Set(reflect.ValueOf(ooo.DelayHistogram{{PS: 3, Ops: next}, {PS: 250, Ops: next << 20}, {PS: timing.ClockPS, Ops: -next}}))
 		case v.CanInt():
 			v.SetInt(next)
 		case v.CanUint():
@@ -148,7 +203,7 @@ func TestCellCodecComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeCell(data, c.Benchmark, cfg)
+	got, err := decodeCell(data, taskOf(c, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +270,7 @@ func TestJournalCellPayloadVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	decode := func(d []byte) (Cell, error) { return decodeCell(d, fresh.Benchmark, cfg) }
+	decode := func(d []byte) (Cell, error) { return decodeCell(d, taskOf(fresh, cfg)) }
 	for i, tc := range []struct {
 		name    string
 		payload []byte
@@ -295,11 +350,11 @@ func TestEncodeCellRefuses(t *testing.T) {
 }
 
 // TestDelayHistogramPayload pins the sparse binary form of a delay
-// histogram: the count of non-zero bins, then each such bin and its count
-// as uvarints in ascending bin order, decoding back to the same array.
+// histogram: the count of its bins, then each bin's delay and count as
+// uvarints in ascending order, decoding back to the same bins. No bins
+// encode as a zero count and decode to nil, as the engine leaves them.
 func TestDelayHistogramPayload(t *testing.T) {
-	var h ooo.DelayHistogram
-	h[0], h[212], h[timing.ClockPS] = 3, 40, 1<<40
+	h := ooo.DelayHistogram{{PS: 0, Ops: 3}, {PS: 212, Ops: 40}, {PS: timing.ClockPS, Ops: 1 << 40}}
 	w := codec{enc: true}
 	w.histogram(&h)
 	want := []byte{3, 0, 3, 0xd4, 0x01, 40, 0xf4, 0x03, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20}
@@ -308,13 +363,17 @@ func TestDelayHistogramPayload(t *testing.T) {
 	}
 	r := codec{b: w.b}
 	var back ooo.DelayHistogram
-	if r.histogram(&back); r.end() != nil || back != h {
-		t.Fatalf("histogram does not round-trip (err %v)", r.err)
+	if r.histogram(&back); r.end() != nil || !reflect.DeepEqual(back, h) {
+		t.Fatalf("histogram does not round-trip (err %v): %v", r.err, back)
 	}
 	var empty ooo.DelayHistogram
 	w = codec{enc: true}
 	if w.histogram(&empty); !bytes.Equal(w.b, []byte{0}) {
 		t.Fatalf("empty histogram encodes as % x, want 00", w.b)
+	}
+	r = codec{b: w.b}
+	if r.histogram(&empty); r.end() != nil || empty != nil {
+		t.Fatalf("no bins decode as %#v (err %v), want nil", empty, r.err)
 	}
 }
 
@@ -450,6 +509,22 @@ func coreID(t testing.TB, cfg ooo.Config) []byte {
 	return data
 }
 
+// classID is a class's canonical JSON, as runGrid folds it into sweep keys.
+func classID(t testing.TB, class Class) []byte {
+	t.Helper()
+	data, err := json.Marshal(class)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// taskOf is the cell task c ran as on core cfg, for decodeCell.
+func taskOf(c Cell, cfg ooo.Config) cellTask {
+	return cellTask{classCore: classCore{class: c.Benchmark.Class, cfg: cfg}, b: c.Benchmark, th: c.Threshold,
+		engines: baseline.EngineConfigs(cfg, c.Threshold)}
+}
+
 // TestJournalKeysAreContentAddressed: the program-digest memo keys on the
 // program pointer, but the digest it caches is content-derived — two
 // independent builds of the quick suite produce the same cell and sweep
@@ -470,7 +545,7 @@ func TestJournalKeysAreContentAddressed(t *testing.T) {
 						ds = append(ds, digests[b.Prog])
 					}
 				}
-				out = append(out, sweepKey(core, class, ds, 4))
+				out = append(out, sweepKey(core, classID(t, class), ds, 4))
 			}
 		}
 		return out

@@ -302,6 +302,10 @@ func TestMemoryMatchesFrozen(t *testing.T) {
 					t.Errorf("image %d words, frozen after %q, live after %q: Matches = %v, snapshots equal = %v",
 						img.Len(), fw.name, mw.name, got, want)
 				}
+				if got := f.Equal(m.Snapshot()); got != want {
+					t.Errorf("image %d words, frozen after %q, live after %q: Equal = %v, snapshots equal = %v",
+						img.Len(), fw.name, mw.name, got, want)
+				}
 			}
 		}
 	}
@@ -317,7 +321,7 @@ func TestMemoryMatchesFrozen(t *testing.T) {
 }
 
 // TestMemoryMatchesAllocatesNothing: comparing a store with a frozen copy of
-// its own layout allocates nothing.
+// its own layout, or a frozen copy with its snapshot, allocates nothing.
 func TestMemoryMatchesAllocatesNothing(t *testing.T) {
 	m := NewMemoryFrom(map[uint64]uint64{0x100: 1, 0x118: 2})
 	m.Write64(0x9000, 6)
@@ -328,6 +332,14 @@ func TestMemoryMatchesAllocatesNothing(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("Matches allocated %.0f times per call", n)
+	}
+	snap := f.Snapshot()
+	if n := testing.AllocsPerRun(100, func() {
+		if !f.Equal(snap) {
+			t.Fatal("a frozen copy must equal its own snapshot")
+		}
+	}); n != 0 {
+		t.Fatalf("Equal allocated %.0f times per call", n)
 	}
 }
 

@@ -169,3 +169,29 @@ func (m *Memory) Matches(f *Frozen) bool {
 
 // Snapshot returns the frozen contents as Memory.Snapshot would have.
 func (f *Frozen) Snapshot() map[uint64]uint64 { return f.m.Snapshot() }
+
+// Equal reports whether m holds exactly f's contents, as f.Snapshot would
+// return them, without building the snapshot: m has as many words as f and
+// each of f's words, with its value.
+func (f *Frozen) Equal(m map[uint64]uint64) bool {
+	o := &f.m
+	if len(m) != o.Len() {
+		return false
+	}
+	for wi, w := range o.touch {
+		for w != 0 {
+			b := w & (-w)
+			i := wi*64 + bits.TrailingZeros64(b)
+			if v, ok := m[o.base+uint64(i)*8]; !ok || v != o.words[i] {
+				return false
+			}
+			w &^= b
+		}
+	}
+	for a, v := range o.over { //lint:allow simdeterminism order-independent: equality over both maps
+		if mv, ok := m[a]; !ok || mv != v {
+			return false
+		}
+	}
+	return true
+}

@@ -40,7 +40,6 @@ package ooo
 
 import (
 	"fmt"
-	"maps"
 	"sync"
 
 	"redsoc/internal/arch"
@@ -226,7 +225,7 @@ func (a *auditState) onAdoptFinal(s *Simulator, f *finalState) {
 		v, ok := f.FinalRegs[isa.V(i)]
 		regs = ok && v == f.regs[isa.V(i).RenameIndex()]
 	}
-	if !regs || !maps.Equal(f.FinalMem, f.mem.Snapshot()) {
+	if !regs || !f.mem.Equal(f.FinalMem) {
 		panic(fmt.Sprintf("ooo: audit: %s/%s program %q: the canonical final state's shared FinalRegs/FinalMem maps were written after publication; Result maps are read-only",
 			s.cfg.Name, s.cfg.Policy, s.prog.Name))
 	}

@@ -1,6 +1,7 @@
 package ooo
 
 import (
+	"slices"
 	"testing"
 
 	"redsoc/internal/workload/mibench"
@@ -53,7 +54,7 @@ func sameResult(t *testing.T, a, b *Result) {
 			t.Errorf("counter %d differs: %d vs %d", i, c[0], c[1])
 		}
 	}
-	if a.DelayHistogram != b.DelayHistogram {
+	if !slices.Equal(a.DelayHistogram, b.DelayHistogram) {
 		t.Error("DelayHistogram differs")
 	}
 	if len(a.HeadWait) != len(b.HeadWait) {

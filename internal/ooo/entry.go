@@ -204,8 +204,15 @@ type fuPool struct {
 	busyUntil []int64
 }
 
-func newFUPool(n int) *fuPool {
-	return &fuPool{busyUntil: make([]int64, n)}
+// reset sizes the pool to n idle units, reusing its table when it is large
+// enough.
+func (p *fuPool) reset(n int) {
+	if cap(p.busyUntil) < n {
+		p.busyUntil = make([]int64, n)
+	} else {
+		p.busyUntil = p.busyUntil[:n]
+		clear(p.busyUntil)
+	}
 }
 
 // free returns the number of units available for an execution window

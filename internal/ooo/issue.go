@@ -13,15 +13,6 @@ import (
 	"redsoc/internal/trace"
 )
 
-// issueParams returns the slack parameters the scheduler's eligibility logic
-// runs with: the configured ones under ReDSOC, none otherwise.
-func (s *Simulator) issueParams() core.Params {
-	if s.cfg.Policy == PolicyRedsoc {
-		return s.params
-	}
-	return core.Params{}
-}
-
 // awake reports whether a producer's (tag, CI) broadcast is visible to
 // selection at the given cycle: broadcasts are visible from the cycle after
 // they happen (same-cycle visibility is exactly what EGPW exists for).
@@ -225,7 +216,7 @@ func (s *Simulator) issue(cycle int64) {
 	s.mergeReady()
 	s.audit.onReadyMerged(s, cycle)
 	window := s.clock.CycleStart(cycle + 1)
-	params := s.issueParams()
+	params := &s.params
 
 	live := s.ready[:0]
 	for _, ei := range s.ready {
@@ -383,7 +374,7 @@ func (s *Simulator) rsRemove(e *entry) {
 func (s *Simulator) issueEntry(e *entry, cycle int64, spec bool) bool {
 	window := s.clock.CycleStart(cycle + 1)
 	tpc := s.clock.CyclesToTicks(1)
-	params := s.issueParams()
+	params := &s.params
 
 	if spec {
 		// A GP-woken child may only issue alongside its parent: the grant is
@@ -935,11 +926,11 @@ func (s *Simulator) classify(e *entry, out alu.Outcome) {
 		s.res.Mix.ALULS++
 	}
 	if e.bits&trace.BitSingleCycle != 0 && out.DelayPS <= timing.ClockPS {
-		s.res.DelayHistogram[out.DelayPS]++
+		s.delays[out.DelayPS]++
 	} else if e.bits&trace.BitSingleCycle == 0 {
 		// Multi-cycle and memory pipeline stages bound timing speculation
 		// (they can err on every cycle too); record their limiting stage.
-		s.res.DelayHistogram[timing.StageDelayPS(e.class)]++
+		s.delays[timing.StageDelayPS(e.class)]++
 	}
 }
 

@@ -23,7 +23,8 @@ func mkSim(t *testing.T, cfg Config) *Simulator {
 }
 
 func TestFUPoolAllocation(t *testing.T) {
-	p := newFUPool(2)
+	var p fuPool
+	p.reset(2)
 	if p.free(5) != 2 {
 		t.Fatal("fresh pool must be fully free")
 	}

@@ -5,7 +5,7 @@ package ooo
 // commit) walked a []*entry backing array forward forever, pinning every
 // retired entry until the next append reallocated; the ring retires a slot in
 // place, and because it holds int32 indices rather than pointers, pushes are
-// barrier-free and the GC never scans it. Capacity is fixed at construction:
+// barrier-free and the GC never scans it. Capacity is fixed by reset:
 // dispatch enforces the ROB/LSQ size bounds before pushing, so overflow is a
 // scheduler bug, not a growth condition.
 type seqRing struct {
@@ -14,8 +14,17 @@ type seqRing struct {
 	n    int
 }
 
-func newSeqRing(capacity int) seqRing {
-	return seqRing{buf: make([]int32, capacity)}
+// reset empties the ring and fixes its capacity, reusing the buffer when it
+// is large enough. Slots wrap modulo len(buf), so the buffer is sliced to
+// exactly capacity, whatever it held before.
+func (r *seqRing) reset(capacity int) {
+	if cap(r.buf) < capacity {
+		r.buf = make([]int32, capacity)
+	} else {
+		r.buf = r.buf[:capacity]
+		clear(r.buf)
+	}
+	r.head, r.n = 0, 0
 }
 
 // len returns the number of queued indices.

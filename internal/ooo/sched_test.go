@@ -17,7 +17,8 @@ import (
 )
 
 func TestSeqRingWraparound(t *testing.T) {
-	r := newSeqRing(4)
+	var r seqRing
+	r.reset(4)
 	next, popped := int32(0), int32(0)
 	for round := 0; round < 5; round++ {
 		for r.len() < 4 {
@@ -53,9 +54,43 @@ func TestSeqRingOverflowPanics(t *testing.T) {
 			t.Fatal("push beyond capacity must panic: dispatch bounds occupancy")
 		}
 	}()
-	r := newSeqRing(1)
+	var r seqRing
+	r.reset(1)
 	r.push(0)
 	r.push(1)
+}
+
+// TestSeqRingResetShrinks: a ring reset to a smaller capacity than a
+// recycled buffer holds is emptied, wraps at the new capacity and overflows
+// past it, as a fresh ring of that size does.
+func TestSeqRingResetShrinks(t *testing.T) {
+	var r seqRing
+	r.reset(8)
+	for i := int32(0); i < 6; i++ {
+		r.push(i)
+	}
+	r.reset(3)
+	if r.len() != 0 {
+		t.Fatalf("reset ring holds %d indices", r.len())
+	}
+	for round := int32(0); round < 4; round++ {
+		r.push(10 + round)
+		r.push(20 + round)
+		if got := r.popFront(); got != 10+round {
+			t.Fatalf("round %d: popped %d, want %d", round, got, 10+round)
+		}
+		if got := r.popFront(); got != 20+round {
+			t.Fatalf("round %d: popped %d, want %d", round, got, 20+round)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a ring reset to 3 slots accepted a fourth index")
+		}
+	}()
+	for i := int32(0); i < 4; i++ {
+		r.push(i)
+	}
 }
 
 // TestLSQHeadAlignment drives a memory-heavy program through several LSQ

@@ -36,7 +36,10 @@ type Simulator struct {
 	branchPred *predict.BranchPredictor
 	estimator  *core.Estimator
 	arbiter    *core.Arbiter
-	params     core.Params
+	// params are the slack parameters the scheduler's eligibility logic runs
+	// with: the configured ones under ReDSOC, all zero otherwise. Only the
+	// ReDSOC-only adapt controller changes them during a run.
+	params core.Params
 
 	// loadPred is the real-time load-delay tracker; non-nil only under
 	// PolicyLoadDelay, where loads broadcast completion instants built from
@@ -64,46 +67,22 @@ type Simulator struct {
 	// obszeroalloc analyzer), so the disabled path costs one branch.
 	obs obs.Sink
 
-	// store is the borrowed machine storage behind memory, hier, slab,
-	// freeList and the predictors; Run returns it to the spare list and nils
+	// store is the borrowed machine storage behind memory, hier, scratch,
+	// delays and the predictors; Run returns it to the spare list and nils
 	// every field that reaches it (arena.go).
 	store *storage
+	// scratch is the scheduler's per-run working storage, the dense entry
+	// slab among it (arena.go).
+	scratch
+	// delays counts single-cycle ops by actual delay; capture compacts it
+	// into Result.DelayHistogram.
+	delays *delayCounts
 
-	// slab and freeList are the dense physical entry store (see arena.go);
 	// rat is the R10K-style map table from architectural rename index to the
 	// slab index of the youngest in-flight producer (none = committed state
 	// in archRegs).
-	slab     []entry
-	freeList []int32
 	rat      [isa.NumRenamedRegs]int32
 	archRegs [isa.NumRenamedRegs]alu.Value
-
-	rob    seqRing // FIFO of slab indices, head first
-	rs     []int32 // waiting entries; arbitrary order (rsRemove swaps), slots tracked in entry.rsSlot
-	lsq    seqRing // memory ops, dispatch order
-	storeQ seqRing // the LSQ's stores only, dispatch order (memDep scans)
-
-	// ready is the scheduler's wakeup set — the only entries issue examines —
-	// kept sorted ascending by seq so events are emitted in the same order
-	// the old full-RS scan produced. wakeBuf collects entries woken since the
-	// last merge (producer broadcasts, store commits, fresh dispatches that
-	// might be schedulable — see watchWakeups);
-	// readyScratch is the merge target, swapped with ready each merge so
-	// neither list reallocates in steady state.
-	ready        []int32
-	wakeBuf      []int32
-	readyScratch []int32
-
-	// Reusable issue-path scratch: per-FU request lists, the arbiter request
-	// view, the seq-ordered grant list, the per-pool win flags for select
-	// observability, and the rename/training candidate indices.
-	reqs    [numFUKinds][]issueReq
-	arb     []core.Request
-	granted []issueReq
-	won     []bool
-	cands   []int
-
-	fus [numFUKinds]*fuPool
 
 	// headWait accumulates commit-blocking cycles per op class ([1] = head
 	// not yet issued); capture materializes it into Result.HeadWait. The old
@@ -148,8 +127,8 @@ func New(cfg Config, prog *isa.Program) (*Simulator, error) {
 		store:      st,
 		memory:     st.memory,
 		hier:       st.hier,
-		slab:       st.slab,
-		freeList:   st.freeList,
+		scratch:    st.scratch,
+		delays:     &st.delays,
 		lut:        lut,
 		widthPred:  st.widthPred,
 		lastPred:   st.lastPred,
@@ -165,13 +144,6 @@ func New(cfg Config, prog *isa.Program) (*Simulator, error) {
 	for i := range s.rat {
 		s.rat[i] = none
 	}
-	s.rob = newSeqRing(cfg.ROBSize)
-	s.lsq = newSeqRing(cfg.LSQSize)
-	s.storeQ = newSeqRing(cfg.LSQSize)
-	s.fus[fuALU] = newFUPool(cfg.NumALU)
-	s.fus[fuSIMD] = newFUPool(cfg.NumSIMD)
-	s.fus[fuFP] = newFUPool(cfg.NumFP)
-	s.fus[fuMEM] = newFUPool(cfg.NumMemPorts)
 	if cfg.Policy == PolicyRedsoc && params.DynamicThreshold {
 		s.adapt = core.NewThresholdController(params.ThresholdTicks, clock.TicksPerCycle())
 	}
@@ -679,6 +651,7 @@ func (s *Simulator) capture() {
 	}
 	s.res.Branches = s.branchPred.Stats()
 	s.res.MemStats = s.hier.Stats()
+	s.res.DelayHistogram = s.delays.histogram()
 	for c := range s.headWait {
 		issued, unissued := s.headWait[c][0], s.headWait[c][1]
 		if issued == 0 && unissued == 0 {
