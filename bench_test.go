@@ -168,7 +168,7 @@ func BenchmarkWidthPredictorAccuracy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		agg, n = 0, 0
 		for _, c := range g.CellsOf("", "Big") {
-			agg += c.Cmp.Redsoc.WidthPredictor.AggressiveRate()
+			agg += c.Cmp.Runs[ooo.PolicyRedsoc].WidthPredictor.AggressiveRate()
 			n++
 		}
 	}

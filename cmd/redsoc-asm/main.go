@@ -29,7 +29,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("redsoc-asm: ")
 	coreName := flag.String("core", "big", "core: big, medium or small")
-	policyName := flag.String("policy", "redsoc", "scheduler: baseline, redsoc, mos, loaddelay or speclsq")
+	policyName := flag.String("policy", "redsoc", "scheduler: "+strings.Join(ooo.PolicyNames(), ", "))
 	compare := flag.Bool("compare", false, "run every scheduler and compare")
 	maxSteps := flag.Int("max-steps", 0, "dynamic instruction cap (0 = default)")
 	trace := flag.Bool("trace", false, "print the obs pipeline event stream, one line per event (small programs!)")
@@ -62,11 +62,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("baseline %d cycles | redsoc %d (%+.1f%%) | ts %+.1f%% | mos %+.1f%% | loaddelay %+.1f%% | speclsq %+.1f%%\n",
-			cmp.Baseline.Cycles, cmp.Redsoc.Cycles,
-			100*(cmp.RedsocSpeedup()-1), 100*(cmp.TSSpeedup()-1), 100*(cmp.MOSSpeedup()-1),
-			100*(cmp.LoadDelaySpeedup()-1), 100*(cmp.SpecLSQSpeedup()-1))
-		verify(cmp.Redsoc, tr)
+		fmt.Printf("baseline %d cycles | redsoc %d (%+.1f%%) | ts %+.1f%%", cmp.Runs[ooo.PolicyBaseline].Cycles,
+			cmp.Runs[ooo.PolicyRedsoc].Cycles, 100*(cmp.Speedup(ooo.PolicyRedsoc)-1), 100*(cmp.TS.Speedup-1))
+		for p := ooo.PolicyRedsoc + 1; p < ooo.NumPolicies; p++ {
+			fmt.Printf(" | %s %+.1f%%", p, 100*(cmp.Speedup(p)-1))
+		}
+		fmt.Println()
+		verify(cmp.Runs[ooo.PolicyRedsoc], tr)
 		return
 	}
 

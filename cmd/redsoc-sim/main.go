@@ -4,7 +4,8 @@
 //
 // Usage:
 //
-//	redsoc-sim [-bench bitcnt] [-core big|medium|small] [-policy baseline|redsoc|mos]
+//	redsoc-sim [-bench bitcnt] [-core big|medium|small]
+//	           [-policy baseline|redsoc|mos|loaddelay|speclsq]
 //	           [-threshold n] [-precision bits] [-compare]
 //	           [-trace-out trace.json] [-trace-limit n] [-metrics-out metrics.json]
 //
@@ -52,7 +53,7 @@ func main() {
 	log.SetPrefix("redsoc-sim: ")
 	benchName := flag.String("bench", "bitcnt", "benchmark name (see -list)")
 	coreName := flag.String("core", "big", "core: big, medium or small")
-	policyName := flag.String("policy", "redsoc", "scheduler: baseline, redsoc, mos, loaddelay or speclsq")
+	policyName := flag.String("policy", "redsoc", "scheduler: "+strings.Join(ooo.PolicyNames(), ", "))
 	threshold := flag.Int("threshold", -1, "ReDSOC slack threshold in ticks (-1 = default)")
 	precision := flag.Int("precision", 0, "slack precision bits (0 = default 3)")
 	compare := flag.Bool("compare", false, "run every scheduler and compare")
@@ -92,13 +93,17 @@ func main() {
 		}
 		t := stats.NewTable(fmt.Sprintf("%s on %s", bench.Name, cfg.Name),
 			"scheduler", "cycles", "IPC", "speedup")
-		t.Row("baseline", cmp.Baseline.Cycles, cmp.Baseline.IPC(), "1.00x")
-		t.Row("redsoc", cmp.Redsoc.Cycles, cmp.Redsoc.IPC(), fmt.Sprintf("%.3fx", cmp.RedsocSpeedup()))
-		t.Row("ts", cmp.TS.Cycles, "-", fmt.Sprintf("%.3fx (%.0f ps, err %.3f%%)",
-			cmp.TSSpeedup(), float64(cmp.TS.PeriodPS), 100*cmp.TS.ErrorRate))
-		t.Row("mos", cmp.MOS.Cycles, cmp.MOS.IPC(), fmt.Sprintf("%.3fx", cmp.MOSSpeedup()))
-		t.Row("loaddelay", cmp.LoadDelay.Cycles, cmp.LoadDelay.IPC(), fmt.Sprintf("%.3fx", cmp.LoadDelaySpeedup()))
-		t.Row("speclsq", cmp.SpecLSQ.Cycles, cmp.SpecLSQ.IPC(), fmt.Sprintf("%.3fx", cmp.SpecLSQSpeedup()))
+		for p := range ooo.NumPolicies {
+			r, speedup := cmp.Runs[p], "1.00x"
+			if p != ooo.PolicyBaseline {
+				speedup = fmt.Sprintf("%.3fx", cmp.Speedup(p))
+			}
+			t.Row(p.String(), r.Cycles, r.IPC(), speedup)
+			if p == ooo.PolicyRedsoc {
+				t.Row("ts", cmp.TS.Cycles, "-", fmt.Sprintf("%.3fx (%.0f ps, err %.3f%%)",
+					cmp.TS.Speedup, float64(cmp.TS.PeriodPS), 100*cmp.TS.ErrorRate))
+			}
+		}
 		t.Render(os.Stdout)
 		return
 	}
@@ -139,7 +144,7 @@ func main() {
 		}
 	}
 	if *metricsOut != "" {
-		m := res.Metrics(bench.Name, cfg.Name, cfg.Policy.String())
+		m := res.Metrics(bench.Name)
 		if err := writeTo(*metricsOut, func(w io.Writer) error {
 			return obs.WriteJSON(w, m)
 		}); err != nil {

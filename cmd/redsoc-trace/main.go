@@ -140,7 +140,7 @@ func info(args []string) {
 func runTrace(args []string) {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	coreName := fs.String("core", "big", "core: big, medium or small")
-	policyName := fs.String("policy", "redsoc", "scheduler: baseline, redsoc, mos, loaddelay or speclsq")
+	policyName := fs.String("policy", "redsoc", "scheduler: "+strings.Join(ooo.PolicyNames(), ", "))
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		log.Fatal("usage: redsoc-trace run [-core ...] [-policy ...] in.trc")

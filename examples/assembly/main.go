@@ -53,7 +53,7 @@ func main() {
 			panic(err)
 		}
 		fmt.Printf("%-6s baseline %5d cycles | ReDSOC %5d (%+.1f%%) | TS %+.1f%% | fusion %+.1f%%\n",
-			cfg.Name, cmp.Baseline.Cycles, cmp.Redsoc.Cycles,
-			100*(cmp.RedsocSpeedup()-1), 100*(cmp.TSSpeedup()-1), 100*(cmp.MOSSpeedup()-1))
+			cfg.Name, cmp.Runs[ooo.PolicyBaseline].Cycles, cmp.Runs[ooo.PolicyRedsoc].Cycles,
+			100*(cmp.Speedup(ooo.PolicyRedsoc)-1), 100*(cmp.TS.Speedup-1), 100*(cmp.Speedup(ooo.PolicyMOS)-1))
 	}
 }

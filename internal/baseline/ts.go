@@ -132,44 +132,29 @@ func scaleLatency(cycles, periodPS int) int {
 type Comparison struct {
 	Benchmark string
 	Core      string
-	Baseline  *ooo.Result
-	Redsoc    *ooo.Result
-	MOS       *ooo.Result
-	LoadDelay *ooo.Result
-	SpecLSQ   *ooo.Result
-	TS        TSResult
+	// Runs holds the engine runs, one per scheduler policy, indexed by
+	// ooo.Policy. TS is a re-timed baseline, not an engine run.
+	Runs [ooo.NumPolicies]*ooo.Result
+	TS   TSResult
 }
 
-// RedsocSpeedup, MOSSpeedup, TSSpeedup, LoadDelaySpeedup and SpecLSQSpeedup
-// return the per-policy speedups over the shared baseline.
-func (c *Comparison) RedsocSpeedup() float64    { return c.Redsoc.SpeedupOver(c.Baseline) }
-func (c *Comparison) MOSSpeedup() float64       { return c.MOS.SpeedupOver(c.Baseline) }
-func (c *Comparison) TSSpeedup() float64        { return c.TS.Speedup }
-func (c *Comparison) LoadDelaySpeedup() float64 { return c.LoadDelay.SpeedupOver(c.Baseline) }
-func (c *Comparison) SpecLSQSpeedup() float64   { return c.SpecLSQ.SpeedupOver(c.Baseline) }
-
-// Engines returns the addresses of the five engine-run results, baseline
-// first (TS is a re-timed baseline, not an engine run). It is the one place
-// that lists them: callers read through it, or swap a result in place.
-func (c *Comparison) Engines() []**ooo.Result {
-	return []**ooo.Result{&c.Baseline, &c.Redsoc, &c.MOS, &c.LoadDelay, &c.SpecLSQ}
+// Speedup returns policy p's speedup over the shared baseline run.
+func (c *Comparison) Speedup(p ooo.Policy) float64 {
+	return c.Runs[p].SpeedupOver(c.Runs[ooo.PolicyBaseline])
 }
 
-// EngineConfigs returns the configurations of a comparison's five engine
-// runs on cfg, in Engines order: each scheduler on cfg, ReDSOC at the given
-// slack threshold. It is the one definition of what Compare runs, so a
-// journaled cell can name its results' configs by (cfg, threshold) instead
-// of storing them.
+// EngineConfigs returns the configurations of a comparison's engine runs
+// on cfg, indexed by ooo.Policy like Comparison.Runs: each scheduler on
+// cfg, ReDSOC at the given slack threshold. It is the one definition of
+// what Compare runs, so a journaled cell can name its results' configs by
+// (cfg, threshold) instead of storing them.
 func EngineConfigs(cfg ooo.Config, threshold int) []ooo.Config {
-	rc := cfg.WithPolicy(ooo.PolicyRedsoc)
-	rc.Redsoc.ThresholdTicks = threshold
-	return []ooo.Config{
-		cfg.WithPolicy(ooo.PolicyBaseline),
-		rc,
-		cfg.WithPolicy(ooo.PolicyMOS),
-		cfg.WithPolicy(ooo.PolicyLoadDelay),
-		cfg.WithPolicy(ooo.PolicySpecLSQ),
+	cfgs := make([]ooo.Config, ooo.NumPolicies)
+	for p := range ooo.NumPolicies {
+		cfgs[p] = cfg.WithPolicy(p)
 	}
+	cfgs[ooo.PolicyRedsoc].Redsoc.ThresholdTicks = threshold
+	return cfgs
 }
 
 // DefaultThreshold is the paper's default ReDSOC slack threshold on cfg
@@ -178,36 +163,36 @@ func DefaultThreshold(cfg ooo.Config) int {
 	return cfg.WithPolicy(ooo.PolicyRedsoc).Redsoc.ThresholdTicks
 }
 
-// Compare runs all six schedulers of one benchmark on one core with
-// ooo.Run; see Runner.Compare.
+// Compare runs every scheduler of one benchmark on one core with ooo.Run;
+// see Runner.Compare.
 func Compare(ctx context.Context, cfg ooo.Config, prog *isa.Program, threshold int) (*Comparison, error) {
 	return Runner(ooo.Run).Compare(ctx, cfg, prog, threshold)
 }
 
-// Compare runs all six schedulers of one benchmark on one core, ReDSOC at
-// the given slack threshold and TS from the baseline run, and fails if any
+// Compare runs every engine policy of one benchmark on one core (ReDSOC at
+// the given slack threshold) and TS from the baseline run, and fails if any
 // engine run's architectural state differs from the baseline's. Between
 // runs it notes progress through campaign.Heartbeat, so a stall report
 // names which simulation a hung campaign cell last finished; outside a
 // campaign the notes go nowhere.
 func (run Runner) Compare(ctx context.Context, cfg ooo.Config, prog *isa.Program, threshold int) (*Comparison, error) {
 	cmp := &Comparison{Benchmark: prog.Name, Core: cfg.Name}
-	dst := cmp.Engines()
-	for i, rc := range EngineConfigs(cfg, threshold) {
+	for p, rc := range EngineConfigs(cfg, threshold) {
 		res, err := run(rc, prog)
 		if err != nil {
 			return nil, err
 		}
-		*dst[i] = res
+		cmp.Runs[p] = res
 		campaign.Heartbeat(ctx, fmt.Sprintf("%s/%s: %s done (%d cycles)", prog.Name, cfg.Name, rc.Policy, res.Cycles))
 	}
-	ts, err := run.TS(cfg, prog, cmp.Baseline)
+	base := cmp.Runs[ooo.PolicyBaseline]
+	ts, err := run.TS(cfg, prog, base)
 	if err != nil {
 		return nil, err
 	}
 	cmp.TS = ts
-	for _, res := range cmp.Engines()[1:] {
-		if !(*res).ArchEqual(cmp.Baseline) {
+	for _, res := range cmp.Runs[ooo.PolicyBaseline+1:] {
+		if !res.ArchEqual(base) {
 			return nil, fmt.Errorf("baseline: architectural divergence on %s/%s", prog.Name, cfg.Name)
 		}
 	}

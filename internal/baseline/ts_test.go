@@ -119,23 +119,23 @@ func TestCompareBundlesAllFour(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cmp.RedsocSpeedup() <= 1.0 {
-		t.Fatalf("redsoc speedup %v", cmp.RedsocSpeedup())
+	if s := cmp.Speedup(ooo.PolicyRedsoc); s <= 1.0 {
+		t.Fatalf("redsoc speedup %v", s)
 	}
-	if cmp.MOSSpeedup() <= 1.0 {
-		t.Fatalf("mos speedup %v", cmp.MOSSpeedup())
+	if s := cmp.Speedup(ooo.PolicyMOS); s <= 1.0 {
+		t.Fatalf("mos speedup %v", s)
 	}
-	if cmp.TSSpeedup() <= 0 {
-		t.Fatalf("ts speedup %v", cmp.TSSpeedup())
+	if cmp.TS.Speedup <= 0 {
+		t.Fatalf("ts speedup %v", cmp.TS.Speedup)
 	}
 	if cmp.Benchmark != "chain" || cmp.Core != "Small" {
 		t.Fatalf("labels = %q/%q", cmp.Benchmark, cmp.Core)
 	}
 }
 
-// TestCompareEnginesAndThreshold pins Engines to the five engine runs in
-// ooo.Policy order and checks that Compare runs ReDSOC at the threshold it
-// was given.
+// TestCompareEnginesAndThreshold pins Runs to one engine run per policy,
+// indexed by ooo.Policy, and checks that Compare runs ReDSOC at the
+// threshold it was given.
 func TestCompareEnginesAndThreshold(t *testing.T) {
 	cfg := ooo.SmallConfig()
 	th := DefaultThreshold(cfg) - 1
@@ -143,16 +143,12 @@ func TestCompareEnginesAndThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engines := cmp.Engines()
-	if len(engines) != len(ooo.PolicyNames()) {
-		t.Fatalf("Engines lists %d results, want one per policy (%d)", len(engines), len(ooo.PolicyNames()))
-	}
-	for i, r := range engines {
-		if got := (*r).Config.Policy; got != ooo.Policy(i) {
-			t.Fatalf("Engines()[%d] ran %s, want %s", i, got, ooo.Policy(i))
+	for p := range ooo.NumPolicies {
+		if got := cmp.Runs[p].Config.Policy; got != p {
+			t.Fatalf("Runs[%s] ran %s", p, got)
 		}
 	}
-	if got := cmp.Redsoc.Config.Redsoc.ThresholdTicks; got != th {
+	if got := cmp.Runs[ooo.PolicyRedsoc].Config.Redsoc.ThresholdTicks; got != th {
 		t.Fatalf("redsoc ran at threshold %d, want %d", got, th)
 	}
 }

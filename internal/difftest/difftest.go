@@ -168,7 +168,7 @@ func Compare(p Pair, prog *isa.Program) (Digest, error) {
 	h := sha256.New()
 	io.WriteString(h, obs.FormatStream(buf.Events(), sim.Clock().TicksPerCycle()))
 	h.Write([]byte{0})
-	if err := obs.WriteJSON(h, res.Metrics(prog.Name, p.Config.Name, p.Config.Policy.String())); err != nil {
+	if err := obs.WriteJSON(h, res.Metrics(prog.Name)); err != nil {
 		return Digest{}, fmt.Errorf("%s: %w", p.Name, err)
 	}
 	d := Digest{Cycles: res.Cycles, Hash: hex.EncodeToString(h.Sum(nil))[:16]}

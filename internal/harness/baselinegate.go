@@ -119,11 +119,9 @@ func (g *Grid) MetricsSet(scale string) obs.MetricsSet {
 	set := obs.MetricsSet{Scale: scale, Runs: map[string]obs.Metrics{}}
 	for _, c := range g.Cells {
 		prefix := string(c.Benchmark.Class) + "/" + c.Benchmark.Name + "/" + c.Core + "/"
-		set.Runs[prefix+"baseline"] = c.Cmp.Baseline.Metrics(c.Benchmark.Name, c.Core, "baseline")
-		set.Runs[prefix+"redsoc"] = c.Cmp.Redsoc.Metrics(c.Benchmark.Name, c.Core, "redsoc")
-		set.Runs[prefix+"mos"] = c.Cmp.MOS.Metrics(c.Benchmark.Name, c.Core, "mos")
-		set.Runs[prefix+"loaddelay"] = c.Cmp.LoadDelay.Metrics(c.Benchmark.Name, c.Core, "loaddelay")
-		set.Runs[prefix+"speclsq"] = c.Cmp.SpecLSQ.Metrics(c.Benchmark.Name, c.Core, "speclsq")
+		for _, r := range c.Cmp.Runs {
+			set.Runs[prefix+r.Config.Policy.String()] = r.Metrics(c.Benchmark.Name)
+		}
 	}
 	return set
 }

@@ -63,9 +63,9 @@ func TestClaimOrderings(t *testing.T) {
 			var rd, ts, mos float64
 			cells := g.CellsOf(class, core)
 			for _, c := range cells {
-				rd += 100 * (c.Cmp.RedsocSpeedup() - 1)
-				ts += 100 * (c.Cmp.TSSpeedup() - 1)
-				mos += 100 * (c.Cmp.MOSSpeedup() - 1)
+				rd += 100 * (c.Cmp.Speedup(ooo.PolicyRedsoc) - 1)
+				ts += 100 * (c.Cmp.TS.Speedup - 1)
+				mos += 100 * (c.Cmp.Speedup(ooo.PolicyMOS) - 1)
 			}
 			if rd < 2*ts || rd < 1.5*mos {
 				t.Errorf("%s/%s: ReDSOC %+0.1f%% vs TS %+0.1f%% / MOS %+0.1f%% — want >= 2x TS, 1.5x MOS",
@@ -78,8 +78,8 @@ func TestClaimOrderings(t *testing.T) {
 	// that recycle heavily.
 	var base, red float64
 	for _, c := range g.CellsOf(ClassMiB, "") {
-		base += c.Cmp.Baseline.FUStallRate()
-		red += c.Cmp.Redsoc.FUStallRate()
+		base += c.Cmp.Runs[ooo.PolicyBaseline].FUStallRate()
+		red += c.Cmp.Runs[ooo.PolicyRedsoc].FUStallRate()
 	}
 	if red <= base {
 		t.Errorf("MiBench FU stalls must rise under recycling: %.3f -> %.3f", base, red)

@@ -46,8 +46,8 @@ func runSerialReference(benchmarks []Benchmark, cores []ooo.Config, opts Options
 				if opts.Progress != nil {
 					opts.Progress(fmt.Sprintf("%-8s %-10s %-7s redsoc %+5.1f%%  ts %+5.1f%%  mos %+5.1f%%  loaddelay %+5.1f%%  speclsq %+5.1f%%",
 						class, b.Name, cfg.Name,
-						100*(cmp.RedsocSpeedup()-1), 100*(cmp.TSSpeedup()-1), 100*(cmp.MOSSpeedup()-1),
-						100*(cmp.LoadDelaySpeedup()-1), 100*(cmp.SpecLSQSpeedup()-1)))
+						100*(cmp.Speedup(ooo.PolicyRedsoc)-1), 100*(cmp.TS.Speedup-1), 100*(cmp.Speedup(ooo.PolicyMOS)-1),
+						100*(cmp.Speedup(ooo.PolicyLoadDelay)-1), 100*(cmp.Speedup(ooo.PolicySpecLSQ)-1)))
 				}
 			}
 		}
@@ -108,9 +108,9 @@ func gridFingerprint(t *testing.T, g *Grid) string {
 	for _, c := range g.Cells {
 		fmt.Fprintf(&buf, "cell %s/%s/%s th=%d base=%d redsoc=%d mos=%d loaddelay=%d speclsq=%d ts=%.6f recycled=%d holds=%d viol=%d\n",
 			c.Benchmark.Class, c.Benchmark.Name, c.Core, c.Threshold,
-			c.Cmp.Baseline.Cycles, c.Cmp.Redsoc.Cycles, c.Cmp.MOS.Cycles,
-			c.Cmp.LoadDelay.Cycles, c.Cmp.SpecLSQ.Cycles, c.Cmp.TSSpeedup(),
-			c.Cmp.Redsoc.RecycledOps, c.Cmp.Redsoc.TwoCycleHolds, c.Cmp.Redsoc.TimingViolations)
+			c.Cmp.Runs[ooo.PolicyBaseline].Cycles, c.Cmp.Runs[ooo.PolicyRedsoc].Cycles, c.Cmp.Runs[ooo.PolicyMOS].Cycles,
+			c.Cmp.Runs[ooo.PolicyLoadDelay].Cycles, c.Cmp.Runs[ooo.PolicySpecLSQ].Cycles, c.Cmp.TS.Speedup,
+			c.Cmp.Runs[ooo.PolicyRedsoc].RecycledOps, c.Cmp.Runs[ooo.PolicyRedsoc].TwoCycleHolds, c.Cmp.Runs[ooo.PolicyRedsoc].TimingViolations)
 	}
 	return buf.String()
 }

@@ -133,7 +133,7 @@ func (g *Grid) Fig10Table() *stats.Table {
 			continue
 		}
 		done[c.Benchmark.Name] = true
-		m := c.Cmp.Baseline.Mix
+		m := c.Cmp.Runs[ooo.PolicyBaseline].Mix
 		tot := float64(m.Total())
 		t.Row(c.Benchmark.Name,
 			stats.Pct(float64(m.MemHL)/tot), stats.Pct(float64(m.MemLL)/tot),
@@ -150,14 +150,8 @@ func (g *Grid) Fig11Table() *stats.Table {
 		"class", "core", "EV length", "sequences", "paper")
 	for _, class := range Classes() {
 		for _, core := range []string{"Big", "Medium", "Small"} {
-			cells := g.CellsOf(class, core)
-			var evs []float64
-			var n uint64
-			for _, c := range cells {
-				evs = append(evs, c.Cmp.Redsoc.Sequences.ExpectedLength())
-				n += c.Cmp.Redsoc.Sequences.Count()
-			}
-			t.Row(string(class), core, stats.Mean(evs), n, "4-6")
+			st := g.schedStats(class, core)
+			t.Row(string(class), core, st.seqEV, st.seqs, "4-6")
 		}
 	}
 	return t
@@ -169,19 +163,39 @@ func (g *Grid) Fig12Table() *stats.Table {
 		"class", "core", "mispredict %", "paper")
 	for _, class := range Classes() {
 		for _, core := range []string{"Big", "Medium", "Small"} {
-			var wrong, lookups uint64
-			for _, c := range g.CellsOf(class, core) {
-				wrong += c.Cmp.Redsoc.LastArrival.Mispredictions
-				lookups += c.Cmp.Redsoc.LastArrival.Lookups
-			}
-			rate := 0.0
-			if lookups > 0 {
-				rate = float64(wrong) / float64(lookups)
-			}
-			t.Row(string(class), core, stats.Pct(rate), "~1-3%")
+			t.Row(string(class), core, stats.Pct(g.schedStats(class, core).tagMispredict), "~1-3%")
 		}
 	}
 	return t
+}
+
+// schedStats are one class × core's scheduler statistics, over its cells:
+// Fig. 11's mean expected transparent-sequence length and sequence count,
+// Fig. 12's last-arrival tag misprediction rate and Fig. 14's mean FU stall
+// rates, each under ReDSOC (and Fig. 14's under the baseline too).
+type schedStats struct {
+	seqEV, tagMispredict, stallBase, stallRedsoc float64
+	seqs                                         uint64
+}
+
+func (g *Grid) schedStats(class Class, core string) schedStats {
+	var st schedStats
+	var evs, sb, sr []float64
+	var wrong, lookups uint64
+	for _, c := range g.CellsOf(class, core) {
+		red := c.Cmp.Runs[ooo.PolicyRedsoc]
+		evs = append(evs, red.Sequences.ExpectedLength())
+		st.seqs += red.Sequences.Count()
+		wrong += red.LastArrival.Mispredictions
+		lookups += red.LastArrival.Lookups
+		sb = append(sb, c.Cmp.Runs[ooo.PolicyBaseline].FUStallRate())
+		sr = append(sr, red.FUStallRate())
+	}
+	if lookups > 0 {
+		st.tagMispredict = float64(wrong) / float64(lookups)
+	}
+	st.seqEV, st.stallBase, st.stallRedsoc = stats.Mean(evs), stats.Mean(sb), stats.Mean(sr)
+	return st
 }
 
 // Fig13Table renders per-benchmark speedups plus class means against the
@@ -193,13 +207,7 @@ func (g *Grid) Fig13Table() *stats.Table {
 	for _, n := range names {
 		row := []any{n}
 		for _, core := range []string{"Big", "Medium", "Small"} {
-			v := "-"
-			for _, c := range g.CellsOf("", core) {
-				if c.Benchmark.Name == n {
-					v = fmt.Sprintf("%+.1f%%", 100*(c.Cmp.RedsocSpeedup()-1))
-				}
-			}
-			row = append(row, v)
+			row = append(row, g.redsocCell(n, core))
 		}
 		t.Row(row...)
 	}
@@ -220,12 +228,8 @@ func (g *Grid) Fig14Table() *stats.Table {
 		"core:class", "baseline", "redsoc")
 	for _, core := range []string{"Big", "Medium", "Small"} {
 		for _, class := range Classes() {
-			var b, r []float64
-			for _, c := range g.CellsOf(class, core) {
-				b = append(b, c.Cmp.Baseline.FUStallRate())
-				r = append(r, c.Cmp.Redsoc.FUStallRate())
-			}
-			t.Row(fmt.Sprintf("%s:%s", core, class), stats.Pct(stats.Mean(b)), stats.Pct(stats.Mean(r)))
+			st := g.schedStats(class, core)
+			t.Row(fmt.Sprintf("%s:%s", core, class), stats.Pct(st.stallBase), stats.Pct(st.stallRedsoc))
 		}
 	}
 	return t
@@ -237,19 +241,35 @@ func (g *Grid) Fig15Table() *stats.Table {
 		"core:class", "ReDSOC", "TS", "MOS")
 	for _, core := range []string{"Big", "Medium", "Small"} {
 		for _, class := range Classes() {
-			var rd, ts, mos []float64
-			for _, c := range g.CellsOf(class, core) {
-				rd = append(rd, 100*(c.Cmp.RedsocSpeedup()-1))
-				ts = append(ts, 100*(c.Cmp.TSSpeedup()-1))
-				mos = append(mos, 100*(c.Cmp.MOSSpeedup()-1))
-			}
+			rd, ts, mos := g.fig15Means(class, core)
 			t.Row(fmt.Sprintf("%s:%s", core, class),
-				fmt.Sprintf("%+.1f%%", stats.Mean(rd)),
-				fmt.Sprintf("%+.1f%%", stats.Mean(ts)),
-				fmt.Sprintf("%+.1f%%", stats.Mean(mos)))
+				fmt.Sprintf("%+.1f%%", rd), fmt.Sprintf("%+.1f%%", ts), fmt.Sprintf("%+.1f%%", mos))
 		}
 	}
 	return t
+}
+
+// redsocCell formats benchmark name's ReDSOC speedup on core for Fig. 13,
+// "-" when the grid has no such cell.
+func (g *Grid) redsocCell(name, core string) string {
+	for _, c := range g.CellsOf("", core) {
+		if c.Benchmark.Name == name {
+			return fmt.Sprintf("%+.1f%%", 100*(c.Cmp.Speedup(ooo.PolicyRedsoc)-1))
+		}
+	}
+	return "-"
+}
+
+// fig15Means returns one class × core's mean ReDSOC, TS and MOS speedups,
+// in percent over the baseline (Fig. 15).
+func (g *Grid) fig15Means(class Class, core string) (rd, ts, mos float64) {
+	var r, t, m []float64
+	for _, c := range g.CellsOf(class, core) {
+		r = append(r, 100*(c.Cmp.Speedup(ooo.PolicyRedsoc)-1))
+		t = append(t, 100*(c.Cmp.TS.Speedup-1))
+		m = append(m, 100*(c.Cmp.Speedup(ooo.PolicyMOS)-1))
+	}
+	return stats.Mean(r), stats.Mean(t), stats.Mean(m)
 }
 
 // PowerTable converts class-mean speedups into iso-performance power savings

@@ -1,8 +1,7 @@
 // Package harness drives the paper's full evaluation: it builds the fifteen
 // benchmarks (five SPEC-calibrated synthetics, five MiBench kernels, five
 // Table II ML kernels), runs them across the three Table I cores under every
-// scheduler (baseline, ReDSOC, TS, MOS, loaddelay, speclsq), applies the
-// per-application-class
+// scheduler (every ooo.Policy, plus TS), applies the per-application-class
 // slack-threshold sweep of Sec. VI-C, and renders each of the paper's
 // figures and tables as text (Fig. 1–3, Table I/II, Fig. 10–15, the
 // precision sweep, the power conversion, and the overhead accounting).
@@ -191,8 +190,8 @@ type classCore struct {
 }
 
 // cellTask is one Phase B grid cell: a benchmark on a core at the threshold
-// the sweep chose for its class, and the five engine configs its results
-// run under (baseline.EngineConfigs), built once per (class, core) pair so
+// the sweep chose for its class, and the engine configs its results run
+// under (baseline.EngineConfigs), built once per (class, core) pair so
 // a journal hit does not rebuild them.
 type cellTask struct {
 	classCore
@@ -335,8 +334,8 @@ func runGrid(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, op
 				t := tasks[owned[j]]
 				opts.Progress(fmt.Sprintf("%-8s %-10s %-7s redsoc %+5.1f%%  ts %+5.1f%%  mos %+5.1f%%  loaddelay %+5.1f%%  speclsq %+5.1f%%",
 					t.class, t.b.Name, t.cfg.Name,
-					100*(c.Cmp.RedsocSpeedup()-1), 100*(c.Cmp.TSSpeedup()-1), 100*(c.Cmp.MOSSpeedup()-1),
-					100*(c.Cmp.LoadDelaySpeedup()-1), 100*(c.Cmp.SpecLSQSpeedup()-1)))
+					100*(c.Cmp.Speedup(ooo.PolicyRedsoc)-1), 100*(c.Cmp.TS.Speedup-1), 100*(c.Cmp.Speedup(ooo.PolicyMOS)-1),
+					100*(c.Cmp.Speedup(ooo.PolicyLoadDelay)-1), 100*(c.Cmp.Speedup(ooo.PolicySpecLSQ)-1)))
 			}
 		}),
 		func(ctx context.Context, j int) (Cell, error) {
@@ -444,8 +443,7 @@ func chooseThresholds(ctx context.Context, pairs []classCore, byClass map[Class]
 // memory.
 func verify(b Benchmark, cmp *baseline.Comparison) error {
 	for addr, want := range b.WantMem {
-		for _, res := range cmp.Engines() {
-			res := *res
+		for _, res := range cmp.Runs {
 			if got := res.FinalMem[addr]; got != want {
 				return fmt.Errorf("harness: %s/%s/%s mem[%#x] = %#x, want %#x",
 					b.Name, cmp.Core, res.Config.Policy, addr, got, want)
@@ -475,7 +473,7 @@ func (g *Grid) ClassMeanSpeedup(class Class, core string) float64 {
 	}
 	sum := 0.0
 	for _, c := range cells {
-		sum += 100 * (c.Cmp.RedsocSpeedup() - 1)
+		sum += 100 * (c.Cmp.Speedup(ooo.PolicyRedsoc) - 1)
 	}
 	return sum / float64(len(cells))
 }

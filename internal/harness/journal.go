@@ -22,8 +22,8 @@ import (
 	"redsoc/internal/timing"
 )
 
-// Journaling: every unit of grid work — a Phase B cell (six scheduler runs
-// compared and verified) and a Phase A sweep total (one class × core ×
+// Journaling: every unit of grid work — a Phase B cell (every engine policy
+// and TS, compared and verified) and a Phase A sweep total (one class × core ×
 // threshold-candidate speedup sum) — is content-addressed in the cell
 // journal by a canonical fingerprint of everything that determines its
 // outcome: the full core configuration, a digest of the workload (name,
@@ -48,8 +48,8 @@ const cellPayloadVersion = 6
 
 // archState is the final architectural state every scheduler of a cell
 // committed. baseline.Compare fails a cell whose schedulers
-// disagree (ArchEqual), so one copy describes all five results exactly;
-// encodeCell re-checks that before dropping the other four.
+// disagree (ArchEqual), so one copy describes all of its results exactly;
+// encodeCell re-checks that before dropping the others.
 type archState struct {
 	Regs  map[isa.Reg]alu.Value
 	Mem   map[uint64]uint64
@@ -170,7 +170,7 @@ func WorkloadDigests(benchmarks []Benchmark) map[*isa.Program][]byte {
 // so the keys are unchanged. An int and a []string always marshal.
 var (
 	payloadVersionID, _ = json.Marshal(cellPayloadVersion)
-	cellPoliciesID, _   = json.Marshal([]string{"baseline", "redsoc", "mos", "loaddelay", "speclsq", "ts"})
+	cellPoliciesID, _   = json.Marshal(append(ooo.PolicyNames(), "ts"))
 )
 
 // intID is the canonical JSON of an int key field, its decimal digits.
@@ -209,19 +209,18 @@ func sweepKey(core, class []byte, digests [][]byte, candidate int) cellstore.Key
 // (appendArch). Both are canonical, so identical cells produce identical
 // bytes. What the payload leaves out must come back exactly: a cell whose
 // comparison names another benchmark or core than (b, cfg), whose results
-// did not run under baseline.EngineConfigs(cfg, threshold), or whose five
-// results do not hold exactly the same architectural state (see archState),
+// did not run under baseline.EngineConfigs(cfg, threshold), or whose
+// results do not all hold exactly the same architectural state (see archState),
 // is refused, so it is simulated again rather than journaled lossily.
 func encodeCell(c Cell, cfg ooo.Config) ([]byte, error) {
 	cmp := c.Cmp
-	base := cmp.Baseline
+	base := cmp.Runs[ooo.PolicyBaseline]
 	if cmp.Benchmark != c.Benchmark.Prog.Name || cmp.Core != cfg.Name {
 		return nil, fmt.Errorf("harness: cell %s/%s: comparison names another cell than %s on %s", cmp.Benchmark, cmp.Core, c.Benchmark.Prog.Name, cfg.Name)
 	}
 	cfgs := baseline.EngineConfigs(cfg, c.Threshold)
-	for i, res := range cmp.Engines() {
-		r := *res
-		if r.Config != cfgs[i] {
+	for p, r := range cmp.Runs {
+		if r.Config != cfgs[p] {
 			return nil, fmt.Errorf("harness: cell %s/%s: %s result ran under another config than %s at threshold %d", cmp.Benchmark, cmp.Core, r.Config.Policy, cfg.Name, c.Threshold)
 		}
 		if !r.ArchEqual(base) {
@@ -235,7 +234,7 @@ func encodeCell(c Cell, cfg ooo.Config) ([]byte, error) {
 
 // decodeCell rebuilds the Cell of task t from its journaled payload: the
 // comparison gets its benchmark and core names back from t, each result
-// its config from t.engines, and all five share the one stored
+// its config from t.engines, and all of them share the one stored
 // architectural state (its maps; everything downstream only reads them),
 // decoded through archCache. Any shape problem, or a threshold other than
 // t's, is an error, which the caller treats as a cache miss.
@@ -253,9 +252,8 @@ func decodeCell(data []byte, t cellTask) (Cell, error) {
 	if err != nil {
 		return Cell{}, err
 	}
-	for i, res := range cmp.Engines() {
-		r := *res
-		r.Config = t.engines[i]
+	for p, r := range cmp.Runs {
+		r.Config = t.engines[p]
 		r.FinalRegs, r.FinalMem, r.FinalFlags = arch.Regs, arch.Mem, arch.Flags
 	}
 	return Cell{Benchmark: t.b, Core: t.cfg.Name, Threshold: th, Cmp: cmp}, nil
@@ -314,7 +312,7 @@ func (archCache) decode(prog *isa.Program, section []byte) (archState, error) {
 // uvarints, raw bytes and floats as 8-byte little-endian IEEE 754 bits:
 //
 //	version (cellPayloadVersion), threshold
-//	five results in Engines order, each field in ooo.Result declaration order:
+//	one result per policy in ooo.Policy order, each field in ooo.Result declaration order:
 //	    a counter: the uvarint of its two's-complement bits
 //	    HeadWait, Sequences: entry count, then key and value per entry in
 //	        ascending key order (an op-class name is its length and bytes)
@@ -556,15 +554,15 @@ func (c *codec) result(r *ooo.Result) {
 }
 
 // cell walks a cell's results section: everything in its payload before
-// the architectural-state section. Decoding allocates the five results.
+// the architectural-state section. Decoding allocates the results.
 func (c *codec) cell(th *int, cmp *baseline.Comparison) {
 	c.version()
 	ints(c, th)
-	for _, r := range cmp.Engines() {
+	for p := range cmp.Runs {
 		if !c.enc {
-			*r = new(ooo.Result)
+			cmp.Runs[p] = new(ooo.Result)
 		}
-		c.result(*r)
+		c.result(cmp.Runs[p])
 	}
 	ts := &cmp.TS
 	ints(c, &ts.PeriodPS)

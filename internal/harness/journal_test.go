@@ -46,13 +46,7 @@ func quickCell(t testing.TB, name string) Cell {
 	return simulateCell(t, b)
 }
 
-func cellResults(c *baseline.Comparison) []*ooo.Result {
-	var out []*ooo.Result
-	for _, r := range c.Engines() {
-		out = append(out, *r)
-	}
-	return out
-}
+func cellResults(c *baseline.Comparison) []*ooo.Result { return c.Runs[:] }
 
 // TestJournalCellPayloadRoundTrip pins payload v6 over every quick
 // benchmark: decoding an encoded cell gives back results deep-equal to the
@@ -106,7 +100,7 @@ func TestLoadBufferReuseLeavesCellIntact(t *testing.T) {
 	for _, r := range cellResults(fresh.Cmp) {
 		heads, seqs, bins = heads+len(r.HeadWait), seqs+len(r.Sequences.Histogram()), bins+len(r.DelayHistogram)
 	}
-	if heads == 0 || seqs == 0 || bins == 0 || len(fresh.Cmp.Baseline.FinalMem) == 0 {
+	if heads == 0 || seqs == 0 || bins == 0 || len(fresh.Cmp.Runs[ooo.PolicyBaseline].FinalMem) == 0 {
 		t.Fatal("premise: the cell must hold HeadWait, Sequences, delay bins and memory")
 	}
 	data, err := encodeCell(fresh, cfg)
@@ -186,15 +180,15 @@ func TestCellCodecComplete(t *testing.T) {
 		}
 	}
 	supplied := map[string]bool{"Config": true, "FinalRegs": true, "FinalMem": true, "FinalFlags": true}
-	for _, res := range cmp.Engines() {
-		r := &ooo.Result{Config: (*res).Config, FinalRegs: (*res).FinalRegs, FinalMem: (*res).FinalMem, FinalFlags: (*res).FinalFlags}
+	for p, res := range cmp.Runs {
+		r := &ooo.Result{Config: res.Config, FinalRegs: res.FinalRegs, FinalMem: res.FinalMem, FinalFlags: res.FinalFlags}
 		rv := reflect.ValueOf(r).Elem()
 		for i := range rv.NumField() {
 			if !supplied[rv.Type().Field(i).Name] {
 				fill(rv.Field(i))
 			}
 		}
-		*res = r
+		cmp.Runs[p] = r
 	}
 	fill(reflect.ValueOf(&cmp.TS).Elem())
 	c.Cmp = &cmp
@@ -239,7 +233,7 @@ func splitCell(t testing.TB, data []byte) (results, section []byte) {
 // with a newline and the binary section.
 func jsonPayload(t testing.TB, version int, c Cell) []byte {
 	t.Helper()
-	base := c.Cmp.Baseline
+	base := c.Cmp.Runs[ooo.PolicyBaseline]
 	head := map[string]any{"version": version, "threshold_ticks": c.Threshold, "comparison": c.Cmp}
 	if version == 3 {
 		head["arch"] = map[string]any{"regs": base.FinalRegs, "mem": base.FinalMem, "flags": base.FinalFlags}
@@ -308,18 +302,16 @@ func TestEncodeCellRefuses(t *testing.T) {
 		t.Fatalf("premise: the simulated cell must encode: %v", err)
 	}
 	// with returns fresh with one result replaced by an edited copy.
-	with := func(pick func(*baseline.Comparison) **ooo.Result, edit func(*ooo.Result)) Cell {
+	with := func(p ooo.Policy, edit func(*ooo.Result)) Cell {
 		c := fresh
 		cmp := *fresh.Cmp
-		r := **pick(&cmp)
+		r := *cmp.Runs[p]
 		edit(&r)
-		*pick(&cmp) = &r
+		cmp.Runs[p] = &r
 		c.Cmp = &cmp
 		return c
 	}
-	redsoc := func(c *baseline.Comparison) **ooo.Result { return &c.Redsoc }
-	mos := func(c *baseline.Comparison) **ooo.Result { return &c.MOS }
-	base := func(c *baseline.Comparison) **ooo.Result { return &c.Baseline }
+	redsoc, mos, base := ooo.PolicyRedsoc, ooo.PolicyMOS, ooo.PolicyBaseline
 	for _, tc := range []struct {
 		name string
 		cell Cell

@@ -26,13 +26,7 @@ func (g *Grid) WriteMarkdown(w io.Writer) error {
 	for _, name := range g.benchmarkNames() {
 		p("| %s |", name)
 		for _, core := range []string{"Big", "Medium", "Small"} {
-			cell := "-"
-			for _, c := range g.CellsOf("", core) {
-				if c.Benchmark.Name == name {
-					cell = fmt.Sprintf("%+.1f%%", 100*(c.Cmp.RedsocSpeedup()-1))
-				}
-			}
-			p(" %s |", cell)
+			p(" %s |", g.redsocCell(name, core))
 		}
 		p("\n")
 	}
@@ -49,14 +43,8 @@ func (g *Grid) WriteMarkdown(w io.Writer) error {
 	p("| core:class | ReDSOC | TS | MOS |\n|---|---|---|---|\n")
 	for _, core := range []string{"Big", "Medium", "Small"} {
 		for _, class := range Classes() {
-			var rd, ts, mos []float64
-			for _, c := range g.CellsOf(class, core) {
-				rd = append(rd, 100*(c.Cmp.RedsocSpeedup()-1))
-				ts = append(ts, 100*(c.Cmp.TSSpeedup()-1))
-				mos = append(mos, 100*(c.Cmp.MOSSpeedup()-1))
-			}
-			p("| %s:%s | %+.1f%% | %+.1f%% | %+.1f%% |\n",
-				core, class, stats.Mean(rd), stats.Mean(ts), stats.Mean(mos))
+			rd, ts, mos := g.fig15Means(class, core)
+			p("| %s:%s | %+.1f%% | %+.1f%% | %+.1f%% |\n", core, class, rd, ts, mos)
 		}
 	}
 
@@ -64,26 +52,12 @@ func (g *Grid) WriteMarkdown(w io.Writer) error {
 	p("| class | core | seq EV | tag mispredict | FU stalls (base→redsoc) |\n|---|---|---|---|---|\n")
 	for _, class := range Classes() {
 		for _, core := range []string{"Big", "Medium", "Small"} {
-			cells := g.CellsOf(class, core)
-			if len(cells) == 0 {
+			if len(g.CellsOf(class, core)) == 0 {
 				continue
 			}
-			var evs, sb, sr []float64
-			var wrong, lookups uint64
-			for _, c := range cells {
-				evs = append(evs, c.Cmp.Redsoc.Sequences.ExpectedLength())
-				sb = append(sb, c.Cmp.Baseline.FUStallRate())
-				sr = append(sr, c.Cmp.Redsoc.FUStallRate())
-				wrong += c.Cmp.Redsoc.LastArrival.Mispredictions
-				lookups += c.Cmp.Redsoc.LastArrival.Lookups
-			}
-			rate := 0.0
-			if lookups > 0 {
-				rate = float64(wrong) / float64(lookups)
-			}
-			p("| %s | %s | %.2f | %s | %s → %s |\n",
-				class, core, stats.Mean(evs), stats.Pct(rate),
-				stats.Pct(stats.Mean(sb)), stats.Pct(stats.Mean(sr)))
+			st := g.schedStats(class, core)
+			p("| %s | %s | %.2f | %s | %s → %s |\n", class, core, st.seqEV,
+				stats.Pct(st.tagMispredict), stats.Pct(st.stallBase), stats.Pct(st.stallRedsoc))
 		}
 	}
 

@@ -1,5 +1,7 @@
 package harness
 
+import "redsoc/internal/ooo"
+
 // Report is the machine-readable record of one evaluation run — the payload
 // redsoc-bench writes as BENCH_report.json to seed the performance
 // trajectory across PRs. Everything under Cells, ClassMeans and Thresholds
@@ -59,23 +61,24 @@ func (g *Grid) Report() *Report {
 	r := &Report{}
 	coreOrder := g.coreOrder()
 	for _, c := range g.Cells {
+		cmp := c.Cmp
 		r.Cells = append(r.Cells, CellReport{
 			Class:            string(c.Benchmark.Class),
 			Benchmark:        c.Benchmark.Name,
 			Core:             c.Core,
 			Threshold:        c.Threshold,
-			Instructions:     c.Cmp.Baseline.Instructions,
-			BaselineCycles:   c.Cmp.Baseline.Cycles,
-			RedsocCycles:     c.Cmp.Redsoc.Cycles,
-			MOSCycles:        c.Cmp.MOS.Cycles,
-			LoadDelayCycles:  c.Cmp.LoadDelay.Cycles,
-			SpecLSQCycles:    c.Cmp.SpecLSQ.Cycles,
-			RedsocSpeedup:    c.Cmp.RedsocSpeedup(),
-			TSSpeedup:        c.Cmp.TSSpeedup(),
-			MOSSpeedup:       c.Cmp.MOSSpeedup(),
-			LoadDelaySpeedup: c.Cmp.LoadDelaySpeedup(),
-			SpecLSQSpeedup:   c.Cmp.SpecLSQSpeedup(),
-			RecycledOps:      c.Cmp.Redsoc.RecycledOps,
+			Instructions:     cmp.Runs[ooo.PolicyBaseline].Instructions,
+			BaselineCycles:   cmp.Runs[ooo.PolicyBaseline].Cycles,
+			RedsocCycles:     cmp.Runs[ooo.PolicyRedsoc].Cycles,
+			MOSCycles:        cmp.Runs[ooo.PolicyMOS].Cycles,
+			LoadDelayCycles:  cmp.Runs[ooo.PolicyLoadDelay].Cycles,
+			SpecLSQCycles:    cmp.Runs[ooo.PolicySpecLSQ].Cycles,
+			RedsocSpeedup:    cmp.Speedup(ooo.PolicyRedsoc),
+			TSSpeedup:        cmp.TS.Speedup,
+			MOSSpeedup:       cmp.Speedup(ooo.PolicyMOS),
+			LoadDelaySpeedup: cmp.Speedup(ooo.PolicyLoadDelay),
+			SpecLSQSpeedup:   cmp.Speedup(ooo.PolicySpecLSQ),
+			RecycledOps:      cmp.Runs[ooo.PolicyRedsoc].RecycledOps,
 		})
 	}
 	for _, class := range Classes() {

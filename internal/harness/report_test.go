@@ -3,6 +3,8 @@ package harness
 import (
 	"encoding/json"
 	"testing"
+
+	"redsoc/internal/ooo"
 )
 
 // TestGridReport checks the machine-readable report against the grid it was
@@ -19,11 +21,11 @@ func TestGridReport(t *testing.T) {
 		if rc.Benchmark != c.Benchmark.Name || rc.Core != c.Core || rc.Class != string(c.Benchmark.Class) {
 			t.Fatalf("cell %d identity %+v does not match grid cell %s/%s", i, rc, c.Benchmark.Name, c.Core)
 		}
-		if rc.BaselineCycles != c.Cmp.Baseline.Cycles || rc.RedsocCycles != c.Cmp.Redsoc.Cycles {
+		if rc.BaselineCycles != c.Cmp.Runs[ooo.PolicyBaseline].Cycles || rc.RedsocCycles != c.Cmp.Runs[ooo.PolicyRedsoc].Cycles {
 			t.Fatalf("cell %d cycles %+v do not match the comparison", i, rc)
 		}
-		if rc.RedsocSpeedup != c.Cmp.RedsocSpeedup() {
-			t.Fatalf("cell %d speedup %v, want %v", i, rc.RedsocSpeedup, c.Cmp.RedsocSpeedup())
+		if rc.RedsocSpeedup != c.Cmp.Speedup(ooo.PolicyRedsoc) {
+			t.Fatalf("cell %d speedup %v, want %v", i, rc.RedsocSpeedup, c.Cmp.Speedup(ooo.PolicyRedsoc))
 		}
 		if rc.Threshold != c.Threshold || rc.Instructions == 0 {
 			t.Fatalf("cell %d metadata %+v incomplete", i, rc)

@@ -9,6 +9,7 @@ import (
 	"redsoc/internal/baseline"
 	"redsoc/internal/cellstore"
 	"redsoc/internal/isa"
+	"redsoc/internal/ooo"
 )
 
 // TestRunCacheEngineRunCount pins the engine work of the quick grid: with
@@ -86,9 +87,9 @@ func TestResumedCellsShareArchState(t *testing.T) {
 	}
 	mems := map[*isa.Program]map[uintptr]int{}
 	for _, c := range g.Cells {
-		id := mapID(c.Cmp.Baseline.FinalMem)
-		for _, r := range c.Cmp.Engines() {
-			if mapID((*r).FinalMem) != id {
+		id := mapID(c.Cmp.Runs[ooo.PolicyBaseline].FinalMem)
+		for _, r := range c.Cmp.Runs {
+			if mapID(r.FinalMem) != id {
 				t.Fatalf("%s/%s: a cell's results hold different memory maps", c.Benchmark.Name, c.Core)
 			}
 		}
@@ -96,7 +97,7 @@ func TestResumedCellsShareArchState(t *testing.T) {
 			mems[c.Benchmark.Prog] = map[uintptr]int{}
 		}
 		mems[c.Benchmark.Prog][id]++
-		if odd := c.Benchmark.Prog == odd.Prog && c.Core == oddCore.Name; odd != (c.Cmp.Baseline.FinalMem[0xdead0] == 1) {
+		if odd := c.Benchmark.Prog == odd.Prog && c.Core == oddCore.Name; odd != (c.Cmp.Runs[ooo.PolicyBaseline].FinalMem[0xdead0] == 1) {
 			t.Fatalf("%s/%s: decoded the wrong section", c.Benchmark.Name, c.Core)
 		}
 	}
@@ -171,8 +172,8 @@ func TestResumedRunsShareArchState(t *testing.T) {
 	}
 	perProg := map[*isa.Program]uintptr{}
 	for i, c := range grids[1].Cells {
-		id := mapID(c.Cmp.Baseline.FinalMem)
-		if id != mapID(grids[0].Cells[i].Cmp.Baseline.FinalMem) {
+		id := mapID(c.Cmp.Runs[ooo.PolicyBaseline].FinalMem)
+		if id != mapID(grids[0].Cells[i].Cmp.Runs[ooo.PolicyBaseline].FinalMem) {
 			t.Errorf("%s/%s: the second run decoded its own FinalMem instead of sharing the first run's", c.Benchmark.Name, c.Core)
 		}
 		if first, ok := perProg[c.Benchmark.Prog]; ok && first != id {

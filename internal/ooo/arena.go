@@ -249,7 +249,7 @@ func borrowStorage(cfg Config, img *mem.Image) *storage {
 	st.widthPred.Reset(cfg.WidthPredictorEntries, predict.DefaultConfidenceBits)
 	st.lastPred.Reset(cfg.LastArrivalEntries)
 	st.branchPred.Reset(predict.DefaultBranchEntries, predict.DefaultHistoryBits)
-	if cfg.Policy == PolicyLoadDelay {
+	if policies[cfg.Policy].tracksLoadDelay {
 		if st.loadPred == nil {
 			st.loadPred = &predict.LoadDelayTracker{}
 		}

@@ -24,69 +24,6 @@ import (
 	"redsoc/internal/timing"
 )
 
-// Policy selects the scheduling mechanism under test.
-type Policy uint8
-
-const (
-	// PolicyBaseline is the conventional timing-conservative core: every
-	// operation clocks at cycle boundaries.
-	PolicyBaseline Policy = iota
-	// PolicyRedsoc enables slack recycling per the core.Params.
-	PolicyRedsoc
-	// PolicyMOS is the Multiple-Operations-in-Single-cycle comparator
-	// (dynamic operation fusion, Sec. VI-D).
-	PolicyMOS
-	// PolicyLoadDelay schedules load consumers by real-time load-delay
-	// tracking (Diavastos & Carlson): each static load's last observed delay
-	// is broadcast as its completion instant, and under-tracked delays are
-	// recovered through the Razor-style operand detectors and selective
-	// reissue — the completion instants on the wakeup bus become dynamic,
-	// history-dependent values instead of static LUT entries.
-	PolicyLoadDelay
-	// PolicySpecLSQ allocates LSQ entries speculatively (Szafarczyk et al.):
-	// store-to-load forwarding runs at LSQ-read latency rather than a cache
-	// probe, and a forwardable load may request issue eagerly alongside its
-	// store, squashing as a misallocation when the store has not executed.
-	PolicySpecLSQ
-
-	numPolicies
-)
-
-// String names the policy.
-func (p Policy) String() string {
-	switch p {
-	case PolicyRedsoc:
-		return "redsoc"
-	case PolicyMOS:
-		return "mos"
-	case PolicyLoadDelay:
-		return "loaddelay"
-	case PolicySpecLSQ:
-		return "speclsq"
-	}
-	return "baseline"
-}
-
-// PolicyNames lists every policy's flag name, in enum order.
-func PolicyNames() []string {
-	names := make([]string, 0, int(numPolicies))
-	for p := PolicyBaseline; p < numPolicies; p++ {
-		names = append(names, p.String())
-	}
-	return names
-}
-
-// ParsePolicy resolves a policy flag name (as printed by String) to its
-// Policy, for the CLIs.
-func ParsePolicy(name string) (Policy, error) {
-	for p := PolicyBaseline; p < numPolicies; p++ {
-		if p.String() == name {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("ooo: unknown policy %q (available: %s)", name, strings.Join(PolicyNames(), ", "))
-}
-
 // Config describes one core. Use SmallConfig/MediumConfig/BigConfig for the
 // Table I machines.
 type Config struct {
@@ -176,7 +113,7 @@ func (c Config) Validate() error {
 	if n := cc.LoadDelayEntries; n <= 0 || n&(n-1) != 0 {
 		return fmt.Errorf("ooo: load-delay tracker entries %d must be a positive power of two", n)
 	}
-	if cc.Policy >= numPolicies {
+	if cc.Policy >= NumPolicies {
 		return fmt.Errorf("ooo: unknown policy %d", cc.Policy)
 	}
 	if err := cc.Mem.Validate(); err != nil {
@@ -192,7 +129,7 @@ func (c Config) Validate() error {
 	if err != nil {
 		return err
 	}
-	if cc.Policy == PolicyRedsoc {
+	if policies[cc.Policy].recycles {
 		if err := cc.Redsoc.Validate(clock); err != nil {
 			return err
 		}
@@ -261,12 +198,13 @@ func ParseCore(name string) (Config, error) {
 }
 
 // WithPolicy returns a copy configured for the given scheduling policy; for
-// PolicyRedsoc the paper's default parameters are applied.
+// a recycling policy (PolicyRedsoc) the paper's default parameters are
+// applied.
 func (c Config) WithPolicy(p Policy) Config {
 	c = c.withDefaults()
 	c.Policy = p
 	c.Redsoc = core.Params{}
-	if p == PolicyRedsoc {
+	if p < NumPolicies && policies[p].recycles {
 		// An out-of-range precision leaves the params zeroed; Validate (run
 		// by ooo.New) reports the precision error itself.
 		if clock, err := timing.NewClock(c.PrecisionBits); err == nil {

@@ -290,27 +290,45 @@ func TestDynDelayEventKindsGated(t *testing.T) {
 	}
 }
 
-// TestPolicyParseRoundTrip pins the flag-name surface the CLIs share.
+// TestPolicyParseRoundTrip pins the flag-name surface the CLIs share: every
+// row of the policy table round-trips through its name, and the sentinel
+// past the last row is no policy.
 func TestPolicyParseRoundTrip(t *testing.T) {
 	names := PolicyNames()
 	want := []string{"baseline", "redsoc", "mos", "loaddelay", "speclsq"}
-	if len(names) != len(want) {
-		t.Fatalf("PolicyNames() = %v, want %v", names, want)
+	if len(names) != len(want) || len(policies) != len(want) {
+		t.Fatalf("PolicyNames() = %v over %d table rows, want %v", names, len(policies), want)
 	}
 	for i, n := range want {
-		if names[i] != n {
-			t.Fatalf("PolicyNames()[%d] = %q, want %q", i, names[i], n)
+		if names[i] != n || policies[i].name != n {
+			t.Fatalf("PolicyNames()[%d] = %q, table row %q, want %q", i, names[i], policies[i].name, n)
 		}
-		p, err := ParsePolicy(n)
+	}
+	for i, row := range policies {
+		p, err := ParsePolicy(row.name)
 		if err != nil {
-			t.Fatalf("ParsePolicy(%q): %v", n, err)
+			t.Fatalf("ParsePolicy(%q): %v", row.name, err)
 		}
-		if p.String() != n {
-			t.Fatalf("round trip %q -> %v -> %q", n, p, p.String())
+		if p != Policy(i) || p.String() != row.name {
+			t.Fatalf("round trip %q -> %d -> %q, want row %d", row.name, p, p.String(), i)
+		}
+		if err := SmallConfig().WithPolicy(p).Validate(); err != nil {
+			t.Fatalf("%s: Validate: %v", p, err)
 		}
 	}
 	if _, err := ParsePolicy("ts"); err == nil {
 		t.Fatal("ts is a harness comparator, not an ooo policy; ParsePolicy must reject it")
+	}
+	if _, err := ParsePolicy(NumPolicies.String()); err == nil {
+		t.Fatalf("ParsePolicy accepted the sentinel's name %q", NumPolicies.String())
+	}
+	bad := SmallConfig()
+	bad.Policy = NumPolicies
+	if err := bad.Validate(); err == nil {
+		t.Fatal("Validate accepted Policy == NumPolicies")
+	}
+	if _, err := New(bad, longChain(isa.OpADD, 4)); err == nil {
+		t.Fatal("New accepted Policy == NumPolicies")
 	}
 }
 

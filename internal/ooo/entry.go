@@ -35,13 +35,6 @@ func fuKindOf(class isa.Class) fuKind {
 	}
 }
 
-// transparentCapable reports whether the op can evaluate through the
-// transparent bypass network: the single-cycle scalar ALU and integer SIMD
-// operations (paper Sec. III/V). Memory, FP, MUL/DIV are "true synchronous".
-func transparentCapable(op isa.Op) bool {
-	return op.SingleCycle()
-}
-
 type entryState uint8
 
 const (

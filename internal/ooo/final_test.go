@@ -49,7 +49,7 @@ func TestRunsShareArchState(t *testing.T) {
 	conv, _ := ml.Conv(24, 16, 23)
 	for _, p := range []*isa.Program{bitcnt, conv} {
 		for _, core := range []Config{SmallConfig(), MediumConfig(), BigConfig()} {
-			for pol := PolicyBaseline; pol < numPolicies; pol++ {
+			for pol := PolicyBaseline; pol < NumPolicies; pol++ {
 				cfg := core.WithPolicy(pol)
 				ths := []int{cfg.Redsoc.ThresholdTicks}
 				if pol == PolicyRedsoc {
@@ -172,7 +172,7 @@ func TestConcurrentRunsShareArchState(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r, err := Run(MediumConfig().WithPolicy(Policy(i%int(numPolicies))), p)
+			r, err := Run(MediumConfig().WithPolicy(Policy(i%int(NumPolicies))), p)
 			if err != nil {
 				t.Error(err)
 				return

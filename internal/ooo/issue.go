@@ -23,16 +23,13 @@ func awake(p *entry, cycle int64) bool {
 }
 
 // tracksAllParents reports whether this entry's wakeup monitors every parent
-// tag: baseline/MOS cores do (2 tags per RSE), the ReDSOC Illustrative
-// design does, and the Operational design falls back to it after a
-// last-arrival misprediction.
+// tag: every core but ReDSOC's Operational design does (allTags; 2 tags per
+// RSE), and the Operational design falls back to it after a last-arrival
+// misprediction.
 //
 //redsoc:hotpath
 func (s *Simulator) tracksAllParents(e *entry) bool {
-	if s.cfg.Policy != PolicyRedsoc {
-		return true
-	}
-	return s.params.Design == core.Illustrative || e.validated
+	return s.allTags || e.validated
 }
 
 // canTransparent reports whether the op may evaluate through the transparent
@@ -41,8 +38,7 @@ func (s *Simulator) tracksAllParents(e *entry) bool {
 //
 //redsoc:hotpath
 func (s *Simulator) canTransparent(e *entry) bool {
-	return s.cfg.Policy == PolicyRedsoc && s.params.Recycle && e.bits&trace.BitSingleCycle != 0 &&
-		!s.degr[e.fu].Degraded()
+	return s.params.Recycle && e.bits&trace.BitSingleCycle != 0 && !s.degr[e.fu].Degraded()
 }
 
 // trackedReady returns whether the entry's tracked parents have all
@@ -80,7 +76,7 @@ func (s *Simulator) trackedReady(e *entry, cycle int64) (bool, timing.Ticks) {
 	if e.isLoad && e.memDep != none {
 		dep := s.ent(e.memDep)
 		if forwardable(dep, e) {
-			if s.cfg.Policy == PolicySpecLSQ && !e.validated && dep.state == stWaiting {
+			if s.specLSQ && !e.validated && dep.state == stWaiting {
 				// Speculative LSQ allocation: the load bets its store will
 				// have executed by register read and requests issue without
 				// waiting for the store's broadcast (age-ordered grants run
@@ -451,22 +447,8 @@ func (s *Simulator) issueEntry(e *entry, cycle int64, spec bool) bool {
 		sched = core.PlanSynchronous(s.clock, window, trueReady, s.clock.CyclesToTicks(lat))
 		occupancy = 1 // address-generation slot; the cache is pipelined
 		if s.loadPred != nil {
-			// Real-time load-delay tracking: the wakeup bus carries a CI
-			// built from this static load's last observed delay (cold loads
-			// assume an L1 hit), while the honest schedule above keeps the
-			// resolved latency for commit and the detectors. Consumers that
-			// issued against an under-tracked delay latch early and are
-			// caught by their own consumer-side detector (trueParentComp
-			// uses trueComp, never the broadcast), then selectively
-			// reissued; over-tracked delays merely wake consumers late.
-			predLat = s.loadPred.Predict(e.pc, s.cfg.Mem.L1Latency)
-			predComp = core.PlanSynchronous(s.clock, window, trueReady, s.clock.CyclesToTicks(predLat)).Comp
+			predLat, predComp = s.trackLoadDelay(e, window, trueReady, lat)
 			hasPred = true
-			s.loadPred.Update(e.pc, predLat, lat)
-			s.res.LoadDelayPredicts++
-			if predLat != lat {
-				s.res.LoadDelayMispredicts++
-			}
 		}
 	case e.isStore:
 		s.hier.Access(e.addr) // write-allocate; buffered, latency hidden
@@ -631,7 +613,7 @@ func (s *Simulator) issueEntry(e *entry, cycle int64, spec bool) bool {
 				PC: e.pc, FU: uint8(e.fu), Unit: int16(unit), Arg: int64(predLat),
 				Start: broadcastComp, Comp: sched.Comp})
 		}
-		if s.cfg.Policy == PolicySpecLSQ && e.isLoad && e.memDep != none {
+		if s.specLSQ && e.isLoad && e.memDep != none {
 			if dep := s.ent(e.memDep); forwardable(dep, e) {
 				s.obs.Emit(obs.Event{Kind: obs.KindLSQForward, Cycle: cycle, Seq: e.seq, Op: e.op,
 					PC: e.pc, FU: uint8(e.fu), Unit: int16(unit), Arg: dep.seq})
@@ -639,7 +621,7 @@ func (s *Simulator) issueEntry(e *entry, cycle int64, spec bool) bool {
 		}
 	}
 
-	if s.cfg.Policy == PolicyMOS {
+	if s.fuse {
 		s.tryFuse(e, cycle)
 	}
 	return true
@@ -665,25 +647,6 @@ func (s *Simulator) cancelGrant(e *entry, cycle int64, spec bool) bool {
 		}
 		s.obs.Emit(obs.Event{Kind: obs.KindCancel, Cycle: cycle, Seq: e.seq, Op: e.op,
 			PC: e.pc, FU: uint8(e.fu), Unit: -1, Flags: fl})
-	}
-	e.validated = true
-	return false
-}
-
-// lsqSquash handles a lost speculative-LSQ bet at issue validation: the
-// load's forwardable store has not executed, so the speculatively allocated
-// queue entry holds no data — a misallocation. The grant is wasted and the
-// entry reverts to conventional store wakeup (validated suppresses further
-// bets; the dispatch-time registration on the store's tag re-wakes the load
-// when the store broadcasts or commits), the same selective-reissue recovery
-// cancelGrant uses for tag mispredicts.
-//
-//redsoc:hotpath
-func (s *Simulator) lsqSquash(e, dep *entry, cycle int64, spec bool) bool {
-	s.res.LSQMisallocations++
-	if s.obs != nil {
-		s.obs.Emit(obs.Event{Kind: obs.KindLSQSquash, Cycle: cycle, Seq: e.seq, Op: e.op,
-			PC: e.pc, FU: uint8(e.fu), Unit: -1, Arg: dep.seq})
 	}
 	e.validated = true
 	return false
@@ -760,28 +723,13 @@ func (s *Simulator) producerAt(e *entry, start timing.Ticks) *entry {
 	return nil
 }
 
-// lsqForwardLatency is the LSQ-read latency a speculatively allocated entry
-// forwards at: one cycle, straight off the queue's data array, instead of the
-// L1 probe a conventional forward is charged.
-const lsqForwardLatency = 1
-
 // loadLatency resolves a load's latency: store-forwarded loads cost an L1
 // hit; others probe the hierarchy. Classification for Fig. 10 happens here.
 //
 //redsoc:hotpath
 func (s *Simulator) loadLatency(e *entry, fwdDep *entry) int {
-	if s.cfg.Policy == PolicySpecLSQ && e.memDep != none {
-		if dep := s.ent(e.memDep); forwardable(dep, e) {
-			// Speculative LSQ allocation: the data comes straight off the
-			// store's queue entry at LSQ-read latency — no cache probe.
-			// Committed stores forward too: the arena refcount the memDep
-			// link holds pins the slab entry (and its result) until this
-			// load retires, so the queue read stays valid past commit.
-			s.res.LSQSpecForwards++
-			s.res.Mix.MemLL++
-			e.memLat = lsqForwardLatency
-			return e.memLat
-		}
+	if s.specLSQ && s.lsqForward(e) {
+		return e.memLat
 	}
 	if fwdDep != nil && forwardable(fwdDep, e) {
 		s.res.Mix.MemLL++
@@ -931,94 +879,5 @@ func (s *Simulator) classify(e *entry, out alu.Outcome) {
 		// Multi-cycle and memory pipeline stages bound timing speculation
 		// (they can err on every cycle too); record their limiting stage.
 		s.delays[timing.StageDelayPS(e.class)]++
-	}
-}
-
-// tryFuse implements the MOS comparator: after issuing a single-cycle
-// producer, look for the oldest waiting single-cycle dependent whose delay
-// fits in the producer's remaining cycle budget and execute it piggybacked
-// in the same cycle on the same unit.
-//
-// The candidates are the producer's own waiters, not the whole RS: every
-// dependent dispatched while the producer was unissued — which is every
-// dependent, since it issues (and broadcasts) exactly once, now — registered
-// on its tag. Waiters are appended at dispatch, so the list is ascending by
-// seq and the probe runs oldest-first, the order the old seq-sorted RS scan
-// probed in; a consumer naming the producer in two operands registered twice,
-// back to back, and is probed once.
-//
-//redsoc:hotpath
-func (s *Simulator) tryFuse(e *entry, cycle int64) {
-	if e.bits&trace.BitSingleCycle == 0 || e.bits&trace.BitMem != 0 {
-		return
-	}
-	tpc := s.clock.CyclesToTicks(1)
-	window := s.clock.CycleStart(cycle + 1)
-	prev := none
-	for _, bi := range e.waiters {
-		if bi == prev {
-			continue
-		}
-		prev = bi
-		b := s.ent(bi)
-		if b.state != stWaiting || b.fused || b.bits&trace.BitSingleCycle == 0 || b.fu != e.fu {
-			continue
-		}
-		if e.exTicks+b.exTicks > tpc {
-			continue
-		}
-		dependsOnE := false
-		ok := true
-		for i := 0; i < int(b.nsrc); i++ {
-			pi := b.srcs[i].prod
-			if pi == none {
-				continue
-			}
-			p := s.ent(pi)
-			if p == e {
-				dependsOnE = true
-				continue
-			}
-			if p.broadcastCycle < 0 || p.broadcastCycle >= cycle || p.estComp > window {
-				ok = false
-				break
-			}
-		}
-		if !dependsOnE || !ok {
-			continue
-		}
-		out := s.execute(b, nil)
-		if s.estimator.Aggressive(b.est, out.ActualWidth) {
-			// The fused pair would miss timing: abandon this fusion with no
-			// side effects. b is still stWaiting and will issue (and width-
-			// validate) through the normal path later; counting a replay or
-			// rewriting its EX-TIME here would double-account that path.
-			continue
-		}
-		if b.est.Predicted {
-			// The fusion lands, so this is b's real execution: train the
-			// width predictor exactly once (the precheck above guarantees
-			// the prediction was not aggressive).
-			s.estimator.Validate(s.in(b), b.est, out.ActualWidth)
-		}
-		b.storeOutcome(out)
-		b.sched = core.Schedule{Start: window, Comp: window + tpc, FUCycles: 0}
-		b.estComp = b.sched.Comp
-		b.trueComp = b.sched.Comp
-		b.broadcastCycle = cycle
-		b.state = stIssued
-		b.fused = true
-		b.chainLen = 1
-		s.rsRemove(b)
-		s.res.FusedOps++
-		s.wakeWaiters(b)
-		s.trainLastArrival(b)
-		s.classify(b, out)
-		if s.obs != nil {
-			s.obs.Emit(obs.Event{Kind: obs.KindIssue, Cycle: cycle, Seq: b.seq, Op: b.op,
-				PC: b.pc, FU: uint8(b.fu), Unit: -1, Flags: obs.FlagFused,
-				Start: b.sched.Start, Comp: b.sched.Comp, Arg: e.seq})
-		}
-		return
 	}
 }

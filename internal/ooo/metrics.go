@@ -6,7 +6,7 @@ import "redsoc/internal/obs"
 // scheduler counter under stable snake_case keys, plus the derived rates the
 // paper's evaluation leans on. The maps serialize with sorted keys, so two
 // snapshots of identical runs are byte-identical.
-func (r *Result) Metrics(benchmark, core, policy string) obs.Metrics {
+func (r *Result) Metrics(benchmark string) obs.Metrics {
 	c := map[string]int64{
 		"cycles":                r.Cycles,
 		"instructions":          r.Instructions,
@@ -56,24 +56,6 @@ func (r *Result) Metrics(benchmark, core, policy string) obs.Metrics {
 		"mem_prefetches":        int64(r.MemStats.Prefetches),
 	}
 
-	ratio := func(num, den int64) float64 {
-		if den == 0 {
-			return 0
-		}
-		return float64(num) / float64(den)
-	}
-	// Dynamic-delay policy counters appear only under their policy: the
-	// difftest golden digests and the committed reports pin every other
-	// policy's metrics key set byte for byte.
-	switch r.Config.Policy {
-	case PolicyLoadDelay:
-		c["load_delay_predicts"] = r.LoadDelayPredicts
-		c["load_delay_mispredicts"] = r.LoadDelayMispredicts
-		c["load_delay_lookups"] = int64(r.LoadDelay.Lookups)
-	case PolicySpecLSQ:
-		c["lsq_spec_forwards"] = r.LSQSpecForwards
-		c["lsq_misallocations"] = r.LSQMisallocations
-	}
 	ops := r.Mix.Total()
 	rates := map[string]float64{
 		"ipc":                    r.IPC(),
@@ -89,18 +71,23 @@ func (r *Result) Metrics(benchmark, core, policy string) obs.Metrics {
 		"width_exact_rate":       ratio(int64(r.WidthPredictor.Exact), int64(r.WidthPredictor.Lookups)),
 		"l1_hit_rate":            ratio(int64(r.MemStats.L1Hits), int64(r.MemStats.Accesses)),
 	}
-	switch r.Config.Policy {
-	case PolicyLoadDelay:
-		rates["load_delay_hit_rate"] = r.LoadDelay.HitRate()
-	case PolicySpecLSQ:
-		rates["lsq_misalloc_rate"] = ratio(r.LSQMisallocations, r.LSQSpecForwards+r.LSQMisallocations)
+	if m := policies[r.Config.Policy].metrics; m != nil {
+		m(r, c, rates)
 	}
 
 	return obs.Metrics{
 		Benchmark: benchmark,
-		Core:      core,
-		Policy:    policy,
+		Core:      r.Config.Name,
+		Policy:    r.Config.Policy.String(),
 		Counters:  c,
 		Rates:     rates,
 	}
+}
+
+// ratio is num/den, or 0 when den is 0.
+func ratio(num, den int64) float64 {
+	if den == 0 {
+		return 0
+	}
+	return float64(num) / float64(den)
 }

@@ -191,7 +191,7 @@ func TestMetricsSnapshotDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		var sb strings.Builder
-		if err := obs.WriteJSON(&sb, r.Metrics("chain", "Big", "redsoc")); err != nil {
+		if err := obs.WriteJSON(&sb, r.Metrics("chain")); err != nil {
 			t.Fatal(err)
 		}
 		return sb.String()

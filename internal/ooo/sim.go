@@ -41,9 +41,16 @@ type Simulator struct {
 	// ReDSOC-only adapt controller changes them during a run.
 	params core.Params
 
+	// The policy's table row, resolved at New (policy.go): allTags makes
+	// every wakeup monitor all parent tags (every design but ReDSOC's
+	// Operational one), specLSQ turns on speclsq.go's LSQ bets and fuse
+	// mos.go's fusion.
+	allTags, specLSQ, fuse bool
+
 	// loadPred is the real-time load-delay tracker; non-nil only under
 	// PolicyLoadDelay, where loads broadcast completion instants built from
-	// their tracked delay instead of the resolved cache latency.
+	// their tracked delay instead of the resolved cache latency
+	// (loaddelay.go).
 	loadPred *predict.LoadDelayTracker
 
 	// redirect, when set (!= none), is a mispredicted branch: dispatch is
@@ -112,10 +119,8 @@ func New(cfg Config, prog *isa.Program) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	params := core.Params{}
-	if cfg.Policy == PolicyRedsoc {
-		params = cfg.Redsoc
-	}
+	ps := &policies[cfg.Policy]
+	params, estParams := ps.params(cfg, clock)
 	lut := timing.NewLUT(clock)
 	dec := trace.DecodeCached(prog)
 	st := borrowStorage(cfg, dec.Image)
@@ -133,22 +138,25 @@ func New(cfg Config, prog *isa.Program) (*Simulator, error) {
 		widthPred:  st.widthPred,
 		lastPred:   st.lastPred,
 		branchPred: st.branchPred,
-		estimator:  core.NewEstimator(lut, st.widthPred, estimatorParams(cfg, clock)),
-		arbiter:    core.NewArbiter(cfg.Policy == PolicyRedsoc && params.SkewedSelect),
+		estimator:  core.NewEstimator(lut, st.widthPred, estParams),
+		arbiter:    core.NewArbiter(params.SkewedSelect),
 		params:     params,
+		allTags:    !ps.recycles || params.Design == core.Illustrative,
+		specLSQ:    ps.specLSQ,
+		fuse:       ps.fuses,
 		redirect:   none,
 	}
-	if cfg.Policy == PolicyLoadDelay {
+	if ps.tracksLoadDelay {
 		s.loadPred = st.loadPred
 	}
 	for i := range s.rat {
 		s.rat[i] = none
 	}
-	if cfg.Policy == PolicyRedsoc && params.DynamicThreshold {
+	if params.DynamicThreshold {
 		s.adapt = core.NewThresholdController(params.ThresholdTicks, clock.TicksPerCycle())
 	}
 	s.inject = fault.NewInjector(cfg.Fault)
-	if cfg.Policy == PolicyRedsoc && params.Recycle && cfg.Degrade.Enable {
+	if params.Recycle && cfg.Degrade.Enable {
 		// Only the transparent-capable pools can recycle slack, so only they
 		// have a baseline to degrade to.
 		s.degr[fuALU] = fault.NewDegrader(cfg.Degrade)
@@ -167,20 +175,6 @@ func New(cfg Config, prog *isa.Program) (*Simulator, error) {
 //
 //redsoc:hotpath
 func (s *Simulator) in(e *entry) *isa.Instruction { return &s.prog.Instrs[e.ti] }
-
-// estimatorParams: the baseline core does not carry slack hardware, but the
-// estimator still runs (to classify ops for Fig. 10 and to feed MOS fusion
-// windows); width prediction is only meaningful under ReDSOC.
-func estimatorParams(cfg Config, clock timing.Clock) core.Params {
-	if cfg.Policy == PolicyRedsoc {
-		return cfg.Redsoc
-	}
-	p := core.DefaultParams(clock)
-	p.Recycle = false
-	p.EGPW = false
-	p.WidthPrediction = cfg.Policy == PolicyMOS // MOS needs width estimates too
-	return p
-}
 
 // Run simulates to completion and returns the results. It returns the
 // simulator's machine storage to the spare list for the next New, so it runs
@@ -564,8 +558,7 @@ func (s *Simulator) wakeWaiters(e *entry) {
 //
 //redsoc:hotpath
 func (s *Simulator) egpwCandidate(e *entry) bool {
-	return s.cfg.Policy == PolicyRedsoc && s.params.EGPW && s.params.Recycle &&
-		e.bits&trace.BitSingleCycle != 0
+	return s.params.EGPW && s.params.Recycle && e.bits&trace.BitSingleCycle != 0
 }
 
 // watchWakeups registers a freshly dispatched entry on the consumer list of

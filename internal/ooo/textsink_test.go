@@ -100,7 +100,7 @@ func TestTextSinkDetach(t *testing.T) {
 // exactly what FormatStream renders from a Buffer of the same run, under
 // every policy.
 func TestTextSinkMatchesFormatStream(t *testing.T) {
-	for p := PolicyBaseline; p < numPolicies; p++ {
+	for p := PolicyBaseline; p < NumPolicies; p++ {
 		cfg := SmallConfig().WithPolicy(p)
 		_, want := runObserved(t, cfg, mosMixProg())
 		if got := runText(t, cfg, mosMixProg()); got != want {

@@ -82,18 +82,16 @@ const (
 )
 
 // String names the scheduler.
-func (s Scheduler) String() string {
-	switch s {
-	case ReDSOC:
-		return "redsoc"
-	case OperationFusion:
-		return "mos"
-	case LoadDelayTracking:
-		return "loaddelay"
-	case SpeculativeLSQ:
-		return "speclsq"
+func (s Scheduler) String() string { return s.policy().String() }
+
+// policy is the engine policy the scheduler runs as: each Scheduler
+// constant has the value of its ooo.Policy, and an unknown Scheduler runs as
+// the baseline.
+func (s Scheduler) policy() ooo.Policy {
+	if s < 0 || s >= Scheduler(ooo.NumPolicies) {
+		return ooo.PolicyBaseline
 	}
-	return "baseline"
+	return ooo.Policy(s)
 }
 
 // Config selects a core, a scheduler and the optional ReDSOC knobs.
@@ -122,9 +120,8 @@ func (c Config) ooo() ooo.Config {
 	if c.PrecisionBits > 0 {
 		cfg.PrecisionBits = c.PrecisionBits
 	}
-	switch c.Scheduler {
-	case ReDSOC:
-		cfg = cfg.WithPolicy(ooo.PolicyRedsoc)
+	cfg = cfg.WithPolicy(c.Scheduler.policy())
+	if cfg.Policy == ooo.PolicyRedsoc {
 		if c.SlackThreshold > 0 {
 			cfg.Redsoc.ThresholdTicks = c.SlackThreshold
 		}
@@ -135,14 +132,6 @@ func (c Config) ooo() ooo.Config {
 			cfg.Redsoc.SkewedSelect = false
 		}
 		cfg.Redsoc.DynamicThreshold = c.DynamicThreshold
-	case OperationFusion:
-		cfg = cfg.WithPolicy(ooo.PolicyMOS)
-	case LoadDelayTracking:
-		cfg = cfg.WithPolicy(ooo.PolicyLoadDelay)
-	case SpeculativeLSQ:
-		cfg = cfg.WithPolicy(ooo.PolicySpecLSQ)
-	default:
-		cfg = cfg.WithPolicy(ooo.PolicyBaseline)
 	}
 	if c.PVT {
 		cfg.PVT = timing.PVTConfig{Enable: true}
@@ -241,11 +230,11 @@ func CompareSchedulers(core CoreSize, p *Program) (*Comparison, error) {
 		return nil, err
 	}
 	return &Comparison{
-		Baseline:                  metricsOf(cmp.Baseline),
-		ReDSOC:                    metricsOf(cmp.Redsoc),
-		OperationFusion:           metricsOf(cmp.MOS),
-		LoadDelay:                 metricsOf(cmp.LoadDelay),
-		SpecLSQ:                   metricsOf(cmp.SpecLSQ),
+		Baseline:                  metricsOf(cmp.Runs[ooo.PolicyBaseline]),
+		ReDSOC:                    metricsOf(cmp.Runs[ooo.PolicyRedsoc]),
+		OperationFusion:           metricsOf(cmp.Runs[ooo.PolicyMOS]),
+		LoadDelay:                 metricsOf(cmp.Runs[ooo.PolicyLoadDelay]),
+		SpecLSQ:                   metricsOf(cmp.Runs[ooo.PolicySpecLSQ]),
 		TimingSpeculationSpeedup:  cmp.TS.Speedup,
 		TimingSpeculationPeriodPS: cmp.TS.PeriodPS,
 	}, nil

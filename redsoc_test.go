@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"redsoc/internal/harness"
+	"redsoc/internal/ooo"
 )
 
 func chainProgram(n int) *Program {
@@ -69,21 +70,45 @@ func TestCompareSchedulers(t *testing.T) {
 }
 
 func TestDynamicDelaySchedulerNames(t *testing.T) {
-	for s, want := range map[Scheduler]string{
+	all := map[Scheduler]string{
 		Baseline: "baseline", ReDSOC: "redsoc", OperationFusion: "mos",
 		LoadDelayTracking: "loaddelay", SpeculativeLSQ: "speclsq",
-	} {
-		if s.String() != want {
-			t.Fatalf("Scheduler(%d).String() = %q, want %q", s, s.String(), want)
+	}
+	if len(all) != int(ooo.NumPolicies) {
+		t.Fatalf("%d Schedulers, but ooo has %d policies", len(all), ooo.NumPolicies)
+	}
+	for s, want := range all {
+		if s.String() != want || ooo.Policy(s).String() != want {
+			t.Fatalf("Scheduler(%d).String() = %q, ooo.Policy(%d) = %q, want %q", s, s.String(), s, ooo.Policy(s), want)
+		}
+		if got := (Config{Scheduler: s}).ooo().Policy; got != ooo.Policy(s) {
+			t.Fatalf("Scheduler %s runs as %s", s, got)
+		}
+	}
+	p := chainProgram(50)
+	base, err := Run(Config{Core: Small, Scheduler: Baseline}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	red, err := Run(Config{Core: Small, Scheduler: ReDSOC}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if red.Cycles == base.Cycles {
+		t.Fatal("premise: ReDSOC must beat the baseline on the chain")
+	}
+	// An unknown Scheduler still runs, as the baseline.
+	for _, s := range []Scheduler{-1, Scheduler(ooo.NumPolicies), 99} {
+		m, err := Run(Config{Core: Small, Scheduler: s}, p)
+		if err != nil {
+			t.Fatalf("Scheduler(%d): %v", s, err)
+		}
+		if s.String() != "baseline" || m.Cycles != base.Cycles {
+			t.Fatalf("Scheduler(%d) = %q ran %d cycles, want baseline's %d", s, s.String(), m.Cycles, base.Cycles)
 		}
 	}
 	// Run must accept the new schedulers directly, not only via Compare.
-	p := chainProgram(50)
 	for _, s := range []Scheduler{LoadDelayTracking, SpeculativeLSQ} {
-		base, err := Run(Config{Core: Small, Scheduler: Baseline}, p)
-		if err != nil {
-			t.Fatal(err)
-		}
 		m, err := Run(Config{Core: Small, Scheduler: s}, p)
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
