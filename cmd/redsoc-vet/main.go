@@ -3,8 +3,9 @@
 // the invariants the simulator's claims rest on — tick/picosecond/cycle unit
 // discipline, deterministic simulation (lexically via simdeterminism and
 // whole-program via detflow's taint analysis), panic placement, conservative
-// rounding of delay arithmetic, and the hot path's zero-allocation contract
-// (lexically via schedalloc and transitively via hotpathflow).
+// rounding of delay arithmetic, the obs layer's zero-overhead contract, and
+// the hot path's zero-allocation contract (hotpath: in each marked body and
+// transitively through the call graph).
 //
 // Usage:
 //
@@ -30,10 +31,9 @@ import (
 	"redsoc/internal/analysis/conservativeround"
 	"redsoc/internal/analysis/detflow"
 	"redsoc/internal/analysis/framework"
-	"redsoc/internal/analysis/hotpathflow"
+	"redsoc/internal/analysis/hotpath"
 	"redsoc/internal/analysis/obszeroalloc"
 	"redsoc/internal/analysis/panicpolicy"
-	"redsoc/internal/analysis/schedalloc"
 	"redsoc/internal/analysis/simdeterminism"
 	"redsoc/internal/analysis/tickunits"
 )
@@ -45,8 +45,7 @@ var analyzers = []*framework.Analyzer{
 	panicpolicy.Analyzer,
 	conservativeround.Analyzer,
 	obszeroalloc.Analyzer,
-	schedalloc.Analyzer,
-	hotpathflow.Analyzer,
+	hotpath.Analyzer,
 }
 
 func main() {

@@ -3,9 +3,16 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"go/scanner"
+	"go/token"
 	"io"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"redsoc/internal/analysis/framework"
 )
 
 // TestVetExitCodes pins the contract the CI gate depends on: 0 clean, 1 on
@@ -100,11 +107,73 @@ func TestVetJSON(t *testing.T) {
 	if got := vet([]string{"-json", "-C", "testdata/findings", "."}, &out, io.Discard); got != 1 {
 		t.Fatalf("exit = %d, want 1\n%s", got, &out)
 	}
-	var diags []map[string]any
+	var diags []struct{ Analyzer string }
 	if err := json.Unmarshal(out.Bytes(), &diags); err != nil {
 		t.Fatalf("-json output is not a JSON array: %v\n%s", err, &out)
 	}
-	if len(diags) == 0 {
-		t.Fatal("-json output is empty; want at least the seeded detflow finding")
+	seen := map[string]bool{}
+	for _, d := range diags {
+		seen[d.Analyzer] = true
+	}
+	for _, name := range []string{"detflow", "hotpath"} {
+		if !seen[name] {
+			t.Errorf("-json output has no %s finding; want the seeded one\n%s", name, &out)
+		}
+	}
+}
+
+// TestAllowNamesAreAnalyzers checks every //lint:allow comment in the
+// module's Go files (testdata aside) against the analyzer list. A name that
+// is not an analyzer suppresses nothing, so a stale one left behind by a
+// rename would silently stop auditing the site it was meant to document.
+func TestAllowNamesAreAnalyzers(t *testing.T) {
+	known := map[string]bool{}
+	for _, a := range analyzers {
+		known[a.Name] = true
+	}
+	root := filepath.Join("..", "..")
+	count := 0
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name == "testdata" || (path != root && strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		fset := token.NewFileSet()
+		var s scanner.Scanner
+		s.Init(fset.AddFile(path, -1, len(src)), src, nil, scanner.ScanComments)
+		for {
+			pos, tok, lit := s.Scan()
+			if tok == token.EOF {
+				break
+			}
+			if tok != token.COMMENT {
+				continue
+			}
+			for _, name := range framework.AllowNames(lit) {
+				count++
+				if !known[name] {
+					t.Errorf("%s: lint:allow names %q, which is not an analyzer (use -list)", fset.Position(pos), name)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if count == 0 {
+		t.Fatal("found no lint:allow annotations; the walk is not reading the module")
 	}
 }

@@ -1,6 +1,7 @@
 // Package findings is the seeded-bug fixture: a map iteration whose
-// order-dependent fold reaches a Metrics sink through a call boundary.
-// detflow must report it — redsoc-vet over this module exits 1, and the CI
+// order-dependent fold reaches a Metrics sink through a call boundary, and a
+// hot-path function that reaches an allocation through a helper. detflow and
+// hotpath must report them — redsoc-vet over this module exits 1, and the CI
 // smoke job asserts exactly that, proving the gate can actually fail.
 package findings
 
@@ -19,4 +20,15 @@ func tally(m map[string]int64) int64 {
 // Fill publishes the order-dependent fold into the sink.
 func Fill(met *Metrics, counts map[string]int64) {
 	met.Cycles = tally(counts)
+}
+
+// scratch allocates a fresh buffer on every call; its own body is unmarked.
+func scratch(n int) []int64 { return make([]int64, n) }
+
+// Step is marked hot, and its body is allocation-free: the allocation is one
+// call away, so only the call-graph walk sees it.
+//
+//redsoc:hotpath
+func Step(n int) int64 {
+	return int64(len(scratch(n)))
 }

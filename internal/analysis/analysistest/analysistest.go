@@ -3,26 +3,17 @@
 // golang.org/x/tools/go/analysis/analysistest for this repository's
 // dependency-free analysis framework.
 //
-// Layout: <analyzer pkg>/testdata/src/<pkg>/*.go. A testdata package may
-// import another testdata package by bare name (e.g. a miniature "timing"
-// stand-in); all other imports resolve to the real standard library through
-// compiler export data.
+// Layout: <analyzer pkg>/testdata/src/<pkg>/*.go. The corpus is loaded by
+// framework.Load in GOPATH mode (GOPATH=<analyzer pkg>/testdata,
+// GO111MODULE=off) — the loader redsoc-vet itself uses — so a testdata
+// package imports another by bare name (e.g. a miniature "timing"
+// stand-in), every import resolves through compiler export data, and each
+// analyzer is tested under the regime it ships in.
 package analysistest
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
-	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -30,190 +21,41 @@ import (
 	"redsoc/internal/analysis/framework"
 )
 
-// Run loads each named testdata package, applies the analyzer, and reports
-// any mismatch between produced diagnostics and `// want` expectations.
-func Run(t *testing.T, a *framework.Analyzer, pkgs ...string) {
+// Run loads every package of the calling test's testdata corpus, applies
+// the analyzer once over all of them (so whole-program analyzers see across
+// package boundaries exactly as redsoc-vet does), and reports any mismatch
+// between produced diagnostics and the corpus's `// want` expectations.
+func Run(t *testing.T, a *framework.Analyzer) {
 	t.Helper()
-	root, err := filepath.Abs(filepath.Join("testdata", "src"))
+	gopath, err := filepath.Abs("testdata")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ld := &loader{
-		root:    root,
-		fset:    token.NewFileSet(),
-		parsed:  map[string]*parsedPkg{},
-		types:   map[string]*types.Package{},
-		checked: map[string]*framework.Package{},
-	}
-	// Phase 1: parse the requested packages and their testdata imports so
-	// every external (standard-library) dependency is known up front.
-	for _, name := range pkgs {
-		if err := ld.parse(name); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Phase 2: resolve external imports through one `go list -export` call.
-	if err := ld.resolveExternal(); err != nil {
-		t.Fatal(err)
-	}
-	// Phase 3: type-check the full corpus — the requested packages and every
-	// testdata package they import — so whole-program analyzers (Summarize,
-	// call graph) see across the boundaries, exactly as redsoc-vet does.
-	var names []string
-	for name := range ld.parsed { //lint:allow simdeterminism order-independent: sorted below
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var corpus []*framework.Package
-	for _, name := range names {
-		pkg, err := ld.check(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		corpus = append(corpus, pkg)
-	}
-	// Phase 4: run the analyzer over the corpus once, then compare each
-	// requested package's diagnostics (by file location) against its wants.
-	diags, err := framework.RunAnalyzers(corpus, []*framework.Analyzer{a})
+	t.Setenv("GOPATH", gopath)
+	t.Setenv("GO111MODULE", "off")
+	t.Setenv("GOFLAGS", "")
+	pkgs, err := framework.Load(filepath.Join(gopath, "src"), "./...")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range pkgs {
-		p := ld.parsed[name]
-		var mine []framework.Diagnostic
-		for _, d := range diags {
-			if filepath.Dir(d.Pos.Filename) == p.dir {
-				mine = append(mine, d)
-			}
-		}
-		compare(t, ld.fset, p, mine)
-	}
-}
-
-type parsedPkg struct {
-	name  string
-	dir   string
-	files []*ast.File
-}
-
-type loader struct {
-	root     string
-	fset     *token.FileSet
-	parsed   map[string]*parsedPkg
-	types    map[string]*types.Package
-	checked  map[string]*framework.Package
-	external []string
-	exports  map[string]string
-}
-
-func (l *loader) parse(name string) error {
-	if _, done := l.parsed[name]; done {
-		return nil
-	}
-	dir := filepath.Join(l.root, name)
-	entries, err := os.ReadDir(dir)
+	diags, err := framework.RunAnalyzers(pkgs, []*framework.Analyzer{a})
 	if err != nil {
-		return fmt.Errorf("testdata package %q: %w", name, err)
+		t.Fatal(err)
 	}
-	p := &parsedPkg{name: name, dir: dir}
-	l.parsed[name] = p
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			return err
-		}
-		p.files = append(p.files, f)
-		for _, imp := range f.Imports {
-			path := strings.Trim(imp.Path.Value, `"`)
-			if l.isTestdata(path) {
-				if err := l.parse(path); err != nil {
-					return err
-				}
-			} else {
-				l.external = append(l.external, path)
-			}
+	var wants []*want
+	for _, pkg := range pkgs {
+		wants = append(wants, collectWants(t, pkg)...)
+	}
+	for _, d := range diags {
+		if !hit(wants, d) {
+			t.Errorf("unexpected diagnostic: %s", d)
 		}
 	}
-	if len(p.files) == 0 {
-		return fmt.Errorf("testdata package %q has no Go files", name)
-	}
-	return nil
-}
-
-func (l *loader) isTestdata(path string) bool {
-	st, err := os.Stat(filepath.Join(l.root, path))
-	return err == nil && st.IsDir()
-}
-
-func (l *loader) resolveExternal() error {
-	l.exports = map[string]string{}
-	if len(l.external) == 0 {
-		return nil
-	}
-	args := append([]string{"list", "-export", "-deps", "-json=ImportPath,Export"}, l.external...)
-	cmd := exec.Command("go", args...)
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return fmt.Errorf("go list %v: %v\n%s", l.external, err, stderr.Bytes())
-	}
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var e struct{ ImportPath, Export string }
-		if err := dec.Decode(&e); err == io.EOF {
-			break
-		} else if err != nil {
-			return err
-		}
-		if e.Export != "" {
-			l.exports[e.ImportPath] = e.Export
+	for _, w := range wants {
+		if !w.hit {
+			t.Errorf("%s:%d: expected diagnostic matching %q, got none", w.file, w.line, w.re)
 		}
 	}
-	return nil
-}
-
-// Import implements types.Importer over the two-tier namespace: testdata
-// packages by bare name, everything else via export data.
-func (l *loader) Import(path string) (*types.Package, error) {
-	if tp, ok := l.types[path]; ok {
-		return tp, nil
-	}
-	if l.isTestdata(path) {
-		pkg, err := l.check(path)
-		if err != nil {
-			return nil, err
-		}
-		return pkg.Types, nil
-	}
-	return framework.ExportDataImporter(l.fset, l.exports).Import(path)
-}
-
-func (l *loader) check(name string) (*framework.Package, error) {
-	if pkg, ok := l.checked[name]; ok {
-		return pkg, nil
-	}
-	p := l.parsed[name]
-	info := framework.NewTypesInfo()
-	conf := types.Config{Importer: l}
-	tpkg, err := conf.Check(name, l.fset, p.files, info)
-	if err != nil {
-		return nil, fmt.Errorf("type-checking testdata package %q: %w", name, err)
-	}
-	l.types[name] = tpkg
-	pkg := &framework.Package{
-		Path:      name,
-		Dir:       p.dir,
-		Fset:      l.fset,
-		Files:     p.files,
-		Types:     tpkg,
-		TypesInfo: info,
-	}
-	l.checked[name] = pkg
-	return pkg, nil
 }
 
 // want is one expectation: a diagnostic matching re at file:line.
@@ -226,25 +68,25 @@ type want struct {
 
 var wantRE = regexp.MustCompile(`//\s*want\s+(.+)$`)
 
-func collectWants(t *testing.T, fset *token.FileSet, p *parsedPkg) []*want {
+func collectWants(t *testing.T, pkg *framework.Package) []*want {
 	t.Helper()
 	var wants []*want
-	for _, f := range p.files {
+	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				m := wantRE.FindStringSubmatch(c.Text)
 				if m == nil {
 					continue
 				}
+				pos := pkg.Fset.Position(c.Pos())
 				pat, err := strconv.Unquote(strings.TrimSpace(m[1]))
 				if err != nil {
-					t.Fatalf("%s: malformed want comment %q: %v", fset.Position(c.Pos()), c.Text, err)
+					t.Fatalf("%s: malformed want comment %q: %v", pos, c.Text, err)
 				}
 				re, err := regexp.Compile(pat)
 				if err != nil {
-					t.Fatalf("%s: bad want regexp %q: %v", fset.Position(c.Pos()), pat, err)
+					t.Fatalf("%s: bad want regexp %q: %v", pos, pat, err)
 				}
-				pos := fset.Position(c.Pos())
 				wants = append(wants, &want{file: pos.Filename, line: pos.Line, re: re})
 			}
 		}
@@ -252,25 +94,13 @@ func collectWants(t *testing.T, fset *token.FileSet, p *parsedPkg) []*want {
 	return wants
 }
 
-func compare(t *testing.T, fset *token.FileSet, p *parsedPkg, diags []framework.Diagnostic) {
-	t.Helper()
-	wants := collectWants(t, fset, p)
-	for _, d := range diags {
-		matched := false
-		for _, w := range wants {
-			if !w.hit && w.file == d.Pos.Filename && w.line == d.Pos.Line && w.re.MatchString(d.Message) {
-				w.hit = true
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			t.Errorf("unexpected diagnostic: %s", d)
-		}
-	}
+// hit marks and reports the first unmatched want that d satisfies.
+func hit(wants []*want, d framework.Diagnostic) bool {
 	for _, w := range wants {
-		if !w.hit {
-			t.Errorf("%s:%d: expected diagnostic matching %q, got none", w.file, w.line, w.re)
+		if !w.hit && w.file == d.Pos.Filename && w.line == d.Pos.Line && w.re.MatchString(d.Message) {
+			w.hit = true
+			return true
 		}
 	}
+	return false
 }

@@ -8,5 +8,5 @@ import (
 )
 
 func TestConservativeRound(t *testing.T) {
-	analysistest.Run(t, conservativeround.Analyzer, "b")
+	analysistest.Run(t, conservativeround.Analyzer)
 }

@@ -208,27 +208,6 @@ func sortLaunder(fn *types.Func) bool {
 	return false
 }
 
-// timeNowCall reports a wall-clock read.
-func timeNowCall(fn *types.Func) bool {
-	return fn.Name() == "Now" && fn.Pkg() != nil && fn.Pkg().Path() == "time"
-}
-
-// globalRandCall reports a draw from math/rand's process-global source:
-// package-level non-constructor functions. Methods on an explicit seeded
-// generator are deterministic and carry no intrinsic taint.
-func globalRandCall(fn *types.Func) bool {
-	if fn.Pkg() == nil {
-		return false
-	}
-	if p := fn.Pkg().Path(); p != "math/rand" && p != "math/rand/v2" {
-		return false
-	}
-	if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-		return false
-	}
-	return !strings.HasPrefix(fn.Name(), "New")
-}
-
 // flavor renders taint bits for a report message.
 func flavor(t uint32) string {
 	switch t & intrinsicMask {
@@ -239,13 +218,4 @@ func flavor(t uint32) string {
 	default:
 		return "a wall-clock- or RNG-derived value"
 	}
-}
-
-// shortName strips the package path of a FactKey down to its last segment
-// for report messages.
-func shortName(key string) string {
-	if j := strings.LastIndex(key, "/"); j >= 0 {
-		return key[j+1:]
-	}
-	return key
 }

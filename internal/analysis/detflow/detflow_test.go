@@ -8,5 +8,5 @@ import (
 )
 
 func TestDetFlow(t *testing.T) {
-	analysistest.Run(t, detflow.Analyzer, "runner")
+	analysistest.Run(t, detflow.Analyzer)
 }

@@ -14,6 +14,7 @@ import (
 	"go/types"
 
 	"redsoc/internal/analysis/framework"
+	"redsoc/internal/analysis/simdeterminism"
 )
 
 type mode int
@@ -513,7 +514,7 @@ func (c *checker) call(e *ast.CallExpr, st state) uint32 {
 	}
 
 	if fn != nil {
-		if (timeNowCall(fn) || globalRandCall(fn)) && !c.allowedSource(e.Pos()) {
+		if (simdeterminism.TimeNow(fn) || simdeterminism.GlobalRand(fn)) && !c.allowedSource(e.Pos()) {
 			return valueTaint
 		}
 		if sortLaunder(fn) && len(e.Args) > 0 {
@@ -563,7 +564,7 @@ func (c *checker) call(e *ast.CallExpr, st state) uint32 {
 			if fact.Sink&bit != 0 {
 				c.fact.Sink |= t &^ intrinsicMask
 				if c.mode == modeReport && t&intrinsicMask != 0 {
-					c.report(args[i].Pos(), "%s flows into a determinism sink inside %s; sort or seed it before the call, or audit with lint:allow detflow", flavor(t), shortName(key))
+					c.report(args[i].Pos(), "%s flows into a determinism sink inside %s; sort or seed it before the call, or audit with lint:allow detflow", flavor(t), framework.TrimPath(key, 1))
 				}
 			}
 		}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"go/types"
 	"sort"
+	"strings"
 )
 
 // FactKey returns the stable cross-package key for an object: the package
@@ -30,6 +31,20 @@ func FactKey(obj types.Object) string {
 		return obj.Pkg().Path() + "." + obj.Name()
 	}
 	return obj.Name()
+}
+
+// TrimPath keeps the last n slash-separated segments of s, for report
+// messages: n=1 shortens a FactKey to its package's last path segment
+// ("(*redsoc/internal/ooo.Simulator).wake" -> "(*ooo.Simulator).wake"), n=2
+// shortens a position to its directory and file ("ooo/sim.go:412:3"). A
+// method key's leading "(*" survives the cut.
+func TrimPath(s string, n int) string {
+	parts := strings.Split(s, "/")
+	if len(parts) <= n {
+		return s
+	}
+	lead := s[:len(s)-len(strings.TrimLeft(s, "(*"))]
+	return lead + strings.Join(parts[len(parts)-n:], "/")
 }
 
 // FactStore holds every fact exported during a run's Summarize phase,

@@ -205,6 +205,25 @@ func TestFactKeyStability(t *testing.T) {
 	}
 }
 
+// TestTrimPath pins the report-message shortening of keys and positions.
+func TestTrimPath(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		n    int
+		want string
+	}{
+		{"redsoc/internal/obs.WriteJSON", 1, "obs.WriteJSON"},
+		{"(*redsoc/internal/ooo.Simulator).wake", 1, "(*ooo.Simulator).wake"},
+		{"(*hot.sim).collect", 1, "(*hot.sim).collect"},
+		{"/src/internal/ooo/sim.go:412:3", 2, "ooo/sim.go:412:3"},
+		{"pool/pool.go:14:9", 2, "pool/pool.go:14:9"},
+	} {
+		if got := TrimPath(tc.in, tc.n); got != tc.want {
+			t.Errorf("TrimPath(%q, %d) = %q, want %q", tc.in, tc.n, got, tc.want)
+		}
+	}
+}
+
 // TestCallGraphCHA checks interface dispatch resolution: a call through an
 // interface method yields one edge per implementing type in the corpus.
 func TestCallGraphCHA(t *testing.T) {

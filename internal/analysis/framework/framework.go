@@ -14,7 +14,7 @@
 // run over every package in dependency order first, exporting per-function
 // facts ("returns a nondeterministic value", "allocates"); its Run pass then
 // consumes those facts at call sites, which is what lets detflow and
-// hotpathflow reason through calls instead of around them.
+// hotpath reason through calls instead of around them.
 //
 // Deliberate deviations from x/tools:
 //   - Facts are keyed by qualified name, not serialized per object, and
@@ -111,6 +111,16 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // flagged in review rather than silently changing suppression behavior.
 var allowRE = regexp.MustCompile(`^lint:allow\s+([a-z][a-z0-9_,]*)\b`)
 
+// AllowNames returns the analyzer names a `//lint:allow` comment suppresses,
+// or nil when the comment is not a lint:allow annotation.
+func AllowNames(comment string) []string {
+	m := allowRE.FindStringSubmatch(strings.TrimSpace(strings.TrimPrefix(comment, "//")))
+	if m == nil {
+		return nil
+	}
+	return strings.Split(m[1], ",")
+}
+
 // allowIndex maps file → line → analyzer names suppressed on that line.
 type allowIndex map[string]map[int][]string
 
@@ -120,9 +130,8 @@ func buildAllowIndex(fset *token.FileSet, files []*ast.File) allowIndex {
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-				m := allowRE.FindStringSubmatch(text)
-				if m == nil {
+				names := AllowNames(c.Text)
+				if names == nil {
 					continue
 				}
 				pos := fset.Position(c.Pos())
@@ -131,7 +140,7 @@ func buildAllowIndex(fset *token.FileSet, files []*ast.File) allowIndex {
 					lines = map[int][]string{}
 					idx[pos.Filename] = lines
 				}
-				lines[pos.Line] = append(lines[pos.Line], strings.Split(m[1], ",")...)
+				lines[pos.Line] = append(lines[pos.Line], names...)
 			}
 		}
 	}

@@ -11,7 +11,7 @@ type View struct {
 }
 
 // Len is itself marked: transitive walks from marked callers prune here, and
-// its (allocation-free) body is schedalloc's lexical responsibility.
+// its (allocation-free) body is covered by the lexical body scan.
 //
 //redsoc:hotpath
 func (v *View) Len() int { return len(v.Bits) }

@@ -1,6 +1,6 @@
-// Package hot exercises hotpathflow: a //redsoc:hotpath function must not
-// reach an allocation through any chain of calls, including across the
-// package boundary into pool.
+// Package hot exercises the call-graph walk: a //redsoc:hotpath function
+// must not reach an allocation through any chain of calls, including across
+// the package boundary into pool.
 package hot
 
 import "pool"
@@ -40,12 +40,12 @@ func (s *sim) warm() {
 }
 
 // inner is itself marked, so callers prune at it: inner is audited as its own
-// root, and its body allocation is schedalloc's lexical finding, not a
+// root, and its body allocation is the lexical finding below, not a
 // transitive one replayed into every caller.
 //
 //redsoc:hotpath
 func (s *sim) inner() *pool.Entry {
-	return new(pool.Entry)
+	return new(pool.Entry) // want `calls new, which allocates`
 }
 
 //redsoc:hotpath

@@ -1,4 +1,4 @@
-// Package pool is the cross-package half of the hotpathflow fixtures: an
+// Package pool is the cross-package half of the call-graph fixtures: an
 // entry pool whose cold paths allocate. None of its functions carry the
 // hotpath marker, so every finding here must arrive transitively, from a
 // marked caller in package hot.
@@ -27,7 +27,7 @@ func Peek(free []*Entry) *Entry {
 // re-surface as a finding in every marked function that reaches it.
 func Refill(free []*Entry, n int) []*Entry {
 	for i := 0; i < n; i++ {
-		free = append(free, new(Entry)) //lint:allow schedalloc warm-up fill, amortized over the run
+		free = append(free, new(Entry)) //lint:allow hotpath warm-up fill, amortized over the run
 	}
 	return free
 }

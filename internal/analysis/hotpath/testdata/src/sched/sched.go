@@ -1,4 +1,4 @@
-// Package sched exercises the schedalloc rules on a miniature scheduler
+// Package sched exercises the lexical hotpath rules on a miniature scheduler
 // shape: marked functions must not allocate; unmarked ones may.
 package sched
 
@@ -152,5 +152,5 @@ func (s *sim) grow() *entry {
 		s.free = s.free[:n-1]
 		return e
 	}
-	return &entry{} //lint:allow schedalloc arena grow path, amortized by recycling
+	return &entry{} //lint:allow hotpath arena grow path, amortized by recycling
 }

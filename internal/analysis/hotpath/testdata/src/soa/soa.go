@@ -1,7 +1,7 @@
-// Package soa exercises schedalloc over the flat-trace decode idioms: hot
-// readers index immutable parallel columns (plain slice loads and array-value
-// copies — nothing allocates), while the build side and the decode cache's
-// miss path allocate and must stay unmarked or audited.
+// Package soa exercises the lexical hotpath rules over the flat-trace decode
+// idioms: hot readers index immutable parallel columns (plain slice loads and
+// array-value copies — nothing allocates), while the build side and the
+// decode cache's miss path allocate and must stay unmarked or audited.
 package soa
 
 import "sync"
@@ -71,7 +71,7 @@ func lookup(p *program) *view {
 //
 //redsoc:hotpath
 func lookupAudited(p *program) *view {
-	got, ok := cache.Load(p) //lint:allow schedalloc pointer-shaped key: the interface data word holds the pointer, nothing escapes to the heap
+	got, ok := cache.Load(p) //lint:allow hotpath pointer-shaped key: the interface data word holds the pointer, nothing escapes to the heap
 	if !ok {
 		return nil
 	}

@@ -6,7 +6,9 @@
 // value. Both properties are easy to break silently: an Emit call outside
 // its `if s.obs != nil` guard turns every simulated cycle into an interface
 // call, and a fmt.Sprintf or slice literal smuggled into an event argument
-// turns the hot loop into an allocation site. The analyzer flags both.
+// turns the hot loop into an allocation site. The analyzer flags both;
+// "allocates" is the hotpath analyzer's definition (hotpath.Scan), applied
+// to each emission argument, so the two contracts cannot drift apart.
 package obszeroalloc
 
 import (
@@ -16,6 +18,7 @@ import (
 	"strings"
 
 	"redsoc/internal/analysis/framework"
+	"redsoc/internal/analysis/hotpath"
 )
 
 // Analyzer enforces the obs zero-overhead contract in scheduler packages.
@@ -23,9 +26,10 @@ var Analyzer = &framework.Analyzer{
 	Name: "obszeroalloc",
 	Doc: "inside the scheduler (ooo): flags obs sink emissions that are not enclosed in an " +
 		"`if <sink> != nil` enabled-guard (or preceded by an `if <sink> == nil { return }` " +
-		"early-out), and emission arguments that allocate — fmt calls, string concatenation " +
-		"or conversion, slice/map literals, append/make/new — so disabled tracing stays a " +
-		"single branch and enabled tracing stays allocation-free",
+		"early-out), and emission arguments that allocate by the hotpath analyzer's rules — " +
+		"fmt calls, string concatenation or conversion, slice/map literals, make/new, append " +
+		"to a fresh slice, boxing — so disabled tracing stays a single branch and enabled " +
+		"tracing stays allocation-free",
 	Run: run,
 }
 
@@ -173,7 +177,9 @@ func checkEmit(pass *framework.Pass, call *ast.CallExpr, guards map[string]bool)
 			types.ExprString(recv))
 	}
 	for _, arg := range call.Args {
-		reportAllocs(pass, arg)
+		for _, site := range hotpath.Scan(pass.TypesInfo, arg) {
+			pass.Reportf(site.Pos, "obs emission argument %s", site.Message)
+		}
 	}
 }
 
@@ -193,77 +199,6 @@ func emitReceiver(pass *framework.Pass, call *ast.CallExpr) (ast.Expr, bool) {
 		return nil, false
 	}
 	return sel.X, true
-}
-
-// reportAllocs flags sub-expressions of an emission argument that allocate.
-func reportAllocs(pass *framework.Pass, arg ast.Expr) {
-	ast.Inspect(arg, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CompositeLit:
-			tv, ok := pass.TypesInfo.Types[n]
-			if !ok {
-				return true
-			}
-			switch tv.Type.Underlying().(type) {
-			case *types.Slice, *types.Map:
-				pass.Reportf(n.Pos(), "obs emission argument allocates a %s literal; events are fixed-size values — precompute outside the hot path",
-					kindName(tv.Type.Underlying()))
-			}
-		case *ast.UnaryExpr:
-			if n.Op == token.AND {
-				if _, isLit := n.X.(*ast.CompositeLit); isLit {
-					pass.Reportf(n.Pos(), "obs emission argument heap-allocates (&composite literal); events are fixed-size values")
-				}
-			}
-		case *ast.BinaryExpr:
-			if n.Op == token.ADD && isString(pass, n.X) {
-				pass.Reportf(n.Pos(), "obs emission argument concatenates strings, which allocates; events carry no strings — emit numeric fields and format at export time")
-			}
-		case *ast.CallExpr:
-			reportAllocCall(pass, n)
-		}
-		return true
-	})
-}
-
-// reportAllocCall flags calls inside an emission argument that allocate:
-// fmt.* formatting, the append/make/new builtins, and []byte↔string
-// conversions.
-func reportAllocCall(pass *framework.Pass, call *ast.CallExpr) {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		switch fun.Name {
-		case "append", "make", "new":
-			if _, isBuiltin := pass.TypesInfo.Uses[fun].(*types.Builtin); isBuiltin {
-				pass.Reportf(call.Pos(), "obs emission argument calls %s, which allocates; precompute outside the hot path", fun.Name)
-			}
-		case "string":
-			pass.Reportf(call.Pos(), "obs emission argument converts to string, which allocates; events carry no strings")
-		}
-	case *ast.SelectorExpr:
-		if fn, ok := pass.TypesInfo.Uses[fun.Sel].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
-			pass.Reportf(call.Pos(), "obs emission argument calls fmt.%s, which allocates; events carry no strings — format at export time", fn.Name())
-		}
-	}
-}
-
-func kindName(t types.Type) string {
-	switch t.(type) {
-	case *types.Slice:
-		return "slice"
-	case *types.Map:
-		return "map"
-	}
-	return "composite"
-}
-
-func isString(pass *framework.Pass, e ast.Expr) bool {
-	tv, ok := pass.TypesInfo.Types[e]
-	if !ok {
-		return false
-	}
-	b, ok := tv.Type.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsString != 0
 }
 
 // nonNilWhenTrue returns the expressions known non-nil when cond is true:

@@ -8,5 +8,5 @@ import (
 )
 
 func TestObsZeroAlloc(t *testing.T) {
-	analysistest.Run(t, obszeroalloc.Analyzer, "ooo", "other")
+	analysistest.Run(t, obszeroalloc.Analyzer)
 }

@@ -8,5 +8,5 @@ import (
 )
 
 func TestPanicPolicy(t *testing.T) {
-	analysistest.Run(t, panicpolicy.Analyzer, "p", "m")
+	analysistest.Run(t, panicpolicy.Analyzer)
 }

@@ -87,11 +87,12 @@ func run(pass *framework.Pass) error {
 					}
 				}
 			case *ast.CallExpr:
-				if isTimeNow(pass, n) && sc == simScope {
+				fn := framework.CalleeFunc(pass.TypesInfo, n)
+				if TimeNow(fn) && sc == simScope {
 					pass.Reportf(n.Pos(), "time.Now in a simulation package: simulated time must come from the cycle counter, never the wall clock")
 				}
-				if name, ok := globalRandCall(pass, n); ok {
-					pass.Reportf(n.Pos(), "%s uses math/rand's shared global source, which is unseeded between runs; draw from an explicit rand.New(rand.NewSource(seed)) instance instead", name)
+				if GlobalRand(fn) {
+					pass.Reportf(n.Pos(), "%s.%s uses math/rand's shared global source, which is unseeded between runs; draw from an explicit rand.New(rand.NewSource(seed)) instance instead", fn.Pkg().Name(), fn.Name())
 				}
 			case *ast.GoStmt:
 				if sc == simScope {
@@ -212,48 +213,26 @@ func containsRand(t types.Type, depth int, seen map[types.Type]bool) bool {
 	return false
 }
 
-// globalRandCall reports a call to a package-level function of math/rand or
+// GlobalRand reports whether fn is a package-level function of math/rand or
 // math/rand/v2 — the convenience API backed by the process-global source.
 // Constructors (New, NewSource, NewZipf, ...) and methods on an explicit
 // generator are sanctioned: a component that owns a seeded *rand.Rand is
-// reproducible by construction.
-func globalRandCall(pass *framework.Pass, call *ast.CallExpr) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	obj, ok := pass.TypesInfo.Uses[sel.Sel]
-	if !ok {
-		return "", false
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return "", false
+// reproducible by construction. detflow treats the same calls as value-taint
+// sources.
+func GlobalRand(fn *types.Func) bool {
+	if fn == nil || fn.Pkg() == nil {
+		return false
 	}
 	if p := fn.Pkg().Path(); p != "math/rand" && p != "math/rand/v2" {
-		return "", false
+		return false
 	}
 	if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-		return "", false // a method on an explicit source or generator
+		return false // a method on an explicit source or generator
 	}
-	if strings.HasPrefix(fn.Name(), "New") {
-		return "", false // constructors build the sanctioned explicit instances
-	}
-	return fn.Pkg().Name() + "." + fn.Name(), true
+	return !strings.HasPrefix(fn.Name(), "New")
 }
 
-func isTimeNow(pass *framework.Pass, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	obj, ok := pass.TypesInfo.Uses[sel.Sel]
-	if !ok {
-		return false
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return false
-	}
-	return fn.Name() == "Now" && fn.Pkg() != nil && fn.Pkg().Path() == "time"
+// TimeNow reports whether fn is time.Now, the wall-clock read.
+func TimeNow(fn *types.Func) bool {
+	return fn != nil && fn.Name() == "Now" && fn.Pkg() != nil && fn.Pkg().Path() == "time"
 }

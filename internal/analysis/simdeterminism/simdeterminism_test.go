@@ -8,5 +8,5 @@ import (
 )
 
 func TestSimDeterminism(t *testing.T) {
-	analysistest.Run(t, simdeterminism.Analyzer, "ooo", "other", "campaign")
+	analysistest.Run(t, simdeterminism.Analyzer)
 }

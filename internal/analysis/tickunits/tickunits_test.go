@@ -8,5 +8,5 @@ import (
 )
 
 func TestTickUnits(t *testing.T) {
-	analysistest.Run(t, tickunits.Analyzer, "a")
+	analysistest.Run(t, tickunits.Analyzer)
 }

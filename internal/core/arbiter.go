@@ -88,7 +88,7 @@ func (a *Arbiter) Grant(reqs []Request, m int) []int {
 		return nil
 	}
 	if cap(a.taken) < n {
-		a.taken = make([]bool, n) //lint:allow schedalloc amortized: scratch regrows once per high-water mark
+		a.taken = make([]bool, n) //lint:allow hotpath amortized: scratch regrows once per high-water mark
 	}
 	taken := a.taken[:n]
 	for i := range taken {
@@ -106,7 +106,7 @@ func (a *Arbiter) Grant(reqs []Request, m int) []int {
 			}
 		}
 		taken[w] = true
-		grants = append(grants, w) //lint:allow schedalloc amortized: the grant list is retained scratch, regrown once per high-water mark
+		grants = append(grants, w) //lint:allow hotpath amortized: the grant list is retained scratch, regrown once per high-water mark
 	}
 	a.grants = grants
 	return grants
@@ -143,7 +143,7 @@ func (a *Arbiter) GrantSorted(reqs []Request, m int) []int {
 				break
 			}
 			if !reqs[i].Spec {
-				grants = append(grants, i) //lint:allow schedalloc amortized: the grant list is retained scratch, regrown once per high-water mark
+				grants = append(grants, i) //lint:allow hotpath amortized: the grant list is retained scratch, regrown once per high-water mark
 			}
 		}
 		for i := range reqs {
@@ -151,12 +151,12 @@ func (a *Arbiter) GrantSorted(reqs []Request, m int) []int {
 				break
 			}
 			if reqs[i].Spec {
-				grants = append(grants, i) //lint:allow schedalloc amortized: the grant list is retained scratch, regrown once per high-water mark
+				grants = append(grants, i) //lint:allow hotpath amortized: the grant list is retained scratch, regrown once per high-water mark
 			}
 		}
 	} else {
 		for i := 0; i < n && i < m; i++ {
-			grants = append(grants, i) //lint:allow schedalloc amortized: the grant list is retained scratch, regrown once per high-water mark
+			grants = append(grants, i) //lint:allow hotpath amortized: the grant list is retained scratch, regrown once per high-water mark
 		}
 	}
 	a.grants = grants

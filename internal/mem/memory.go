@@ -92,7 +92,7 @@ func (m *Memory) Write64(addr uint64, v uint64) {
 		return
 	}
 	if m.over == nil {
-		m.over = make(map[uint64]uint64) //lint:allow schedalloc overflow path: only stores outside the program's initial image reach here, once
+		m.over = make(map[uint64]uint64) //lint:allow hotpath overflow path: only stores outside the program's initial image reach here, once
 	}
 	m.over[a] = v
 }

@@ -77,7 +77,7 @@ func (s *Simulator) alloc() int32 {
 		*e = entry{waiters: e.waiters[:0]}
 		return int32(n)
 	}
-	s.slab = append(s.slab, entry{}) //lint:allow schedalloc slab grow path: amortized once per live-entry high-water mark, preallocated past the typical peak at New
+	s.slab = append(s.slab, entry{}) //lint:allow hotpath slab grow path: amortized once per live-entry high-water mark, preallocated past the typical peak at New
 	return int32(len(s.slab) - 1)
 }
 
@@ -89,7 +89,7 @@ func (s *Simulator) alloc() int32 {
 func (s *Simulator) freeEntry(i int32) {
 	e := &s.slab[i]
 	*e = entry{waiters: e.waiters[:0]}
-	s.freeList = append(s.freeList, i) //lint:allow schedalloc amortized: the free list is preallocated to slab capacity at New, then recycles in place
+	s.freeList = append(s.freeList, i) //lint:allow hotpath amortized: the free list is preallocated to slab capacity at New, then recycles in place
 }
 
 // retain counts one incoming reference to slab index pi.

@@ -468,7 +468,7 @@ func (s *Simulator) issueEntry(e *entry, cycle int64, spec bool) bool {
 	if !ok {
 		// The select arbiter granted at most free(cycle+1) requests, so a
 		// full pool here is a scheduler bug, not a recoverable condition.
-		panic(fmt.Sprintf("ooo: FU overcommit on %v at cycle %d", e.fu, cycle)) //lint:allow panicpolicy,schedalloc audited invariant: grants are bounded by the free-unit count, so this never runs
+		panic(fmt.Sprintf("ooo: FU overcommit on %v at cycle %d", e.fu, cycle)) //lint:allow panicpolicy,hotpath audited invariant: grants are bounded by the free-unit count, so this never runs
 	}
 
 	out := s.execute(e, fwdDep)

@@ -438,7 +438,7 @@ func (s *Simulator) dispatch(cycle int64) {
 
 		s.rob.push(ei)
 		e.rsSlot = int32(len(s.rs))
-		s.rs = append(s.rs, ei) //lint:allow schedalloc amortized: rs grows to window occupancy once, then appends into warm capacity
+		s.rs = append(s.rs, ei) //lint:allow hotpath amortized: rs grows to window occupancy once, then appends into warm capacity
 		if isMem {
 			s.lsq.push(ei)
 			if e.isStore {
@@ -537,7 +537,7 @@ func (s *Simulator) wake(ei int32) {
 	e := s.ent(ei)
 	if e.state == stWaiting && !e.inReady {
 		e.inReady = true
-		s.wakeBuf = append(s.wakeBuf, ei) //lint:allow schedalloc amortized: wakeBuf peaks at ready-set size early in the run, then stays warm
+		s.wakeBuf = append(s.wakeBuf, ei) //lint:allow hotpath amortized: wakeBuf peaks at ready-set size early in the run, then stays warm
 	}
 }
 
@@ -580,21 +580,21 @@ func (s *Simulator) watchWakeups(ei int32, e *entry) {
 	for i := 0; i < int(e.nsrc); i++ {
 		if pi := e.srcs[i].prod; pi != none {
 			if p := s.ent(pi); p.broadcastCycle < 0 {
-				p.waiters = append(p.waiters, ei) //lint:allow schedalloc amortized: waiters backing arrays survive slab recycling (see freeEntry), so appends reuse warm capacity
+				p.waiters = append(p.waiters, ei) //lint:allow hotpath amortized: waiters backing arrays survive slab recycling (see freeEntry), so appends reuse warm capacity
 			}
 		}
 	}
 	gpAwake := false
 	if e.gp != none && s.egpwCandidate(e) {
 		if gp := s.ent(e.gp); gp.broadcastCycle < 0 {
-			gp.waiters = append(gp.waiters, ei) //lint:allow schedalloc amortized: waiters backing arrays survive slab recycling, so appends reuse warm capacity
+			gp.waiters = append(gp.waiters, ei) //lint:allow hotpath amortized: waiters backing arrays survive slab recycling, so appends reuse warm capacity
 		} else {
 			gpAwake = true
 		}
 	}
 	if e.memDep != none {
 		dep := s.ent(e.memDep)
-		dep.waiters = append(dep.waiters, ei) //lint:allow schedalloc amortized: waiters backing arrays survive slab recycling, so appends reuse warm capacity
+		dep.waiters = append(dep.waiters, ei) //lint:allow hotpath amortized: waiters backing arrays survive slab recycling, so appends reuse warm capacity
 	}
 	if e.lastIdx >= 0 && s.ent(e.srcs[e.lastIdx].prod).broadcastCycle < 0 && !gpAwake {
 		return

@@ -13,12 +13,12 @@ package trace
 // Diavastos & Carlson (PAPERS.md): parallel slices indexed by trace position,
 // no pointers, nothing to chase.
 //
-// The read side is under the scheduler's zero-allocation contract
-// (schedalloc/hotpathflow): Len carries the //redsoc:hotpath marker, and the
+// The read side is under the scheduler's zero-allocation contract (the
+// hotpath analyzer): Len carries the //redsoc:hotpath marker, and the
 // marked pipeline stages in internal/ooo index the columns directly — plain
 // slice loads, never calls. Decode and the cache miss path allocate by
 // design (once per program) and therefore stay unmarked: a marked function
-// that reaches them is a bug the analyzers report.
+// that reaches them is a bug the analyzer reports.
 
 import (
 	"redsoc/internal/isa"
