@@ -70,7 +70,7 @@ func (s *sim) freshBuffers(n int) {
 
 //redsoc:hotpath
 func (s *sim) literals(e *entry) {
-	s.ready = []*entry{e} // want `allocates a slice literal`
+	s.ready = []*entry{e}           // want `allocates a slice literal`
 	m := map[int64]*entry{e.seq: e} // want `allocates a map literal`
 	_ = m
 	q := &entry{seq: e.seq} // want `heap-allocates \(&composite literal\)`
@@ -112,11 +112,11 @@ func (s *sim) freshAppend(e *entry) []*entry {
 // observer is the boxing magnet: emit takes any.
 type observer struct{}
 
-func (observer) emit(v any)       {}
-func (observer) typed(e *entry)   {}
-func sinkAny(v any)               {}
-func sinkIface(err error)         {}
-func already(v any) any           { return v }
+func (observer) emit(v any)     {}
+func (observer) typed(e *entry) {}
+func sinkAny(v any)             {}
+func sinkIface(err error)       {}
+func already(v any) any         { return v }
 
 // boxing: explicit interface conversions and concrete values meeting
 // interface-typed parameters allocate the interface's data word.

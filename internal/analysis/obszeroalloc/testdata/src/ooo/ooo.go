@@ -97,9 +97,9 @@ func (s *sim) concrete(r *obs.Ring, seq int64) {
 // allocating emissions defeat the zero-alloc contract even when guarded.
 func (s *sim) allocating(seq int64, name string) {
 	if s.obs != nil {
-		s.obs.Emit(obs.Event{Kind: 1, Seq: seq, Arg: int64(len(fmt.Sprintf("%d", seq)))}) // want `calls fmt\.Sprintf, which allocates`
-		s.obs.Emit(obs.Event{Kind: 1, Seq: seq, Arg: int64(len([]int64{seq}))})          // want `allocates a slice literal`
-		s.obs.Emit(obs.Event{Kind: 1, Seq: seq, Arg: int64(len(name + "!"))})            // want `concatenates strings`
+		s.obs.Emit(obs.Event{Kind: 1, Seq: seq, Arg: int64(len(fmt.Sprintf("%d", seq)))})   // want `calls fmt\.Sprintf, which allocates`
+		s.obs.Emit(obs.Event{Kind: 1, Seq: seq, Arg: int64(len([]int64{seq}))})             // want `allocates a slice literal`
+		s.obs.Emit(obs.Event{Kind: 1, Seq: seq, Arg: int64(len(name + "!"))})               // want `concatenates strings`
 		s.obs.Emit(obs.Event{Kind: 1, Seq: seq, Arg: int64(len(append([]byte(nil), 'x')))}) // want `calls append, which allocates`
 	}
 }

@@ -16,7 +16,7 @@ func schedule(ready map[int]bool) int {
 	}
 	best += rand.Int() // want `rand\.Int uses math/rand's shared global source`
 	_ = time.Now()     // want `time\.Now in a simulation package`
-	go func() {}() // want `goroutine spawned in a simulation package`
+	go func() {}()     // want `goroutine spawned in a simulation package`
 	ch1, ch2 := make(chan int), make(chan int)
 	select { // want `multi-case select`
 	case <-ch1:

@@ -172,7 +172,10 @@ func RunCampaign(ctx context.Context, opts Options) (*Report, error) {
 	}
 
 	// Phase 1: per benchmark, the fault-free baseline and golden ReDSOC
-	// runs the faulted runs are verified against. Goldens are cheap (one
+	// runs: the baseline's cycles give each cell's speedup, and each
+	// faulted run's architectural state is verified against the golden's,
+	// which ooo.Run guarantees is its program's final state — the
+	// architectural interpreter's (ooo.FinalState). Goldens are cheap (one
 	// task per benchmark vs. benchmarks × rates × seeds faulted cells) and
 	// every faulted cell needs them, so they are never journaled.
 	type golden struct {
@@ -190,9 +193,6 @@ func RunCampaign(ctx context.Context, opts Options) (*Report, error) {
 			g, err := ooo.Run(cfg.WithPolicy(ooo.PolicyRedsoc), b.Prog)
 			if err != nil {
 				return golden{}, err
-			}
-			if !g.ArchEqual(base) {
-				return golden{}, fmt.Errorf("%s: golden ReDSOC run diverges from baseline before any fault", b.Name)
 			}
 			return golden{base, g}, nil
 		})

@@ -2,6 +2,7 @@ package chaos_test
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -153,5 +154,35 @@ func TestJournalKeyPinned(t *testing.T) {
 	want := "chaos-cell bitcnt rate=0.01 seed=1 7c6dd412c2fdd6b700cee0d6678c93589c286edf07fa77edbf718865c129a561"
 	if len(got) != 1 || got[0] != want {
 		t.Fatalf("chaos cell keys = %q, want [%q]", got, want)
+	}
+}
+
+// TestGoldensHoldOracleState: ArchOK compares each faulted run with its
+// benchmark's fault-free golden run, and ooo.Run gives every golden its
+// program's final state, the architectural interpreter's, so the check is
+// one against the oracle. Over the -quick campaign's coordinates the golden
+// and every recovered faulted run hold ooo.FinalState's very maps.
+func TestGoldensHoldOracleState(t *testing.T) {
+	opts := quickOptions(1)
+	cfg := opts.Core.WithPolicy(ooo.PolicyRedsoc)
+	for _, b := range opts.Benchmarks {
+		regs, mem, _ := ooo.FinalState(b.Prog)
+		runs := []ooo.Config{cfg}
+		for _, rate := range opts.Rates {
+			for seed := 1; seed <= opts.Seeds; seed++ {
+				runs = append(runs, cfg.WithFaults(rate, int64(seed)))
+			}
+		}
+		for _, c := range runs {
+			r, err := ooo.Run(c, b.Prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reflect.ValueOf(r.FinalMem).UnsafePointer() != reflect.ValueOf(mem).UnsafePointer() ||
+				reflect.ValueOf(r.FinalRegs).UnsafePointer() != reflect.ValueOf(regs).UnsafePointer() {
+				t.Errorf("%s at fault rate %g seed %d: holds its own architectural state, want the program's final state",
+					b.Name, c.Fault.EstimateRate, c.Fault.Seed)
+			}
+		}
 	}
 }

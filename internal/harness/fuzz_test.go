@@ -2,10 +2,9 @@ package harness
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
-	"redsoc/internal/alu"
-	"redsoc/internal/isa"
 	"redsoc/internal/ooo"
 )
 
@@ -13,9 +12,9 @@ import (
 // decoders. They must never panic — a corrupt journal value is a cache
 // miss, not a crash — and what they accept must be canonical: a cell
 // payload that decodes re-encodes to the same bytes, and so does a sweep
-// total and an architectural-state section. Seeds: a real v6 cell and its
-// truncations, the same cell in v5's shape, a sweep total and a small
-// section.
+// total. Seeds: a real v7 cell and its truncations, the same cell in v6's
+// and v5's shapes, a sweep total, and the v7 cell followed by v6's
+// architectural-state section.
 func FuzzDecodeCell(f *testing.F) {
 	cfg := ooo.SmallConfig()
 	c := quickCell(f, "crc")
@@ -26,19 +25,14 @@ func FuzzDecodeCell(f *testing.F) {
 	for n := len(data); n > 0; n -= len(data)/16 + 1 {
 		f.Add(data[:n])
 	}
-	results, _ := splitCell(f, data)
-	f.Add(results)
+	f.Add(v6Payload(data))
 	f.Add(jsonPayload(f, 5, c))
 	total, err := encodeTotal(3.25)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(total)
-	f.Add(appendArch(nil, archState{
-		Regs:  map[isa.Reg]alu.Value{isa.R(1): {Lo: 300}, isa.V(2): {Lo: 1, Hi: 1 << 63}},
-		Mem:   map[uint64]uint64{0x1000: 7, 0x1008: 0, 0x2000: 1 << 40},
-		Flags: alu.Flags{Z: true, V: true},
-	}))
+	f.Add(append(slices.Clip(data), archSection...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if got, err := decodeCell(data, taskOf(c, cfg)); err == nil {
@@ -49,11 +43,6 @@ func FuzzDecodeCell(f *testing.F) {
 		if v, err := decodeTotal(data); err == nil {
 			if re, _ := encodeTotal(v); !bytes.Equal(re, data) {
 				t.Fatalf("sweep total %x decodes but re-encodes as %x", data, re)
-			}
-		}
-		if a, err := decodeArch(data); err == nil {
-			if re := appendArch(nil, a); !bytes.Equal(re, data) {
-				t.Fatalf("section %x decodes but re-encodes as %x", data, re)
 			}
 		}
 	})

@@ -262,8 +262,8 @@ type Options struct {
 // armed, everything completed before the cancellation is already persisted
 // and a -resume run picks up exactly where this one stopped. Both phases
 // take their simulations from one run cache, so each distinct engine run
-// happens once per call; journaled cells of one program share one decoded
-// architectural state, this call's and every other's (see archCache).
+// happens once per call; every result, simulated or journaled, holds its
+// program's one final architectural state (ooo.FinalState).
 func Run(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, opts Options) (*Grid, error) {
 	return runGrid(ctx, benchmarks, cores, opts, &runCache{})
 }

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
@@ -11,9 +10,7 @@ import (
 	"math"
 	"slices"
 	"strconv"
-	"sync"
 
-	"redsoc/internal/alu"
 	"redsoc/internal/baseline"
 	"redsoc/internal/cellstore"
 	"redsoc/internal/core"
@@ -38,23 +35,15 @@ import (
 // cellstore.SchemaVersion; it participates in the fingerprint, so bumping
 // it orphans (rather than misreads) old entries. Version 2 added the
 // dynamic-delay policies (loaddelay, speclsq) to every cell; version 3
-// stores the five results' shared architectural state once (archState);
+// stores the five results' shared architectural state once;
 // version 4 moves that state out of the JSON into a binary section and
 // writes each delay histogram sparsely; version 5 drops the five results'
 // configs and zero counters from the head; version 6 replaces the JSON
 // head with a binary results section and a sweep total's JSON with its
-// float's bits (see codec).
-const cellPayloadVersion = 6
-
-// archState is the final architectural state every scheduler of a cell
-// committed. baseline.Compare fails a cell whose schedulers
-// disagree (ArchEqual), so one copy describes all of its results exactly;
-// encodeCell re-checks that before dropping the others.
-type archState struct {
-	Regs  map[isa.Reg]alu.Value
-	Mem   map[uint64]uint64
-	Flags alu.Flags
-}
+// float's bits (see codec); version 7 drops the architectural-state
+// section, since every result of a cell holds its program's final state
+// (ooo.FinalState).
+const cellPayloadVersion = 7
 
 // benchmarkDigest canonically fingerprints a workload: the program identity
 // (every dynamic instruction, the initial memory image, via programDigest)
@@ -204,17 +193,16 @@ func sweepKey(core, class []byte, digests [][]byte, candidate int) cellstore.Key
 	return f.Key()
 }
 
-// encodeCell serializes a completed cell of core cfg for the journal: the
-// results section (codec.cell) and then the architectural-state section
-// (appendArch). Both are canonical, so identical cells produce identical
-// bytes. What the payload leaves out must come back exactly: a cell whose
-// comparison names another benchmark or core than (b, cfg), whose results
-// did not run under baseline.EngineConfigs(cfg, threshold), or whose
-// results do not all hold exactly the same architectural state (see archState),
-// is refused, so it is simulated again rather than journaled lossily.
+// encodeCell serializes a completed cell of core cfg for the journal: its
+// results section (codec.cell), which is canonical, so identical cells
+// produce identical bytes. What the payload leaves out must come back
+// exactly: a cell whose comparison names another benchmark or core than
+// (b, cfg), or whose results did not run under baseline.EngineConfigs(cfg,
+// threshold), is refused, so it is simulated again rather than journaled
+// lossily. The results' architectural state is left out too: a run that
+// returned a result ended in its program's final state (ooo.FinalState).
 func encodeCell(c Cell, cfg ooo.Config) ([]byte, error) {
 	cmp := c.Cmp
-	base := cmp.Runs[ooo.PolicyBaseline]
 	if cmp.Benchmark != c.Benchmark.Prog.Name || cmp.Core != cfg.Name {
 		return nil, fmt.Errorf("harness: cell %s/%s: comparison names another cell than %s on %s", cmp.Benchmark, cmp.Core, c.Benchmark.Prog.Name, cfg.Name)
 	}
@@ -223,89 +211,34 @@ func encodeCell(c Cell, cfg ooo.Config) ([]byte, error) {
 		if r.Config != cfgs[p] {
 			return nil, fmt.Errorf("harness: cell %s/%s: %s result ran under another config than %s at threshold %d", cmp.Benchmark, cmp.Core, r.Config.Policy, cfg.Name, c.Threshold)
 		}
-		if !r.ArchEqual(base) {
-			return nil, fmt.Errorf("harness: cell %s/%s: %s architectural state differs from baseline", cmp.Benchmark, cmp.Core, r.Config.Policy)
-		}
 	}
 	w := codec{enc: true, b: make([]byte, 0, 4<<10)}
 	w.cell(&c.Threshold, cmp)
-	return appendArch(w.b, archState{Regs: base.FinalRegs, Mem: base.FinalMem, Flags: base.FinalFlags}), nil
+	return w.b, nil
 }
 
 // decodeCell rebuilds the Cell of task t from its journaled payload: the
 // comparison gets its benchmark and core names back from t, each result
-// its config from t.engines, and all of them share the one stored
-// architectural state (its maps; everything downstream only reads them),
-// decoded through archCache. Any shape problem, or a threshold other than
-// t's, is an error, which the caller treats as a cache miss.
+// its config from t.engines and its architectural state from the
+// program's final state (shared, read-only maps). Any shape problem, or a
+// threshold other than t's, is an error, which the caller treats as a
+// cache miss.
 func decodeCell(data []byte, t cellTask) (Cell, error) {
 	rd := codec{b: data}
 	cmp := &baseline.Comparison{Benchmark: t.b.Prog.Name, Core: t.cfg.Name}
 	var th int
-	if rd.cell(&th, cmp); rd.err != nil {
+	if rd.cell(&th, cmp); rd.end() != nil {
 		return Cell{}, rd.err
 	}
 	if th != t.th {
 		return Cell{}, fmt.Errorf("harness: journaled cell at threshold %d, want %d", th, t.th)
 	}
-	arch, err := archCache{}.decode(t.b.Prog, rd.b)
-	if err != nil {
-		return Cell{}, err
-	}
+	regs, mem, flags := ooo.FinalState(t.b.Prog)
 	for p, r := range cmp.Runs {
 		r.Config = t.engines[p]
-		r.FinalRegs, r.FinalMem, r.FinalFlags = arch.Regs, arch.Mem, arch.Flags
+		r.FinalRegs, r.FinalMem, r.FinalFlags = regs, mem, flags
 	}
 	return Cell{Benchmark: t.b, Core: t.cfg.Name, Threshold: th, Cmp: cmp}, nil
-}
-
-// archCache is the cell-phase counterpart of the engine's canonical final
-// state (internal/ooo/final.go): journaled cells of a program whose
-// architectural-state sections are byte-equal share one decoded state
-// instead of each decoding its own copy. A program's cells on the three
-// cores normally hold the same section, and so does every later grid run
-// over the same suite, such as a server's jobs. The decoded sections live
-// on the program (archSections, through isa.Derived), so archCache holds
-// nothing itself: a section is decoded at most once per program and
-// distinct bytes, and is collected with its program. Every distinct section
-// is kept, not only the first decoded, so which cells share does not depend
-// on the order the workers decode them in.
-type archCache struct{}
-
-// archKey names a program's decoded sections among its derived values.
-type archKey struct{}
-
-// archSections are the architectural-state sections decoded for a program.
-type archSections struct {
-	mu      sync.Mutex
-	decoded []decodedArch
-}
-
-// decodedArch is a decoded section and a copy of the bytes it was decoded
-// from: a slice of the payload would pin the whole payload.
-type decodedArch struct {
-	section []byte
-	arch    archState
-}
-
-// decode returns the architectural state of prog's section, shared as
-// described on archCache. The first cell to ask for a section decodes it
-// under the program's lock, so a cell of the same program that asks
-// meanwhile waits for that state instead of decoding its own.
-func (archCache) decode(prog *isa.Program, section []byte) (archState, error) {
-	s := isa.Derived(prog, archKey{}, func(*isa.Program) *archSections { return new(archSections) })
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, d := range s.decoded {
-		if bytes.Equal(d.section, section) {
-			return d.arch, nil
-		}
-	}
-	a, err := decodeArch(section)
-	if err == nil {
-		s.decoded = append(s.decoded, decodedArch{slices.Clone(section), a})
-	}
-	return a, err
 }
 
 // A grid-cell payload is one front-to-back sequence of encoding/binary
@@ -318,39 +251,13 @@ func (archCache) decode(prog *isa.Program, section []byte) (archState, error) {
 //	        ascending key order (an op-class name is its length and bytes)
 //	    DelayHistogram: bin count, then delay and count per bin
 //	TS: PeriodPS, ErrorRate and Speedup (floats), Cycles
-//	the architectural-state section:
-//	    register count, then reg byte, Lo, Hi per register in ascending order
-//	    one NZCV flags byte (alu.Flags.Pack, so at most 15)
-//	    memory-word count, then address delta (from 0 for the first word)
-//	        and value per word in ascending address order
 //
-// The key names the configs, benchmark and core, so the payload does not. A
+// The key names the configs, benchmark and core, so the payload does not;
+// the program's final state supplies every result's architectural state. A
 // sweep total is the version and its float. The decoder accepts only what
 // the encoder writes — the exact version, minimal varints, strictly
-// ascending keys, bins, registers and addresses, non-zero histogram counts,
-// no trailing bytes — so a payload that decodes re-encodes to the same bytes.
-
-// appendArch appends a's architectural-state section to b.
-func appendArch(b []byte, a archState) []byte {
-	regs := sortedKeys(a.Regs)
-	b = binary.AppendUvarint(b, uint64(len(regs)))
-	for _, r := range regs {
-		v := a.Regs[r]
-		b = append(b, byte(r))
-		b = binary.AppendUvarint(b, v.Lo)
-		b = binary.AppendUvarint(b, v.Hi)
-	}
-	b = append(b, byte(a.Flags.Pack().Lo))
-	addrs := sortedKeys(a.Mem)
-	b = binary.AppendUvarint(b, uint64(len(addrs)))
-	var prev uint64
-	for _, addr := range addrs {
-		b = binary.AppendUvarint(b, addr-prev)
-		b = binary.AppendUvarint(b, a.Mem[addr])
-		prev = addr
-	}
-	return b
-}
+// ascending keys and bins, non-zero histogram counts, no trailing bytes —
+// so a payload that decodes re-encodes to the same bytes.
 
 // codec walks a payload in one fixed order in either direction: with enc
 // set, each step appends the value its pointer holds to b; otherwise it
@@ -553,8 +460,7 @@ func (c *codec) result(r *ooo.Result) {
 		&ms.Accesses, &ms.L1Hits, &ms.L2Hits, &ms.DRAMAccesses, &ms.Prefetches)
 }
 
-// cell walks a cell's results section: everything in its payload before
-// the architectural-state section. Decoding allocates the results.
+// cell walks a cell's payload. Decoding allocates the results.
 func (c *codec) cell(th *int, cmp *baseline.Comparison) {
 	c.version()
 	ints(c, th)
@@ -568,46 +474,6 @@ func (c *codec) cell(th *int, cmp *baseline.Comparison) {
 	ints(c, &ts.PeriodPS)
 	c.floats(&ts.ErrorRate, &ts.Speedup)
 	ints(c, &ts.Cycles)
-}
-
-// decodeArch parses an architectural-state section (see appendArch),
-// rejecting anything appendArch would not have written.
-func decodeArch(b []byte) (archState, error) {
-	r := codec{b: b}
-	n := r.count()
-	a := archState{Regs: make(map[isa.Reg]alu.Value, n)}
-	for i, prev := 0, -1; i < n && r.err == nil; i++ {
-		reg := int(r.next(1)[0])
-		if reg <= prev {
-			r.fail("registers out of order")
-		}
-		prev = reg
-		lo := r.uvarint()
-		a.Regs[isa.Reg(reg)] = alu.Value{Lo: lo, Hi: r.uvarint()}
-	}
-	flags := r.next(1)[0]
-	if flags > 15 {
-		r.fail("flags byte out of range")
-	}
-	a.Flags = alu.UnpackFlags(alu.Scalar(uint64(flags)))
-	n = r.count()
-	a.Mem = make(map[uint64]uint64, n)
-	var addr uint64
-	for i := 0; i < n && r.err == nil; i++ {
-		delta := r.uvarint()
-		if i > 0 && delta == 0 {
-			r.fail("addresses out of order")
-		}
-		if addr+delta < addr {
-			r.fail("address overflows 64 bits")
-		}
-		addr += delta
-		a.Mem[addr] = r.uvarint()
-	}
-	if err := r.end(); err != nil {
-		return archState{}, err
-	}
-	return a, nil
 }
 
 // encodeTotal / decodeTotal serialize a sweep task's speedup sum: the

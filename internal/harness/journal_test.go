@@ -6,13 +6,11 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"maps"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
-	"redsoc/internal/alu"
 	"redsoc/internal/baseline"
 	"redsoc/internal/cellstore"
 	"redsoc/internal/core"
@@ -48,7 +46,7 @@ func quickCell(t testing.TB, name string) Cell {
 
 func cellResults(c *baseline.Comparison) []*ooo.Result { return c.Runs[:] }
 
-// TestJournalCellPayloadRoundTrip pins payload v6 over every quick
+// TestJournalCellPayloadRoundTrip pins payload v7 over every quick
 // benchmark: decoding an encoded cell gives back results deep-equal to the
 // freshly simulated ones (configs, delay histograms, registers, memory and
 // flags included), and the same TS result.
@@ -215,16 +213,15 @@ func TestCellCodecComplete(t *testing.T) {
 	}
 }
 
-// splitCell splits a cell payload into its results section and its
-// architectural-state section with the decoder's own reader.
-func splitCell(t testing.TB, data []byte) (results, section []byte) {
-	t.Helper()
-	r := codec{b: data}
-	r.cell(new(int), new(baseline.Comparison))
-	if r.err != nil {
-		t.Fatal(r.err)
-	}
-	return data[:len(data)-len(r.b)], r.b
+// archSection is an architectural-state section in the binary form
+// payload versions 4–6 followed their results with: one register, r1 = 5,
+// flags 0, and one memory word, 0x10 = 1.
+var archSection = []byte{1, byte(isa.R(1)), 5, 0, 0, 1, 0x10, 1}
+
+// v6Payload rewrites v7 cell payload data in version 6's shape: the same
+// results under version 6, followed by an architectural-state section.
+func v6Payload(data []byte) []byte {
+	return append(append([]byte{6}, data[1:]...), archSection...)
 }
 
 // jsonPayload writes cell c in the JSON shape of payload version 2–5: a
@@ -243,14 +240,14 @@ func jsonPayload(t testing.TB, version int, c Cell) []byte {
 		t.Fatal(err)
 	}
 	if version >= 4 {
-		data = appendArch(append(data, '\n'), archState{Regs: base.FinalRegs, Mem: base.FinalMem, Flags: base.FinalFlags})
+		data = append(append(data, '\n'), archSection...)
 	}
 	return data
 }
 
-// TestJournalCellPayloadVersions: only a complete v6 payload is a hit.
-// Payloads of versions 2–5, and a v6 results section without its
-// architectural state, are cache misses rather than misreads.
+// TestJournalCellPayloadVersions: only a complete v7 payload is a hit.
+// Payloads of versions 2–6, and a v7 payload truncated or followed by v6's
+// architectural-state section, are cache misses rather than misreads.
 func TestJournalCellPayloadVersions(t *testing.T) {
 	cfg := ooo.SmallConfig()
 	fresh := quickCell(t, "crc")
@@ -258,7 +255,6 @@ func TestJournalCellPayloadVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, _ := splitCell(t, data)
 	store, err := cellstore.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -270,13 +266,14 @@ func TestJournalCellPayloadVersions(t *testing.T) {
 		payload []byte
 		hit     bool
 	}{
-		{"v6", data, true},
+		{"v7", data, true},
 		{"v2", jsonPayload(t, 2, fresh), false},
 		{"v3", jsonPayload(t, 3, fresh), false},
 		{"v4", jsonPayload(t, 4, fresh), false},
 		{"v5", jsonPayload(t, 5, fresh), false},
-		{"v6 results without the architectural state", results, false},
-		{"v6 with a truncated architectural state", data[:len(data)-1], false},
+		{"v6", v6Payload(data), false},
+		{"v7 followed by an architectural-state section", append(slices.Clip(data), archSection...), false},
+		{"truncated v7", data[:len(data)-1], false},
 	} {
 		key := cellstore.NewFingerprint("payload-test").Field("case", i).Key()
 		if err := store.Put(key, tc.payload); err != nil {
@@ -286,15 +283,15 @@ func TestJournalCellPayloadVersions(t *testing.T) {
 			t.Errorf("%s payload: hit = %v, want %v", tc.name, hit, tc.hit)
 		}
 	}
-	if st := store.Stats(); st.Hits != 1 || st.Corrupt != 6 {
-		t.Errorf("stats = %+v, want the v6 payload a hit and every other a corrupt miss", st)
+	if st := store.Stats(); st.Hits != 1 || st.Corrupt != 7 {
+		t.Errorf("stats = %+v, want the v7 payload a hit and every other a corrupt miss", st)
 	}
 }
 
 // TestEncodeCellRefuses: a cell the payload could not reproduce exactly is
-// refused rather than journaled — one whose results did not run under the
-// configs the key names (baseline.EngineConfigs of the cell's core and
-// threshold), or whose results disagree on the architectural state.
+// refused rather than journaled — one that names another cell, or whose
+// results did not run under the configs the key names
+// (baseline.EngineConfigs of the cell's core and threshold).
 func TestEncodeCellRefuses(t *testing.T) {
 	cfg := ooo.SmallConfig()
 	fresh := quickCell(t, "bitcnt")
@@ -329,11 +326,6 @@ func TestEncodeCellRefuses(t *testing.T) {
 			c.Cmp = &cmp
 			return c
 		}(), cfg, "another cell"},
-		{"MOS memory differs", with(mos, func(r *ooo.Result) {
-			r.FinalMem = maps.Clone(r.FinalMem)
-			r.FinalMem[0xdead0] = 1
-		}), cfg, "architectural state differs"},
-		{"ReDSOC flags differ", with(redsoc, func(r *ooo.Result) { r.FinalFlags.N = !r.FinalFlags.N }), cfg, "architectural state differs"},
 	} {
 		if _, err := encodeCell(tc.cell, tc.core); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want one mentioning %q", tc.name, err, tc.want)
@@ -413,10 +405,10 @@ func TestCellPayloadRejects(t *testing.T) {
 		walk func(*codec)
 		want string
 	}{
-		{"total of version 5", append([]byte{5}, total[1:]...), nil, "version 5, want 6"},
+		{"total of version 6", append([]byte{6}, total[1:]...), nil, "version 6, want 7"},
 		{"truncated total", total[:len(total)-1], nil, "truncated"},
 		{"total with trailing bytes", append(slices.Clip(total), 0), nil, "trailing bytes"},
-		{"cell of version 7", []byte{7}, func(c *codec) { c.cell(new(int), new(baseline.Comparison)) }, "version 7, want 6"},
+		{"cell of version 8", []byte{8}, func(c *codec) { c.cell(new(int), new(baseline.Comparison)) }, "version 8, want 7"},
 		{"head-wait classes out of order", []byte{2, 1, 'b', 1, 1, 'a', 1}, headWait, "keys out of order"},
 		{"duplicate head-wait class", []byte{2, 1, 'a', 1, 1, 'a', 1}, headWait, "keys out of order"},
 		{"class name longer than the payload", []byte{1, 9, 'a', 1}, headWait, "count exceeds"},
@@ -444,51 +436,6 @@ func headWait(c *codec) {
 func sequences(c *codec) {
 	var m map[int]uint64
 	pairs(c, &m, func(k *int) { ints(c, k) })
-}
-
-// TestDecodeArchRejects: the architectural-state decoder accepts exactly
-// what appendArch writes; every malformed or non-canonical section is an
-// error (a cache miss), never a misread.
-func TestDecodeArchRejects(t *testing.T) {
-	ok := appendArch(nil, archState{
-		Regs:  map[isa.Reg]alu.Value{isa.R(1): {Lo: 300}, isa.V(0): {Lo: 1, Hi: 2}},
-		Mem:   map[uint64]uint64{0x1000: 7, 0x1008: 1 << 40},
-		Flags: alu.Flags{N: true, C: true},
-	})
-	if a, err := decodeArch(ok); err != nil || !bytes.Equal(appendArch(nil, a), ok) {
-		t.Fatalf("premise: a canonical section must round-trip (err %v)", err)
-	}
-	// One register r1=5, flags 0, one word 0x10=1, built by hand.
-	valid := []byte{1, byte(isa.R(1)), 5, 0, 0, 1, 0x10, 1}
-	if _, err := decodeArch(valid); err != nil {
-		t.Fatalf("premise: the hand-built section must decode: %v", err)
-	}
-	for _, tc := range []struct {
-		name    string
-		section []byte
-		want    string
-	}{
-		{"empty", nil, "truncated varint"},
-		{"truncated varint", []byte{0x80}, "truncated varint"},
-		{"truncated after the flags", valid[:5], "truncated varint"},
-		{"truncated before the flags", []byte{0}, "truncated"},
-		{"truncated before the memory count", []byte{0, 0}, "truncated varint"},
-		{"truncated inside a word", valid[:len(valid)-1], "truncated varint"},
-		{"varint overflows 64 bits", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, "overflows 64 bits"},
-		{"non-minimal varint", []byte{0x80, 0x00, 0, 0}, "non-minimal varint"},
-		{"register count larger than the remaining bytes", []byte{200, 1, 2}, "count exceeds"},
-		{"memory count larger than the remaining bytes", []byte{0, 0, 9, 1, 1}, "count exceeds"},
-		{"registers out of order", []byte{2, 5, 0, 0, 4, 0, 0, 0, 0}, "registers out of order"},
-		{"duplicate register", []byte{2, 4, 0, 0, 4, 0, 0, 0, 0}, "registers out of order"},
-		{"flags byte above 15", []byte{0, 16, 0}, "flags byte out of range"},
-		{"zero address delta after the first word", []byte{0, 0, 2, 0x10, 1, 0, 2}, "addresses out of order"},
-		{"address overflows 64 bits", append([]byte{0, 0, 2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 1, 1}, 1), "address overflows 64 bits"},
-		{"trailing bytes", append(slices.Clip(valid), 0), "trailing bytes"},
-	} {
-		if _, err := decodeArch(tc.section); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: section %x: err = %v, want one mentioning %q", tc.name, tc.section, err, tc.want)
-		}
-	}
 }
 
 // coreID is cfg's canonical JSON, the core component of its journal keys.

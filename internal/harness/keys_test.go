@@ -46,11 +46,11 @@ func TestJournalKeysPinned(t *testing.T) {
 	}
 	sort.Strings(got)
 	want := []string{
-		"grid-cell bitcnt/Big 040330f3ab58a58bc58a171bb1d1deb6509359f31acd0cac784ee9221a0602ee",
-		"sweep-total sweep MiBench/Big th=4 e119c7ad8c26ce59740abd07802048abbae745446d8c4e399c1285c18fc947dd",
-		"sweep-total sweep MiBench/Big th=5 a619b47160b745c12818fe1ddecb4b560a0fb264b5cd271345ca05838c2ab0f3",
-		"sweep-total sweep MiBench/Big th=6 0321c447bfa684954021832da45347cdfb250a6ec032dde9064bd6fb98fc7f0d",
-		"sweep-total sweep MiBench/Big th=7 1fc8e7bf68fe1e478742912578cbbd95695cbd0bcbfc12338eba44637f5afa1b",
+		"grid-cell bitcnt/Big c10ebdc10a610bcb1fcbc50c138048ba5ad0e29cb2c7322ba3c7ca0ef00b8e5c",
+		"sweep-total sweep MiBench/Big th=4 8e423c06451cc2c6e09d9ff883acfb2e2e24356ff5b3fe59770a01c1a846bf91",
+		"sweep-total sweep MiBench/Big th=5 e73041b9d5622dfd8a4a0a346c3dd35bdb48cf5b0ca1c66b484d389db334602a",
+		"sweep-total sweep MiBench/Big th=6 f8ee2094273f4b462b03fcb1292a085523c0d0a7a95bb0f6acd90ad4a755405b",
+		"sweep-total sweep MiBench/Big th=7 cb232242526b326ff87a80bad63354037bff1dbd9be435fca290d39e9377912b",
 	}
 	if len(got) != len(want) {
 		t.Fatalf("got %d keyed units, want %d:\n%q", len(got), len(want), got)
@@ -94,8 +94,8 @@ func TestJournalPayloadsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	for label, want := range map[string]string{
-		"bitcnt/Big":             "e75a77857d9bbd7c40087623e64641da9bf20e626523a7165e95fc96bb41df9a",
-		"sweep MiBench/Big th=4": "79dc0d97a453cdc2afb0965e4c22a7322d57305812a8acf6e95822ad06f27c33",
+		"bitcnt/Big":             "fa33de2ed03c3612b5df12cb6364fc227e2bb184e650ea27f43168102c04bc21",
+		"sweep MiBench/Big th=4": "6a7cbdff7cc36f6a5383bd5192de9d7c8c4cc6c9023ccc3a49738f64692d146d",
 	} {
 		data, ok := store.Get(keys[label])
 		if !ok {

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"runtime"
-	"slices"
 	"testing"
 	"time"
 
@@ -43,44 +42,41 @@ func TestDigestsDieWithProgram(t *testing.T) {
 	awaitCollection(t, "a dropped program's benchmark digest", benchGone)
 }
 
-// TestArchStateDiesWithProgram: a program's decoded architectural-state
-// sections are shared while the program is held, keep a copy of the bytes
-// they were decoded from rather than the payload those were sliced from,
-// and are collected once the program is dropped.
+// TestArchStateDiesWithProgram: the architectural state decoded cells point
+// at is their program's final state, held on the program, so nothing keeps
+// a program alive once its cells and the program are dropped.
 func TestArchStateDiesWithProgram(t *testing.T) {
+	cfg := ooo.SmallConfig()
+	c := quickCell(t, "crc")
+	data, err := encodeCell(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	gone := make(chan struct{})
 	func() {
-		p := &isa.Program{Name: "dropped"}
-		payload := append([]byte("results section"), appendArch(nil, archState{Mem: map[uint64]uint64{0x40: 1, 0x48: 2}})...)
-		section := payload[len("results section"):]
-		a, err := archCache{}.decode(p, section)
+		p := &isa.Program{Name: "dropped", Instrs: []isa.Instruction{{Op: isa.OpMOV, Dst: isa.R(1), Imm: 7}}}
+		task := taskOf(c, cfg)
+		task.b.Prog = p
+		got, err := decodeCell(data, task)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := archCache{}.decode(p, slices.Clone(section))
-		if err != nil {
-			t.Fatal(err)
+		regs, mem, _ := ooo.FinalState(p)
+		for _, r := range got.Cmp.Runs {
+			if mapID(r.FinalRegs) != mapID(regs) || mapID(r.FinalMem) != mapID(mem) || r.FinalRegs[isa.R(1)].Lo != 7 {
+				t.Fatalf("%s: a decoded result does not hold its program's final state", r.Config.Policy)
+			}
 		}
-		if mapID(a.Mem) != mapID(b.Mem) {
-			t.Fatal("a held program's section was decoded twice")
-		}
-		s := isa.Derived(p, archKey{}, func(*isa.Program) *archSections { return new(archSections) })
-		if len(s.decoded) != 1 {
-			t.Fatalf("the program holds %d decoded sections, want 1", len(s.decoded))
-		}
-		if &s.decoded[0].section[0] == &section[0] {
-			t.Fatal("a decoded section keeps its payload alive")
-		}
-		runtime.SetFinalizer(s, func(*archSections) { close(gone) })
+		runtime.SetFinalizer(p, func(*isa.Program) { close(gone) })
 	}()
-	awaitCollection(t, "a dropped program's decoded sections", gone)
+	awaitCollection(t, "a program its decoded cells were dropped with", gone)
 }
 
 // TestSuitesKeepTheirCanonicalState: with the quick and the full suite both
 // live — 30 programs, as in a server that has built both scales — a warm
 // pass over either suite, run after a pass over the other, adopts every
 // program's canonical final state: each result holds the FinalMem map its
-// program's first run published, so no run builds its own.
+// program's first run held, so no run builds its own.
 func TestSuitesKeepTheirCanonicalState(t *testing.T) {
 	quick, full := Benchmarks(Quick), Benchmarks(Full)
 	first := map[*isa.Program]uintptr{}

@@ -3,12 +3,9 @@ package harness
 import (
 	"context"
 	"reflect"
-	"slices"
 	"testing"
 
-	"redsoc/internal/baseline"
 	"redsoc/internal/cellstore"
-	"redsoc/internal/isa"
 	"redsoc/internal/ooo"
 )
 
@@ -43,112 +40,10 @@ func mapID[M ~map[K]V, K comparable, V any](m M) uintptr {
 	return uintptr(reflect.ValueOf(m).UnsafePointer())
 }
 
-// TestResumedCellsShareArchState: on a resumed grid, the journaled cells of
-// one program decode its architectural state once — the three cores' cells
-// share one FinalMem map — while a cell whose journaled section differs
-// keeps its own.
+// TestResumedCellsShareArchState: on a resumed grid, every journaled cell's
+// results hold their program's final state — the very maps ooo.FinalState
+// returns — on every core, without simulating anything.
 func TestResumedCellsShareArchState(t *testing.T) {
-	benchmarks, cores := Benchmarks(Quick)[5:8], Cores()
-	store, err := cellstore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	if _, err := Run(context.Background(), benchmarks, cores, Options{Workers: 2, Journal: store}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Rewrite one cell's section with an extra memory word: still a valid
-	// payload, but no longer byte-equal to its program's other cells.
-	odd := benchmarks[1]
-	oddCore := cores[1]
-	key := cellKey(coreID(t, oddCore), benchmarkDigest(odd), baseline.DefaultThreshold(oddCore))
-	data, ok := store.Get(key)
-	if !ok {
-		t.Fatal("premise: the cell must be journaled")
-	}
-	results, section := splitCell(t, data)
-	a, err := decodeArch(section)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Mem[0xdead0] = 1
-	if err := store.Put(key, appendArch(slices.Clip(results), a)); err != nil {
-		t.Fatal(err)
-	}
-
-	runs := &runCache{}
-	g, err := runGrid(context.Background(), benchmarks, cores, Options{Workers: 2, Journal: store, Resume: true}, runs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := runs.builds.Load(); n != 0 {
-		t.Fatalf("resumed grid simulated %d runs, want every cell served from the journal", n)
-	}
-	mems := map[*isa.Program]map[uintptr]int{}
-	for _, c := range g.Cells {
-		id := mapID(c.Cmp.Runs[ooo.PolicyBaseline].FinalMem)
-		for _, r := range c.Cmp.Runs {
-			if mapID(r.FinalMem) != id {
-				t.Fatalf("%s/%s: a cell's results hold different memory maps", c.Benchmark.Name, c.Core)
-			}
-		}
-		if mems[c.Benchmark.Prog] == nil {
-			mems[c.Benchmark.Prog] = map[uintptr]int{}
-		}
-		mems[c.Benchmark.Prog][id]++
-		if odd := c.Benchmark.Prog == odd.Prog && c.Core == oddCore.Name; odd != (c.Cmp.Runs[ooo.PolicyBaseline].FinalMem[0xdead0] == 1) {
-			t.Fatalf("%s/%s: decoded the wrong section", c.Benchmark.Name, c.Core)
-		}
-	}
-	for _, b := range benchmarks {
-		var counts []int
-		for _, n := range mems[b.Prog] {
-			counts = append(counts, n)
-		}
-		slices.Sort(counts)
-		switch {
-		case b.Prog == odd.Prog && !slices.Equal(counts, []int{1, 2}):
-			t.Errorf("%s: cells per memory map %v, want the odd cell alone and the other two shared", b.Name, counts)
-		case b.Prog != odd.Prog && !slices.Equal(counts, []int{len(cores)}):
-			t.Errorf("%s: cells per memory map %v, want all %d cells on one map", b.Name, counts, len(cores))
-		}
-	}
-}
-
-// TestArchCacheSharingIgnoresOrder: the cells of a program whose sections
-// are byte-equal share one decoded state even when a cell with a different
-// section was decoded first.
-func TestArchCacheSharingIgnoresOrder(t *testing.T) {
-	prog := Benchmarks(Quick)[0].Prog
-	common := appendArch(nil, archState{Mem: map[uint64]uint64{0x100: 1}})
-	odd := appendArch(nil, archState{Mem: map[uint64]uint64{0x100: 2}})
-	var c archCache
-	var mems []map[uint64]uint64
-	for _, section := range [][]byte{odd, common, slices.Clone(common)} {
-		a, err := c.decode(prog, section)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mems = append(mems, a.Mem)
-	}
-	if mems[0][0x100] != 2 || mems[1][0x100] != 1 {
-		t.Fatal("decoded the wrong section")
-	}
-	if mapID(mems[1]) != mapID(mems[2]) {
-		t.Fatal("two byte-equal sections decoded after a different one must share one state")
-	}
-	if mapID(mems[0]) == mapID(mems[1]) {
-		t.Fatal("a different section must keep its own state")
-	}
-}
-
-// TestResumedRunsShareArchState: a program's decoded architectural state
-// outlives the Run that decoded it. Of two resumed runs over one suite, the
-// second serves every cell the very FinalMem map the first served, so it
-// decodes no section, and the cells of one program share one map across
-// the cores.
-func TestResumedRunsShareArchState(t *testing.T) {
 	benchmarks, cores := Benchmarks(Quick)[5:8], Cores()
 	store, err := cellstore.Open(t.TempDir())
 	if err != nil {
@@ -160,25 +55,53 @@ func TestResumedRunsShareArchState(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.Resume = true
+	runs := &runCache{}
+	g, err := runGrid(context.Background(), benchmarks, cores, opts, runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runs.builds.Load(); n != 0 {
+		t.Fatalf("resumed grid simulated %d runs, want every cell served from the journal", n)
+	}
+	for _, c := range g.Cells {
+		regs, mem, flags := ooo.FinalState(c.Benchmark.Prog)
+		for _, r := range c.Cmp.Runs {
+			if mapID(r.FinalRegs) != mapID(regs) || mapID(r.FinalMem) != mapID(mem) || r.FinalFlags != flags {
+				t.Fatalf("%s/%s: the %s result does not hold its program's final state", c.Benchmark.Name, c.Core, r.Config.Policy)
+			}
+		}
+	}
+}
+
+// TestResumedRunsShareArchState: a resumed grid serves every cell the very
+// FinalRegs and FinalMem maps the simulating grid's cell held, so a
+// journaled and a simulated cell of one program are indistinguishable down
+// to map identity.
+func TestResumedRunsShareArchState(t *testing.T) {
+	benchmarks, cores := Benchmarks(Quick)[5:8], Cores()
+	store, err := cellstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	opts := Options{Workers: 2, Journal: store}
 	var grids [2]*Grid
 	for i := range grids {
 		runs := &runCache{}
 		if grids[i], err = runGrid(context.Background(), benchmarks, cores, opts, runs); err != nil {
 			t.Fatal(err)
 		}
-		if n := runs.builds.Load(); n != 0 {
-			t.Fatalf("resumed grid %d simulated %d runs, want every cell served from the journal", i, n)
+		if n := runs.builds.Load(); (n == 0) != opts.Resume {
+			t.Fatalf("grid %d (resume %v) simulated %d runs", i, opts.Resume, n)
 		}
+		opts.Resume = true
 	}
-	perProg := map[*isa.Program]uintptr{}
 	for i, c := range grids[1].Cells {
-		id := mapID(c.Cmp.Runs[ooo.PolicyBaseline].FinalMem)
-		if id != mapID(grids[0].Cells[i].Cmp.Runs[ooo.PolicyBaseline].FinalMem) {
-			t.Errorf("%s/%s: the second run decoded its own FinalMem instead of sharing the first run's", c.Benchmark.Name, c.Core)
+		for p, r := range c.Cmp.Runs {
+			fresh := grids[0].Cells[i].Cmp.Runs[p]
+			if mapID(r.FinalRegs) != mapID(fresh.FinalRegs) || mapID(r.FinalMem) != mapID(fresh.FinalMem) {
+				t.Errorf("%s/%s: the resumed %s result holds other maps than the simulated one", c.Benchmark.Name, c.Core, r.Config.Policy)
+			}
 		}
-		if first, ok := perProg[c.Benchmark.Prog]; ok && first != id {
-			t.Errorf("%s/%s: the cells of one program hold different FinalMem maps", c.Benchmark.Name, c.Core)
-		}
-		perProg[c.Benchmark.Prog] = id
 	}
 }

@@ -320,6 +320,34 @@ func TestMemoryMatchesFrozen(t *testing.T) {
 	}
 }
 
+// TestMemoryFirstDiff: FirstDiff names the lowest span address at which a
+// store and a frozen copy of its layout differ — in value, or in whether
+// the word is present at all — and nothing when only words outside the
+// span differ, or when the layouts differ.
+func TestMemoryFirstDiff(t *testing.T) {
+	img := NewImage(map[uint64]uint64{0x100: 1, 0x118: 2, 0x200: 3})
+	f := NewMemoryFromImage(img).Freeze()
+	for _, tc := range []struct {
+		name string
+		do   func(m *Memory)
+		addr uint64
+		ok   bool
+	}{
+		{"none", func(*Memory) {}, 0, false},
+		{"two words", func(m *Memory) { m.Write64(0x200, 9); m.Write64(0x118, 7) }, 0x118, true},
+		{"zero into an untouched word", func(m *Memory) { m.Write64(0x108, 0) }, 0x108, true},
+		{"outside the span", func(m *Memory) { m.Write64(0x9000, 6) }, 0, false},
+	} {
+		addr, ok := NewMemoryFromImage(img).apply(tc.do).FirstDiff(f)
+		if addr != tc.addr || ok != tc.ok {
+			t.Errorf("%s: FirstDiff = %#x, %v; want %#x, %v", tc.name, addr, ok, tc.addr, tc.ok)
+		}
+	}
+	if _, ok := NewMemory().FirstDiff(f); ok {
+		t.Error("stores of different layouts must report no span difference")
+	}
+}
+
 // TestMemoryMatchesAllocatesNothing: comparing a store with a frozen copy of
 // its own layout, or a frozen copy with its snapshot, allocates nothing.
 func TestMemoryMatchesAllocatesNothing(t *testing.T) {

@@ -167,6 +167,23 @@ func (m *Memory) Matches(f *Frozen) bool {
 	return slices.Equal(m.touch, o.touch) && slices.Equal(m.words, o.words) && maps.Equal(m.over, o.over)
 }
 
+// FirstDiff returns the lowest address inside the span m and f share at
+// which they hold different words — a word only one of them holds counts —
+// and whether there is one. Words outside the span are not compared.
+func (m *Memory) FirstDiff(f *Frozen) (addr uint64, ok bool) {
+	o := &f.m
+	if m.base != o.base || len(m.words) != len(o.words) {
+		return 0, false
+	}
+	for i := range m.words {
+		bit := uint64(1) << (i % 64)
+		if m.touch[i/64]&bit != o.touch[i/64]&bit || m.words[i] != o.words[i] {
+			return m.base + uint64(i)*8, true
+		}
+	}
+	return 0, false
+}
+
 // Snapshot returns the frozen contents as Memory.Snapshot would have.
 func (f *Frozen) Snapshot() map[uint64]uint64 { return f.m.Snapshot() }
 

@@ -35,8 +35,9 @@ import (
 //
 // Storage lifetime: the slab and free list, the scheduler's other per-run
 // scratch (scratch below), the dense delay counter, the cache hierarchy, the
-// functional memory and the predictor tables are one bundle (storage) with
-// one owner at a time. New borrows a bundle from the spare list and resets
+// functional memory, the predictor tables and the lockstep interpreter
+// (final.go, reset by armLockstep) are one bundle (storage) with one owner
+// at a time. New borrows a bundle from the spare list and resets
 // it; Run returns it when the simulation ends — after capture, on the error
 // path too — and nils the Simulator's fields, so nothing reaches the storage
 // through a finished Simulator and a second Run is refused. The reset
@@ -210,6 +211,7 @@ type storage struct {
 	lastPred   *predict.LastArrivalPredictor
 	branchPred *predict.BranchPredictor
 	loadPred   *predict.LoadDelayTracker // built on the first PolicyLoadDelay run
+	lock       lockstep                  // its interpreter's memory built on the first armed run
 }
 
 // spare holds the bundles of finished simulations for the next New: a
@@ -266,7 +268,7 @@ func (s *Simulator) releaseStorage() {
 	st := s.store
 	st.scratch, s.scratch = s.scratch, scratch{}
 	s.store, s.hier, s.memory, s.delays = nil, nil, nil, nil
-	s.widthPred, s.lastPred, s.branchPred, s.loadPred, s.estimator = nil, nil, nil, nil, nil
+	s.widthPred, s.lastPred, s.branchPred, s.loadPred, s.estimator, s.lock = nil, nil, nil, nil, nil, nil
 	spare.Lock()
 	if len(spare.list) < runtime.GOMAXPROCS(0) {
 		spare.list = append(spare.list, st)

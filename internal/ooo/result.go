@@ -76,10 +76,12 @@ type Result struct {
 	Branches          predict.BranchStats
 	MemStats          mem.Stats
 
-	// Architectural outcome, for cross-scheduler equivalence checks. A run
-	// that ends in its program's canonical final state shares that state's
-	// FinalRegs and FinalMem maps with every other such run (see final.go),
-	// so both maps are read-only: never write to them.
+	// Architectural outcome. Every successful fault-free run ends in its
+	// program's canonical final state, the architectural interpreter's, and
+	// shares that state's FinalRegs and FinalMem maps with every other such
+	// run and every journaled result (see final.go and FinalState), so both
+	// maps are read-only: never write to them. Only a fault-injected run
+	// that diverged holds maps of its own.
 	FinalRegs  map[isa.Reg]alu.Value
 	FinalMem   map[uint64]uint64
 	FinalFlags alu.Flags

@@ -73,6 +73,9 @@ type Simulator struct {
 	// emission is behind an `if s.obs != nil` guard (enforced by the
 	// obszeroalloc analyzer), so the disabled path costs one branch.
 	obs obs.Sink
+	// lock, when set, steps the architectural interpreter beside commit and
+	// stops the run at the first commit that differs (final.go).
+	lock *lockstep
 
 	// store is the borrowed machine storage behind memory, hier, scratch,
 	// delays and the predictors; Run returns it to the spare list and nils
@@ -167,6 +170,9 @@ func New(cfg Config, prog *isa.Program) (*Simulator, error) {
 		s.cpm = timing.NewCPM(cfg.PVT, lut)
 	}
 	s.res = &Result{Config: cfg, Sequences: core.NewSeqTracker()}
+	if s.audit.Enabled() {
+		s.armLockstep()
+	}
 	return s, nil
 }
 
@@ -198,7 +204,12 @@ func (s *Simulator) Run() (*Result, error) {
 			break
 		}
 	}
-	s.capture()
+	if s.lock != nil && s.lock.bad.what != "" {
+		return nil, s.lock.err(s)
+	}
+	if err := s.capture(); err != nil {
+		return nil, err
+	}
 	return s.res, nil
 }
 
@@ -209,7 +220,7 @@ func (s *Simulator) Run() (*Result, error) {
 //redsoc:hotpath
 func (s *Simulator) step(cycle int64) (done bool) {
 	s.commit(cycle)
-	if s.pc >= len(s.prog.Instrs) && s.rob.len() == 0 {
+	if s.pc >= len(s.prog.Instrs) && s.rob.len() == 0 || s.lock != nil && s.lock.bad.what != "" {
 		return true
 	}
 	if s.cpm != nil && s.cpm.Tick(cycle) {
@@ -277,7 +288,9 @@ func (s *Simulator) commit(cycle int64) {
 			}
 			return
 		}
-		s.audit.onCommit(s, e)
+		if s.lock != nil && !s.lock.commits(s, e) {
+			return
+		}
 		if e.isStore {
 			if e.bits&trace.BitVecAccess != 0 {
 				s.memory.Write128(e.addr, e.result.Lo, e.result.Hi)
@@ -633,10 +646,13 @@ func forwardable(st, ld *entry) bool {
 	return st.addrLo <= ld.addrLo && ld.addrHi <= st.addrHi
 }
 
-// capture records the final architectural state, for equivalence checks,
-// and the end-of-run statistics.
-func (s *Simulator) capture() {
-	s.captureArch()
+// capture records the final architectural state and the end-of-run
+// statistics; a fault-free run that did not end in its program's final
+// state is an error (captureArch).
+func (s *Simulator) capture() error {
+	if err := s.captureArch(); err != nil {
+		return err
+	}
 	s.res.WidthPredictor = s.widthPred.Stats()
 	s.res.LastArrival = s.lastPred.Stats()
 	if s.loadPred != nil {
@@ -667,6 +683,7 @@ func (s *Simulator) capture() {
 	if s.inject != nil {
 		s.res.FaultStats = s.inject.Stats()
 	}
+	return nil
 }
 
 // Clock exposes the simulator's clock (for harness reporting).
