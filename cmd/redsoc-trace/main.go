@@ -177,6 +177,6 @@ func disasm(args []string) {
 				extra = " (not taken)"
 			}
 		}
-		fmt.Printf("%6d  %#06x  %s%s\n", in.Seq, in.PC, in, extra)
+		fmt.Printf("%6d  %#06x  %s%s\n", i, in.PC, in, extra)
 	}
 }

@@ -62,7 +62,6 @@ func (p *Program) Trace(maxSteps int) (*TraceResult, error) {
 			if s.cond == condCBZ || s.cond == condCBNZ {
 				in.Src1 = s.operands[0].reg
 			}
-			in.Seq = len(out.Instrs)
 			out.Instrs = append(out.Instrs, in)
 			if taken {
 				idx = s.target
@@ -77,7 +76,6 @@ func (p *Program) Trace(maxSteps int) (*TraceResult, error) {
 			return nil, err
 		}
 		in.PC = pcOf(idx)
-		in.Seq = len(out.Instrs)
 		st.Step(&in)
 		out.Instrs = append(out.Instrs, in)
 		idx++

@@ -23,7 +23,6 @@ import (
 	"io"
 	"math/rand"
 
-	"redsoc/internal/arch"
 	"redsoc/internal/isa"
 	"redsoc/internal/obs"
 	"redsoc/internal/ooo"
@@ -152,7 +151,8 @@ type Digest struct {
 func (d Digest) String() string { return fmt.Sprintf("%d:%s", d.Cycles, d.Hash) }
 
 // Compare runs prog on the pair's configuration, checks its committed state
-// against the architectural interpreter, and returns the run's digest. The
+// against the architectural interpreter (ooo.Run compares the final state;
+// Compare adds the instruction count), and returns the run's digest. The
 // error names the first divergence.
 func Compare(p Pair, prog *isa.Program) (Digest, error) {
 	sim, err := ooo.New(p.Config, prog)
@@ -172,39 +172,10 @@ func Compare(p Pair, prog *isa.Program) (Digest, error) {
 		return Digest{}, fmt.Errorf("%s: %w", p.Name, err)
 	}
 	d := Digest{Cycles: res.Cycles, Hash: hex.EncodeToString(h.Sum(nil))[:16]}
-	if err := checkArch(prog, res); err != nil {
-		return d, fmt.Errorf("%s: %s: %w", p.Name, prog.Name, err)
+	// The interpreter executes every instruction; Run has already failed a
+	// run whose final registers, flags or memory differ from its.
+	if want := int64(len(prog.Instrs)); res.Instructions != want {
+		return d, fmt.Errorf("%s: %s: committed %d instructions, interpreter %d", p.Name, prog.Name, res.Instructions, want)
 	}
 	return d, nil
-}
-
-// checkArch compares a run's committed state with the interpreter's.
-func checkArch(prog *isa.Program, res *ooo.Result) error {
-	want := arch.Run(prog)
-	if res.Instructions != want.Steps {
-		return fmt.Errorf("committed %d instructions, interpreter %d", res.Instructions, want.Steps)
-	}
-	if f := want.Flags(); res.FinalFlags != f {
-		return fmt.Errorf("final flags %+v, interpreter %+v", res.FinalFlags, f)
-	}
-	if len(res.FinalRegs) != isa.NumIntRegs+isa.NumVecRegs {
-		return fmt.Errorf("final register file holds %d registers", len(res.FinalRegs))
-	}
-	for i := 0; i < isa.NumIntRegs; i++ {
-		for _, r := range []isa.Reg{isa.R(i), isa.V(i)} {
-			if got, ok := res.FinalRegs[r]; !ok || got != want.Reg(r) {
-				return fmt.Errorf("final %v is %v, interpreter %v", r, got, want.Reg(r))
-			}
-		}
-	}
-	wm := want.Mem.Snapshot()
-	if len(res.FinalMem) != len(wm) {
-		return fmt.Errorf("final memory holds %d words, interpreter %d", len(res.FinalMem), len(wm))
-	}
-	for a, v := range res.FinalMem {
-		if w, ok := wm[a]; !ok || w != v {
-			return fmt.Errorf("final mem[%#x] is %#x, interpreter %#x (present %v)", a, v, w, ok)
-		}
-	}
-	return nil
 }

@@ -12,8 +12,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"redsoc/internal/baseline"
 	"redsoc/internal/campaign"
@@ -268,6 +270,53 @@ func Run(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, opts O
 	return runGrid(ctx, benchmarks, cores, opts, &runCache{})
 }
 
+// appendProgress appends the progress line of one grid cell to b: its
+// class, benchmark and core, then each policy's speedup over the baseline
+// in percent. The line is byte for byte what
+//
+//	fmt.Sprintf("%-8s %-10s %-7s redsoc %+5.1f%%  ts %+5.1f%%  mos %+5.1f%%  loaddelay %+5.1f%%  speclsq %+5.1f%%", ...)
+//
+// formats, without boxing eight values per cell.
+func appendProgress(b []byte, class Class, bench, core string, cmp *baseline.Comparison) []byte {
+	b = appendPadded(b, string(class), 8)
+	b = appendPadded(append(b, ' '), bench, 10)
+	b = appendPadded(append(b, ' '), core, 7)
+	b = appendSpeedup(b, " redsoc ", cmp.Speedup(ooo.PolicyRedsoc))
+	b = appendSpeedup(b, "  ts ", cmp.TS.Speedup)
+	b = appendSpeedup(b, "  mos ", cmp.Speedup(ooo.PolicyMOS))
+	b = appendSpeedup(b, "  loaddelay ", cmp.Speedup(ooo.PolicyLoadDelay))
+	return appendSpeedup(b, "  speclsq ", cmp.Speedup(ooo.PolicySpecLSQ))
+}
+
+// appendPadded appends s left-justified in width runes, as %-Ns does.
+func appendPadded(b []byte, s string, width int) []byte {
+	b = append(b, s...)
+	for n := utf8.RuneCountInString(s); n < width; n++ {
+		b = append(b, ' ')
+	}
+	return b
+}
+
+// appendSpeedup appends name, then speedup as a percentage change formatted
+// as %+5.1f%% does: one decimal, a sign always, right-justified in five
+// columns.
+func appendSpeedup(b []byte, name string, speedup float64) []byte {
+	b = append(b, name...)
+	var buf [32]byte
+	num := strconv.AppendFloat(buf[:0], 100*(speedup-1), 'f', 1, 64)
+	sign := 0
+	if num[0] != '-' && num[0] != '+' {
+		sign = 1
+	}
+	for n := len(num) + sign; n < 5; n++ {
+		b = append(b, ' ')
+	}
+	if sign == 1 {
+		b = append(b, '+')
+	}
+	return append(append(b, num...), '%')
+}
+
 // runGrid is Run with every simulation taken from runs.
 func runGrid(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, opts Options, runs *runCache) (*Grid, error) {
 	run := baseline.Runner(runs.run)
@@ -328,14 +377,13 @@ func runGrid(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, op
 	owned := opts.Shard.Assign(len(tasks))
 	opts.LogCampaign(len(owned), "grid cells")
 	label := func(j int) string { t := tasks[owned[j]]; return t.b.Name + "/" + t.cfg.Name }
+	var line []byte // OnDone runs on this goroutine, one cell at a time
 	cells, err := campaign.Run(ctx, len(owned),
 		CampaignOptions(opts, label, func(j int, c Cell) {
 			if opts.Progress != nil {
 				t := tasks[owned[j]]
-				opts.Progress(fmt.Sprintf("%-8s %-10s %-7s redsoc %+5.1f%%  ts %+5.1f%%  mos %+5.1f%%  loaddelay %+5.1f%%  speclsq %+5.1f%%",
-					t.class, t.b.Name, t.cfg.Name,
-					100*(c.Cmp.Speedup(ooo.PolicyRedsoc)-1), 100*(c.Cmp.TS.Speedup-1), 100*(c.Cmp.Speedup(ooo.PolicyMOS)-1),
-					100*(c.Cmp.Speedup(ooo.PolicyLoadDelay)-1), 100*(c.Cmp.Speedup(ooo.PolicySpecLSQ)-1)))
+				line = appendProgress(line[:0], t.class, t.b.Name, t.cfg.Name, c.Cmp)
+				opts.Progress(string(line))
 			}
 		}),
 		func(ctx context.Context, j int) (Cell, error) {

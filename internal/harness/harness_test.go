@@ -2,6 +2,8 @@ package harness
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -237,5 +239,53 @@ func TestProgressCallback(t *testing.T) {
 	}
 	if len(lines) != 1 || !strings.Contains(lines[0], "act") {
 		t.Fatalf("progress lines = %v", lines)
+	}
+}
+
+// progressRef is the reference form of a grid cell's progress line, the
+// fmt.Sprintf that appendProgress replaces.
+func progressRef(class Class, bench, core string, cmp *baseline.Comparison) string {
+	return fmt.Sprintf("%-8s %-10s %-7s redsoc %+5.1f%%  ts %+5.1f%%  mos %+5.1f%%  loaddelay %+5.1f%%  speclsq %+5.1f%%",
+		class, bench, core,
+		100*(cmp.Speedup(ooo.PolicyRedsoc)-1), 100*(cmp.TS.Speedup-1), 100*(cmp.Speedup(ooo.PolicyMOS)-1),
+		100*(cmp.Speedup(ooo.PolicyLoadDelay)-1), 100*(cmp.Speedup(ooo.PolicySpecLSQ)-1))
+}
+
+// TestProgressLineMatchesSprintf: appendProgress writes exactly the bytes of
+// the reference fmt.Sprintf, for every cell of the quick grid and for
+// speedups that are negative, zero, round to zero from either side, reach
+// 100% and beyond, or are not finite; and it reuses the buffer it is given.
+func TestProgressLineMatchesSprintf(t *testing.T) {
+	var buf []byte
+	check := func(class Class, bench, core string, cmp *baseline.Comparison) {
+		t.Helper()
+		buf = appendProgress(buf[:0], class, bench, core, cmp)
+		if want := progressRef(class, bench, core, cmp); string(buf) != want {
+			t.Errorf("progress line\n got %q\nwant %q", buf, want)
+		}
+	}
+	for _, c := range quickGrid(t).Cells {
+		check(c.Benchmark.Class, c.Benchmark.Name, c.Core, c.Cmp)
+	}
+	for _, c := range []struct {
+		base, redsoc, mos, loaddelay, speclsq int64
+		ts                                    float64
+	}{
+		{1000, 2000, 1000, 500, 100, 0.5},      // -50%, 0%, +100%, +900%, -50%
+		{1000_000, 1000_400, 999_600, 1, 0, 1}, // -0.0, +0.0, +99999900%; zero cycles read as -100%
+		{1000, 1000, 1000, 1000, 1000, math.NaN()},
+		{1000, 999, 1001, 3, 7, math.Inf(1)},
+		{1, 1000, 1000, 1000, 1000, math.Inf(-1)},
+	} {
+		cmp := &baseline.Comparison{TS: baseline.TSResult{Speedup: c.ts}}
+		for p, cycles := range map[ooo.Policy]int64{ooo.PolicyBaseline: c.base, ooo.PolicyRedsoc: c.redsoc,
+			ooo.PolicyMOS: c.mos, ooo.PolicyLoadDelay: c.loaddelay, ooo.PolicySpecLSQ: c.speclsq} {
+			cmp.Runs[p] = &ooo.Result{Cycles: cycles}
+		}
+		check("Extra", "strsearch-long", "Medium-wide", cmp)
+	}
+	cmp := quickGrid(t).Cells[0].Cmp
+	if n := testing.AllocsPerRun(10, func() { buf = appendProgress(buf[:0], ClassSPEC, "xalanc", "Big", cmp) }); n != 0 {
+		t.Errorf("appendProgress allocates %.1f times into a buffer with room", n)
 	}
 }

@@ -101,10 +101,10 @@ func programDigest(p *isa.Program) []byte {
 	return isa.Derived(p, programDigestKey{}, digestProgram)
 }
 
-// digestProgram hashes p's name, every instruction's fields as fixed-width
-// little-endian words and the memory image in ascending address order,
-// through one reused buffer: a JSON form of the trace would be about 140
-// bytes per instruction, each field reached by reflection.
+// digestProgram hashes p's name, every instruction's trace index and fields
+// as fixed-width little-endian words and the memory image in ascending
+// address order, through one reused buffer: a JSON form of the trace would
+// be about 140 bytes per instruction, each field reached by reflection.
 func digestProgram(p *isa.Program) []byte {
 	h := sha256.New()
 	le := binary.LittleEndian
@@ -126,7 +126,7 @@ func digestProgram(p *isa.Program) []byte {
 		if in.Taken {
 			flags |= 2
 		}
-		b = le.AppendUint64(le.AppendUint64(b, uint64(in.Seq)), in.PC)
+		b = le.AppendUint64(le.AppendUint64(b, uint64(i)), in.PC)
 		b = le.AppendUint64(append(b, byte(in.Op), byte(in.Dst), byte(in.Src1), byte(in.Src2), byte(in.Src3)), in.Imm)
 		b = append(le.AppendUint64(append(b, in.ShiftAmt, byte(in.Lane)), in.Addr), flags)
 		flush()

@@ -585,8 +585,8 @@ func TestProgramDigestMemoHitAllocFree(t *testing.T) {
 func TestProgramDigestCoversEveryField(t *testing.T) {
 	prog := func() *isa.Program {
 		return &isa.Program{Name: "digest", Instrs: []isa.Instruction{
-			{Seq: 0, PC: 0x100, Op: isa.OpMOV, Dst: isa.R(1), Imm: 5},
-			{Seq: 1, PC: 0x104, Op: isa.OpADD, Dst: isa.R(2), Src1: isa.R(1), Src2: isa.R(1), Src3: isa.RegNone},
+			{PC: 0x100, Op: isa.OpMOV, Dst: isa.R(1), Imm: 5},
+			{PC: 0x104, Op: isa.OpADD, Dst: isa.R(2), Src1: isa.R(1), Src2: isa.R(1), Src3: isa.RegNone},
 		}, Mem: map[uint64]uint64{0x40: 1, 0x48: 2}}
 	}
 	base := digestProgram(prog())

@@ -116,10 +116,20 @@ func (l Lane) Elems() int {
 // supplies Op2, otherwise Imm does; for shift-class and shifted-arithmetic
 // opcodes ShiftAmt gives the (immediate) shift distance applied to Op2.
 type Instruction struct {
-	// Seq is the dynamic sequence number, filled in by the Program builder.
-	Seq int
+	// The fields run widest first, so the struct packs into 40 bytes with
+	// no interior padding: three words, then nine single bytes. It carries
+	// no sequence number; an instruction's dynamic sequence number is its
+	// index in Program.Instrs.
+
 	// PC is the static program counter, used to index predictors.
 	PC uint64
+
+	Imm uint64 // immediate Op2 when Src2 == RegNone
+
+	// Addr is the effective address of a memory operation. The trace builder
+	// computes it so the cache model sees the true reference stream without
+	// the simulator re-deriving addressing arithmetic.
+	Addr uint64
 
 	Op  Op
 	Dst Reg // destination (RegNone for stores, branches, pure-flag ops)
@@ -128,15 +138,9 @@ type Instruction struct {
 	Src2 Reg // second operand register (RegNone if Imm is used)
 	Src3 Reg // third operand (MLA/VMLA accumulator, STR data)
 
-	Imm      uint64 // immediate Op2 when Src2 == RegNone
-	ShiftAmt uint8  // immediate shift distance for shift-class/shifted-arith ops
+	ShiftAmt uint8 // immediate shift distance for shift-class/shifted-arith ops
 
 	Lane Lane // SIMD element width (Lane0 for scalar ops)
-
-	// Addr is the effective address of a memory operation. The trace builder
-	// computes it so the cache model sees the true reference stream without
-	// the simulator re-deriving addressing arithmetic.
-	Addr uint64
 
 	// SetFlags additionally writes the NZCV register (ADDS/SUBS style).
 	SetFlags bool

@@ -3,6 +3,7 @@ package isa
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestALUOpsCoverFig1(t *testing.T) {
@@ -226,5 +227,18 @@ func TestInstructionString(t *testing.T) {
 	v := Instruction{Op: OpVADD, Lane: Lane8, Dst: V(1), Src1: V(2), Src2: V(3)}
 	if got := v.String(); got != "VADD.8 V1, V2, V3" {
 		t.Errorf("String() = %q", got)
+	}
+}
+
+// TestInstructionSize pins the packed layout: three 8-byte words, then nine
+// single-byte fields, with no sequence-number field. Every simulated
+// program holds one Instruction per dynamic instruction, so a field added
+// or reordered into padding grows every trace.
+func TestInstructionSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the layout is pinned on 64-bit targets")
+	}
+	if got := unsafe.Sizeof(Instruction{}); got != 40 {
+		t.Fatalf("unsafe.Sizeof(Instruction{}) = %d, want 40", got)
 	}
 }

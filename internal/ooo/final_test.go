@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"redsoc/internal/alu"
 	"redsoc/internal/arch"
 	"redsoc/internal/isa"
 	"redsoc/internal/trace"
@@ -160,6 +161,57 @@ func TestWrongFinalStateIsAnError(t *testing.T) {
 				t.Errorf("%s: error %q does not contain %q", c.name, err, want)
 			}
 		}
+	}
+}
+
+// TestCaptureArchComparesEveryPart plants a one-bit difference in each part of
+// the state captureArch compares in place against a program's canonical
+// state: an integer register, a vector register's high half, each flag, a
+// memory word inside the image's span and a stored word outside it. Every
+// fault-free run must fail, naming what differs. With these caught by Run
+// itself, a caller need not compare a run's final state with the
+// interpreter's again.
+func TestCaptureArchComparesEveryPart(t *testing.T) {
+	const inSpan, outSpan = 0x1040, 0x9000
+	build := func() *isa.Program {
+		b := workload.NewBuilder("parts")
+		b.InitMem128(0x1000, 5, 7).InitMem(inSpan, 3)
+		b.VecLoad(isa.V(2), isa.R(0), 0x1000).MovImm(isa.R(3), 0x55)
+		b.Store(isa.R(3), isa.R(0), inSpan).Store(isa.R(3), isa.R(0), outSpan).CmpImm(isa.R(3), 0x55)
+		return b.Build()
+	}
+	flag := func(bit uint64) func(*arch.State) {
+		return func(st *arch.State) { st.Regs[flagsRenameIdx].Lo ^= bit }
+	}
+	word := func(a uint64) func(*arch.State) {
+		return func(st *arch.State) { st.Mem.Write64(a, st.Mem.Read64(a)^1) }
+	}
+	for _, c := range []struct {
+		part, names string
+		flip        func(*arch.State)
+	}{
+		{"integer register", "R3 = ", func(st *arch.State) { st.Regs[isa.R(3).RenameIndex()].Lo ^= 1 }},
+		{"vector register high half", "V2 = ", func(st *arch.State) { st.Regs[isa.V(2).RenameIndex()].Hi ^= 1 << 63 }},
+		{"flag N", "flags = ", flag(alu.FlagN)},
+		{"flag Z", "flags = ", flag(alu.FlagZ)},
+		{"flag C", "flags = ", flag(alu.FlagC)},
+		{"flag V", "flags = ", flag(alu.FlagV)},
+		{"memory word inside the span", fmt.Sprintf("mem[%#x] = ", inSpan), word(inSpan)},
+		{"memory word outside the span", "outside the program's initial memory image", word(outSpan)},
+	} {
+		for _, pol := range []Policy{PolicyBaseline, PolicyRedsoc} {
+			p := build()
+			st := arch.Run(p)
+			c.flip(st)
+			plant(t, p, finalOf(st))
+			_, err := Run(SmallConfig().WithPolicy(pol), p)
+			if err == nil || !strings.Contains(err.Error(), c.names) {
+				t.Errorf("%s, %s: Run's error is %v, want one containing %q", c.part, pol, err, c.names)
+			}
+		}
+	}
+	if _, err := Run(SmallConfig(), build()); err != nil {
+		t.Fatalf("premise: the unplanted program runs clean: %v", err)
 	}
 }
 

@@ -408,8 +408,7 @@ func (s *Simulator) dispatch(cycle int64) {
 		e.dest = dec.Dest[ti]
 		e.pc = in.PC
 		e.addr = in.Addr
-		e.addrLo = dec.AddrLo[ti]
-		e.addrHi = dec.AddrHi[ti]
+		e.addrLo, e.addrHi = trace.AddrRange(in.Addr, bits)
 		e.broadcastCycle = -1
 		e.lastIdx = -1
 		e.gp = none

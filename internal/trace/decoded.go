@@ -4,19 +4,19 @@ package trace
 // an instruction, computed exactly once per Program and laid out as dense
 // struct-of-arrays buffers. The per-simulation decode work the pipeline used
 // to repeat — class lookups, FU-pool routing, source/destination rename
-// indices, memory address ranges — becomes a handful of sequential slice
-// reads, and because a Decoded view is immutable after construction, campaign
-// workers evaluating different grid/sweep/chaos cells of the same benchmark
-// share one decode instead of rebuilding programs per cell (DecodeCached).
+// indices — becomes a handful of sequential slice reads, and because a
+// Decoded view is immutable after construction, campaign workers evaluating
+// different grid/sweep/chaos cells of the same benchmark share one decode
+// instead of rebuilding programs per cell (DecodeCached).
 //
 // The layout follows the dense, index-addressed scheduler-state argument of
 // Diavastos & Carlson (PAPERS.md): parallel slices indexed by trace position,
 // no pointers, nothing to chase.
 //
 // The read side is under the scheduler's zero-allocation contract (the
-// hotpath analyzer): Len carries the //redsoc:hotpath marker, and the
-// marked pipeline stages in internal/ooo index the columns directly — plain
-// slice loads, never calls. Decode and the cache miss path allocate by
+// hotpath analyzer): Len and AddrRange carry the //redsoc:hotpath marker,
+// and the marked pipeline stages in internal/ooo index the columns
+// directly — plain slice loads. Decode and the cache miss path allocate by
 // design (once per program) and therefore stay unmarked: a marked function
 // that reaches them is a bug the analyzer reports.
 
@@ -87,6 +87,11 @@ const MaxSrcs = 4
 // slices have length Prog.Len() and are indexed by trace position. A Decoded
 // must never be mutated after Decode returns: simulators and campaign workers
 // read it concurrently without synchronization.
+//
+// The columns cost 14 bytes per instruction (Class, Pool, Dest and NSrc one
+// each, Bits two, Srcs and Roles four each). Nothing the instruction itself
+// already carries is copied here: the memory range a load or store touches
+// is derived from its Addr by AddrRange at dispatch.
 type Decoded struct {
 	Prog *isa.Program
 
@@ -108,10 +113,6 @@ type Decoded struct {
 	// slot carrying that role, -1 when absent — the positional mapping the
 	// execute stage routes operands through.
 	Roles [][4]int8
-	// AddrLo and AddrHi give the [lo, hi) byte range a memory op touches
-	// (both zero for non-memory ops). Vector accesses touch 16 bytes.
-	AddrLo []uint64
-	AddrHi []uint64
 
 	// Image is the dense, read-only initial memory image, shared by every
 	// simulation of this program.
@@ -124,22 +125,36 @@ type Decoded struct {
 //redsoc:hotpath
 func (d *Decoded) Len() int { return len(d.Bits) }
 
+// AddrRange returns the aligned [lo, hi) byte range a memory operation at
+// addr touches: the 8-byte word holding addr, or 16 bytes from it when bits
+// carries BitVecAccess. Both are zero when bits lacks BitMem.
+//
+//redsoc:hotpath
+func AddrRange(addr uint64, bits InstrBits) (lo, hi uint64) {
+	if bits&BitMem == 0 {
+		return 0, 0
+	}
+	lo = addr &^ 7
+	if bits&BitVecAccess != 0 {
+		return lo, lo + 16
+	}
+	return lo, lo + 8
+}
+
 // Decode flattens a program. The result is immutable and safe for concurrent
 // use by any number of simulators.
 func Decode(p *isa.Program) *Decoded {
 	n := len(p.Instrs)
 	d := &Decoded{
-		Prog:   p,
-		Class:  make([]isa.Class, n),
-		Pool:   make([]uint8, n),
-		Bits:   make([]InstrBits, n),
-		Dest:   make([]uint8, n),
-		NSrc:   make([]uint8, n),
-		Srcs:   make([][MaxSrcs]uint8, n),
-		Roles:  make([][4]int8, n),
-		AddrLo: make([]uint64, n),
-		AddrHi: make([]uint64, n),
-		Image:  mem.NewImage(p.Mem),
+		Prog:  p,
+		Class: make([]isa.Class, n),
+		Pool:  make([]uint8, n),
+		Bits:  make([]InstrBits, n),
+		Dest:  make([]uint8, n),
+		NSrc:  make([]uint8, n),
+		Srcs:  make([][MaxSrcs]uint8, n),
+		Roles: make([][4]int8, n),
+		Image: mem.NewImage(p.Mem),
 	}
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
@@ -202,16 +217,6 @@ func Decode(p *isa.Program) *Decoded {
 			addSrc(3, isa.Flags)
 		}
 		d.NSrc[i] = slot
-
-		if bits&BitMem != 0 {
-			lo := in.Addr &^ 7
-			size := uint64(8)
-			if vec {
-				size = 16
-			}
-			d.AddrLo[i] = lo
-			d.AddrHi[i] = lo + size
-		}
 	}
 	return d
 }

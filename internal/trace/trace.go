@@ -12,7 +12,8 @@
 // Per instruction: opcode u8, flags u8 (bit0 SetFlags, bit1 Taken,
 // bit2 hasImm, bit3 hasAddr), dst/src1/src2/src3 u8, shiftAmt u8, lane u8,
 // then varint imm (if hasImm) and varint addr (if hasAddr). PCs are
-// delta-coded as signed varints; Seq is implicit (record order).
+// delta-coded as signed varints; an instruction's sequence number is its
+// record order.
 package trace
 
 import (
@@ -27,10 +28,21 @@ import (
 const (
 	magic   = "RDSC"
 	version = 1
+
+	// maxNameLen bounds a program name. Write refuses a longer one, and
+	// Read refuses one before allocating for it.
+	maxNameLen = 1 << 12
+	// maxPrealloc bounds how many instructions Read reserves room for on
+	// the strength of the count field, which it cannot check until the
+	// records arrive; a longer trace grows by append.
+	maxPrealloc = 1 << 16
 )
 
 // Write serializes a program.
 func Write(w io.Writer, p *isa.Program) error {
+	if len(p.Name) > maxNameLen {
+		return fmt.Errorf("trace: name length %d exceeds %d", len(p.Name), maxNameLen)
+	}
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(magic); err != nil {
 		return err
@@ -90,7 +102,9 @@ func Write(w io.Writer, p *isa.Program) error {
 	return bw.Flush()
 }
 
-// Read deserializes a program.
+// Read deserializes a program. Malformed, truncated or hostile input is an
+// error, never a panic: no length field sizes an allocation beyond a fixed
+// bound before the bytes it counts have been read.
 func Read(r io.Reader) (*isa.Program, error) {
 	br := bufio.NewReader(r)
 	var hdr [5]byte
@@ -107,12 +121,17 @@ func Read(r io.Reader) (*isa.Program, error) {
 	if err != nil {
 		return nil, err
 	}
+	if nameLen > maxNameLen {
+		return nil, fmt.Errorf("trace: name length %d exceeds %d", nameLen, maxNameLen)
+	}
 	nameBuf := make([]byte, nameLen)
 	if _, err := io.ReadFull(br, nameBuf); err != nil {
 		return nil, err
 	}
 	p := &isa.Program{Name: string(nameBuf), Mem: map[uint64]uint64{}}
 
+	// The count sizes nothing here: each iteration reads one pair, so a
+	// count beyond the input stops at its end.
 	nMem, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, err
@@ -133,7 +152,7 @@ func Read(r io.Reader) (*isa.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.Instrs = make([]isa.Instruction, 0, nIns)
+	p.Instrs = make([]isa.Instruction, 0, min(nIns, maxPrealloc))
 	lastPC := int64(0)
 	for i := uint64(0); i < nIns; i++ {
 		var rec [8]byte
@@ -141,7 +160,6 @@ func Read(r io.Reader) (*isa.Program, error) {
 			return nil, fmt.Errorf("trace: instr %d: %w", i, err)
 		}
 		in := isa.Instruction{
-			Seq:      int(i),
 			Op:       isa.Op(rec[0]),
 			SetFlags: rec[1]&1 != 0,
 			Taken:    rec[1]&2 != 0,

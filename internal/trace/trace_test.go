@@ -2,6 +2,10 @@ package trace_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,6 +13,7 @@ import (
 	"redsoc/internal/ooo"
 	"redsoc/internal/trace"
 	"redsoc/internal/workload/mibench"
+	"redsoc/internal/workload/ml"
 )
 
 func roundTrip(t *testing.T, p *isa.Program) *isa.Program {
@@ -75,9 +80,6 @@ func TestRoundTripAllFieldKinds(t *testing.T) {
 			{Op: isa.OpLSR, Dst: isa.R(2), Src1: isa.R(1), ShiftAmt: 9, PC: 0xC},
 		},
 	}
-	for i := range p.Instrs {
-		p.Instrs[i].Seq = i
-	}
 	got := roundTrip(t, p)
 	for i := range p.Instrs {
 		if got.Instrs[i] != p.Instrs[i] {
@@ -114,4 +116,70 @@ func TestReadRejectsGarbage(t *testing.T) {
 	if _, err := trace.Read(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated stream must fail")
 	}
+}
+
+// header returns a trace prefix: magic, version and a name length field.
+func header(nameLen uint64) []byte {
+	return binary.AppendUvarint([]byte("RDSC\x01"), nameLen)
+}
+
+// TestReadRejectsOversizedLengths: a length field Read has not checked
+// against its input sizes no allocation. A 14-byte file claiming a 2^62-byte
+// name, and a well-formed header claiming 2^62 instructions with none
+// following, are errors, not panics or an exhausted heap.
+func TestReadRejectsOversizedLengths(t *testing.T) {
+	name := header(1 << 62)
+	if len(name) != 14 {
+		t.Fatalf("premise: the name header is %d bytes, want 14", len(name))
+	}
+	instrs := binary.AppendUvarint(binary.AppendUvarint(append(header(1), 'x'), 0), 1<<62)
+	mem := binary.AppendUvarint(append(header(1), 'x'), 1<<62)
+	for what, in := range map[string][]byte{"name": name, "instruction count": instrs, "memory count": mem} {
+		if _, err := trace.Read(bytes.NewReader(in)); err == nil {
+			t.Errorf("%s 2^62: Read accepted %d bytes", what, len(in))
+		}
+	}
+	long := &isa.Program{Name: strings.Repeat("x", 1<<13)}
+	if err := trace.Write(io.Discard, long); err == nil {
+		t.Error("Write accepted a name Read refuses")
+	}
+}
+
+// FuzzRead: Read returns an error or a program, never panics, on any input,
+// and a program it returns survives a Write/Read round trip unchanged.
+//
+//	go test -run '^$' -fuzz FuzzRead -fuzztime 20s ./internal/trace
+func FuzzRead(f *testing.F) {
+	crc, _ := mibench.CRC(24, 1)
+	bit, _ := mibench.Bitcount(6, 2)
+	act, _ := ml.Act(4, 3)
+	for _, p := range []*isa.Program{crc, bit, act} {
+		var buf bytes.Buffer
+		if err := trace.Write(&buf, p); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		f.Add(buf.Bytes()[:buf.Len()/2])
+	}
+	f.Add(header(1 << 62))
+	f.Add(binary.AppendUvarint(binary.AppendUvarint(append(header(1), 'x'), 0), 1<<62))
+	f.Add(binary.AppendUvarint(append(header(1), 'x'), 1<<62))
+	f.Add([]byte("RDSC\x01"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := trace.Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := trace.Write(&buf, p); err != nil {
+			t.Fatalf("Write of a program Read accepted: %v", err)
+		}
+		q, err := trace.Read(&buf)
+		if err != nil {
+			t.Fatalf("Read of Write's output: %v", err)
+		}
+		if q.Name != p.Name || !slices.Equal(q.Instrs, p.Instrs) || !maps.Equal(q.Mem, p.Mem) {
+			t.Fatal("a Write/Read round trip changed the program")
+		}
+	})
 }

@@ -55,9 +55,8 @@ func (b *Builder) Auto() *Builder {
 	return b
 }
 
-// emit appends one instruction, stamping Seq and PC.
+// emit appends one instruction, stamping its PC.
 func (b *Builder) emit(in isa.Instruction) *Builder {
-	in.Seq = b.Len()
 	in.PC = b.pc
 	if b.autoPC {
 		b.pc += 4

@@ -14,8 +14,9 @@ func TestBuilderSequencesAndPCs(t *testing.T) {
 	b.Auto()
 	b.MovImm(isa.R(4), 1)
 	p := b.Build()
-	if p.Instrs[0].Seq != 0 || p.Instrs[3].Seq != 3 {
-		t.Fatal("sequence numbers must be dense")
+	// An instruction's sequence number is its index: one per emit, in order.
+	if len(p.Instrs) != 4 || p.Instrs[0].Op != isa.OpMOV || p.Instrs[3].Op != isa.OpMOV || p.Instrs[1].Op != isa.OpADD {
+		t.Fatalf("trace = %+v, want MOV, ADD, ADD, MOV in emit order", p.Instrs)
 	}
 	if p.Instrs[1].PC != 0x42 || p.Instrs[2].PC != 0x42 {
 		t.Fatalf("pinned PCs = %#x/%#x", p.Instrs[1].PC, p.Instrs[2].PC)
