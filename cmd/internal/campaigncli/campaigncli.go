@@ -1,8 +1,8 @@
 // Package campaigncli is the campaign flag block the batch campaign CLIs
 // (redsoc-bench and redsoc-chaos) share: the -journal, -resume, -shard,
-// -cell-timeout, -retries and -stall-after flags, their validation, the
-// SIGINT context, and the journal, interrupt and resilience lines the CLIs
-// print (CI parses the journal line).
+// -cell-timeout and -stall-after flags, their validation, the SIGINT
+// context, and the journal, interrupt and resilience lines the CLIs print
+// (CI parses the journal line).
 package campaigncli
 
 import (
@@ -27,7 +27,6 @@ type Flags struct {
 	resume      bool
 	shard       string
 	cellTimeout time.Duration
-	retries     int
 	stallAfter  time.Duration
 
 	// Journal is the opened -journal store (nil without -journal), Shard
@@ -44,8 +43,7 @@ func Register(noun string) *Flags {
 	flag.StringVar(&f.Dir, "journal", "", "crash-safe cell journal directory (content-addressed; arms -resume)")
 	flag.BoolVar(&f.resume, "resume", false, "serve journaled cells instead of re-simulating (requires -journal)")
 	flag.StringVar(&f.shard, "shard", "", "compute only shard i/n of the "+noun+" into the shared -journal (merge with -resume)")
-	flag.DurationVar(&f.cellTimeout, "cell-timeout", 0, "per-cell attempt deadline, e.g. 90s (0 = none)")
-	flag.IntVar(&f.retries, "retries", 0, "extra attempts for cells that panic or exceed -cell-timeout")
+	flag.DurationVar(&f.cellTimeout, "cell-timeout", 0, "per-cell deadline, e.g. 90s (0 = none)")
 	flag.DurationVar(&f.stallAfter, "stall-after", time.Minute, "report a cell as hung after this much heartbeat silence")
 	return f
 }
@@ -75,7 +73,7 @@ func (f *Flags) Open() {
 func (f *Flags) Options() harness.Options {
 	return harness.Options{
 		Journal: f.Journal, Resume: f.resume, Shard: f.Shard,
-		CellTimeout: f.cellTimeout, Retries: f.retries, StallAfter: f.stallAfter,
+		CellTimeout: f.cellTimeout, StallAfter: f.stallAfter,
 		Stats: &f.Stats,
 		OnStall: func(s campaign.Stall) {
 			log.Printf("watchdog: cell %q silent for %s (last event: %s)", s.Label, s.Idle.Round(time.Second), s.LastEvent)
@@ -83,8 +81,8 @@ func (f *Flags) Options() harness.Options {
 	}
 }
 
-// Context is cancelled by SIGINT: in-flight cells stop, and everything
-// already journaled stays.
+// Context is cancelled by SIGINT: in-flight cells stop at their
+// simulation's next context poll, and everything already journaled stays.
 func Context() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt)
 }
@@ -112,13 +110,11 @@ func (f *Flags) Fail(err error) {
 }
 
 // Done prints a finished campaign's journal line and, if any cell was
-// retried or reported hung, its resilience line.
+// reported hung, its resilience line.
 func (f *Flags) Done() {
 	f.printJournal()
-	s := &f.Stats
-	if s.Retries.Load()+s.Panics.Load()+s.Timeouts.Load()+s.Stalls.Load() > 0 {
-		fmt.Printf("resilience: %d retries (%d panics, %d timeouts), %d stall reports\n",
-			s.Retries.Load(), s.Panics.Load(), s.Timeouts.Load(), s.Stalls.Load())
+	if n := f.Stats.Stalls.Load(); n > 0 {
+		fmt.Printf("resilience: %d stall reports\n", n)
 	}
 }
 

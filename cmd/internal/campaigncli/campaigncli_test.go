@@ -39,7 +39,7 @@ func TestFlags(t *testing.T) {
 	f := Register("grid")
 	for name, def := range map[string]string{
 		"journal": "", "resume": "false", "shard": "",
-		"cell-timeout": "0s", "retries": "0", "stall-after": "1m0s",
+		"cell-timeout": "0s", "stall-after": "1m0s",
 	} {
 		fl := flag.CommandLine.Lookup(name)
 		if fl == nil || fl.DefValue != def {
@@ -48,7 +48,7 @@ func TestFlags(t *testing.T) {
 	}
 	dir := t.TempDir()
 	if err := flag.CommandLine.Parse([]string{"-journal", dir, "-resume", "-shard", "1/3",
-		"-cell-timeout", "90s", "-retries", "2", "-stall-after", "5s"}); err != nil {
+		"-cell-timeout", "90s", "-stall-after", "5s"}); err != nil {
 		t.Fatal(err)
 	}
 	f.Open()
@@ -56,7 +56,7 @@ func TestFlags(t *testing.T) {
 
 	o := f.Options()
 	if o.Journal == nil || o.Journal != f.Journal || !o.Resume || o.Shard != (campaign.Shard{Index: 1, Count: 3}) ||
-		o.CellTimeout != 90*time.Second || o.Retries != 2 || o.StallAfter != 5*time.Second ||
+		o.CellTimeout != 90*time.Second || o.StallAfter != 5*time.Second ||
 		o.Stats != &f.Stats || o.OnStall == nil {
 		t.Fatalf("options do not carry the flags: %+v", o)
 	}
@@ -66,7 +66,7 @@ func TestFlags(t *testing.T) {
 		t.Fatalf("Done printed %q, want %q", got, want)
 	}
 	f.Stats.Stalls.Add(1)
-	want += "resilience: 0 retries (0 panics, 0 timeouts), 1 stall reports\n"
+	want += "resilience: 1 stall reports\n"
 	if got := stdout(t, f.Done); got != want {
 		t.Fatalf("Done printed %q, want %q", got, want)
 	}

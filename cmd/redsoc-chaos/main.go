@@ -98,7 +98,6 @@ func main() {
 		Resume:      c.Resume,
 		Shard:       c.Shard,
 		CellTimeout: c.CellTimeout,
-		Retries:     c.Retries,
 		StallAfter:  c.StallAfter,
 		OnStall:     c.OnStall,
 		Stats:       c.Stats,

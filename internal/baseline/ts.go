@@ -76,10 +76,11 @@ func ChoosePeriod(hist ooo.DelayHistogram, maxErr float64) (periodPS int, errRat
 	return period, errAt
 }
 
-// Runner runs one engine simulation. ooo.Run is the plain runner; a grid
-// campaign passes its compute-once run cache, so a simulation the sweep and
-// a cell both need runs once. A runner's results are read-only.
-type Runner func(ooo.Config, *isa.Program) (*ooo.Result, error)
+// Runner runs one engine simulation, stopping early once its context ends.
+// ooo.RunContext is the plain runner; a grid campaign passes its
+// compute-once run cache, so a simulation the sweep and a cell both need
+// runs once. A runner's results are read-only.
+type Runner func(context.Context, ooo.Config, *isa.Program) (*ooo.Result, error)
 
 // RunTS evaluates timing speculation for a program on a core: run the
 // baseline to collect the actual-delay histogram, then evaluate TS from it
@@ -89,15 +90,15 @@ func RunTS(cfg ooo.Config, prog *isa.Program) (TSResult, error) {
 	if err != nil {
 		return TSResult{}, fmt.Errorf("baseline run: %w", err)
 	}
-	return Runner(ooo.Run).TS(cfg, prog, base)
+	return Runner(ooo.RunContext).TS(context.Background(), cfg, prog, base)
 }
 
 // TS evaluates timing speculation from base, the program's baseline run on
-// cfg: choose the overclocked period from its actual-delay histogram, then
+// cfg, under ctx: choose the overclocked period from its actual-delay histogram, then
 // re-run with memory latencies rescaled (DRAM time is constant in
 // nanoseconds, so it costs more of the shorter cycles) and convert the cycle
 // counts to wall-clock speedup.
-func (run Runner) TS(cfg ooo.Config, prog *isa.Program, base *ooo.Result) (TSResult, error) {
+func (run Runner) TS(ctx context.Context, cfg ooo.Config, prog *isa.Program, base *ooo.Result) (TSResult, error) {
 	period, errRate := ChoosePeriod(base.DelayHistogram, MaxErrorRate)
 	if period >= timing.ClockPS {
 		return TSResult{PeriodPS: timing.ClockPS, ErrorRate: errRate, Speedup: 1, Cycles: base.Cycles}, nil
@@ -105,7 +106,7 @@ func (run Runner) TS(cfg ooo.Config, prog *isa.Program, base *ooo.Result) (TSRes
 	scaled := cfg.WithPolicy(ooo.PolicyBaseline)
 	scaled.Mem.L2Latency = scaleLatency(scaled.Mem.L2Latency, period)
 	scaled.Mem.DRAMLatency = scaleLatency(scaled.Mem.DRAMLatency, period)
-	res, err := run(scaled, prog)
+	res, err := run(ctx, scaled, prog)
 	if err != nil {
 		return TSResult{}, fmt.Errorf("scaled run: %w", err)
 	}
@@ -163,10 +164,10 @@ func DefaultThreshold(cfg ooo.Config) int {
 	return cfg.WithPolicy(ooo.PolicyRedsoc).Redsoc.ThresholdTicks
 }
 
-// Compare runs every scheduler of one benchmark on one core with ooo.Run;
-// see Runner.Compare.
+// Compare runs every scheduler of one benchmark on one core with
+// ooo.RunContext; see Runner.Compare.
 func Compare(ctx context.Context, cfg ooo.Config, prog *isa.Program, threshold int) (*Comparison, error) {
-	return Runner(ooo.Run).Compare(ctx, cfg, prog, threshold)
+	return Runner(ooo.RunContext).Compare(ctx, cfg, prog, threshold)
 }
 
 // Compare runs every engine policy of one benchmark on one core (ReDSOC at
@@ -175,17 +176,19 @@ func Compare(ctx context.Context, cfg ooo.Config, prog *isa.Program, threshold i
 // end in its program's final state. Between runs it notes progress through
 // campaign.Heartbeat, so a stall report names which simulation a hung
 // campaign cell last finished; outside a campaign the notes go nowhere.
+// Every run takes ctx, so ending it stops the comparison at the running
+// simulation's next context poll.
 func (run Runner) Compare(ctx context.Context, cfg ooo.Config, prog *isa.Program, threshold int) (*Comparison, error) {
 	cmp := &Comparison{Benchmark: prog.Name, Core: cfg.Name}
 	for p, rc := range EngineConfigs(cfg, threshold) {
-		res, err := run(rc, prog)
+		res, err := run(ctx, rc, prog)
 		if err != nil {
 			return nil, err
 		}
 		cmp.Runs[p] = res
 		campaign.Heartbeat(ctx, fmt.Sprintf("%s/%s: %s done (%d cycles)", prog.Name, cfg.Name, rc.Policy, res.Cycles))
 	}
-	ts, err := run.TS(cfg, prog, cmp.Runs[ooo.PolicyBaseline])
+	ts, err := run.TS(ctx, cfg, prog, cmp.Runs[ooo.PolicyBaseline])
 	if err != nil {
 		return nil, err
 	}

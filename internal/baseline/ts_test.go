@@ -160,9 +160,9 @@ func TestCompareRunsEachConfigOnce(t *testing.T) {
 	cfg := ooo.SmallConfig()
 	prog := logicChain(200)
 	runs := map[ooo.Config]int{}
-	count := Runner(func(c ooo.Config, p *isa.Program) (*ooo.Result, error) {
+	count := Runner(func(ctx context.Context, c ooo.Config, p *isa.Program) (*ooo.Result, error) {
 		runs[c]++
-		return ooo.Run(c, p)
+		return ooo.RunContext(ctx, c, p)
 	})
 	cmp, err := count.Compare(context.Background(), cfg, prog, DefaultThreshold(cfg))
 	if err != nil {

@@ -10,13 +10,12 @@
 // same campaign run with N.
 //
 // On top of the pool the engine layers a resilience story for long
-// campaigns (see Options.Timeout, Options.Retries and Options.StallAfter):
-// per-task deadlines, bounded retry with exponential backoff for transient
-// failures (a panic or a deadline hit retries; a genuine simulation error
-// does not), and a heartbeat watchdog that names a hung cell instead of
-// wedging forever. Because every task is strictly deterministic, a retried
-// task produces the exact bytes its first attempt would have — retries are
-// invisible in the merged results, which is what makes them safe.
+// campaigns (see Options.Timeout and Options.StallAfter): a per-task
+// deadline carried by the task's context, which the simulator polls, so a
+// cell that overruns it stops and fails attributed; and a heartbeat
+// watchdog that names a hung cell instead of wedging forever. Each task
+// runs once: every task is strictly deterministic, so a cell that failed
+// would fail the same way again.
 package campaign
 
 import (
@@ -45,29 +44,18 @@ type Options[T any] struct {
 	// Reporting stops at the first task error.
 	OnDone func(index int, result T)
 
-	// Timeout, when positive, bounds each task attempt with
-	// context.WithTimeout. An attempt that overruns its deadline is
-	// abandoned (its goroutine is left to drain; a simulation always
-	// terminates via its MaxCycles guard) and the attempt counts as
-	// retryable. A task whose retries are exhausted fails the campaign with
-	// a *TimeoutError — a genuine, attributed failure, never mistaken for a
-	// collateral cancellation.
+	// Timeout, when positive, bounds each task with context.WithTimeout on
+	// the context the task receives. A task that honours its context (a
+	// simulation polls it) stops at the deadline, and the campaign fails
+	// with a *TimeoutError — a genuine, attributed failure, never mistaken
+	// for a collateral cancellation.
 	Timeout time.Duration
-	// Retries is the number of extra attempts granted to a task whose
-	// attempt failed retryably (panic or deadline). Genuine task errors
-	// never retry: a deterministic simulation that returned an error will
-	// return the same error every time.
-	Retries int
-	// Backoff is the initial delay before the first retry; it doubles per
-	// subsequent retry of the same task. Zero means DefaultBackoff. The
-	// backoff sleep aborts early if the campaign is torn down.
-	Backoff time.Duration
 
 	// StallAfter, when positive, arms the watchdog: a running task whose
 	// last heartbeat (task start, or the task's own Heartbeat calls) is
 	// older than StallAfter is reported through OnStall — once per stall
 	// episode — with its label and last observed event. The watchdog only
-	// reports; abandoning a stuck attempt is Timeout's job.
+	// reports; stopping a stuck task is Timeout's job.
 	StallAfter time.Duration
 	// OnStall receives hung-cell reports from the watchdog goroutine. It
 	// must be safe to call concurrently with OnDone (it is called from a
@@ -75,23 +63,17 @@ type Options[T any] struct {
 	OnStall func(Stall)
 
 	// Stats, if non-nil, is populated with resilience counters as the
-	// campaign runs. The counters are operational telemetry (retry and
-	// watchdog activity); they never influence results.
+	// campaign runs. The counters are operational telemetry (panic, deadline
+	// and watchdog activity); they never influence results.
 	Stats *Stats
 }
-
-// DefaultBackoff is the initial retry backoff when Options.Backoff is zero.
-const DefaultBackoff = 100 * time.Millisecond
 
 // Stats counts the resilience events of one campaign. All fields are
 // updated atomically and may be read while the campaign runs.
 type Stats struct {
-	// Retries counts re-attempts granted (each panic or timeout that was
-	// followed by another attempt).
-	Retries atomic.Int64
-	// Panics counts attempts that ended in a recovered panic.
+	// Panics counts tasks that ended in a recovered panic.
 	Panics atomic.Int64
-	// Timeouts counts attempts abandoned at their Options.Timeout deadline.
+	// Timeouts counts tasks stopped at their Options.Timeout deadline.
 	Timeouts atomic.Int64
 	// Stalls counts watchdog reports (stall episodes, not ticks).
 	Stalls atomic.Int64
@@ -168,8 +150,8 @@ func (e *PanicError) TaskStack() string {
 		return string(bytes.Join(lines, []byte("\n")))
 	}
 	kept := lines[start:]
-	// Below the task's own frames sit the engine's: runRecovered, the retry
-	// loop, the worker goroutine and its "created by" trailer. Cut there.
+	// Below the task's own frames sit the engine's: runRecovered, runTask,
+	// the worker goroutine and its "created by" trailer. Cut there.
 	for i, l := range kept {
 		if bytes.Contains(l, []byte(".runRecovered[")) {
 			kept = kept[:i]
@@ -184,24 +166,19 @@ func (e *PanicError) TaskStack() string {
 }
 
 // TimeoutError is the genuine failure of a task that overran its per-task
-// deadline on every allowed attempt. It deliberately does not unwrap to
-// context.DeadlineExceeded: the engine treats context errors as collateral
-// damage of a campaign teardown, and an exhausted per-cell deadline is the
-// opposite — it is the cell's own, attributable failure.
+// deadline. It deliberately does not unwrap to context.DeadlineExceeded: the
+// engine treats context errors as collateral damage of a campaign teardown,
+// and an exceeded per-cell deadline is the opposite — it is the cell's own,
+// attributable failure.
 type TimeoutError struct {
-	// Timeout is the per-attempt deadline that was exceeded.
+	// Timeout is the per-task deadline that was exceeded.
 	Timeout time.Duration
-	// Attempts is how many attempts were made.
-	Attempts int
 	// LastEvent is the task's final heartbeat note before the deadline.
 	LastEvent string
 }
 
 func (e *TimeoutError) Error() string {
-	msg := fmt.Sprintf("cell exceeded a deadline on all %d attempts", e.Attempts)
-	if e.Timeout > 0 {
-		msg = fmt.Sprintf("cell exceeded its %v deadline on all %d attempts", e.Timeout, e.Attempts)
-	}
+	msg := fmt.Sprintf("cell exceeded its %v deadline", e.Timeout)
 	if e.LastEvent != "" {
 		msg += fmt.Sprintf(" (last event: %s)", e.LastEvent)
 	}
@@ -209,8 +186,8 @@ func (e *TimeoutError) Error() string {
 }
 
 // CancelledError reports a campaign torn down by its parent context even
-// though no task failed: every task that ran succeeded, and then (or
-// meanwhile) the caller cancelled. It wraps the context error so
+// though no task failed on its own: every task that ran succeeded or
+// stopped with the teardown's context error. It wraps the context error so
 // errors.Is(err, context.Canceled) keeps working.
 type CancelledError struct {
 	// Done is how many of the N tasks completed before the teardown.
@@ -229,7 +206,7 @@ type outcome struct {
 	err   error
 }
 
-// beatState is one running attempt's heartbeat record, shared between the
+// beatState is one running task's heartbeat record, shared between the
 // worker (via Heartbeat) and the watchdog.
 type beatState struct {
 	last     atomic.Int64 // wall nanos of the latest heartbeat
@@ -269,13 +246,11 @@ func Heartbeat(ctx context.Context, note string) {
 // Run executes tasks 0..n-1 on a bounded worker pool and returns their
 // results merged by task index — never by completion order. The first task
 // error cancels the context handed to the remaining tasks and stops new
-// tasks from being scheduled; tasks already in flight finish (a simulation
-// task does not poll the context). Panics are captured per task and
-// surfaced as a *TaskError wrapping a *PanicError; retryable failures
-// (panics, per-task deadline hits) are re-attempted per Options.Retries
-// before they count. A campaign whose tasks all succeeded but whose parent
-// context was cancelled returns a *CancelledError wrapping the context
-// error.
+// tasks from being scheduled; tasks in flight stop at their next context
+// poll. Panics are captured per task and surfaced as a *TaskError wrapping
+// a *PanicError. A campaign whose parent context was cancelled, and in
+// which no task failed on its own, returns a *CancelledError wrapping the
+// context error.
 func Run[T any](ctx context.Context, n int, opts Options[T], task func(ctx context.Context, index int) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	if n <= 0 {
@@ -354,10 +329,10 @@ func Run[T any](ctx context.Context, n int, opts Options[T], task func(ctx conte
 		}
 	}
 
-	if err := pickError(failed, opts.Label); err != nil {
+	if err := pickError(failed, opts.Label, ctx.Err() != nil); err != nil {
 		return results, err
 	}
-	// The campaign itself succeeded; report a parent cancellation (if any)
+	// No task failed on its own; report a parent cancellation (if any)
 	// wrapped and attributed to the campaign rather than as a bare context
 	// error.
 	if err := ctx.Err(); err != nil {
@@ -383,7 +358,7 @@ func (e *engine[T]) label(i int) string {
 	return ""
 }
 
-// track registers a fresh heartbeat record for an attempt of task i.
+// track registers a fresh heartbeat record for task i.
 func (e *engine[T]) track(i int) *beatState {
 	bs := &beatState{}
 	bs.beat("")
@@ -393,11 +368,9 @@ func (e *engine[T]) track(i int) *beatState {
 	return bs
 }
 
-func (e *engine[T]) untrack(i int, bs *beatState) {
+func (e *engine[T]) untrack(i int) {
 	e.mu.Lock()
-	if e.running[i] == bs {
-		delete(e.running, i)
-	}
+	delete(e.running, i)
 	e.mu.Unlock()
 }
 
@@ -441,130 +414,43 @@ func (e *engine[T]) watchdog(done <-chan struct{}) {
 	}
 }
 
-// runTask executes one task with the retry policy: panics and per-attempt
-// deadline hits are retried with exponential backoff, anything else is
-// final. The result slot is written only by a successful attempt.
+// errCellDeadline is the cause of a task context that ended at the task's
+// own Options.Timeout deadline, before the campaign was torn down.
+var errCellDeadline = errors.New("campaign: cell deadline")
+
+// runTask runs task i once, under the per-task deadline when one is set,
+// and writes its result slot only on success. A task that stopped at its
+// own deadline fails with the cell's *TimeoutError even if the campaign was
+// torn down before it returned: the context's cause records what ended it
+// first.
 func (e *engine[T]) runTask(i int, dst *T, task func(context.Context, int) (T, error)) error {
-	backoff := e.opts.Backoff
-	if backoff <= 0 {
-		backoff = DefaultBackoff
-	}
-	attempts := e.opts.Retries + 1
-	var lastNote string
-	for attempt := 1; ; attempt++ {
-		v, err, kind, note := e.attempt(i, task)
-		if note != "" {
-			lastNote = note
-		}
-		if err == nil {
-			*dst = v
-			return nil
-		}
-		switch kind {
-		case attemptPanic:
-			if e.opts.Stats != nil {
-				e.opts.Stats.Panics.Add(1)
-			}
-		case attemptTimeout:
-			if e.opts.Stats != nil {
-				e.opts.Stats.Timeouts.Add(1)
-			}
-		default: // genuine error or campaign teardown: final
-			return err
-		}
-		if attempt >= attempts {
-			if kind == attemptTimeout {
-				return &TimeoutError{Timeout: e.opts.Timeout, Attempts: attempt, LastEvent: lastNote}
-			}
-			return err
-		}
-		if e.opts.Stats != nil {
-			e.opts.Stats.Retries.Add(1)
-		}
-		// Backoff, aborting early if the campaign is torn down meanwhile.
-		t := time.NewTimer(backoff)
-		select {
-		case <-e.cctx.Done():
-			t.Stop()
-			return e.cctx.Err()
-		case <-t.C:
-		}
-		backoff *= 2
-	}
-}
-
-// attemptKind classifies one attempt's failure for the retry policy.
-type attemptKind int
-
-const (
-	attemptOK attemptKind = iota
-	attemptGenuine
-	attemptPanic
-	attemptTimeout
-)
-
-// attempt runs the task once under the per-attempt deadline. With a
-// deadline armed the task runs on its own goroutine so an attempt that
-// ignores its context can still be abandoned: the goroutine writes only
-// task-local state and a buffered channel, so abandoning it never races the
-// campaign's results (a simulation always terminates on its own via the
-// MaxCycles guard).
-func (e *engine[T]) attempt(i int, task func(context.Context, int) (T, error)) (v T, err error, kind attemptKind, note string) {
 	bs := e.track(i)
-	defer e.untrack(i, bs)
-
+	defer e.untrack(i)
 	tctx := context.WithValue(e.cctx, beatKeyType{}, bs)
-	if e.opts.Timeout <= 0 {
-		v, err = runRecovered(tctx, i, task)
-		return v, err, classify(err, e.cctx), bs.lastNote()
+	if e.opts.Timeout > 0 {
+		var cancel context.CancelFunc
+		tctx, cancel = context.WithTimeoutCause(tctx, e.opts.Timeout, errCellDeadline)
+		defer cancel()
 	}
-
-	tctx, cancel := context.WithTimeout(tctx, e.opts.Timeout)
-	defer cancel()
-	type attemptResult struct {
-		v   T
-		err error
-	}
-	ch := make(chan attemptResult, 1)
-	go func() {
-		av, aerr := runRecovered(tctx, i, task)
-		ch <- attemptResult{av, aerr}
-	}()
-	//lint:allow detflow deadline abandonment only drops a late attempt: the success branch is the sole source of a result value, so select order cannot reorder or alter merged results
-	select {
-	case r := <-ch:
-		return r.v, r.err, classify(r.err, e.cctx), bs.lastNote()
-	case <-tctx.Done():
-		if e.cctx.Err() != nil { // campaign teardown, not a cell deadline
-			return v, e.cctx.Err(), attemptGenuine, bs.lastNote()
-		}
-		return v, tctx.Err(), attemptTimeout, bs.lastNote()
-	}
-}
-
-// classify maps an attempt error to the retry policy. deadline hits are
-// detected by the caller (the select); here a DeadlineExceeded returned by
-// the task itself while the campaign is alive also counts as a timeout —
-// that is a task honoring its per-cell deadline.
-func classify(err error, cctx context.Context) attemptKind {
+	v, err := runRecovered(tctx, i, task)
+	var pe *PanicError
 	switch {
 	case err == nil:
-		return attemptOK
-	case isPanic(err):
-		return attemptPanic
-	case errors.Is(err, context.DeadlineExceeded) && cctx.Err() == nil:
-		return attemptTimeout
-	default:
-		return attemptGenuine
+		*dst = v
+	case errors.As(err, &pe):
+		if e.opts.Stats != nil {
+			e.opts.Stats.Panics.Add(1)
+		}
+	case errors.Is(err, context.DeadlineExceeded) && context.Cause(tctx) == errCellDeadline:
+		if e.opts.Stats != nil {
+			e.opts.Stats.Timeouts.Add(1)
+		}
+		return &TimeoutError{Timeout: e.opts.Timeout, LastEvent: bs.lastNote()}
 	}
+	return err
 }
 
-func isPanic(err error) bool {
-	var pe *PanicError
-	return errors.As(err, &pe)
-}
-
-// runRecovered executes one task attempt, converting a panic into an error
+// runRecovered executes one task, converting a panic into an error
 // so the worker pool survives and the campaign can name the culprit.
 func runRecovered[T any](ctx context.Context, i int, task func(context.Context, int) (T, error)) (v T, err error) {
 	defer func() {
@@ -576,29 +462,22 @@ func runRecovered[T any](ctx context.Context, i int, task func(context.Context, 
 }
 
 // pickError chooses the campaign's reported failure deterministically: the
-// lowest-indexed task with a genuine error. Context-cancellation errors are
-// collateral — a task that noticed the campaign being torn down — and are
-// only reported when no genuine error exists. A *TimeoutError is genuine:
-// it is a cell's own exhausted deadline, not teardown collateral.
-func pickError(failed []outcome, label func(int) string) error {
-	if len(failed) == 0 {
-		return nil
-	}
-	best := -1
+// lowest-indexed task with a genuine error. Context errors are collateral —
+// a task stopped because the campaign was being torn down — and are only
+// reported when no genuine error exists and the parent context is live;
+// after a parent cancellation Run reports a *CancelledError instead. A
+// *TimeoutError is genuine: it is a cell's own exceeded deadline, not
+// teardown collateral.
+func pickError(failed []outcome, label func(int) string, parentDone bool) error {
+	best, bestGenuine := -1, false
 	for k, oc := range failed {
-		if errors.Is(oc.err, context.Canceled) || errors.Is(oc.err, context.DeadlineExceeded) {
-			continue
-		}
-		if best < 0 || oc.index < failed[best].index {
-			best = k
+		genuine := !errors.Is(oc.err, context.Canceled) && !errors.Is(oc.err, context.DeadlineExceeded)
+		if best < 0 || genuine && !bestGenuine || genuine == bestGenuine && oc.index < failed[best].index {
+			best, bestGenuine = k, genuine
 		}
 	}
-	if best < 0 { // only cancellations: report the lowest-indexed one
-		for k, oc := range failed {
-			if best < 0 || oc.index < failed[best].index {
-				best = k
-			}
-		}
+	if best < 0 || !bestGenuine && parentDone {
+		return nil
 	}
 	te := &TaskError{Index: failed[best].index, Err: failed[best].err}
 	if label != nil {

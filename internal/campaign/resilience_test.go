@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,120 +12,27 @@ import (
 	"time"
 
 	"redsoc/internal/campaign"
+	"redsoc/internal/ooo"
+	"redsoc/internal/workload/spec"
 )
 
-// TestRetryOnPanicProducesIdenticalResults makes every task panic on its
-// first attempt and succeed on the second, and checks the merged results are
-// bit-identical to a run that never panicked — the determinism contract that
-// makes retries safe.
-func TestRetryOnPanicProducesIdenticalResults(t *testing.T) {
-	const n = 12
-	clean := func(_ context.Context, i int) (int, error) { return i*i + 7, nil }
-	want, err := campaign.Run(context.Background(), n,
-		campaign.Options[int]{Workers: 4}, clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	attempts := make([]atomic.Int32, n)
-	var stats campaign.Stats
-	got, err := campaign.Run(context.Background(), n,
-		campaign.Options[int]{
-			Workers: 4,
-			Retries: 1,
-			Backoff: time.Millisecond,
-			Stats:   &stats,
-		},
-		func(ctx context.Context, i int) (int, error) {
-			if attempts[i].Add(1) == 1 {
-				panic(fmt.Sprintf("transient flake in cell %d", i))
-			}
-			return clean(ctx, i)
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("results[%d] = %d after retry, want %d — retries must be invisible", i, got[i], want[i])
-		}
-	}
-	if stats.Panics.Load() != n || stats.Retries.Load() != n {
-		t.Fatalf("stats = %d panics, %d retries; want %d of each", stats.Panics.Load(), stats.Retries.Load(), n)
-	}
-}
-
-// TestGenuineErrorNeverRetries: a deterministic simulation that returned an
-// error will return it again, so the engine must not burn attempts on it.
-func TestGenuineErrorNeverRetries(t *testing.T) {
-	errBad := errors.New("architectural divergence")
-	var calls atomic.Int32
-	var stats campaign.Stats
-	_, err := campaign.Run(context.Background(), 1,
-		campaign.Options[int]{Retries: 3, Backoff: time.Millisecond, Stats: &stats},
-		func(_ context.Context, i int) (int, error) {
-			calls.Add(1)
-			return 0, errBad
-		})
-	if !errors.Is(err, errBad) {
-		t.Fatalf("err = %v, want the genuine error", err)
-	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("task ran %d times, want exactly 1 — genuine errors must not retry", got)
-	}
-	if stats.Retries.Load() != 0 {
-		t.Fatalf("stats counted %d retries for a genuine error", stats.Retries.Load())
-	}
-}
-
-// TestTimeoutRetryThenSuccess: the first attempt ignores its deadline and is
-// abandoned; the retry completes. The task sees its per-attempt context, so
-// a well-behaved blocked attempt can unblock on it.
-func TestTimeoutRetryThenSuccess(t *testing.T) {
-	var attempts atomic.Int32
-	var stats campaign.Stats
-	results, err := campaign.Run(context.Background(), 1,
-		campaign.Options[int]{
-			Timeout: 30 * time.Millisecond,
-			Retries: 1,
-			Backoff: time.Millisecond,
-			Stats:   &stats,
-		},
-		func(ctx context.Context, i int) (int, error) {
-			if attempts.Add(1) == 1 {
-				<-ctx.Done() // hang until the attempt deadline abandons us
-				return 0, ctx.Err()
-			}
-			return 99, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0] != 99 {
-		t.Fatalf("results[0] = %d, want the retry's value", results[0])
-	}
-	if stats.Timeouts.Load() != 1 || stats.Retries.Load() != 1 {
-		t.Fatalf("stats = %d timeouts, %d retries; want 1 and 1", stats.Timeouts.Load(), stats.Retries.Load())
-	}
-}
-
-// TestTimeoutExhaustedIsGenuine: a cell that overruns its deadline on every
-// attempt fails the campaign with an attributed *TimeoutError — and that
-// error must NOT look like a collateral context cancellation, or the
-// lowest-genuine-error selection would discard it.
+// TestTimeoutExhaustedIsGenuine: a cell that overruns its deadline fails
+// the campaign with an attributed *TimeoutError — and that error must NOT
+// look like a collateral context cancellation, or the lowest-genuine-error
+// selection would discard it.
 func TestTimeoutExhaustedIsGenuine(t *testing.T) {
 	var stats campaign.Stats
+	var calls atomic.Int32
 	_, err := campaign.Run(context.Background(), 3,
 		campaign.Options[int]{
 			Workers: 3,
 			Label:   func(i int) string { return fmt.Sprintf("cell-%d", i) },
 			Timeout: 20 * time.Millisecond,
-			Retries: 1,
-			Backoff: time.Millisecond,
 			Stats:   &stats,
 		},
 		func(ctx context.Context, i int) (int, error) {
 			if i == 1 {
+				calls.Add(1)
 				campaign.Heartbeat(ctx, "entered infinite loop")
 				<-ctx.Done()
 				return 0, ctx.Err()
@@ -136,17 +44,76 @@ func TestTimeoutExhaustedIsGenuine(t *testing.T) {
 		t.Fatalf("err = %v, want *TaskError naming cell-1", err)
 	}
 	var toe *campaign.TimeoutError
-	if !errors.As(err, &toe) || toe.Attempts != 2 {
-		t.Fatalf("err = %v, want wrapped *TimeoutError after 2 attempts", err)
+	if !errors.As(err, &toe) || toe.Timeout != 20*time.Millisecond {
+		t.Fatalf("err = %v, want wrapped *TimeoutError for the 20ms deadline", err)
 	}
 	if toe.LastEvent != "entered infinite loop" {
 		t.Fatalf("TimeoutError.LastEvent = %q, want the final heartbeat note", toe.LastEvent)
 	}
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		t.Fatalf("a cell's exhausted deadline must not unwrap to a context error: %v", err)
+		t.Fatalf("a cell's exceeded deadline must not unwrap to a context error: %v", err)
 	}
-	if stats.Timeouts.Load() != 2 {
-		t.Fatalf("stats counted %d timeouts, want 2", stats.Timeouts.Load())
+	if calls.Load() != 1 || stats.Timeouts.Load() != 1 {
+		t.Fatalf("the cell ran %d times and stats counted %d timeouts, want 1 and 1", calls.Load(), stats.Timeouts.Load())
+	}
+}
+
+// TestTimeoutOutlivesTeardown: a cell that stopped at its own deadline is
+// that cell's failure even when it returns after another cell's failure
+// tore the campaign down, so it is still the lowest-indexed genuine error.
+func TestTimeoutOutlivesTeardown(t *testing.T) {
+	zeroExpired, oneFailed := make(chan struct{}), make(chan struct{})
+	_, err := campaign.Run(context.Background(), 2,
+		campaign.Options[int]{Workers: 2, Timeout: 10 * time.Millisecond},
+		func(ctx context.Context, i int) (int, error) {
+			if i == 1 {
+				<-zeroExpired
+				close(oneFailed)
+				return 0, errors.New("boom")
+			}
+			<-ctx.Done()
+			close(zeroExpired)
+			<-oneFailed
+			time.Sleep(20 * time.Millisecond) // let cell 1's failure tear the campaign down
+			return 0, ctx.Err()
+		})
+	var te *campaign.TaskError
+	var toe *campaign.TimeoutError
+	if !errors.As(err, &te) || te.Index != 0 || !errors.As(err, &toe) {
+		t.Fatalf("err = %v, want cell 0's *TimeoutError", err)
+	}
+}
+
+// TestTimedOutSimulationsStop is the cell-deadline acceptance: a storm of
+// cells running real simulations under a 1 ms deadline leaves no goroutine
+// behind once Run returns. Each simulation stops at its next context poll
+// instead of running on, abandoned, to the end of its program.
+func TestTimedOutSimulationsStop(t *testing.T) {
+	prog := spec.Generate(spec.Profiles()[0], 300000, 1)
+	before := runtime.NumGoroutine()
+	var stats campaign.Stats
+	_, err := campaign.Run(context.Background(), 16,
+		campaign.Options[int64]{Workers: 4, Timeout: time.Millisecond, Stats: &stats},
+		func(ctx context.Context, i int) (int64, error) {
+			res, err := ooo.RunContext(ctx, ooo.BigConfig(), prog)
+			if err != nil {
+				return 0, err
+			}
+			return res.Cycles, nil
+		})
+	var toe *campaign.TimeoutError
+	if !errors.As(err, &toe) {
+		t.Fatalf("err = %v, want a cell's *TimeoutError", err)
+	}
+	if stats.Timeouts.Load() == 0 {
+		t.Fatal("stats counted no timeouts")
+	}
+	deadline := time.Now().Add(100 * time.Millisecond)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines 100ms after Run returned, %d before it: a timed-out simulation kept running", n, before)
 	}
 }
 
@@ -203,41 +170,48 @@ func TestWatchdogReportsStalledCell(t *testing.T) {
 }
 
 // TestParentCancelMidCampaign is the mid-flight cancellation regression: a
-// campaign whose tasks all succeed but whose parent is cancelled partway
-// must report a *CancelledError that unwraps to context.Canceled and names
-// how far it got — not a bare context error, and not success.
+// campaign whose parent is cancelled partway must report a *CancelledError
+// that unwraps to context.Canceled and names how far it got — not a bare
+// context error, not a task's collateral error, and not success — whether
+// the cells in flight finish or stop with their context's error, as a
+// simulation does.
 func TestParentCancelMidCampaign(t *testing.T) {
 	const n = 16
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	results, err := campaign.Run(ctx, n,
-		campaign.Options[int]{
-			Workers: 2,
-			OnDone: func(i, _ int) {
-				if i == 3 {
-					cancel() // parent gives up after the first few cells
-				}
+	for _, stops := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		results, err := campaign.Run(ctx, n,
+			campaign.Options[int]{
+				Workers: 2,
+				OnDone: func(i, _ int) {
+					if i == 3 {
+						cancel() // parent gives up after the first few cells
+					}
+				},
 			},
-		},
-		func(ctx context.Context, i int) (int, error) {
-			if i < 6 {
+			func(ctx context.Context, i int) (int, error) {
+				if i < 6 {
+					return i, nil
+				}
+				<-ctx.Done() // later cells are in flight during the teardown
+				if stops {
+					return 0, fmt.Errorf("cell %d stopped: %w", i, ctx.Err())
+				}
 				return i, nil
-			}
-			<-ctx.Done() // later cells are in flight during the teardown
-			return i, nil
-		})
-	var ce *campaign.CancelledError
-	if !errors.As(err, &ce) {
-		t.Fatalf("err = %v, want *CancelledError", err)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, must still satisfy errors.Is(err, context.Canceled)", err)
-	}
-	if ce.N != n || ce.Done < 4 || ce.Done >= n {
-		t.Fatalf("CancelledError reports %d/%d done, want partial progress", ce.Done, ce.N)
-	}
-	if len(results) != n {
-		t.Fatalf("results slice has %d slots, want %d (completed prefixes stay usable)", len(results), n)
+			})
+		cancel()
+		var ce *campaign.CancelledError
+		if !errors.As(err, &ce) {
+			t.Fatalf("stops=%v: err = %v, want *CancelledError", stops, err)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("stops=%v: err = %v, must still satisfy errors.Is(err, context.Canceled)", stops, err)
+		}
+		if ce.N != n || ce.Done < 4 || ce.Done >= n {
+			t.Fatalf("stops=%v: CancelledError reports %d/%d done, want partial progress", stops, ce.Done, ce.N)
+		}
+		if len(results) != n {
+			t.Fatalf("stops=%v: results slice has %d slots, want %d (completed prefixes stay usable)", stops, len(results), n)
+		}
 	}
 }
 
@@ -245,14 +219,18 @@ func TestParentCancelMidCampaign(t *testing.T) {
 // the panicking task frame, without the goroutine header and recovery
 // machinery above the panic site.
 func TestPanicStackTrimmedToTaskFrames(t *testing.T) {
+	var stats campaign.Stats
 	_, err := campaign.Run(context.Background(), 1,
-		campaign.Options[int]{Label: func(int) string { return "gsm/Medium" }},
+		campaign.Options[int]{Label: func(int) string { return "gsm/Medium" }, Stats: &stats},
 		func(_ context.Context, i int) (int, error) {
 			explodeForStackTest()
 			return 0, nil
 		})
 	if err == nil {
 		t.Fatal("want the panic surfaced as an error")
+	}
+	if stats.Panics.Load() != 1 {
+		t.Fatalf("stats counted %d panics, want 1", stats.Panics.Load())
 	}
 	msg := err.Error()
 	if !strings.Contains(msg, "gsm/Medium") || !strings.Contains(msg, "slice bounds") && !strings.Contains(msg, "boom") {

@@ -66,12 +66,10 @@ type Options struct {
 	// concurrent use.
 	OnCell func(harness.CellEvent)
 
-	// CellTimeout bounds each faulted-cell attempt; Retries grants extra
-	// attempts to cells that panicked or timed out. StallAfter/OnStall arm
-	// the hung-cell watchdog; Stats receives the resilience counters. All
-	// behave exactly as in harness.Options.
+	// CellTimeout bounds each faulted cell; StallAfter/OnStall arm the
+	// hung-cell watchdog; Stats receives the resilience counters. All behave
+	// exactly as in harness.Options.
 	CellTimeout time.Duration
-	Retries     int
 	StallAfter  time.Duration
 	OnStall     func(campaign.Stall)
 	Stats       *campaign.Stats
@@ -82,7 +80,7 @@ type Options struct {
 func (o Options) plumbing() harness.Options {
 	return harness.Options{
 		Workers: o.Workers, Journal: o.Journal, Resume: o.Resume, Shard: o.Shard, OnCell: o.OnCell,
-		CellTimeout: o.CellTimeout, Retries: o.Retries, StallAfter: o.StallAfter, OnStall: o.OnStall, Stats: o.Stats,
+		CellTimeout: o.CellTimeout, StallAfter: o.StallAfter, OnStall: o.OnStall, Stats: o.Stats,
 	}
 }
 
@@ -185,12 +183,12 @@ func RunCampaign(ctx context.Context, opts Options) (*Report, error) {
 		harness.CampaignOptions[golden](d, func(i int) string { return opts.Benchmarks[i].Name + "/golden" }, nil),
 		func(ctx context.Context, i int) (golden, error) {
 			b := opts.Benchmarks[i]
-			base, err := ooo.Run(cfg.WithPolicy(ooo.PolicyBaseline), b.Prog)
+			base, err := ooo.RunContext(ctx, cfg.WithPolicy(ooo.PolicyBaseline), b.Prog)
 			if err != nil {
 				return golden{}, err
 			}
 			campaign.Heartbeat(ctx, b.Name+"/golden: baseline done")
-			g, err := ooo.Run(cfg.WithPolicy(ooo.PolicyRedsoc), b.Prog)
+			g, err := ooo.RunContext(ctx, cfg.WithPolicy(ooo.PolicyRedsoc), b.Prog)
 			if err != nil {
 				return golden{}, err
 			}
@@ -224,7 +222,7 @@ func RunCampaign(ctx context.Context, opts Options) (*Report, error) {
 				Kind: "chaos-cell", Label: label(j),
 				Key: func() cellstore.Key { return chaosKey(cfg, digests[b.Prog], rate, int64(seed)) },
 				Run: func() (outcome, error) {
-					r, err := ooo.Run(cfg.WithPolicy(ooo.PolicyRedsoc).WithFaults(rate, int64(seed)), b.Prog)
+					r, err := ooo.RunContext(ctx, cfg.WithPolicy(ooo.PolicyRedsoc).WithFaults(rate, int64(seed)), b.Prog)
 					if err != nil {
 						return outcome{}, err
 					}

@@ -242,11 +242,9 @@ type Options struct {
 	// use, and the order is operational telemetry, never part of a result.
 	OnCell func(CellEvent)
 
-	// CellTimeout bounds each cell attempt; Retries grants extra attempts
-	// to cells that panicked or timed out (genuine simulation errors never
-	// retry). Retried cells produce identical bytes — see campaign.Options.
+	// CellTimeout bounds each cell: a cell still simulating at its
+	// deadline stops and fails the run (see campaign.Options.Timeout).
 	CellTimeout time.Duration
-	Retries     int
 	// StallAfter arms the hung-cell watchdog when OnStall is set: a cell
 	// silent for longer than this is reported with its label and last
 	// observed event. Zero with OnStall set defaults to one minute.
@@ -260,12 +258,13 @@ type Options struct {
 // each run as a concurrent campaign: cells are simulated in parallel but
 // appended to the grid — and reported through Progress — in the same
 // class → core → benchmark order the serial evaluation used. ctx cancels
-// in-flight scheduling (SIGINT in the CLIs lands here); with a journal
-// armed, everything completed before the cancellation is already persisted
-// and a -resume run picks up exactly where this one stopped. Both phases
-// take their simulations from one run cache, so each distinct engine run
-// happens once per call; every result, simulated or journaled, holds its
-// program's one final architectural state (ooo.FinalState).
+// the run, in-flight simulations included (SIGINT in the CLIs lands here);
+// with a journal armed, everything completed before the cancellation is
+// already persisted and a -resume run picks up exactly where this one
+// stopped. Both phases take their simulations from one run cache, so each
+// distinct engine run happens once per call; every result, simulated or
+// journaled, holds its program's one final architectural state
+// (ooo.FinalState).
 func Run(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, opts Options) (*Grid, error) {
 	return runGrid(ctx, benchmarks, cores, opts, &runCache{})
 }
@@ -454,13 +453,13 @@ func chooseThresholds(ctx context.Context, pairs []classCore, byClass map[Class]
 					total := 0.0
 					for _, b := range class {
 						campaign.Heartbeat(ctx, fmt.Sprintf("%s: simulating %s", label(i), b.Name))
-						base, err := run(pr.cfg.WithPolicy(ooo.PolicyBaseline), b.Prog)
+						base, err := run(ctx, pr.cfg.WithPolicy(ooo.PolicyBaseline), b.Prog)
 						if err != nil {
 							return 0, err
 						}
 						rc := pr.cfg.WithPolicy(ooo.PolicyRedsoc)
 						rc.Redsoc.ThresholdTicks = th
-						red, err := run(rc, b.Prog)
+						red, err := run(ctx, rc, b.Prog)
 						if err != nil {
 							return 0, err
 						}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"sync/atomic"
 
 	"redsoc/internal/isa"
@@ -35,16 +36,15 @@ type runOutcome struct {
 	err error
 }
 
-// run is a baseline.Runner: ooo.Run, once per distinct (program, config).
-func (c *runCache) run(cfg ooo.Config, prog *isa.Program) (*ooo.Result, error) {
-	out := memo.Get(&c.runs, runKey{prog, cfg}, c.build)
+// run is a baseline.Runner: ooo.RunContext, once per distinct (program,
+// config). A run that ctx stopped says nothing about the run, only about
+// ctx, so it is returned to this caller alone and never cached: a unit that
+// was waiting on it builds the run again under its own context.
+func (c *runCache) run(ctx context.Context, cfg ooo.Config, prog *isa.Program) (*ooo.Result, error) {
+	out, _ := memo.TryGet(&c.runs, runKey{prog, cfg}, func(k runKey) (runOutcome, bool) {
+		c.builds.Add(1)
+		res, err := ooo.RunContext(ctx, k.cfg, k.prog)
+		return runOutcome{res, err}, err == nil || ctx.Err() == nil
+	})
 	return out.res, out.err
-}
-
-// build runs one simulation. The engine already points a result that ends
-// in its program's canonical final state at that state's shared maps.
-func (c *runCache) build(k runKey) runOutcome {
-	c.builds.Add(1)
-	res, err := ooo.Run(k.cfg, k.prog)
-	return runOutcome{res, err}
 }

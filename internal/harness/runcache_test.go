@@ -2,11 +2,14 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
+	"time"
 
 	"redsoc/internal/cellstore"
 	"redsoc/internal/ooo"
+	"redsoc/internal/workload/spec"
 )
 
 // TestRunCacheEngineRunCount pins the engine work of the quick grid: with
@@ -32,6 +35,51 @@ func TestRunCacheEngineRunCount(t *testing.T) {
 		if got := runs.builds.Load(); got != tc.want {
 			t.Errorf("sweep=%v: quick grid made %d engine runs, want %d", tc.sweep, got, tc.want)
 		}
+	}
+}
+
+// TestRunCacheDropsCancelledRun: a run that one cell's context stopped is
+// never cached and never handed to another cell whose context is live. The
+// cell that waited on it — or came after it — gets the real result, built
+// again under its own context, and that result is what the cache keeps.
+func TestRunCacheDropsCancelledRun(t *testing.T) {
+	prog := spec.Generate(spec.Profiles()[0], 200000, 1)
+	cfg := ooo.SmallConfig()
+	want, err := ooo.Run(cfg, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := &runCache{}
+	ctx, cancel := context.WithCancel(context.Background())
+	stopped := make(chan error)
+	go func() {
+		_, err := runs.run(ctx, cfg, prog)
+		stopped <- err
+	}()
+	for runs.builds.Load() == 0 { // the stopped cell's build is under way
+		time.Sleep(time.Millisecond)
+	}
+	live := make(chan *ooo.Result)
+	go func() {
+		res, err := runs.run(context.Background(), cfg, prog)
+		if err != nil {
+			t.Error(err)
+		}
+		live <- res
+	}()
+	cancel()
+	if err := <-stopped; !errors.Is(err, context.Canceled) {
+		t.Fatalf("the cancelled cell's run returned %v, want an error wrapping context.Canceled", err)
+	}
+	got := <-live
+	if got == nil || !reflect.DeepEqual(got, want) {
+		t.Fatal("the live cell did not get the real result")
+	}
+	if n := runs.builds.Load(); n != 2 {
+		t.Fatalf("%d builds, want 2: the stopped one and the live cell's own", n)
+	}
+	if again, err := runs.run(context.Background(), cfg, prog); err != nil || again != got {
+		t.Fatalf("the live cell's run was not cached: %v", err)
 	}
 }
 

@@ -96,7 +96,6 @@ func CampaignOptions[T any](opts Options, label func(int) string, onDone func(in
 		Label:      label,
 		OnDone:     onDone,
 		Timeout:    opts.CellTimeout,
-		Retries:    opts.Retries,
 		StallAfter: stallAfter,
 		OnStall:    opts.OnStall,
 		Stats:      opts.Stats,

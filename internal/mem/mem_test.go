@@ -320,10 +320,10 @@ func TestMemoryMatchesFrozen(t *testing.T) {
 	}
 }
 
-// TestMemoryFirstDiff: FirstDiff names the lowest span address at which a
-// store and a frozen copy of its layout differ — in value, or in whether
-// the word is present at all — and nothing when only words outside the
-// span differ, or when the layouts differ.
+// TestMemoryFirstDiff: FirstDiff names the lowest address at which a store
+// and a frozen copy of its layout differ — in value, or in whether the word
+// is present at all — inside the span or outside it, and nothing when the
+// layouts differ.
 func TestMemoryFirstDiff(t *testing.T) {
 	img := NewImage(map[uint64]uint64{0x100: 1, 0x118: 2, 0x200: 3})
 	f := NewMemoryFromImage(img).Freeze()
@@ -336,12 +336,19 @@ func TestMemoryFirstDiff(t *testing.T) {
 		{"none", func(*Memory) {}, 0, false},
 		{"two words", func(m *Memory) { m.Write64(0x200, 9); m.Write64(0x118, 7) }, 0x118, true},
 		{"zero into an untouched word", func(m *Memory) { m.Write64(0x108, 0) }, 0x108, true},
-		{"outside the span", func(m *Memory) { m.Write64(0x9000, 6) }, 0, false},
+		{"outside the span", func(m *Memory) { m.Write64(0x9000, 6) }, 0x9000, true},
+		{"two words outside the span", func(m *Memory) { m.Write64(0x9000, 6); m.Write64(0x8800, 5) }, 0x8800, true},
+		{"below the span before one inside it", func(m *Memory) { m.Write64(0x200, 9); m.Write64(0x8, 4) }, 0x8, true},
+		{"inside the span before one above it", func(m *Memory) { m.Write64(0x9000, 6); m.Write64(0x118, 7) }, 0x118, true},
 	} {
 		addr, ok := NewMemoryFromImage(img).apply(tc.do).FirstDiff(f)
 		if addr != tc.addr || ok != tc.ok {
 			t.Errorf("%s: FirstDiff = %#x, %v; want %#x, %v", tc.name, addr, ok, tc.addr, tc.ok)
 		}
+	}
+	held := NewMemoryFromImage(img).apply(func(m *Memory) { m.Write64(0x9000, 6) }).Freeze()
+	if addr, ok := NewMemoryFromImage(img).FirstDiff(held); addr != 0x9000 || !ok {
+		t.Errorf("a word only the frozen copy holds: FirstDiff = %#x, %v; want 0x9000, true", addr, ok)
 	}
 	if _, ok := NewMemory().FirstDiff(f); ok {
 		t.Error("stores of different layouts must report no span difference")

@@ -167,9 +167,10 @@ func (m *Memory) Matches(f *Frozen) bool {
 	return slices.Equal(m.touch, o.touch) && slices.Equal(m.words, o.words) && maps.Equal(m.over, o.over)
 }
 
-// FirstDiff returns the lowest address inside the span m and f share at
-// which they hold different words — a word only one of them holds counts —
-// and whether there is one. Words outside the span are not compared.
+// FirstDiff returns the lowest address at which m and f hold different
+// words — a word only one of them holds counts — and whether there is one.
+// It compares the span m and f share and the words outside it; stores of
+// different layouts report no difference.
 func (m *Memory) FirstDiff(f *Frozen) (addr uint64, ok bool) {
 	o := &f.m
 	if m.base != o.base || len(m.words) != len(o.words) {
@@ -178,10 +179,24 @@ func (m *Memory) FirstDiff(f *Frozen) (addr uint64, ok bool) {
 	for i := range m.words {
 		bit := uint64(1) << (i % 64)
 		if m.touch[i/64]&bit != o.touch[i/64]&bit || m.words[i] != o.words[i] {
-			return m.base + uint64(i)*8, true
+			addr, ok = m.base+uint64(i)*8, true
+			break
 		}
 	}
-	return 0, false
+	addr, ok = lowestMismatch(m.over, o.over, addr, ok)
+	return lowestMismatch(o.over, m.over, addr, ok)
+}
+
+// lowestMismatch folds into (addr, ok) — the lowest differing address found
+// so far, if any — every address src holds that dst lacks or holds another
+// word at. A minimum does not depend on the order the addresses are visited.
+func lowestMismatch(src, dst map[uint64]uint64, addr uint64, ok bool) (uint64, bool) {
+	for a, v := range src { //lint:allow simdeterminism order-independent: equality and a minimum over both maps
+		if w, in := dst[a]; (!in || w != v) && (!ok || a < addr) {
+			addr, ok = a, true
+		}
+	}
+	return addr, ok
 }
 
 // Snapshot returns the frozen contents as Memory.Snapshot would have.
@@ -205,10 +220,6 @@ func (f *Frozen) Equal(m map[uint64]uint64) bool {
 			w &^= b
 		}
 	}
-	for a, v := range o.over { //lint:allow simdeterminism order-independent: equality over both maps
-		if mv, ok := m[a]; !ok || mv != v {
-			return false
-		}
-	}
-	return true
+	_, differ := lowestMismatch(o.over, m, 0, false)
+	return !differ
 }

@@ -21,7 +21,7 @@ type Map struct {
 type entry[V any] struct {
 	once   sync.Once
 	v      V
-	failed bool // build panicked; the entry left the map and holds no value
+	failed bool // build panicked or failed; the entry left the map
 }
 
 // Get returns the value m holds for k, calling build(k) to make it the
@@ -30,25 +30,38 @@ type entry[V any] struct {
 // its caller, and the next Get of k — including one that was waiting on the
 // failed build — builds afresh.
 func Get[K comparable, V any](m *Map, k K, build func(K) V) V {
+	v, _ := TryGet(m, k, func(k K) (V, bool) { return build(k), true })
+	return v
+}
+
+// TryGet is Get for a build that can fail without panicking: a build that
+// returns false caches nothing, exactly like one that panics. Its caller
+// gets the failed build's value and false; a caller that was waiting on it
+// builds afresh with its own build function.
+func TryGet[K comparable, V any](m *Map, k K, build func(K) (V, bool)) (V, bool) {
 	for {
 		v, ok := m.m.Load(k)
 		if !ok {
 			v, _ = m.m.LoadOrStore(k, &entry[V]{})
 		}
 		e := v.(*entry[V])
+		mine := false
 		e.once.Do(func() {
-			built := false
+			mine = true
+			kept := false
 			defer func() {
-				if !built {
+				if !kept {
 					e.failed = true
 					m.m.CompareAndDelete(k, e)
 				}
 			}()
-			e.v = build(k)
-			built = true
+			e.v, kept = build(k)
 		})
 		if !e.failed {
-			return e.v
+			return e.v, true
+		}
+		if mine {
+			return e.v, false
 		}
 	}
 }

@@ -65,3 +65,37 @@ func TestGetRebuildsAfterPanic(t *testing.T) {
 		t.Fatalf("the map holds %d entries after a failed and a good build of one key, want 1", n)
 	}
 }
+
+// TestTryGetRebuildsAfterFailure: a build that reports failure caches
+// nothing, like one that panics. Its caller gets the failed value and false,
+// a waiter on it builds afresh with its own build function, and the map
+// keeps only the good build.
+func TestTryGetRebuildsAfterFailure(t *testing.T) {
+	var m Map
+	started, release := make(chan struct{}), make(chan struct{})
+	type result struct {
+		v  int
+		ok bool
+	}
+	failed := make(chan result)
+	go func() {
+		v, ok := TryGet(&m, 1, func(int) (int, bool) { close(started); <-release; return -1, false })
+		failed <- result{v, ok}
+	}()
+	<-started
+	waiter := make(chan result)
+	go func() {
+		v, ok := TryGet(&m, 1, func(k int) (int, bool) { return k * 10, true })
+		waiter <- result{v, ok}
+	}()
+	close(release)
+	if r := <-failed; r != (result{-1, false}) {
+		t.Fatalf("the failed build's caller got %+v, want its own value -1 and false", r)
+	}
+	if r := <-waiter; r != (result{10, true}) {
+		t.Fatalf("a caller waiting on the failed build got %+v, want a fresh build's 10", r)
+	}
+	if v := Get(&m, 1, func(int) int { t.Error("a successful rebuild must be cached"); return 0 }); v != 10 {
+		t.Fatalf("cached rebuild = %d, want 10", v)
+	}
+}

@@ -1,6 +1,7 @@
 package ooo
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 
@@ -86,7 +87,7 @@ func FinalState(prog *isa.Program) (regs map[isa.Reg]alu.Value, mem map[uint64]u
 // canonical maps when the run ended in that state, otherwise — for a
 // fault-injected run — maps of its own. A fault-free run that ended
 // elsewhere is an error naming where it went wrong.
-func (s *Simulator) captureArch() error {
+func (s *Simulator) captureArch(ctx context.Context) error {
 	f := isa.Derived(s.prog, finalKey{}, oracle)
 	if s.endsIn(f) {
 		s.audit.onAdoptFinal(s, f)
@@ -94,7 +95,7 @@ func (s *Simulator) captureArch() error {
 		return nil
 	}
 	if s.inject == nil {
-		return s.divergence(f)
+		return s.divergence(ctx, f)
 	}
 	s.res.FinalRegs = regMap((*[archFileRegs]alu.Value)(s.archRegs[:archFileRegs]))
 	s.res.FinalMem = s.memory.Snapshot()
@@ -113,18 +114,18 @@ func (s *Simulator) endsIn(f *finalState) bool {
 
 // divergence explains a fault-free run that did not end in its program's
 // canonical state f. Unless the run already stepped the interpreter in
-// lockstep, it re-runs the simulation once with lockstep armed, whose error
-// names the first commit that differs; a lockstep run that gets here
-// committed nothing that differs, and the error names the first register,
-// flag or memory word its final state holds otherwise.
-func (s *Simulator) divergence(f *finalState) error {
+// lockstep, it re-runs the simulation once under ctx with lockstep armed,
+// whose error names the first commit that differs; a lockstep run that gets
+// here committed nothing that differs, and the error names the first
+// register, flag or memory word its final state holds otherwise.
+func (s *Simulator) divergence(ctx context.Context, f *finalState) error {
 	if s.lock == nil {
 		r, err := New(s.cfg, s.prog)
 		if err != nil {
 			return err
 		}
 		r.armLockstep()
-		if _, err := r.Run(); err != nil {
+		if _, err := r.RunContext(ctx); err != nil {
 			return err
 		}
 		return fmt.Errorf("%s: ends in another state than the architectural interpreter, but not when re-run in lockstep", s.name())
@@ -145,7 +146,7 @@ func (s *Simulator) divergence(f *finalState) error {
 	if a, ok := s.memory.FirstDiff(f.mem); ok {
 		return s.differs(clean, fmt.Sprintf("mem[%#x]", a), alu.Scalar(s.memory.Read64(a)), alu.Scalar(f.FinalMem[a]))
 	}
-	return fmt.Errorf("%s: %s outside the program's initial memory image", s.name(), clean)
+	return fmt.Errorf("%s: %s", s.name(), clean)
 }
 
 // differs returns an error naming the run, where it differs from the

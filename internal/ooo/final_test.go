@@ -197,7 +197,7 @@ func TestCaptureArchComparesEveryPart(t *testing.T) {
 		{"flag C", "flags = ", flag(alu.FlagC)},
 		{"flag V", "flags = ", flag(alu.FlagV)},
 		{"memory word inside the span", fmt.Sprintf("mem[%#x] = ", inSpan), word(inSpan)},
-		{"memory word outside the span", "outside the program's initial memory image", word(outSpan)},
+		{"memory word outside the span", fmt.Sprintf("mem[%#x] = ", outSpan), word(outSpan)},
 	} {
 		for _, pol := range []Policy{PolicyBaseline, PolicyRedsoc} {
 			p := build()

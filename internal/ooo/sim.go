@@ -1,6 +1,7 @@
 package ooo
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -182,10 +183,20 @@ func New(cfg Config, prog *isa.Program) (*Simulator, error) {
 //redsoc:hotpath
 func (s *Simulator) in(e *entry) *isa.Instruction { return &s.prog.Instrs[e.ti] }
 
-// Run simulates to completion and returns the results. It returns the
-// simulator's machine storage to the spare list for the next New, so it runs
-// once: a second call returns an error and leaves the first Result untouched.
-func (s *Simulator) Run() (*Result, error) {
+// Run simulates to completion and returns the results; see RunContext.
+func (s *Simulator) Run() (*Result, error) { return s.RunContext(context.Background()) }
+
+// ctxPollCycles is how many cycles RunContext simulates between two checks
+// of its context: often enough that a cancelled run stops within a few
+// milliseconds, rarely enough that the check costs nothing measurable.
+const ctxPollCycles = 4096
+
+// RunContext simulates to completion and returns the results, or stops
+// early with an error wrapping ctx's error once ctx ends (it polls ctx at
+// cycle 0 and every ctxPollCycles cycles after). It returns the simulator's
+// machine storage to the spare list for the next New, so it runs once: a
+// second call returns an error and leaves the first Result untouched.
+func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 	if s.store == nil {
 		return nil, errors.New("ooo: Simulator.Run called again; a Simulator runs once")
 	}
@@ -195,6 +206,11 @@ func (s *Simulator) Run() (*Result, error) {
 		limit = 64*int64(len(s.prog.Instrs)) + 100000
 	}
 	for cycle := int64(0); ; cycle++ {
+		if cycle%ctxPollCycles == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("%s: stopped at cycle %d: %w", s.name(), cycle, err)
+			}
+		}
 		if cycle > limit {
 			return nil, fmt.Errorf("ooo: %s/%s exceeded %d cycles at seq %d (rob %d, rs %d) — deadlock?",
 				s.cfg.Name, s.cfg.Policy, limit, s.nextSeq, s.rob.len(), len(s.rs))
@@ -207,7 +223,7 @@ func (s *Simulator) Run() (*Result, error) {
 	if s.lock != nil && s.lock.bad.what != "" {
 		return nil, s.lock.err(s)
 	}
-	if err := s.capture(); err != nil {
+	if err := s.capture(ctx); err != nil {
 		return nil, err
 	}
 	return s.res, nil
@@ -648,8 +664,8 @@ func forwardable(st, ld *entry) bool {
 // capture records the final architectural state and the end-of-run
 // statistics; a fault-free run that did not end in its program's final
 // state is an error (captureArch).
-func (s *Simulator) capture() error {
-	if err := s.captureArch(); err != nil {
+func (s *Simulator) capture(ctx context.Context) error {
+	if err := s.captureArch(ctx); err != nil {
 		return err
 	}
 	s.res.WidthPredictor = s.widthPred.Stats()
@@ -690,9 +706,15 @@ func (s *Simulator) Clock() timing.Clock { return s.clock }
 
 // Run is a convenience: build and run in one call.
 func Run(cfg Config, prog *isa.Program) (*Result, error) {
+	return RunContext(context.Background(), cfg, prog)
+}
+
+// RunContext builds and runs in one call, stopping early once ctx ends
+// (see Simulator.RunContext).
+func RunContext(ctx context.Context, cfg Config, prog *isa.Program) (*Result, error) {
 	s, err := New(cfg, prog)
 	if err != nil {
 		return nil, err
 	}
-	return s.Run()
+	return s.RunContext(ctx)
 }

@@ -1,8 +1,13 @@
 package ooo
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
+	"time"
 	"unsafe"
 
 	"redsoc/internal/core"
@@ -493,6 +498,48 @@ func TestDeadlockGuard(t *testing.T) {
 	cfg.MaxCycles = 3
 	if _, err := Run(cfg, p); err == nil {
 		t.Fatal("cycle cap must surface as an error")
+	}
+}
+
+// TestRunContextStops: a run honours its context. An already-cancelled
+// context stops it before its first cycle and a deadline that expires
+// mid-run stops it at the next poll, each with an error wrapping the
+// context's and no Result; a stopped run leaves nothing behind for the next
+// run, and a context that never ends changes nothing.
+func TestRunContextStops(t *testing.T) {
+	p := randomProgram(3, 400)
+	want := run(t, BigConfig(), p)
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if res, err := RunContext(cancelled, BigConfig(), p); res != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled context: a Result (%t) and error %v; want none and one wrapping context.Canceled", res != nil, err)
+	}
+
+	s, err := New(SmallConfig(), longChain(isa.OpEOR, 300000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	res, err := s.RunContext(ctx)
+	if res != nil || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired deadline: a Result (%t) and error %v; want none and one wrapping context.DeadlineExceeded", res != nil, err)
+	}
+	if strings.Contains(err.Error(), "stopped at cycle 0:") {
+		t.Fatalf("the deadline expired before the run began: %v", err)
+	}
+
+	for _, c := range []struct {
+		name string
+		run  func() (*Result, error)
+	}{
+		{"Run", func() (*Result, error) { return Run(BigConfig(), p) }},
+		{"RunContext(Background)", func() (*Result, error) { return RunContext(context.Background(), BigConfig(), p) }},
+	} {
+		if got, err := c.run(); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s after the stopped runs: error %v, or a Result other than the first run's", c.name, err)
+		}
 	}
 }
 

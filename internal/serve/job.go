@@ -5,10 +5,10 @@
 // strict determinism makes a cached cell provably exact, so every repeated
 // (config, workload, policy, seed) cell across all tenants is free), a fair
 // FIFO-per-tenant queue with a bounded number of concurrent campaigns,
-// per-job progress streamed as NDJSON or SSE, and in-process campaign
-// sharding under the same merge-by-index determinism contract the -j and
-// -shard flags guarantee: a job run as N shards merges to a report
-// byte-identical to the unsharded run (modulo wall_seconds).
+// and per-job progress streamed as NDJSON or SSE. A job's report is
+// byte-identical to the batch CLI's at any worker count (modulo
+// wall_seconds), under the same merge-by-index determinism contract the -j
+// and -shard flags guarantee.
 package serve
 
 import (
@@ -38,11 +38,6 @@ type JobSpec struct {
 	// Workers bounds the campaign worker pool (0 = all CPUs). Results are
 	// bit-identical at any worker count.
 	Workers int `json:"workers,omitempty"`
-	// Shards splits the job into that many cooperating in-process shards
-	// sharing the cache, followed by a merge pass that reassembles the
-	// report by index; 0 or 1 runs unsharded. The merged report is
-	// byte-identical to the unsharded one (modulo wall_seconds).
-	Shards int `json:"shards,omitempty"`
 
 	// Seeds and Rates configure chaos jobs (defaults: 3 seeds, rates
 	// 0.01 and 0.1 — the CI smoke configuration).
@@ -92,9 +87,6 @@ func (s *Server) resolve(spec JobSpec) (*resolved, error) {
 	if spec.Workers < 0 {
 		return nil, fmt.Errorf("serve: workers = %d, want >= 0", spec.Workers)
 	}
-	if spec.Shards < 0 || spec.Shards > 64 {
-		return nil, fmt.Errorf("serve: shards = %d, want 0..64", spec.Shards)
-	}
 
 	all := s.suite(r.scale)
 	if r.spec.Type == "chaos" && len(spec.Benchmarks) == 0 {
@@ -127,9 +119,6 @@ func (s *Server) resolve(spec JobSpec) (*resolved, error) {
 	}
 
 	if r.spec.Type == "chaos" {
-		if spec.Shards >= 2 {
-			return nil, fmt.Errorf("serve: sharded chaos jobs are not supported in-service; shard across processes with redsoc-chaos -shard i/n against a shared journal")
-		}
 		if r.spec.Seeds == 0 {
 			r.spec.Seeds = 3
 		}
@@ -196,10 +185,6 @@ type Status struct {
 	CellsDone   int `json:"cells_done"`
 	CacheHits   int `json:"cache_hits"`
 	CacheMisses int `json:"cache_misses"`
-	// MergeMisses counts cells the shard-merge pass had to simulate; any
-	// nonzero value means a shard under-delivered (always 0 for unsharded
-	// jobs and for healthy sharded ones).
-	MergeMisses int `json:"merge_misses"`
 	// WallSeconds is the job's execution time (0 until it finishes; not
 	// deterministic and excluded from every equality contract).
 	WallSeconds float64 `json:"wall_seconds"`

@@ -2,12 +2,9 @@ package serve
 
 import (
 	"encoding/json"
-	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
-	"redsoc/internal/campaign"
 	"redsoc/internal/chaos"
 	"redsoc/internal/harness"
 )
@@ -40,44 +37,17 @@ func (s *Server) execute(j *job) {
 
 // recordCell folds one campaign cell event into the job's counters and
 // event stream. It fires from campaign worker goroutines; the job lock
-// serializes it. merge marks the merge pass of a sharded job: its units
-// are reassembly, not cache traffic, and any it had to simulate is a
-// merge miss. Its events are typed "merge-cell", so a stream consumer can
-// tell shard computation from merge reassembly.
-func (j *job) recordCell(ev harness.CellEvent, merge bool) {
+// serializes it.
+func (j *job) recordCell(ev harness.CellEvent) {
 	j.mu.Lock()
 	j.cellsDone++
-	switch {
-	case merge:
-		if !ev.Hit {
-			j.mergeMisses++
-		}
-	case ev.Hit:
+	if ev.Hit {
 		j.hits++
-	default:
+	} else {
 		j.misses++
 	}
 	j.mu.Unlock()
-	eventType := "cell"
-	if merge {
-		eventType = "merge-cell"
-	}
-	j.log.append(Event{Type: eventType, Kind: ev.Kind, Key: string(ev.Key), Hit: ev.Hit})
-}
-
-// gridOptions assembles the harness options every grid phase of a job
-// shares: the server cache in resume mode, the job's worker bound, and the
-// job's event stream.
-func (s *Server) gridOptions(j *job, shard campaign.Shard, merge bool) harness.Options {
-	return harness.Options{
-		SweepThreshold: j.res.spec.Sweep,
-		Workers:        s.jobWorkers(j),
-		Journal:        s.store,
-		Resume:         true,
-		Shard:          shard,
-		OnCell:         func(ev harness.CellEvent) { j.recordCell(ev, merge) },
-		Progress:       func(line string) { j.log.append(Event{Type: "progress", Text: line}) },
-	}
+	j.log.append(Event{Type: "cell", Kind: ev.Kind, Key: string(ev.Key), Hit: ev.Hit})
 }
 
 // jobWorkers resolves a job's campaign worker count under the server cap.
@@ -92,39 +62,18 @@ func (s *Server) jobWorkers(j *job) int {
 	return w
 }
 
-// runGrid executes a grid job: unsharded, one harness.Run; sharded, N
-// concurrent shard runs over the shared cache followed by a merge pass that
-// reassembles the full grid by index (all cache hits when the shards
-// delivered). Either way the report bytes are exactly what redsoc-bench
-// would write, modulo wall_seconds.
+// runGrid executes a grid job: one harness.Run over the server cache in
+// resume mode, with the job's worker bound and event stream. The report
+// bytes are exactly what redsoc-bench would write, modulo wall_seconds.
 func (s *Server) runGrid(j *job, start time.Time) ([]byte, error) {
-	n := j.res.spec.Shards
-	if n >= 2 {
-		var wg sync.WaitGroup
-		errs := make([]error, n)
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				opts := s.gridOptions(j, campaign.Shard{Index: i, Count: n}, false)
-				opts.Progress = nil // shard progress interleaves; the merge pass reports in grid order
-				_, errs[i] = harness.Run(s.ctx, j.res.benchmarks, j.res.cores, opts)
-			}(i)
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				return nil, fmt.Errorf("serve: shard %d/%d: %w", i, n, err)
-			}
-		}
-		j.log.append(Event{Type: "progress", Text: fmt.Sprintf("%d shards complete; merging by index", n)})
-	}
-
-	// The merge pass — or, unsharded, the run itself. For a sharded job
-	// every unit is already journaled, so this pass serves the whole grid
-	// from the cache and only reassembles it in index order.
-	opts := s.gridOptions(j, campaign.Shard{}, n >= 2)
-	grid, err := harness.Run(s.ctx, j.res.benchmarks, j.res.cores, opts)
+	grid, err := harness.Run(s.ctx, j.res.benchmarks, j.res.cores, harness.Options{
+		SweepThreshold: j.res.spec.Sweep,
+		Workers:        s.jobWorkers(j),
+		Journal:        s.store,
+		Resume:         true,
+		OnCell:         j.recordCell,
+		Progress:       func(line string) { j.log.append(Event{Type: "progress", Text: line}) },
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +106,7 @@ func (s *Server) runChaos(j *job) ([]byte, error) {
 		Workers:    s.jobWorkers(j),
 		Journal:    s.store,
 		Resume:     true,
-		OnCell:     func(ev harness.CellEvent) { j.recordCell(ev, false) },
+		OnCell:     j.recordCell,
 	})
 	if err != nil {
 		return nil, err

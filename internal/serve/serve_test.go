@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -249,40 +250,41 @@ func TestServeCacheHitWallClockIsOwn(t *testing.T) {
 	}
 }
 
-// TestServeShardEquivalence runs the same spec sharded 3 ways on one service
-// and unsharded on another (separate caches, so the sharded run really
-// computes its cells) and demands byte-identical reports — the serve-level
-// extension of the -j 1 ≡ -j N determinism gate.
-func TestServeShardEquivalence(t *testing.T) {
-	_, tsSharded := newTestService(t)
-	_, tsPlain := newTestService(t)
-
-	sharded := testSpec()
-	sharded.Shards = 3
-	stS := wait(t, tsSharded, submit(t, tsSharded, "", sharded).ID)
-	if stS.State != StateDone {
-		t.Fatalf("sharded job %s: %s", stS.State, stS.Error)
+// TestServeCloseStopsRunningJob: Close during a running full-scale job
+// stops its in-flight simulations instead of waiting for them. The job ends
+// failed with cells left undone, and no runner, campaign or simulation
+// goroutine outlives Close.
+func TestServeCloseStopsRunningJob(t *testing.T) {
+	before := runtime.NumGoroutine()
+	srv, err := New(Config{Journal: t.TempDir(), MaxConcurrent: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if stS.MergeMisses != 0 {
-		t.Fatalf("merge pass simulated %d cells; shards must deliver the whole grid", stS.MergeMisses)
+	st, err := srv.Submit("", JobSpec{Scale: "full", Sweep: true, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Shards replicate the sweep but dedupe through the cache, so across the
-	// shard passes every planned unit completes at least once and the counted
-	// shard-pass hits+misses cover at least the plan.
-	if stS.CacheMisses+stS.CacheHits < stS.CellsTotal {
-		t.Fatalf("shard passes accounted %d+%d cells, want >= %d",
-			stS.CacheHits, stS.CacheMisses, stS.CellsTotal)
+	j := srv.jobByID(st.ID)
+	deadline := time.Now().Add(time.Minute)
+	for j.status().CellsDone == 0 { // mid-campaign: cells done, cells in flight
+		if time.Now().After(deadline) {
+			t.Fatalf("job never completed a cell: %+v", j.status())
+		}
+		time.Sleep(time.Millisecond)
 	}
-
-	stP := wait(t, tsPlain, submit(t, tsPlain, "", testSpec()).ID)
-	if stP.State != StateDone {
-		t.Fatalf("plain job %s: %s", stP.State, stP.Error)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
 	}
-
-	repS := normalizeReport(t, report(t, tsSharded, stS.ID))
-	repP := normalizeReport(t, report(t, tsPlain, stP.ID))
-	if !bytes.Equal(repS, repP) {
-		t.Fatalf("3-shard report differs from unsharded report:\n%s\n---\n%s", repS, repP)
+	if got := j.status(); got.State != StateFailed || got.CellsDone >= got.CellsTotal {
+		t.Fatalf("after Close the job is %s with %d/%d cells done; want failed with cells left undone",
+			got.State, got.CellsDone, got.CellsTotal)
+	}
+	deadline = time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after Close, %d before New", n, before)
 	}
 }
 

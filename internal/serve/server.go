@@ -68,7 +68,6 @@ type job struct {
 	cellsDone   int
 	hits        int
 	misses      int
-	mergeMisses int
 	wallSeconds float64
 	report      []byte
 }
@@ -211,7 +210,6 @@ func (j *job) status() Status {
 		CellsDone:   j.cellsDone,
 		CacheHits:   j.hits,
 		CacheMisses: j.misses,
-		MergeMisses: j.mergeMisses,
 		WallSeconds: j.wallSeconds,
 	}
 }
