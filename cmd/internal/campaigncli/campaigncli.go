@@ -1,8 +1,7 @@
 // Package campaigncli is the campaign flag block the batch campaign CLIs
-// (redsoc-bench and redsoc-chaos) share: the -journal, -resume, -shard,
-// -cell-timeout and -stall-after flags, their validation, the SIGINT
-// context, and the journal, interrupt and resilience lines the CLIs print
-// (CI parses the journal line).
+// (redsoc-bench and redsoc-chaos) share: the -journal, -resume, -shard and
+// -cell-timeout flags, their validation, the SIGINT context, and the
+// journal and interrupt lines the CLIs print (CI parses the journal line).
 package campaigncli
 
 import (
@@ -27,13 +26,11 @@ type Flags struct {
 	resume      bool
 	shard       string
 	cellTimeout time.Duration
-	stallAfter  time.Duration
 
-	// Journal is the opened -journal store (nil without -journal), Shard
-	// the parsed -shard, and Stats the campaign's resilience counters.
+	// Journal is the opened -journal store (nil without -journal) and Shard
+	// the parsed -shard.
 	Journal *cellstore.Store
 	Shard   campaign.Shard
-	Stats   campaign.Stats
 }
 
 // Register defines the campaign flags on the default flag set; noun names
@@ -44,7 +41,6 @@ func Register(noun string) *Flags {
 	flag.BoolVar(&f.resume, "resume", false, "serve journaled cells instead of re-simulating (requires -journal)")
 	flag.StringVar(&f.shard, "shard", "", "compute only shard i/n of the "+noun+" into the shared -journal (merge with -resume)")
 	flag.DurationVar(&f.cellTimeout, "cell-timeout", 0, "per-cell deadline, e.g. 90s (0 = none)")
-	flag.DurationVar(&f.stallAfter, "stall-after", time.Minute, "report a cell as hung after this much heartbeat silence")
 	return f
 }
 
@@ -73,11 +69,7 @@ func (f *Flags) Open() {
 func (f *Flags) Options() harness.Options {
 	return harness.Options{
 		Journal: f.Journal, Resume: f.resume, Shard: f.Shard,
-		CellTimeout: f.cellTimeout, StallAfter: f.stallAfter,
-		Stats: &f.Stats,
-		OnStall: func(s campaign.Stall) {
-			log.Printf("watchdog: cell %q silent for %s (last event: %s)", s.Label, s.Idle.Round(time.Second), s.LastEvent)
-		},
+		CellTimeout: f.cellTimeout,
 	}
 }
 
@@ -97,7 +89,7 @@ func (f *Flags) Close() {
 // Fail ends a failed campaign: the journal line, and for an interrupted
 // one the count of cells the journal kept and how to resume, then err.
 func (f *Flags) Fail(err error) {
-	f.printJournal()
+	f.Done()
 	var cancelled *campaign.CancelledError
 	if errors.As(err, &cancelled) && f.Journal != nil {
 		f.Journal.Close()
@@ -109,19 +101,10 @@ func (f *Flags) Fail(err error) {
 	log.Fatal(err)
 }
 
-// Done prints a finished campaign's journal line and, if any cell was
-// reported hung, its resilience line.
+// Done prints the journal line whenever a journal is armed — on success,
+// error and interrupt alike, hits or no hits — so CI extraction of
+// "journal: N hits" never silently matches nothing.
 func (f *Flags) Done() {
-	f.printJournal()
-	if n := f.Stats.Stalls.Load(); n > 0 {
-		fmt.Printf("resilience: %d stall reports\n", n)
-	}
-}
-
-// printJournal prints the journal line whenever a journal is armed — on
-// success, error and interrupt alike, hits or no hits — so CI extraction
-// of "journal: N hits" never silently matches nothing.
-func (f *Flags) printJournal() {
 	if f.Journal != nil {
 		js := f.Journal.Stats()
 		fmt.Printf("journal: %d hits, %d misses, %d writes, %d corrupt (%s)\n",

@@ -31,7 +31,7 @@ func stdout(t *testing.T, fn func()) string {
 
 // TestFlags pins the shared campaign flag block: the flag names and
 // defaults both CLIs document, their projection onto the campaign options,
-// and the journal and resilience lines CI parses.
+// and the journal line CI parses.
 func TestFlags(t *testing.T) {
 	saved := flag.CommandLine
 	defer func() { flag.CommandLine = saved }()
@@ -39,7 +39,7 @@ func TestFlags(t *testing.T) {
 	f := Register("grid")
 	for name, def := range map[string]string{
 		"journal": "", "resume": "false", "shard": "",
-		"cell-timeout": "0s", "stall-after": "1m0s",
+		"cell-timeout": "0s",
 	} {
 		fl := flag.CommandLine.Lookup(name)
 		if fl == nil || fl.DefValue != def {
@@ -48,7 +48,7 @@ func TestFlags(t *testing.T) {
 	}
 	dir := t.TempDir()
 	if err := flag.CommandLine.Parse([]string{"-journal", dir, "-resume", "-shard", "1/3",
-		"-cell-timeout", "90s", "-stall-after", "5s"}); err != nil {
+		"-cell-timeout", "90s"}); err != nil {
 		t.Fatal(err)
 	}
 	f.Open()
@@ -56,17 +56,11 @@ func TestFlags(t *testing.T) {
 
 	o := f.Options()
 	if o.Journal == nil || o.Journal != f.Journal || !o.Resume || o.Shard != (campaign.Shard{Index: 1, Count: 3}) ||
-		o.CellTimeout != 90*time.Second || o.StallAfter != 5*time.Second ||
-		o.Stats != &f.Stats || o.OnStall == nil {
+		o.CellTimeout != 90*time.Second {
 		t.Fatalf("options do not carry the flags: %+v", o)
 	}
 
 	want := "journal: 0 hits, 0 misses, 0 writes, 0 corrupt (" + dir + ")\n"
-	if got := stdout(t, f.Done); got != want {
-		t.Fatalf("Done printed %q, want %q", got, want)
-	}
-	f.Stats.Stalls.Add(1)
-	want += "resilience: 1 stall reports\n"
 	if got := stdout(t, f.Done); got != want {
 		t.Fatalf("Done printed %q, want %q", got, want)
 	}

@@ -11,7 +11,7 @@
 //	             [-md FILE] [-report BENCH_report.json] [-metrics-out FILE]
 //	             [-baseline .github/bench-baseline.json] [-update-baseline]
 //	             [-journal DIR] [-resume] [-shard i/n]
-//	             [-cell-timeout D] [-retries N]
+//	             [-cell-timeout D]
 //
 // -journal DIR arms the crash-safe campaign journal: every completed sweep
 // total and grid cell is persisted (content-addressed, atomically written)

@@ -1,18 +1,19 @@
 // Command redsoc-chaos runs fault-injection campaigns: it sweeps seeds ×
 // fault rates × benchmarks under the ReDSOC scheduler, verifies that every
-// faulted run's architectural state matches a golden fault-free run (the
-// Razor-style detect-and-replay recovery must be airtight), and reports
-// violation rates, replay overhead, degradation activity and the residual
-// speedup over the baseline core. The campaign runs on the shared
-// concurrent engine: -j sets the worker count, and any worker count
-// produces a bit-identical report.
+// faulted run's architectural state matches its program's golden final
+// state, which every fault-free run ends in (the Razor-style
+// detect-and-replay recovery must be airtight), and reports violation
+// rates, replay overhead, degradation activity and the residual speedup
+// over the baseline core. The campaign runs on the shared concurrent
+// engine: -j sets the worker count, and any worker count produces a
+// bit-identical report.
 //
 // Usage:
 //
 //	redsoc-chaos [-core medium] [-seeds 3] [-rates 0.001,0.01,0.1]
 //	             [-bench NAME] [-quick] [-j N] [-flight N]
 //	             [-journal DIR] [-resume] [-shard i/n]
-//	             [-cell-timeout D] [-retries N]
+//	             [-cell-timeout D]
 //
 // -quick is the CI smoke configuration: one benchmark per suite,
 // 3 seeds × 2 fault rates. When a faulted run fails verification, -flight
@@ -20,8 +21,8 @@
 // sub-cycle pipeline events to stderr; when a cell panics, the dump carries
 // the panic's task-frame stack. -journal DIR arms the crash-safe campaign
 // journal (SIGINT keeps completed cells; -resume serves them back), and
-// -cell-timeout/-retries bound and retry hung or panicking cells. -h lists
-// the available benchmark names, sorted.
+// -cell-timeout stops a cell that overruns it, naming the cell and where
+// its simulation stopped. -h lists the available benchmark names, sorted.
 package main
 
 import (
@@ -98,9 +99,6 @@ func main() {
 		Resume:      c.Resume,
 		Shard:       c.Shard,
 		CellTimeout: c.CellTimeout,
-		StallAfter:  c.StallAfter,
-		OnStall:     c.OnStall,
-		Stats:       c.Stats,
 	}
 	ctx, stopSignals := campaigncli.Context()
 	defer stopSignals()

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 
-	"redsoc/internal/campaign"
 	"redsoc/internal/isa"
 	"redsoc/internal/ooo"
 	"redsoc/internal/timing"
@@ -173,11 +172,8 @@ func Compare(ctx context.Context, cfg ooo.Config, prog *isa.Program, threshold i
 // Compare runs every engine policy of one benchmark on one core (ReDSOC at
 // the given slack threshold) and TS from the baseline run. It compares no
 // architectural state across policies: ooo.Run fails any run that does not
-// end in its program's final state. Between runs it notes progress through
-// campaign.Heartbeat, so a stall report names which simulation a hung
-// campaign cell last finished; outside a campaign the notes go nowhere.
-// Every run takes ctx, so ending it stops the comparison at the running
-// simulation's next context poll.
+// end in its program's final state. Every run takes ctx, so ending it stops
+// the comparison at the running simulation's next context poll.
 func (run Runner) Compare(ctx context.Context, cfg ooo.Config, prog *isa.Program, threshold int) (*Comparison, error) {
 	cmp := &Comparison{Benchmark: prog.Name, Core: cfg.Name}
 	for p, rc := range EngineConfigs(cfg, threshold) {
@@ -186,7 +182,6 @@ func (run Runner) Compare(ctx context.Context, cfg ooo.Config, prog *isa.Program
 			return nil, err
 		}
 		cmp.Runs[p] = res
-		campaign.Heartbeat(ctx, fmt.Sprintf("%s/%s: %s done (%d cycles)", prog.Name, cfg.Name, rc.Policy, res.Cycles))
 	}
 	ts, err := run.TS(ctx, cfg, prog, cmp.Runs[ooo.PolicyBaseline])
 	if err != nil {

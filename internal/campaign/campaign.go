@@ -9,13 +9,11 @@
 // index order, and a campaign run with one worker is bit-identical to the
 // same campaign run with N.
 //
-// On top of the pool the engine layers a resilience story for long
-// campaigns (see Options.Timeout and Options.StallAfter): a per-task
-// deadline carried by the task's context, which the simulator polls, so a
-// cell that overruns it stops and fails attributed; and a heartbeat
-// watchdog that names a hung cell instead of wedging forever. Each task
-// runs once: every task is strictly deterministic, so a cell that failed
-// would fail the same way again.
+// A slow cell has one bound (Options.Timeout): a per-task deadline carried
+// by the task's context, which the simulator polls, so a cell that overruns
+// it stops and fails attributed, naming where its simulation stopped. Each
+// task runs once: every task is strictly deterministic, so a cell that
+// failed would fail the same way again.
 package campaign
 
 import (
@@ -26,7 +24,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -48,48 +45,10 @@ type Options[T any] struct {
 	// the context the task receives. A task that honours its context (a
 	// simulation polls it) stops at the deadline, and the campaign fails
 	// with a *TimeoutError — a genuine, attributed failure, never mistaken
-	// for a collateral cancellation.
+	// for a collateral cancellation. It is the one bound on a slow task:
+	// between its start and its end a task is one deterministic computation
+	// that polls its context, so there is nothing else to watch.
 	Timeout time.Duration
-
-	// StallAfter, when positive, arms the watchdog: a running task whose
-	// last heartbeat (task start, or the task's own Heartbeat calls) is
-	// older than StallAfter is reported through OnStall — once per stall
-	// episode — with its label and last observed event. The watchdog only
-	// reports; stopping a stuck task is Timeout's job.
-	StallAfter time.Duration
-	// OnStall receives hung-cell reports from the watchdog goroutine. It
-	// must be safe to call concurrently with OnDone (it is called from a
-	// different goroutine) and should only do operator-facing output.
-	OnStall func(Stall)
-
-	// Stats, if non-nil, is populated with resilience counters as the
-	// campaign runs. The counters are operational telemetry (panic, deadline
-	// and watchdog activity); they never influence results.
-	Stats *Stats
-}
-
-// Stats counts the resilience events of one campaign. All fields are
-// updated atomically and may be read while the campaign runs.
-type Stats struct {
-	// Panics counts tasks that ended in a recovered panic.
-	Panics atomic.Int64
-	// Timeouts counts tasks stopped at their Options.Timeout deadline.
-	Timeouts atomic.Int64
-	// Stalls counts watchdog reports (stall episodes, not ticks).
-	Stalls atomic.Int64
-}
-
-// Stall is one watchdog report: a task that has not completed or heartbeat
-// within Options.StallAfter.
-type Stall struct {
-	// Index and Label identify the stuck cell.
-	Index int
-	Label string
-	// Idle is how long the task has been silent.
-	Idle time.Duration
-	// LastEvent is the most recent Heartbeat note ("" if the task never
-	// beat) — typically the last observed simulation event or phase.
-	LastEvent string
 }
 
 // TaskError attributes a failed task. Run returns the failure of the
@@ -166,23 +125,20 @@ func (e *PanicError) TaskStack() string {
 }
 
 // TimeoutError is the genuine failure of a task that overran its per-task
-// deadline. It deliberately does not unwrap to context.DeadlineExceeded: the
-// engine treats context errors as collateral damage of a campaign teardown,
-// and an exceeded per-cell deadline is the opposite — it is the cell's own,
-// attributable failure.
+// deadline. It deliberately does not unwrap — not to Err, and so not to
+// context.DeadlineExceeded: the engine treats context errors as collateral
+// damage of a campaign teardown, and an exceeded per-cell deadline is the
+// opposite — it is the cell's own, attributable failure.
 type TimeoutError struct {
 	// Timeout is the per-task deadline that was exceeded.
 	Timeout time.Duration
-	// LastEvent is the task's final heartbeat note before the deadline.
-	LastEvent string
+	// Err is the error the task stopped with, kept for its message: a
+	// simulation's names the program, core, policy and stop cycle.
+	Err error
 }
 
 func (e *TimeoutError) Error() string {
-	msg := fmt.Sprintf("cell exceeded its %v deadline", e.Timeout)
-	if e.LastEvent != "" {
-		msg += fmt.Sprintf(" (last event: %s)", e.LastEvent)
-	}
-	return msg
+	return fmt.Sprintf("cell exceeded its %v deadline: %v", e.Timeout, e.Err)
 }
 
 // CancelledError reports a campaign torn down by its parent context even
@@ -204,43 +160,6 @@ func (e *CancelledError) Unwrap() error { return e.Err }
 type outcome struct {
 	index int
 	err   error
-}
-
-// beatState is one running task's heartbeat record, shared between the
-// worker (via Heartbeat) and the watchdog.
-type beatState struct {
-	last     atomic.Int64 // wall nanos of the latest heartbeat
-	note     atomic.Pointer[string]
-	reported atomic.Bool // current stall episode already surfaced
-}
-
-func (b *beatState) beat(note string) {
-	b.last.Store(time.Now().UnixNano())
-	if note != "" {
-		b.note.Store(&note)
-	}
-	b.reported.Store(false)
-}
-
-func (b *beatState) lastNote() string {
-	if p := b.note.Load(); p != nil {
-		return *p
-	}
-	return ""
-}
-
-type beatKeyType struct{}
-
-// Heartbeat records liveness for the campaign task that owns ctx, with a
-// short note naming the task's latest observed event (a completed
-// simulation phase, a cycle milestone, ...). The watchdog surfaces the most
-// recent note when it reports the cell as hung. Outside a campaign task —
-// or inside one run by an engine with no watchdog armed — it is a no-op, so
-// library code can beat unconditionally.
-func Heartbeat(ctx context.Context, note string) {
-	if bs, ok := ctx.Value(beatKeyType{}).(*beatState); ok {
-		bs.beat(note)
-	}
 }
 
 // Run executes tasks 0..n-1 on a bounded worker pool and returns their
@@ -267,13 +186,6 @@ func Run[T any](ctx context.Context, n int, opts Options[T], task func(ctx conte
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	e := &engine[T]{opts: opts, cctx: cctx, running: make(map[int]*beatState)}
-	if opts.StallAfter > 0 && opts.OnStall != nil {
-		watchdogDone := make(chan struct{})
-		defer close(watchdogDone)
-		go e.watchdog(watchdogDone)
-	}
-
 	indices := make(chan int)
 	outcomes := make(chan outcome)
 
@@ -295,7 +207,7 @@ func Run[T any](ctx context.Context, n int, opts Options[T], task func(ctx conte
 		go func() {
 			defer wg.Done()
 			for i := range indices {
-				outcomes <- outcome{i, e.runTask(i, &results[i], task)}
+				outcomes <- outcome{i, runTask(cctx, opts.Timeout, i, &results[i], task)}
 			}
 		}()
 	}
@@ -341,79 +253,6 @@ func Run[T any](ctx context.Context, n int, opts Options[T], task func(ctx conte
 	return results, nil
 }
 
-// engine carries the per-run resilience state shared by workers and the
-// watchdog.
-type engine[T any] struct {
-	opts Options[T]
-	cctx context.Context
-
-	mu      sync.Mutex
-	running map[int]*beatState
-}
-
-func (e *engine[T]) label(i int) string {
-	if e.opts.Label != nil {
-		return e.opts.Label(i)
-	}
-	return ""
-}
-
-// track registers a fresh heartbeat record for task i.
-func (e *engine[T]) track(i int) *beatState {
-	bs := &beatState{}
-	bs.beat("")
-	e.mu.Lock()
-	e.running[i] = bs
-	e.mu.Unlock()
-	return bs
-}
-
-func (e *engine[T]) untrack(i int) {
-	e.mu.Lock()
-	delete(e.running, i)
-	e.mu.Unlock()
-}
-
-// watchdog periodically scans the running tasks and reports any whose
-// heartbeat has gone silent for longer than StallAfter. Each stall episode
-// is reported once; a subsequent heartbeat re-arms the report.
-func (e *engine[T]) watchdog(done <-chan struct{}) {
-	interval := e.opts.StallAfter / 4
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-done:
-			return
-		case <-ticker.C:
-		}
-		now := time.Now().UnixNano()
-		type hit struct {
-			index int
-			idle  time.Duration
-			note  string
-		}
-		var hits []hit
-		e.mu.Lock()
-		for i, bs := range e.running { //lint:allow simdeterminism operator-facing watchdog output only: each stalled cell is reported independently (once per episode via CompareAndSwap); report order never touches results
-			idle := time.Duration(now - bs.last.Load())
-			if idle >= e.opts.StallAfter && bs.reported.CompareAndSwap(false, true) {
-				hits = append(hits, hit{i, idle, bs.lastNote()})
-			}
-		}
-		e.mu.Unlock()
-		for _, h := range hits {
-			if e.opts.Stats != nil {
-				e.opts.Stats.Stalls.Add(1)
-			}
-			e.opts.OnStall(Stall{Index: h.index, Label: e.label(h.index), Idle: h.idle, LastEvent: h.note})
-		}
-	}
-}
-
 // errCellDeadline is the cause of a task context that ended at the task's
 // own Options.Timeout deadline, before the campaign was torn down.
 var errCellDeadline = errors.New("campaign: cell deadline")
@@ -423,29 +262,18 @@ var errCellDeadline = errors.New("campaign: cell deadline")
 // own deadline fails with the cell's *TimeoutError even if the campaign was
 // torn down before it returned: the context's cause records what ended it
 // first.
-func (e *engine[T]) runTask(i int, dst *T, task func(context.Context, int) (T, error)) error {
-	bs := e.track(i)
-	defer e.untrack(i)
-	tctx := context.WithValue(e.cctx, beatKeyType{}, bs)
-	if e.opts.Timeout > 0 {
+func runTask[T any](ctx context.Context, timeout time.Duration, i int, dst *T, task func(context.Context, int) (T, error)) error {
+	if timeout > 0 {
 		var cancel context.CancelFunc
-		tctx, cancel = context.WithTimeoutCause(tctx, e.opts.Timeout, errCellDeadline)
+		ctx, cancel = context.WithTimeoutCause(ctx, timeout, errCellDeadline)
 		defer cancel()
 	}
-	v, err := runRecovered(tctx, i, task)
-	var pe *PanicError
+	v, err := runRecovered(ctx, i, task)
 	switch {
 	case err == nil:
 		*dst = v
-	case errors.As(err, &pe):
-		if e.opts.Stats != nil {
-			e.opts.Stats.Panics.Add(1)
-		}
-	case errors.Is(err, context.DeadlineExceeded) && context.Cause(tctx) == errCellDeadline:
-		if e.opts.Stats != nil {
-			e.opts.Stats.Timeouts.Add(1)
-		}
-		return &TimeoutError{Timeout: e.opts.Timeout, LastEvent: bs.lastNote()}
+	case errors.Is(err, context.DeadlineExceeded) && context.Cause(ctx) == errCellDeadline:
+		return &TimeoutError{Timeout: timeout, Err: err}
 	}
 	return err
 }

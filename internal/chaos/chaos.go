@@ -1,10 +1,11 @@
 // Package chaos runs fault-injection campaigns: seeds × fault rates ×
 // benchmarks under the ReDSOC scheduler, with every faulted run verified
-// against a golden fault-free run (the Razor-style detect-and-replay
-// recovery must be airtight). The campaign is executed on the shared
-// concurrent engine — each cell's injector owns a task-local seeded RNG, so
-// the report is bit-identical at any worker count — and aggregated in the
-// benchmarks × rates × seeds order a serial loop would use.
+// against its program's golden architectural state — the final state every
+// fault-free run ends in (the Razor-style detect-and-replay recovery must
+// be airtight). The campaign is executed on the shared concurrent engine —
+// each cell's injector owns a task-local seeded RNG, so the report is
+// bit-identical at any worker count — and aggregated in the benchmarks ×
+// rates × seeds order a serial loop would use.
 package chaos
 
 import (
@@ -54,10 +55,10 @@ type Options struct {
 	Resume  bool
 
 	// Shard restricts this process to its slice of the faulted cells
-	// (Phase 2); the per-benchmark goldens are replicated in every shard.
-	// A sharded campaign requires Journal and returns no aggregate table —
-	// its product is the journal, which a later full Resume run merges back
-	// into the complete report by index.
+	// (Phase 2); the per-benchmark fault-free runs are replicated in every
+	// shard. A sharded campaign requires Journal and returns no aggregate
+	// table — its product is the journal, which a later full Resume run
+	// merges back into the complete report by index.
 	Shard campaign.Shard
 
 	// OnCell, if non-nil, receives one harness.CellEvent per faulted cell
@@ -66,13 +67,8 @@ type Options struct {
 	// concurrent use.
 	OnCell func(harness.CellEvent)
 
-	// CellTimeout bounds each faulted cell; StallAfter/OnStall arm the
-	// hung-cell watchdog; Stats receives the resilience counters. All behave
-	// exactly as in harness.Options.
+	// CellTimeout bounds each cell exactly as in harness.Options.
 	CellTimeout time.Duration
-	StallAfter  time.Duration
-	OnStall     func(campaign.Stall)
-	Stats       *campaign.Stats
 }
 
 // plumbing projects the chaos options onto the harness options that the
@@ -80,7 +76,7 @@ type Options struct {
 func (o Options) plumbing() harness.Options {
 	return harness.Options{
 		Workers: o.Workers, Journal: o.Journal, Resume: o.Resume, Shard: o.Shard, OnCell: o.OnCell,
-		CellTimeout: o.CellTimeout, StallAfter: o.StallAfter, OnStall: o.OnStall, Stats: o.Stats,
+		CellTimeout: o.CellTimeout,
 	}
 }
 
@@ -92,7 +88,7 @@ const chaosPayloadVersion = 2
 
 // outcome is the compact journaled result of one faulted run: everything the
 // Phase 3 aggregation consumes, and nothing else. Verification against the
-// golden run happens inside the cell (ArchOK), so a journaled cell never
+// fault-free run happens inside the cell (ArchOK), so a journaled cell never
 // needs the full ooo.Result again — the flight recorder re-runs failing
 // cells deterministically when sub-cycle history is wanted.
 type outcome struct {
@@ -107,8 +103,8 @@ type outcome struct {
 }
 
 // chaosKey fingerprints one faulted cell: the full core configuration, the
-// workload, and the fault coordinates (rate, seed). The golden run it is
-// verified against is a pure function of the same core + workload, so it
+// workload, and the fault coordinates (rate, seed). The fault-free run it
+// is verified against is a pure function of the same core + workload, so it
 // needs no separate component.
 func chaosKey(cfg ooo.Config, digest []byte, rate float64, seed int64) cellstore.Key {
 	return cellstore.NewFingerprint("chaos-cell").
@@ -138,8 +134,8 @@ type Report struct {
 	// aggregating a shard's slice alone would misstate every cell.
 	Table *stats.Table
 	// ArchFailures counts faulted runs whose architectural state diverged
-	// from the golden run — any nonzero value means recovery is broken.
-	// For a sharded campaign it covers only the shard's own cells.
+	// from the fault-free run's — any nonzero value means recovery is
+	// broken. For a sharded campaign it covers only the shard's own cells.
 	ArchFailures int
 	// Shard is the shard that produced this report (zero when unsharded).
 	Shard campaign.Shard
@@ -169,30 +165,17 @@ func RunCampaign(ctx context.Context, opts Options) (*Report, error) {
 		digests = harness.WorkloadDigests(opts.Benchmarks)
 	}
 
-	// Phase 1: per benchmark, the fault-free baseline and golden ReDSOC
-	// runs: the baseline's cycles give each cell's speedup, and each
-	// faulted run's architectural state is verified against the golden's,
-	// which ooo.Run guarantees is its program's final state — the
-	// architectural interpreter's (ooo.FinalState). Goldens are cheap (one
-	// task per benchmark vs. benchmarks × rates × seeds faulted cells) and
-	// every faulted cell needs them, so they are never journaled.
-	type golden struct {
-		base, golden *ooo.Result
-	}
-	goldens, err := campaign.Run(ctx, len(opts.Benchmarks),
-		harness.CampaignOptions[golden](d, func(i int) string { return opts.Benchmarks[i].Name + "/golden" }, nil),
-		func(ctx context.Context, i int) (golden, error) {
-			b := opts.Benchmarks[i]
-			base, err := ooo.RunContext(ctx, cfg.WithPolicy(ooo.PolicyBaseline), b.Prog)
-			if err != nil {
-				return golden{}, err
-			}
-			campaign.Heartbeat(ctx, b.Name+"/golden: baseline done")
-			g, err := ooo.RunContext(ctx, cfg.WithPolicy(ooo.PolicyRedsoc), b.Prog)
-			if err != nil {
-				return golden{}, err
-			}
-			return golden{base, g}, nil
+	// Phase 1: per benchmark, the fault-free baseline run. Its cycles give
+	// each cell's speedup, and each faulted run's architectural state is
+	// verified against its state, which ooo.Run guarantees is its program's
+	// final state — the architectural interpreter's (ooo.FinalState) — as
+	// it does for every fault-free run under any policy. Baselines are
+	// cheap (one task per benchmark vs. benchmarks × rates × seeds faulted
+	// cells) and every faulted cell needs them, so they are never journaled.
+	bases, err := campaign.Run(ctx, len(opts.Benchmarks),
+		harness.CampaignOptions[*ooo.Result](d, func(i int) string { return opts.Benchmarks[i].Name + "/baseline" }, nil),
+		func(ctx context.Context, i int) (*ooo.Result, error) {
+			return ooo.RunContext(ctx, cfg.WithPolicy(ooo.PolicyBaseline), opts.Benchmarks[i].Prog)
 		})
 	if err != nil {
 		return nil, err
@@ -200,7 +183,7 @@ func RunCampaign(ctx context.Context, opts Options) (*Report, error) {
 
 	// Phase 2: every faulted run, flattened benchmark-major then rate then
 	// seed — the aggregation order of the serial campaign loop. Each cell
-	// verifies against its golden inside the task and returns the compact
+	// verifies against its benchmark's baseline inside the task and returns the compact
 	// outcome Phase 3 consumes, which is also what the journal stores.
 	nr, ns := len(opts.Rates), opts.Seeds
 	perBench := nr * ns
@@ -218,7 +201,7 @@ func RunCampaign(ctx context.Context, opts Options) (*Report, error) {
 		func(ctx context.Context, j int) (outcome, error) {
 			bi, ri, seed := split(opts, owned[j])
 			b, rate := opts.Benchmarks[bi], opts.Rates[ri]
-			return harness.Step(ctx, d, harness.Unit[outcome]{
+			return harness.Step(d, harness.Unit[outcome]{
 				Kind: "chaos-cell", Label: label(j),
 				Key: func() cellstore.Key { return chaosKey(cfg, digests[b.Prog], rate, int64(seed)) },
 				Run: func() (outcome, error) {
@@ -234,7 +217,7 @@ func RunCampaign(ctx context.Context, opts Options) (*Report, error) {
 						Degradations: r.DegradationEvents,
 						Cycles:       r.Cycles,
 						Instructions: r.Instructions,
-						ArchOK:       r.ArchEqual(goldens[bi].golden) && memOK(b, r),
+						ArchOK:       r.ArchEqual(bases[bi]) && memOK(b, r),
 					}, nil
 				},
 				Encode: func(o outcome) ([]byte, error) { return json.Marshal(o) },
@@ -278,7 +261,7 @@ func RunCampaign(ctx context.Context, opts Options) (*Report, error) {
 				fmt.Sprintf("%.2f", cell.violPerKCycle()),
 				stats.Pct(cell.replayOverhead()),
 				cell.degradations,
-				fmt.Sprintf("%.3fx", cell.meanSpeedup(goldens[bi].base, ns)),
+				fmt.Sprintf("%.3fx", cell.meanSpeedup(bases[bi], ns)),
 				cell.archLabel())
 		}
 	}

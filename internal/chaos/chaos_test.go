@@ -84,7 +84,7 @@ func TestPickOnePerClass(t *testing.T) {
 
 // TestChaosJournalResumeEquivalence runs the smoke campaign fresh into a
 // journal, then resumes it: the rendered report must be byte-identical and
-// every faulted cell must be a journal hit (goldens are recomputed — they
+// every faulted cell must be a journal hit (baselines are recomputed — they
 // are deliberately never journaled).
 func TestChaosJournalResumeEquivalence(t *testing.T) {
 	dir := t.TempDir()
@@ -157,17 +157,18 @@ func TestJournalKeyPinned(t *testing.T) {
 	}
 }
 
-// TestGoldensHoldOracleState: ArchOK compares each faulted run with its
-// benchmark's fault-free golden run, and ooo.Run gives every golden its
-// program's final state, the architectural interpreter's, so the check is
-// one against the oracle. Over the -quick campaign's coordinates the golden
-// and every recovered faulted run hold ooo.FinalState's very maps.
-func TestGoldensHoldOracleState(t *testing.T) {
+// TestBaselinesHoldOracleState: ArchOK compares each faulted run with its
+// benchmark's fault-free baseline run, and ooo.Run gives every fault-free
+// run its program's final state, the architectural interpreter's, so the
+// check is one against the oracle. Over the -quick campaign's coordinates
+// the baseline and every recovered faulted run hold ooo.FinalState's very
+// maps.
+func TestBaselinesHoldOracleState(t *testing.T) {
 	opts := quickOptions(1)
 	cfg := opts.Core.WithPolicy(ooo.PolicyRedsoc)
 	for _, b := range opts.Benchmarks {
 		regs, mem, _ := ooo.FinalState(b.Prog)
-		runs := []ooo.Config{cfg}
+		runs := []ooo.Config{opts.Core.WithPolicy(ooo.PolicyBaseline)}
 		for _, rate := range opts.Rates {
 			for seed := 1; seed <= opts.Seeds; seed++ {
 				runs = append(runs, cfg.WithFaults(rate, int64(seed)))

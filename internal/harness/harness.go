@@ -243,15 +243,9 @@ type Options struct {
 	OnCell func(CellEvent)
 
 	// CellTimeout bounds each cell: a cell still simulating at its
-	// deadline stops and fails the run (see campaign.Options.Timeout).
+	// deadline stops and fails the run, naming where its simulation stopped
+	// (see campaign.Options.Timeout).
 	CellTimeout time.Duration
-	// StallAfter arms the hung-cell watchdog when OnStall is set: a cell
-	// silent for longer than this is reported with its label and last
-	// observed event. Zero with OnStall set defaults to one minute.
-	StallAfter time.Duration
-	OnStall    func(campaign.Stall)
-	// Stats, if non-nil, receives the campaign resilience counters.
-	Stats *campaign.Stats
 }
 
 // Run executes the grid. The Sec. VI-C threshold sweep and the grid cells
@@ -387,7 +381,7 @@ func runGrid(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, op
 		}),
 		func(ctx context.Context, j int) (Cell, error) {
 			t := tasks[owned[j]]
-			return Step(ctx, opts, Unit[Cell]{
+			return Step(opts, Unit[Cell]{
 				Kind: "grid-cell", Label: label(j),
 				Key: func() cellstore.Key { return cellKey(t.core, digests[t.b.Prog], t.th) },
 				Run: func() (Cell, error) {
@@ -440,7 +434,7 @@ func chooseThresholds(ctx context.Context, pairs []classCore, byClass map[Class]
 		func(ctx context.Context, i int) (float64, error) {
 			pr, th := pairs[i%np], ThresholdCandidates[i/np]
 			class := byClass[pr.class]
-			return Step(ctx, opts, Unit[float64]{
+			return Step(opts, Unit[float64]{
 				Kind: "sweep-total", Label: label(i),
 				Key: func() cellstore.Key {
 					ds := make([][]byte, len(class))
@@ -452,7 +446,6 @@ func chooseThresholds(ctx context.Context, pairs []classCore, byClass map[Class]
 				Run: func() (float64, error) {
 					total := 0.0
 					for _, b := range class {
-						campaign.Heartbeat(ctx, fmt.Sprintf("%s: simulating %s", label(i), b.Name))
 						base, err := run(ctx, pr.cfg.WithPolicy(ooo.PolicyBaseline), b.Prog)
 						if err != nil {
 							return 0, err

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"redsoc/internal/baseline"
-	"redsoc/internal/campaign"
 	"redsoc/internal/cellstore"
 	"redsoc/internal/ooo"
 )
@@ -60,9 +59,8 @@ func TestJournalResumeEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resumed.Close()
-	var stats campaign.Stats
 	g2, err := Run(context.Background(), bs, cores,
-		Options{SweepThreshold: true, Workers: 2, Journal: resumed, Resume: true, Stats: &stats})
+		Options{SweepThreshold: true, Workers: 2, Journal: resumed, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}

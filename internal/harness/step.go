@@ -1,9 +1,7 @@
 package harness
 
 import (
-	"context"
 	"fmt"
-	"time"
 
 	"redsoc/internal/campaign"
 	"redsoc/internal/cellstore"
@@ -32,8 +30,7 @@ type CellEvent struct {
 // cell or a chaos cell: its name, how to key it, how to compute it, and
 // how its outcome is written to and read from the journal.
 type Unit[T any] struct {
-	// Kind and Label name the unit in its CellEvent, heartbeat and
-	// manifest record.
+	// Kind and Label name the unit in its CellEvent and manifest record.
 	Kind, Label string
 	// Key fingerprints the unit; it is only called with a journal armed.
 	Key    func() cellstore.Key
@@ -50,7 +47,7 @@ type Unit[T any] struct {
 // simulated one. Journal write failures (full disk, permissions) never
 // fail the unit — its outcome is correct, just not resumable — but the
 // store counts them.
-func Step[T any](ctx context.Context, opts Options, u Unit[T]) (T, error) {
+func Step[T any](opts Options, u Unit[T]) (T, error) {
 	var key cellstore.Key
 	var v T
 	hit := false
@@ -62,9 +59,7 @@ func Step[T any](ctx context.Context, opts Options, u Unit[T]) (T, error) {
 			v, hit = cellstore.Load(opts.Journal, key, u.Decode)
 		}
 	}
-	if hit {
-		campaign.Heartbeat(ctx, u.Label+": served from journal")
-	} else {
+	if !hit {
 		var err error
 		if v, err = u.Run(); err != nil {
 			return v, err
@@ -81,24 +76,13 @@ func Step[T any](ctx context.Context, opts Options, u Unit[T]) (T, error) {
 	return v, nil
 }
 
-// CampaignOptions projects opts onto one campaign phase. The hung-cell
-// watchdog is armed whenever OnStall is set, after StallAfter of silence or
-// one minute when StallAfter is zero.
+// CampaignOptions projects opts onto one campaign phase.
 func CampaignOptions[T any](opts Options, label func(int) string, onDone func(int, T)) campaign.Options[T] {
-	stallAfter := time.Duration(0)
-	if opts.OnStall != nil {
-		if stallAfter = opts.StallAfter; stallAfter <= 0 {
-			stallAfter = time.Minute
-		}
-	}
 	return campaign.Options[T]{
-		Workers:    opts.Workers,
-		Label:      label,
-		OnDone:     onDone,
-		Timeout:    opts.CellTimeout,
-		StallAfter: stallAfter,
-		OnStall:    opts.OnStall,
-		Stats:      opts.Stats,
+		Workers: opts.Workers,
+		Label:   label,
+		OnDone:  onDone,
+		Timeout: opts.CellTimeout,
 	}
 }
 
