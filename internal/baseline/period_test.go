@@ -84,19 +84,14 @@ func TestChoosePeriodMatchesDenseScan(t *testing.T) {
 }
 
 // TestChoosePeriodMatchesDenseScanOnQuickGrid: the same agreement on the
-// baseline run of every quick-grid benchmark on every core, the histograms
-// TS reads in the grid.
+// delay profile of every quick-grid benchmark, the profiles TS reads in the
+// grid.
 func TestChoosePeriodMatchesDenseScanOnQuickGrid(t *testing.T) {
 	for _, b := range harness.Benchmarks(harness.Quick) {
-		for _, cfg := range harness.Cores() {
-			res, err := ooo.Run(cfg.WithPolicy(ooo.PolicyBaseline), b.Prog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res.DelayHistogram) == 0 {
-				t.Fatalf("%s/%s: empty delay histogram", b.Name, cfg.Name)
-			}
-			checkAgainstDense(t, b.Name+"/"+cfg.Name, res.DelayHistogram)
+		h := ooo.DelayProfile(b.Prog)
+		if len(h) == 0 {
+			t.Fatalf("%s: empty delay profile", b.Name)
 		}
+		checkAgainstDense(t, b.Name, h)
 	}
 }

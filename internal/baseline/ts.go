@@ -18,8 +18,9 @@ import (
 type TSResult struct {
 	// PeriodPS is the overclocked period chosen.
 	PeriodPS int
-	// ErrorRate is the fraction of single-cycle computations whose actual
-	// delay exceeds the period (each would be a timing error).
+	// ErrorRate is the fraction of the program's profiled operations
+	// (ooo.DelayProfile) whose delay exceeds the period (each would be a
+	// timing error).
 	ErrorRate float64
 	// Speedup is wall-clock speedup over the 500 ps baseline, accounting for
 	// memory latencies that do not scale with core frequency. Recovery cost
@@ -37,10 +38,10 @@ const (
 )
 
 // ChoosePeriod picks the shortest clock period whose error rate (fraction of
-// single-cycle ops with delay > period) does not exceed maxErr, given the
-// per-picosecond delay histogram of a baseline run. The period is never
-// pushed below the point where errors would exceed the bound, nor below
-// 1 ps, and never above the nominal ClockPS.
+// counted ops with delay > period) does not exceed maxErr, given a program's
+// per-picosecond delay profile. The period is never pushed below the point
+// where errors would exceed the bound, nor below 1 ps, and never above the
+// nominal ClockPS.
 //
 // The error rate only changes where a bin is, so the scan walks the bins
 // from the top: the ops above the current bin all err at every period from
@@ -82,7 +83,7 @@ func ChoosePeriod(hist ooo.DelayHistogram, maxErr float64) (periodPS int, errRat
 type Runner func(context.Context, ooo.Config, *isa.Program) (*ooo.Result, error)
 
 // RunTS evaluates timing speculation for a program on a core: run the
-// baseline to collect the actual-delay histogram, then evaluate TS from it
+// baseline, whose cycles TS is compared against, then evaluate TS from it
 // (see Runner.TS).
 func RunTS(cfg ooo.Config, prog *isa.Program) (TSResult, error) {
 	base, err := ooo.Run(cfg.WithPolicy(ooo.PolicyBaseline), prog)
@@ -93,12 +94,13 @@ func RunTS(cfg ooo.Config, prog *isa.Program) (TSResult, error) {
 }
 
 // TS evaluates timing speculation from base, the program's baseline run on
-// cfg, under ctx: choose the overclocked period from its actual-delay histogram, then
-// re-run with memory latencies rescaled (DRAM time is constant in
-// nanoseconds, so it costs more of the shorter cycles) and convert the cycle
-// counts to wall-clock speedup.
+// cfg, under ctx: choose the overclocked period from the program's delay
+// profile (ooo.DelayProfile, the same for every run of it), then re-run
+// with memory latencies rescaled (DRAM time is constant in nanoseconds, so
+// it costs more of the shorter cycles) and convert the cycle counts to
+// wall-clock speedup against base.
 func (run Runner) TS(ctx context.Context, cfg ooo.Config, prog *isa.Program, base *ooo.Result) (TSResult, error) {
-	period, errRate := ChoosePeriod(base.DelayHistogram, MaxErrorRate)
+	period, errRate := ChoosePeriod(ooo.DelayProfile(prog), MaxErrorRate)
 	if period >= timing.ClockPS {
 		return TSResult{PeriodPS: timing.ClockPS, ErrorRate: errRate, Speedup: 1, Cycles: base.Cycles}, nil
 	}

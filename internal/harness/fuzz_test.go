@@ -12,9 +12,9 @@ import (
 // decoders. They must never panic — a corrupt journal value is a cache
 // miss, not a crash — and what they accept must be canonical: a cell
 // payload that decodes re-encodes to the same bytes, and so does a sweep
-// total. Seeds: a real v7 cell and its truncations, the same cell in v6's
-// and v5's shapes, a sweep total, and the v7 cell followed by v6's
-// architectural-state section.
+// total. Seeds: a real v8 cell and its truncations, the same cell
+// relabelled as the stale v7 and in v6's and v5's shapes, a sweep total,
+// and the v8 cell followed by v6's architectural-state section.
 func FuzzDecodeCell(f *testing.F) {
 	cfg := ooo.SmallConfig()
 	c := quickCell(f, "crc")
@@ -25,6 +25,7 @@ func FuzzDecodeCell(f *testing.F) {
 	for n := len(data); n > 0; n -= len(data)/16 + 1 {
 		f.Add(data[:n])
 	}
+	f.Add(v7Payload(data))
 	f.Add(v6Payload(data))
 	f.Add(jsonPayload(f, 5, c))
 	total, err := encodeTotal(3.25)

@@ -62,16 +62,15 @@ func warmJournal(tb testing.TB, benchmarks []Benchmark, cores []ooo.Config) Opti
 	return opts
 }
 
-// warmResumeBound bounds what a resumed quick-grid Run allocates once an
-// earlier resumed Run has decoded every program's architectural state. It
-// measured 0.60 MB (Go 1.24, linux/amd64), most of it the 225 decoded
-// Results, and the bound is that plus about 10%: a dense delay histogram
-// per Result, a fresh read buffer per value file or architectural-state
-// sections decoded again each fail it.
-const warmResumeBound = 650 << 10
+// warmResumeBound bounds what a resumed quick-grid Run allocates once every
+// program holds its final state and delay profile. It measured 481,920
+// bytes (0.46 MB; Go 1.24, linux/amd64), most of it the 225 decoded
+// Results, and the bound is that plus about 10%: a fresh read buffer per
+// value file, or a per-run rebuild of what a program holds, fails it.
+const warmResumeBound = 520 << 10
 
 // TestWarmResumeAllocationBound: a resumed quick-grid Run after a warm one
-// decodes no architectural-state section, so a per-run decode coming back
+// rebuilds nothing its programs hold, so a per-run rebuild coming back
 // fails the bound. The minimum over several runs discounts allocations of
 // other goroutines.
 func TestWarmResumeAllocationBound(t *testing.T) {

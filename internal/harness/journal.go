@@ -16,7 +16,6 @@ import (
 	"redsoc/internal/core"
 	"redsoc/internal/isa"
 	"redsoc/internal/ooo"
-	"redsoc/internal/timing"
 )
 
 // Journaling: every unit of grid work — a Phase B cell (every engine policy
@@ -42,8 +41,10 @@ import (
 // head with a binary results section and a sweep total's JSON with its
 // float's bits (see codec); version 7 drops the architectural-state
 // section, since every result of a cell holds its program's final state
-// (ooo.FinalState).
-const cellPayloadVersion = 7
+// (ooo.FinalState); version 8 drops each result's delay histogram, since
+// TS reads its program's delay profile (ooo.DelayProfile), and its
+// never-read HeadWait map.
+const cellPayloadVersion = 8
 
 // benchmarkDigest canonically fingerprints a workload: the program identity
 // (every dynamic instruction, the initial memory image, via programDigest)
@@ -242,22 +243,21 @@ func decodeCell(data []byte, t cellTask) (Cell, error) {
 }
 
 // A grid-cell payload is one front-to-back sequence of encoding/binary
-// uvarints, raw bytes and floats as 8-byte little-endian IEEE 754 bits:
+// uvarints and floats as 8-byte little-endian IEEE 754 bits:
 //
 //	version (cellPayloadVersion), threshold
 //	one result per policy in ooo.Policy order, each field in ooo.Result declaration order:
 //	    a counter: the uvarint of its two's-complement bits
-//	    HeadWait, Sequences: entry count, then key and value per entry in
-//	        ascending key order (an op-class name is its length and bytes)
-//	    DelayHistogram: bin count, then delay and count per bin
+//	    Sequences: entry count, then length and count per entry in
+//	        ascending length order
 //	TS: PeriodPS, ErrorRate and Speedup (floats), Cycles
 //
 // The key names the configs, benchmark and core, so the payload does not;
 // the program's final state supplies every result's architectural state. A
 // sweep total is the version and its float. The decoder accepts only what
 // the encoder writes — the exact version, minimal varints, strictly
-// ascending keys and bins, non-zero histogram counts, no trailing bytes —
-// so a payload that decodes re-encodes to the same bytes.
+// ascending keys, no trailing bytes — so a payload that decodes re-encodes
+// to the same bytes.
 
 // codec walks a payload in one fixed order in either direction: with enc
 // set, each step appends the value its pointer holds to b; otherwise it
@@ -348,14 +348,6 @@ func (c *codec) floats(ps ...*float64) {
 	}
 }
 
-func (c *codec) str(p *string) {
-	if c.enc {
-		c.b = append(binary.AppendUvarint(c.b, uint64(len(*p))), *p...)
-	} else {
-		*p = string(c.next(c.count()))
-	}
-}
-
 // version walks the payload version; decoding fails on any other.
 func (c *codec) version() {
 	v := uint64(cellPayloadVersion)
@@ -382,52 +374,24 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 	return keys
 }
 
-// pairs walks map *m as an entry count and then each key and value in
-// ascending key order; decoding requires strictly ascending keys and
-// leaves *m nil when there are none.
-func pairs[K cmp.Ordered, V ~int64 | ~uint64](c *codec, m *map[K]V, key func(*K)) {
+// sequences walks a sequence-length histogram as an entry count and then
+// each length and count in ascending length order; decoding requires
+// strictly ascending lengths and leaves *m nil when there are none.
+func (c *codec) sequences(m *map[int]uint64) {
 	keys := sortedKeys(*m)
 	n := len(keys)
 	if c.enc {
 		ints(c, &n)
 	} else if n = c.count(); n > 0 {
-		*m, keys = make(map[K]V, n), make([]K, n)
+		*m, keys = make(map[int]uint64, n), make([]int, n)
 	}
 	for i := 0; i < n && c.err == nil; i++ {
 		v := (*m)[keys[i]]
-		if key(&keys[i]); i > 0 && keys[i] <= keys[i-1] {
+		if ints(c, &keys[i]); i > 0 && keys[i] <= keys[i-1] {
 			c.fail("keys out of order")
 		}
 		if ints(c, &v); !c.enc {
 			(*m)[keys[i]] = v
-		}
-	}
-}
-
-// histogram walks a delay histogram: the count of its bins, then each bin's
-// delay and count, ascending. Decoding requires what the engine writes —
-// strictly ascending delays up to ClockPS and non-zero counts — and leaves
-// *h nil when there are no bins.
-func (c *codec) histogram(h *ooo.DelayHistogram) {
-	if c.enc {
-		c.b = binary.AppendUvarint(c.b, uint64(len(*h)))
-		for _, bin := range *h {
-			c.b = binary.AppendUvarint(binary.AppendUvarint(c.b, uint64(bin.PS)), uint64(bin.Ops))
-		}
-		return
-	}
-	n := c.count()
-	if n > 0 {
-		*h = make(ooo.DelayHistogram, n)
-	}
-	for i, prev := 0, uint64(0); i < n && c.err == nil; i++ {
-		switch ps, v := c.uvarint(), c.uvarint(); {
-		case ps > timing.ClockPS || i > 0 && ps <= prev:
-			c.fail("delay histogram bins out of order")
-		case v == 0:
-			c.fail("zero delay histogram count")
-		default:
-			(*h)[i], prev = ooo.DelayBin{PS: int(ps), Ops: int64(v)}, ps
 		}
 	}
 }
@@ -440,9 +404,7 @@ func (c *codec) result(r *ooo.Result) {
 		&r.RecycledOps, &r.TwoCycleHolds, &r.GPWakeupGrants, &r.GPWakeupWasted, &r.TagMispredicts,
 		&r.WidthReplays, &r.FusedOps, &r.FUStallCycles, &r.IssueCycles,
 		&r.LoadDelayPredicts, &r.LoadDelayMispredicts, &r.LSQSpecForwards, &r.LSQMisallocations,
-		&r.StallRedirect, &r.StallROB, &r.StallRSE, &r.StallLSQ)
-	pairs(c, &r.HeadWait, c.str)
-	ints(c, &r.ThresholdAdjustments)
+		&r.StallRedirect, &r.StallROB, &r.StallRSE, &r.StallLSQ, &r.ThresholdAdjustments)
 	ints(c, &r.FinalThreshold)
 	ints(c, &r.PVTRecalibrations, &r.TimingViolations, &r.ViolationReplays, &r.DegradationEvents,
 		&r.DegradeRearms, &r.DegradedCycles, &f.Estimate, &f.Delay, &f.Latch, &f.Predictor)
@@ -450,10 +412,9 @@ func (c *codec) result(r *ooo.Result) {
 	if c.enc && r.Sequences != nil {
 		seqs = r.Sequences.Histogram()
 	}
-	if pairs(c, &seqs, func(k *int) { ints(c, k) }); !c.enc {
+	if c.sequences(&seqs); !c.enc {
 		r.Sequences = core.SeqTrackerOf(seqs)
 	}
-	c.histogram(&r.DelayHistogram)
 	ints(c, &w.Lookups, &w.Exact, &w.Conservative, &w.Aggressive,
 		&r.LastArrival.Lookups, &r.LastArrival.Mispredictions, &r.LoadDelay.Lookups, &r.LoadDelay.Mispredictions,
 		&r.Branches.Lookups, &r.Branches.Mispredictions,

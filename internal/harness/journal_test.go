@@ -16,7 +16,6 @@ import (
 	"redsoc/internal/core"
 	"redsoc/internal/isa"
 	"redsoc/internal/ooo"
-	"redsoc/internal/timing"
 )
 
 // simulateCell simulates one grid cell on the small core the way Run does.
@@ -46,10 +45,10 @@ func quickCell(t testing.TB, name string) Cell {
 
 func cellResults(c *baseline.Comparison) []*ooo.Result { return c.Runs[:] }
 
-// TestJournalCellPayloadRoundTrip pins payload v7 over every quick
+// TestJournalCellPayloadRoundTrip pins payload v8 over every quick
 // benchmark: decoding an encoded cell gives back results deep-equal to the
-// freshly simulated ones (configs, delay histograms, registers, memory and
-// flags included), and the same TS result.
+// freshly simulated ones (configs, registers, memory and flags included),
+// and the same TS result.
 func TestJournalCellPayloadRoundTrip(t *testing.T) {
 	cfg := ooo.SmallConfig()
 	for _, b := range Benchmarks(Quick) {
@@ -88,18 +87,18 @@ func TestJournalCellPayloadRoundTrip(t *testing.T) {
 
 // TestLoadBufferReuseLeavesCellIntact: cellstore.Load hands decodeCell the
 // payload in a read buffer that the next Load reuses, so a decoded Cell must
-// own all it holds — HeadWait keys, Sequences, the architectural state and
-// the delay histograms. A later Load that reuses the buffer and scribbles
-// over every byte of it leaves the earlier Cell equal to the simulated one.
+// own all it holds — Sequences and the architectural state. A later Load
+// that reuses the buffer and scribbles over every byte of it leaves the
+// earlier Cell equal to the simulated one.
 func TestLoadBufferReuseLeavesCellIntact(t *testing.T) {
 	cfg := ooo.SmallConfig()
 	fresh := quickCell(t, "crc")
-	var heads, seqs, bins int
+	seqs := 0
 	for _, r := range cellResults(fresh.Cmp) {
-		heads, seqs, bins = heads+len(r.HeadWait), seqs+len(r.Sequences.Histogram()), bins+len(r.DelayHistogram)
+		seqs += len(r.Sequences.Histogram())
 	}
-	if heads == 0 || seqs == 0 || bins == 0 || len(fresh.Cmp.Runs[ooo.PolicyBaseline].FinalMem) == 0 {
-		t.Fatal("premise: the cell must hold HeadWait, Sequences, delay bins and memory")
+	if seqs == 0 || len(fresh.Cmp.Runs[ooo.PolicyBaseline].FinalMem) == 0 {
+		t.Fatal("premise: the cell must hold Sequences and memory")
 	}
 	data, err := encodeCell(fresh, cfg)
 	if err != nil {
@@ -144,10 +143,10 @@ func TestLoadBufferReuseLeavesCellIntact(t *testing.T) {
 
 // TestCellCodecComplete: the payload carries every field of ooo.Result but
 // the config and the architectural state, which the key and the last
-// section supply. Every such field of all five results — counters,
-// HeadWait, Sequences and histogram bins — and every field of TS is set by
-// reflection to a distinct non-zero value, so a field added to either type
-// and missing from the codec fails the round trip.
+// section supply. Every such field of all five results — counters and
+// Sequences — and every field of TS is set by reflection to a distinct
+// non-zero value, so a field added to either type and missing from the
+// codec fails the round trip.
 func TestCellCodecComplete(t *testing.T) {
 	cfg := ooo.SmallConfig()
 	c := quickCell(t, "crc")
@@ -159,14 +158,10 @@ func TestCellCodecComplete(t *testing.T) {
 		switch {
 		case v.Type() == reflect.TypeOf((*core.SeqTracker)(nil)):
 			v.Set(reflect.ValueOf(core.SeqTrackerOf(map[int]uint64{2: uint64(next), 9: uint64(next) << 40})))
-		case v.Type() == reflect.TypeOf(map[string]int64(nil)):
-			v.Set(reflect.ValueOf(map[string]int64{"alu": next, "load/unissued": -next}))
 		case v.Kind() == reflect.Struct:
 			for i := range v.NumField() {
 				fill(v.Field(i))
 			}
-		case v.Type() == reflect.TypeOf(ooo.DelayHistogram(nil)):
-			v.Set(reflect.ValueOf(ooo.DelayHistogram{{PS: 3, Ops: next}, {PS: 250, Ops: next << 20}, {PS: timing.ClockPS, Ops: -next}}))
 		case v.CanInt():
 			v.SetInt(next)
 		case v.CanUint():
@@ -218,7 +213,13 @@ func TestCellCodecComplete(t *testing.T) {
 // flags 0, and one memory word, 0x10 = 1.
 var archSection = []byte{1, byte(isa.R(1)), 5, 0, 0, 1, 0x10, 1}
 
-// v6Payload rewrites v7 cell payload data in version 6's shape: the same
+// v7Payload relabels v8 cell payload data as version 7, whose results also
+// held a HeadWait map and a delay histogram each.
+func v7Payload(data []byte) []byte {
+	return append([]byte{7}, data[1:]...)
+}
+
+// v6Payload rewrites v8 cell payload data in version 6's shape: the same
 // results under version 6, followed by an architectural-state section.
 func v6Payload(data []byte) []byte {
 	return append(append([]byte{6}, data[1:]...), archSection...)
@@ -245,8 +246,8 @@ func jsonPayload(t testing.TB, version int, c Cell) []byte {
 	return data
 }
 
-// TestJournalCellPayloadVersions: only a complete v7 payload is a hit.
-// Payloads of versions 2–6, and a v7 payload truncated or followed by v6's
+// TestJournalCellPayloadVersions: only a complete v8 payload is a hit.
+// Payloads of versions 2–7, and a v8 payload truncated or followed by v6's
 // architectural-state section, are cache misses rather than misreads.
 func TestJournalCellPayloadVersions(t *testing.T) {
 	cfg := ooo.SmallConfig()
@@ -266,14 +267,15 @@ func TestJournalCellPayloadVersions(t *testing.T) {
 		payload []byte
 		hit     bool
 	}{
-		{"v7", data, true},
+		{"v8", data, true},
 		{"v2", jsonPayload(t, 2, fresh), false},
 		{"v3", jsonPayload(t, 3, fresh), false},
 		{"v4", jsonPayload(t, 4, fresh), false},
 		{"v5", jsonPayload(t, 5, fresh), false},
 		{"v6", v6Payload(data), false},
-		{"v7 followed by an architectural-state section", append(slices.Clip(data), archSection...), false},
-		{"truncated v7", data[:len(data)-1], false},
+		{"v7", v7Payload(data), false},
+		{"v8 followed by an architectural-state section", append(slices.Clip(data), archSection...), false},
+		{"truncated v8", data[:len(data)-1], false},
 	} {
 		key := cellstore.NewFingerprint("payload-test").Field("case", i).Key()
 		if err := store.Put(key, tc.payload); err != nil {
@@ -283,8 +285,8 @@ func TestJournalCellPayloadVersions(t *testing.T) {
 			t.Errorf("%s payload: hit = %v, want %v", tc.name, hit, tc.hit)
 		}
 	}
-	if st := store.Stats(); st.Hits != 1 || st.Corrupt != 7 {
-		t.Errorf("stats = %+v, want the v7 payload a hit and every other a corrupt miss", st)
+	if st := store.Stats(); st.Hits != 1 || st.Corrupt != 8 {
+		t.Errorf("stats = %+v, want the v8 payload a hit and every other a corrupt miss", st)
 	}
 }
 
@@ -333,62 +335,8 @@ func TestEncodeCellRefuses(t *testing.T) {
 	}
 }
 
-// TestDelayHistogramPayload pins the sparse binary form of a delay
-// histogram: the count of its bins, then each bin's delay and count as
-// uvarints in ascending order, decoding back to the same bins. No bins
-// encode as a zero count and decode to nil, as the engine leaves them.
-func TestDelayHistogramPayload(t *testing.T) {
-	h := ooo.DelayHistogram{{PS: 0, Ops: 3}, {PS: 212, Ops: 40}, {PS: timing.ClockPS, Ops: 1 << 40}}
-	w := codec{enc: true}
-	w.histogram(&h)
-	want := []byte{3, 0, 3, 0xd4, 0x01, 40, 0xf4, 0x03, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20}
-	if !bytes.Equal(w.b, want) {
-		t.Fatalf("got % x, want % x", w.b, want)
-	}
-	r := codec{b: w.b}
-	var back ooo.DelayHistogram
-	if r.histogram(&back); r.end() != nil || !reflect.DeepEqual(back, h) {
-		t.Fatalf("histogram does not round-trip (err %v): %v", r.err, back)
-	}
-	var empty ooo.DelayHistogram
-	w = codec{enc: true}
-	if w.histogram(&empty); !bytes.Equal(w.b, []byte{0}) {
-		t.Fatalf("empty histogram encodes as % x, want 00", w.b)
-	}
-	r = codec{b: w.b}
-	if r.histogram(&empty); r.end() != nil || empty != nil {
-		t.Fatalf("no bins decode as %#v (err %v), want nil", empty, r.err)
-	}
-}
-
-// TestDelayHistogramPayloadRejects: the histogram decoder accepts only what
-// the encoder writes, so every accepted form re-encodes to the same bytes.
-func TestDelayHistogramPayloadRejects(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		in   []byte
-		want string
-	}{
-		{"empty", nil, "truncated varint"},
-		{"truncated pair", []byte{1, 5}, "truncated varint"},
-		{"bin out of range", []byte{1, 0xf5, 0x03, 1}, "bins out of order"},
-		{"repeated bin", []byte{2, 5, 1, 5, 1}, "bins out of order"},
-		{"descending bins", []byte{2, 6, 1, 5, 1}, "bins out of order"},
-		{"zero count", []byte{1, 5, 0}, "zero delay histogram count"},
-		{"non-minimal count", []byte{1, 5, 0x81, 0x00}, "non-minimal varint"},
-		{"bin count larger than the remaining bytes", []byte{9, 5, 1}, "count exceeds"},
-		{"trailing bytes", []byte{1, 5, 1, 0}, "trailing bytes"},
-	} {
-		r := codec{b: tc.in}
-		var h ooo.DelayHistogram
-		if r.histogram(&h); r.end() == nil || !strings.Contains(r.err.Error(), tc.want) {
-			t.Errorf("%s: % x: err = %v, want one mentioning %q", tc.name, tc.in, r.err, tc.want)
-		}
-	}
-}
-
-// TestCellPayloadRejects: the rest of the codec is as strict — the exact
-// version, strictly ascending map keys, string lengths and floats within
+// TestCellPayloadRejects: the codec accepts only what the encoder writes —
+// the exact version, strictly ascending map keys, counts and floats within
 // the payload, no trailing bytes — so a malformed payload is an error (a
 // cache miss), never a misread.
 func TestCellPayloadRejects(t *testing.T) {
@@ -405,14 +353,14 @@ func TestCellPayloadRejects(t *testing.T) {
 		walk func(*codec)
 		want string
 	}{
-		{"total of version 6", append([]byte{6}, total[1:]...), nil, "version 6, want 7"},
+		{"total of version 7", append([]byte{7}, total[1:]...), nil, "version 7, want 8"},
 		{"truncated total", total[:len(total)-1], nil, "truncated"},
 		{"total with trailing bytes", append(slices.Clip(total), 0), nil, "trailing bytes"},
-		{"cell of version 8", []byte{8}, func(c *codec) { c.cell(new(int), new(baseline.Comparison)) }, "version 8, want 7"},
-		{"head-wait classes out of order", []byte{2, 1, 'b', 1, 1, 'a', 1}, headWait, "keys out of order"},
-		{"duplicate head-wait class", []byte{2, 1, 'a', 1, 1, 'a', 1}, headWait, "keys out of order"},
-		{"class name longer than the payload", []byte{1, 9, 'a', 1}, headWait, "count exceeds"},
+		{"cell of version 9", []byte{9}, func(c *codec) { c.cell(new(int), new(baseline.Comparison)) }, "version 9, want 8"},
 		{"sequence lengths out of order", []byte{2, 3, 1, 2, 1}, sequences, "keys out of order"},
+		{"duplicate sequence length", []byte{2, 3, 1, 3, 1}, sequences, "keys out of order"},
+		{"sequence count larger than the remaining bytes", []byte{9, 3, 1}, sequences, "count exceeds"},
+		{"non-minimal sequence count", []byte{1, 3, 0x81, 0x00}, sequences, "non-minimal varint"},
 	} {
 		r := codec{b: tc.in}
 		if tc.walk == nil {
@@ -427,15 +375,10 @@ func TestCellPayloadRejects(t *testing.T) {
 	}
 }
 
-// headWait and sequences decode one map the way codec.result does.
-func headWait(c *codec) {
-	var m map[string]int64
-	pairs(c, &m, c.str)
-}
-
+// sequences decodes one sequence-length map the way codec.result does.
 func sequences(c *codec) {
 	var m map[int]uint64
-	pairs(c, &m, func(k *int) { ints(c, k) })
+	c.sequences(&m)
 }
 
 // coreID is cfg's canonical JSON, the core component of its journal keys.

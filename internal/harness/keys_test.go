@@ -46,11 +46,11 @@ func TestJournalKeysPinned(t *testing.T) {
 	}
 	sort.Strings(got)
 	want := []string{
-		"grid-cell bitcnt/Big c10ebdc10a610bcb1fcbc50c138048ba5ad0e29cb2c7322ba3c7ca0ef00b8e5c",
-		"sweep-total sweep MiBench/Big th=4 8e423c06451cc2c6e09d9ff883acfb2e2e24356ff5b3fe59770a01c1a846bf91",
-		"sweep-total sweep MiBench/Big th=5 e73041b9d5622dfd8a4a0a346c3dd35bdb48cf5b0ca1c66b484d389db334602a",
-		"sweep-total sweep MiBench/Big th=6 f8ee2094273f4b462b03fcb1292a085523c0d0a7a95bb0f6acd90ad4a755405b",
-		"sweep-total sweep MiBench/Big th=7 cb232242526b326ff87a80bad63354037bff1dbd9be435fca290d39e9377912b",
+		"grid-cell bitcnt/Big 5ec57acd8fc28f3027a73d92234bc7cc04a8c140b8923048695be7836f00ee32",
+		"sweep-total sweep MiBench/Big th=4 be8df4c92448da14512c917c55751c208c88cc7d88e39c5895a54de3bbbf3cb3",
+		"sweep-total sweep MiBench/Big th=5 db2dbfc949258d76d16d84ab9e1470894c181e64df6242e349b7e9e987111585",
+		"sweep-total sweep MiBench/Big th=6 e87ca69d14b1899bcf5064aefa87c054fa9a9d24a9107dcb4612e422976e3526",
+		"sweep-total sweep MiBench/Big th=7 df39bd4361e6feeddc11a09dc9a1345699db2ec1a0818d4104de306c8dce9c6b",
 	}
 	if len(got) != len(want) {
 		t.Fatalf("got %d keyed units, want %d:\n%q", len(got), len(want), got)
@@ -94,8 +94,8 @@ func TestJournalPayloadsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	for label, want := range map[string]string{
-		"bitcnt/Big":             "fa33de2ed03c3612b5df12cb6364fc227e2bb184e650ea27f43168102c04bc21",
-		"sweep MiBench/Big th=4": "6a7cbdff7cc36f6a5383bd5192de9d7c8c4cc6c9023ccc3a49738f64692d146d",
+		"bitcnt/Big":             "b0b31a6716e4647c4f04e495d518329d1da6b65478e5acac69d742fe8746869a",
+		"sweep MiBench/Big th=4": "4d2f9393a7ffbf0bbae5ecd460d436e0d59cee3fdb09c94432515fe77628ab83",
 	} {
 		data, ok := store.Get(keys[label])
 		if !ok {

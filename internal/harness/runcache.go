@@ -11,13 +11,12 @@ import (
 
 // runCache is one grid run's compute-once engine-run cache. The Sec. VI-C
 // sweep and the grid cells ask for overlapping simulations — a (benchmark,
-// core)'s baseline once per sweep candidate, once per cell and once for
-// TS's delay histogram, ReDSOC at the chosen threshold in the sweep and in
-// the cell — and through the cache each distinct (program, config) runs
-// once per Run call. Programs are keyed by pointer: they are the benchmark
-// list's own, immutable and alive for the call, and the cache is dropped
-// with it. A cached result is shared by every unit that asked for it, so
-// results are read-only once returned.
+// core)'s baseline once per sweep candidate and once per cell, ReDSOC at
+// the chosen threshold in the sweep and in the cell — and through the cache
+// each distinct (program, config) runs once per Run call. Programs are
+// keyed by pointer: they are the benchmark list's own, immutable and alive
+// for the call, and the cache is dropped with it. A cached result is shared
+// by every unit that asked for it, so results are read-only once returned.
 type runCache struct {
 	runs memo.Map // runKey -> runOutcome
 	// builds counts the engine runs performed (the run-count test reads it).

@@ -34,25 +34,25 @@ import (
 // per high-water mark.
 //
 // Storage lifetime: the slab and free list, the scheduler's other per-run
-// scratch (scratch below), the dense delay counter, the cache hierarchy, the
-// functional memory, the predictor tables and the lockstep interpreter
-// (final.go, reset by armLockstep) are one bundle (storage) with one owner
-// at a time. New borrows a bundle from the spare list and resets
-// it; Run returns it when the simulation ends — after capture, on the error
-// path too — and nils the Simulator's fields, so nothing reaches the storage
-// through a finished Simulator and a second Run is refused. The reset
-// contract is that a borrowed bundle is observably a fresh one: the
-// hierarchy is reset to cold (mem.Hierarchy.Reset, which keeps line storage
-// only when the geometry matches), the memory is re-instantiated from the
-// program's image (mem.Memory.Reset), each predictor is rebuilt in place
-// exactly as its predict.New* constructor builds it (Reset, which resizes a
-// table whose entry count differs), the delay counter is zeroed, the rings
-// and FU pools are cleared and sized to exactly the configured ROB, LSQ and
-// pool sizes, and every scratch list — the slab and free list among them —
-// is emptied to length zero, so a recycled slot is only ever reached
-// through an append or alloc that overwrites it (alloc zeroes a recycled
-// slab slot but keeps its waiters capacity). Only capacity carries from one
-// run into the next, never contents.
+// scratch (scratch below), the cache hierarchy, the functional memory, the
+// predictor tables and the lockstep interpreter (final.go, reset by
+// armLockstep) are one bundle (storage) with one owner at a time. New
+// borrows a bundle from the spare list and resets it; Run returns it when
+// the simulation ends — after capture, on the error path too — and nils the
+// Simulator's fields, so nothing reaches the storage through a finished
+// Simulator and a second Run is refused. The reset contract is that a
+// borrowed bundle is observably a fresh one: the hierarchy is reset to cold
+// (mem.Hierarchy.Reset, which keeps line storage only when the geometry
+// matches), the memory is re-instantiated from the program's image
+// (mem.Memory.Reset), each predictor is rebuilt in place exactly as its
+// predict.New* constructor builds it (Reset, which resizes a table whose
+// entry count differs), the rings and FU pools are cleared and sized to
+// exactly the configured ROB, LSQ and pool sizes, and every scratch list —
+// the slab and free list among them — is emptied to length zero, so a
+// recycled slot is only ever reached through an append or alloc that
+// overwrites it (alloc zeroes a recycled slab slot but keeps its waiters
+// capacity). Only capacity carries from one run into the next, never
+// contents.
 
 // ent resolves a slab index. The returned pointer is valid only until the
 // next alloc (the slab may grow); the scheduler never holds one across a
@@ -205,7 +205,6 @@ type storage struct {
 	hier   *mem.Hierarchy
 	memory *mem.Memory
 	scratch
-	delays delayCounts
 
 	widthPred  *predict.WidthPredictor
 	lastPred   *predict.LastArrivalPredictor
@@ -245,7 +244,6 @@ func borrowStorage(cfg Config, img *mem.Image) *storage {
 		}
 	} else {
 		st.hier.Reset(cfg.Mem)
-		clear(st.delays[:])
 	}
 	st.memory.Reset(img)
 	st.widthPred.Reset(cfg.WidthPredictorEntries, predict.DefaultConfidenceBits)
@@ -267,7 +265,7 @@ func borrowStorage(cfg Config, img *mem.Image) *storage {
 func (s *Simulator) releaseStorage() {
 	st := s.store
 	st.scratch, s.scratch = s.scratch, scratch{}
-	s.store, s.hier, s.memory, s.delays = nil, nil, nil, nil
+	s.store, s.hier, s.memory = nil, nil, nil
 	s.widthPred, s.lastPred, s.branchPred, s.loadPred, s.estimator, s.lock = nil, nil, nil, nil, nil, nil
 	spare.Lock()
 	if len(spare.list) < runtime.GOMAXPROCS(0) {

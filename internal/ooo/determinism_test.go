@@ -1,7 +1,6 @@
 package ooo
 
 import (
-	"slices"
 	"testing"
 
 	"redsoc/internal/workload/mibench"
@@ -52,17 +51,6 @@ func sameResult(t *testing.T, a, b *Result) {
 	for i, c := range counters {
 		if c[0] != c[1] {
 			t.Errorf("counter %d differs: %d vs %d", i, c[0], c[1])
-		}
-	}
-	if !slices.Equal(a.DelayHistogram, b.DelayHistogram) {
-		t.Error("DelayHistogram differs")
-	}
-	if len(a.HeadWait) != len(b.HeadWait) {
-		t.Errorf("HeadWait sizes differ: %d vs %d", len(a.HeadWait), len(b.HeadWait))
-	}
-	for class, v := range a.HeadWait { //lint:allow simdeterminism order-independent: per-key equality
-		if b.HeadWait[class] != v {
-			t.Errorf("HeadWait[%s] differs: %d vs %d", class, v, b.HeadWait[class])
 		}
 	}
 	ha, hb := a.Sequences.Histogram(), b.Sequences.Histogram()

@@ -16,8 +16,9 @@ import (
 // commits, so every run of a program — under any policy, on any core, at any
 // threshold — must end in the state the in-order architectural interpreter
 // (internal/arch) ends in. That state is the program's canonical final
-// state: arch.Run's registers, flags and memory, built once per program and
-// held on it. A run that ends in it (compared in place, without building
+// state: the interpreter's registers, flags and memory, built once per
+// program and held on it, by the same pass that counts the program's delay
+// profile (DelayProfile). A run that ends in it (compared in place, without building
 // anything) points its Result at the canonical FinalRegs and FinalMem maps.
 // A fault-free run that does not is an engine fault: Run re-runs it with
 // the interpreter stepping beside commit (lockstep) and returns an error
@@ -27,8 +28,9 @@ import (
 // nothing may write a Result's FinalRegs or FinalMem (an audit build checks
 // this at every adoption).
 
-// finalState is one program's canonical final architectural state: the
-// shared maps and the copies they are compared against.
+// finalState is one program's canonical final architectural state — the
+// shared maps and the copies they are compared against — and its delay
+// profile.
 type finalState struct {
 	FinalRegs  map[isa.Reg]alu.Value
 	FinalMem   map[uint64]uint64
@@ -36,6 +38,8 @@ type finalState struct {
 
 	regs [archFileRegs]alu.Value // the integer and vector files, by rename index
 	mem  *mem.Frozen
+
+	delays DelayHistogram
 }
 
 // archFileRegs counts the integer and vector registers: rename indices
@@ -48,8 +52,17 @@ const archFileRegs = isa.NumIntRegs + isa.NumVecRegs
 type finalKey struct{}
 
 // oracle runs prog on the architectural interpreter and returns its final
-// state.
-func oracle(prog *isa.Program) *finalState { return finalOf(arch.Run(prog)) }
+// state, with the delay profile counted from the same pass's outcomes.
+func oracle(prog *isa.Program) *finalState {
+	st, d := arch.New(prog), new(delayCounts)
+	for i := range prog.Instrs {
+		in := &prog.Instrs[i]
+		d.add(in.Op, st.Step(in))
+	}
+	f := finalOf(st)
+	f.delays = d.histogram()
+	return f
+}
 
 // finalOf returns the interpreter state st as a final state.
 func finalOf(st *arch.State) *finalState {

@@ -1,16 +1,17 @@
 package ooo
 
-import "redsoc/internal/timing"
+import (
+	"redsoc/internal/alu"
+	"redsoc/internal/isa"
+	"redsoc/internal/timing"
+)
 
-// DelayHistogram counts a run's single-cycle ops by actual delay: each bin
-// holds the Ops that settled in PS picoseconds, for PS in [0,
-// timing.ClockPS]. Only non-zero bins are held, in ascending PS order, and
-// a run that counted nothing has a nil histogram. Timing speculation picks
-// its overclocked period from it (baseline.ChoosePeriod). A real run fills
-// about a dozen of the 501 possible bins, so the engine counts into a dense
-// array in its recycled storage (arena.go) and keeps only this compact form
-// in the Result; the cell journal writes the same bins (see the payload
-// layout in internal/harness).
+// DelayHistogram counts a program's dynamic operations by the delay timing
+// speculation must meet: each bin holds the Ops whose delay is PS
+// picoseconds, for PS in [0, timing.ClockPS]. Only non-zero bins are held,
+// in ascending PS order, and a program that counted nothing has a nil
+// histogram. Timing speculation picks its overclocked period from it
+// (baseline.ChoosePeriod).
 type DelayHistogram []DelayBin
 
 // DelayBin is one non-empty bin of a DelayHistogram.
@@ -19,8 +20,32 @@ type DelayBin struct {
 	Ops int64
 }
 
-// delayCounts is the dense per-picosecond counter a run fills.
+// DelayProfile returns prog's delay profile. A single-cycle op's actual
+// delay follows from its operand values alone, so every run of a program —
+// under any policy, on any core — executes the same delays, and the
+// profile is counted once, by the architectural interpreter pass that
+// builds the program's canonical final state (final.go). It is held on the
+// program and shared: read-only.
+func DelayProfile(prog *isa.Program) DelayHistogram {
+	return isa.Derived(prog, finalKey{}, oracle).delays
+}
+
+// delayCounts is the dense per-picosecond counter the interpreter pass
+// fills.
 type delayCounts [timing.ClockPS + 1]int64
+
+// add counts one executed op with outcome out: a single-cycle op in the bin
+// of its actual delay, when that fits the nominal cycle; any other op in
+// the bin of its class's limiting pipeline stage, since multi-cycle and
+// memory stages bound timing speculation too (they can err on every cycle).
+func (d *delayCounts) add(op isa.Op, out alu.Outcome) {
+	switch {
+	case !op.SingleCycle():
+		d[timing.StageDelayPS(op.Class())]++
+	case out.DelayPS <= timing.ClockPS:
+		d[out.DelayPS]++
+	}
+}
 
 // histogram returns the non-zero bins of d in ascending order, nil when
 // there are none.

@@ -855,9 +855,10 @@ func (s *Simulator) trainLastArrival(e *entry) {
 	s.lastPred.Update(e.pc, pred, actual)
 }
 
-// classify buckets the op for Fig. 10 and records the actual-delay histogram
-// consumed by the timing-speculation comparator. Memory ops were classified
-// at latency resolution.
+// classify buckets the op for Fig. 10. Memory ops were classified at
+// latency resolution. The actual delays timing speculation reads follow
+// from operand values alone, so the program's delay profile counts them
+// once (DelayProfile), not every run.
 //
 //redsoc:hotpath
 func (s *Simulator) classify(e *entry, out alu.Outcome) {
@@ -872,12 +873,5 @@ func (s *Simulator) classify(e *entry, out alu.Outcome) {
 		s.res.Mix.ALUHS++
 	default:
 		s.res.Mix.ALULS++
-	}
-	if e.bits&trace.BitSingleCycle != 0 && out.DelayPS <= timing.ClockPS {
-		s.delays[out.DelayPS]++
-	} else if e.bits&trace.BitSingleCycle == 0 {
-		// Multi-cycle and memory pipeline stages bound timing speculation
-		// (they can err on every cycle too); record their limiting stage.
-		s.delays[timing.StageDelayPS(e.class)]++
 	}
 }

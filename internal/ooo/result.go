@@ -52,9 +52,6 @@ type Result struct {
 	// Dispatch-stall breakdown (cycles in which dispatch stopped early for
 	// the given reason; a cycle can count at most one reason).
 	StallRedirect, StallROB, StallRSE, StallLSQ int64
-	// HeadWait accumulates, per op class, the cycles the ROB head spent
-	// incomplete while younger work waited behind it (commit-blocking).
-	HeadWait map[string]int64
 	// ThresholdAdjustments counts dynamic-threshold controller moves;
 	// FinalThreshold is the threshold at the end of the run.
 	ThresholdAdjustments int64
@@ -69,7 +66,6 @@ type Result struct {
 	DegradedCycles    int64 // cycles with >= 1 FU pool held at baseline timing
 	FaultStats        fault.Stats
 	Sequences         *core.SeqTracker
-	DelayHistogram    DelayHistogram // actual delay (ps) of single-cycle ops
 	WidthPredictor    predict.WidthStats
 	LastArrival       predict.LastArrivalStats
 	LoadDelay         predict.LoadDelayStats

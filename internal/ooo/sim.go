@@ -78,28 +78,19 @@ type Simulator struct {
 	// stops the run at the first commit that differs (final.go).
 	lock *lockstep
 
-	// store is the borrowed machine storage behind memory, hier, scratch,
-	// delays and the predictors; Run returns it to the spare list and nils
-	// every field that reaches it (arena.go).
+	// store is the borrowed machine storage behind memory, hier, scratch
+	// and the predictors; Run returns it to the spare list and nils every
+	// field that reaches it (arena.go).
 	store *storage
 	// scratch is the scheduler's per-run working storage, the dense entry
 	// slab among it (arena.go).
 	scratch
-	// delays counts single-cycle ops by actual delay; capture compacts it
-	// into Result.DelayHistogram.
-	delays *delayCounts
 
 	// rat is the R10K-style map table from architectural rename index to the
 	// slab index of the youngest in-flight producer (none = committed state
 	// in archRegs).
 	rat      [isa.NumRenamedRegs]int32
 	archRegs [isa.NumRenamedRegs]alu.Value
-
-	// headWait accumulates commit-blocking cycles per op class ([1] = head
-	// not yet issued); capture materializes it into Result.HeadWait. The old
-	// map-with-concatenated-key accounting allocated a string per blocked
-	// cycle in the hot loop.
-	headWait [isa.NumClasses][2]int64
 
 	pc      int // trace cursor
 	nextSeq int64
@@ -137,7 +128,6 @@ func New(cfg Config, prog *isa.Program) (*Simulator, error) {
 		memory:     st.memory,
 		hier:       st.hier,
 		scratch:    st.scratch,
-		delays:     &st.delays,
 		lut:        lut,
 		widthPred:  st.widthPred,
 		lastPred:   st.lastPred,
@@ -295,13 +285,6 @@ func (s *Simulator) commit(cycle int64) {
 		ei := s.rob.front()
 		e := s.ent(ei)
 		if e.state != stIssued || e.sched.Comp > now {
-			if n == 0 && s.rob.len() >= s.cfg.ROBSize {
-				slot := 0
-				if e.state != stIssued {
-					slot = 1
-				}
-				s.headWait[e.class][slot]++
-			}
 			return
 		}
 		if s.lock != nil && !s.lock.commits(s, e) {
@@ -675,23 +658,6 @@ func (s *Simulator) capture(ctx context.Context) error {
 	}
 	s.res.Branches = s.branchPred.Stats()
 	s.res.MemStats = s.hier.Stats()
-	s.res.DelayHistogram = s.delays.histogram()
-	for c := range s.headWait {
-		issued, unissued := s.headWait[c][0], s.headWait[c][1]
-		if issued == 0 && unissued == 0 {
-			continue
-		}
-		if s.res.HeadWait == nil {
-			s.res.HeadWait = make(map[string]int64)
-		}
-		name := isa.Class(c).String()
-		if issued != 0 {
-			s.res.HeadWait[name] += issued
-		}
-		if unissued != 0 {
-			s.res.HeadWait[name+"/unissued"] += unissued
-		}
-	}
 	s.res.FinalThreshold = s.params.ThresholdTicks
 	// Every other injector site nil-checks s.inject; capture must too, so a
 	// configuration without an injector cannot panic at snapshot time.

@@ -15,9 +15,9 @@ import (
 // storage another simulation has just dirtied — a different program, core,
 // policy, memory image and predictor table sizes, run to completion or
 // abandoned mid-flight by the deadlock guard with live slab entries — or
-// whose every scheduler list, ring, FU pool and delay counter has then been
-// filled with garbage up to its capacity, produces exactly the Result of a
-// run on fresh storage.
+// whose every scheduler list, ring and FU pool has then been filled with
+// garbage up to its capacity, produces exactly the Result of a run on fresh
+// storage.
 func TestPooledStorageIsInvisible(t *testing.T) {
 	conv, _ := ml.Conv(24, 16, 23)
 	bitcnt, _ := mibench.Bitcount(400, 15)
@@ -86,9 +86,8 @@ func TestPooledStorageIsInvisible(t *testing.T) {
 }
 
 // poison fills every scratch list of a spare bundle up to its capacity, its
-// rings, FU pools and waiter lists included, and every delay bin with
-// garbage, so only a reset that clears or overwrites each one yields a
-// clean run.
+// rings, FU pools and waiter lists included, with garbage, so only a reset
+// that clears or overwrites each one yields a clean run.
 func poison(st *storage) {
 	sc := &st.scratch
 	fill32 := func(x []int32) []int32 {
@@ -140,9 +139,6 @@ func poison(st *storage) {
 		}
 		sc.fus[k].busyUntil = b
 	}
-	for i := range st.delays {
-		st.delays[i] = 7
-	}
 }
 
 // drainSpare empties the spare list, so the next New builds fresh storage.
@@ -180,11 +176,11 @@ func TestSecondRunRefused(t *testing.T) {
 }
 
 // warmRunBound bounds what a warm New + Run may allocate: the Simulator,
-// its Result and little else. It measured 4,984 bytes for the bound's run
-// (bitcnt on Big under ReDSOC; 4,776–4,984 on every core and policy, Go
+// its Result and little else. It measured 4,408 bytes for the bound's run
+// (bitcnt on Big under ReDSOC; 4,200–4,408 on every core and policy, Go
 // 1.24, linux/amd64), and the bound is that plus about 10%, so scheduler
 // scratch that regrows from nil in every run fails it.
-const warmRunBound = 5500
+const warmRunBound = 4850
 
 // newRunAlloc runs one New + Run of p on cfg and returns the bytes it
 // allocated.
@@ -205,9 +201,9 @@ func newRunAlloc(t *testing.T, cfg Config, p *isa.Program) uint64 {
 
 // TestWarmRunAllocationBound: once the spare list holds a finished run's
 // storage and the program has its canonical final state, a New + Run pair
-// allocates no cache arrays, predictor tables, scheduler scratch, dense
-// delay counter or final-state maps. The minimum over several runs
-// discounts allocations of other goroutines.
+// allocates no cache arrays, predictor tables, scheduler scratch or
+// final-state maps. The minimum over several runs discounts allocations of
+// other goroutines.
 func TestWarmRunAllocationBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under the race detector")

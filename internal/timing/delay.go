@@ -131,8 +131,8 @@ func CriticalPathPS() int {
 // multipliers, FP units and cache access path are tuned close to the clock
 // and expose mostly PVT (not data) slack. The timing-speculation comparator
 // is bounded by these stages — every synchronous EU/op-stage can produce a
-// timing error (Sec. I) — so they enter the delay histogram alongside the
-// data-dependent ALU delays.
+// timing error (Sec. I) — so they enter a program's delay profile
+// (ooo.DelayProfile) alongside the data-dependent ALU delays.
 func StageDelayPS(class isa.Class) int {
 	switch class {
 	case isa.ClassMul, isa.ClassSIMDMul:
