@@ -404,7 +404,8 @@ func (c *codec) result(r *ooo.Result) {
 		&r.RecycledOps, &r.TwoCycleHolds, &r.GPWakeupGrants, &r.GPWakeupWasted, &r.TagMispredicts,
 		&r.WidthReplays, &r.FusedOps, &r.FUStallCycles, &r.IssueCycles,
 		&r.LoadDelayPredicts, &r.LoadDelayMispredicts, &r.LSQSpecForwards, &r.LSQMisallocations,
-		&r.StallRedirect, &r.StallROB, &r.StallRSE, &r.StallLSQ, &r.ThresholdAdjustments)
+		&r.StallRedirect, &r.StallROB, &r.StallRSE, &r.StallLSQ)
+	ints(c, &r.ThresholdAdjustments)
 	ints(c, &r.FinalThreshold)
 	ints(c, &r.PVTRecalibrations, &r.TimingViolations, &r.ViolationReplays, &r.DegradationEvents,
 		&r.DegradeRearms, &r.DegradedCycles, &f.Estimate, &f.Delay, &f.Latch, &f.Predictor)

@@ -18,15 +18,15 @@ import (
 // (internal/arch) ends in. That state is the program's canonical final
 // state: the interpreter's registers, flags and memory, built once per
 // program and held on it, by the same pass that counts the program's delay
-// profile (DelayProfile). A run that ends in it (compared in place, without building
-// anything) points its Result at the canonical FinalRegs and FinalMem maps.
-// A fault-free run that does not is an engine fault: Run re-runs it with
-// the interpreter stepping beside commit (lockstep) and returns an error
-// naming the first commit that differs. A fault-injected run that does not
-// keeps maps of its own, so the chaos campaign's ArchEqual check against a
-// fault-free golden run sees the divergence. The shared maps are read-only:
-// nothing may write a Result's FinalRegs or FinalMem (an audit build checks
-// this at every adoption).
+// profile (DelayProfile). A run that ends in it (compared in place, without
+// building anything) points its Result at the canonical FinalRegs and
+// FinalMem maps. A fault-free run that does not is an engine fault: Run
+// re-runs it with the interpreter stepping beside commit (lockstep) and
+// returns an error naming the first commit that differs. A fault-injected
+// run that does not keeps maps of its own, so the chaos campaign's ArchEqual
+// check against a fault-free golden run sees the divergence. The shared
+// maps are read-only: nothing may write a Result's FinalRegs or FinalMem
+// (an audit build checks this at every adoption).
 
 // finalState is one program's canonical final architectural state — the
 // shared maps and the copies they are compared against — and its delay
